@@ -218,14 +218,12 @@ def write_outputs(trace, outdir, config_echo):
 
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
+    base = trace.base
+    if base.kind in ("circle", "axisphere"):
+        coord_name, coords = "theta", base.theta
+    else:
+        coord_name, coords = "index", np.arange(base.n_nodes)
     for t, state, snap in trace.snapshots:
-        base = trace.base
-        if base.kind == "axisphere":
-            coord_name, coords = "theta", base.theta
-        elif base.kind == "circle":
-            coord_name, coords = "theta", base.theta
-        else:
-            coord_name, coords = "index", np.arange(base.n_nodes)
         cols = [coords, snap.r.ravel(), state.phi.ravel(),
                 snap.theta.ravel(), snap.H.ravel(), snap.omega.ravel()]
         rows = [f"{coord_name},r,phi,Theta,H,omega"]
@@ -239,6 +237,7 @@ def write_outputs(trace, outdir, config_echo):
     meta = {
         "config": config_echo,
         "n": trace.n,
+        "stats": trace.stats,
         "terminal": terminal,
         "versions": {
             "imcflow": __version__,
@@ -294,7 +293,8 @@ def load_trace(outdir):
         ev = meta["terminal"]
         terminal = FlowEvent(ev["kind"], ev["t"], ev["node"], ev["value"])
     return FlowTrace(base=base, warp=wspec, config=fc, times=times,
-                     columns=columns, snapshots=snaps, terminal=terminal)
+                     columns=columns, snapshots=snaps, terminal=terminal,
+                     stats=meta.get("stats", {}))
 
 
 # ---------------------------------------------------------------------------

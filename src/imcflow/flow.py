@@ -10,6 +10,14 @@ and dt_max applies directly.
 Diagnostics are recorded on a fixed cadence and full field snapshots on a
 (usually coarser) second cadence; steps are clipped to land exactly on both
 grids, which keeps runs bit-reproducible for a given configuration.
+
+On the circle and the axisphere each stage state goes first through a fast
+acceptance test: the fused kernel gives F and Theta^2, and a state whose
+h' exists, whose F is positive and finite everywhere and whose smallest
+Theta reaches theta_min is taken as it is.  Every other state goes to
+_probe, the only code that classifies events.  The test accepts exactly
+the states on which _probe would find no event, and the kernel's F is
+_probe's F bit for bit, so the fast path changes no trajectory.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError
+from .warp import WarpDomainError, hp_at_phi, phi_domain_violation
 from .geometry import GraphState
 
 __all__ = [
@@ -81,6 +89,7 @@ class FlowTrace:
     columns: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)   # (t, GraphState, GeometrySnapshot)
     terminal: object = "completed"                  # "completed" | FlowEvent
+    stats: dict = field(default_factory=dict)       # _RunStats.as_dict()
 
     @property
     def n(self):
@@ -98,21 +107,46 @@ class FlowTrace:
         return np.array([t for t, _, _ in self.snapshots])
 
 
-def _phi_domain_violation(wspec, phi):
-    """Index of a potential value outside the image of Phi, or None."""
-    pid = wspec.preset_id
-    if pid == "hyperbolic":
-        bad = phi >= 0.0
-    elif pid == "power" and wspec.params["p"] != 1.0:
-        bad = 1.0 + (1.0 - wspec.params["p"]) * phi <= 0.0
-    elif pid in ("schwarzschild3", "saturating"):
-        lo, hi = wspec._phi_domain
-        bad = (phi <= lo) | (phi >= hi)
-    else:
-        return None
-    if bad.any():
-        return int(bad.argmax())
-    return None
+class _RunStats:
+    """Counts of one run; machine-independent, so reruns give equal dicts.
+
+    f_evals counts every evaluation of F (initial state, RK4 stages, step
+    results); on field bases each is either a fast accept or a full
+    _probe, on the point base it is a call of the scalar speed function
+    (and full_probes counts the _probe calls for the initial state and
+    event payloads).  The dt limiter is "landing" when a step was clipped
+    onto a record, snapshot or end time, else "cfl" when the parabolic
+    bound was below dt_max, else "dt_max".
+    """
+
+    def __init__(self):
+        self.f_evals = 0
+        self.fast_accepts = 0
+        self.full_probes = 0
+        self.steps = 0
+        self.limiter = {"cfl": 0, "landing": 0, "dt_max": 0}
+        self.min_dt = math.inf
+        self.max_dt = -math.inf
+
+    def step(self, dt, limiter, n=1):
+        """Record n steps of size dt, all set by one limiter."""
+        if n == 0:
+            return
+        self.steps += n
+        self.limiter[limiter] += n
+        if dt < self.min_dt:
+            self.min_dt = dt
+        if dt > self.max_dt:
+            self.max_dt = dt
+
+    def as_dict(self):
+        taken = self.steps > 0
+        return {"steps": self.steps, "f_evals": self.f_evals,
+                "fast_accepts": self.fast_accepts,
+                "full_probes": self.full_probes,
+                "min_dt": self.min_dt if taken else None,
+                "max_dt": self.max_dt if taken else None,
+                "dt_limiter": dict(self.limiter)}
 
 
 def _probe(base, wspec, phi, t, theta_min):
@@ -121,13 +155,15 @@ def _probe(base, wspec, phi, t, theta_min):
     if not finite.all():
         node = int((~finite).argmax())
         return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
-    node = _phi_domain_violation(wspec, phi)
+    node = phi_domain_violation(wspec, phi)
     if node is not None:
         return None, FlowEvent("domain", t, node, float(phi.flat[node]))
     try:
         lf = _geom._light_fields(GraphState(base, wspec, phi, t))
-    except WarpDomainError:
-        return None, FlowEvent("domain", t, 0, float(phi.max()))
+    except WarpDomainError as exc:
+        # the radius check failed after inversion; it names the node
+        node = exc.node if exc.node is not None else 0
+        return None, FlowEvent("domain", t, node, float(phi.flat[node]))
     F = lf["F"]
     finite = np.isfinite(F)
     if not finite.all():
@@ -217,29 +253,58 @@ def _scalar_speed(wspec, nm1):
     raise ValueError(f"unknown preset {pid!r}")
 
 
-def _stable_dt_from(base, lf, config):
+def _fast_accept(base, wspec, phi, theta_min):
+    """(F, 1/F, Theta^2, phi_theta) of a state _probe passes, else None.
+
+    Accepts when h' exists (the warp's own domain check, which also fails
+    on non-finite phi), F > 0 and 1/F > 0 everywhere (F positive and
+    finite) and sqrt(min Theta^2) >= theta_min, which is min Theta >=
+    theta_min because sqrt is correctly rounded and monotone.  NaN fails
+    every comparison.  Returns None for anything else, so the caller falls
+    back to _probe.
+    """
+    try:
+        hp = hp_at_phi(wspec, phi)
+    except WarpDomainError:
+        return None
+    F, theta2, _, g, _ = _geom._speed_1d(base, phi, hp)
+    k = 1.0 / F
+    if (F.min() > 0.0 and k.min() > 0.0
+            and math.sqrt(theta2.min()) >= theta_min):
+        return F, k, theta2, g
+    return None
+
+
+def _cfl_dt(base, F, theta2, g, safety):
+    """Parabolic CFL bound, inf when it does not bind (point base, D <= 0).
+
+    Theta is formed as sqrt(Theta^2) and squared again, as the stored Theta
+    field would be, so the bound does not depend on which path produced
+    the fields.
+    """
     if base.dc == 0:
-        return config.dt_max
-    theta2 = lf["theta"] ** 2
-    F2 = lf["F"] ** 2
+        return math.inf
+    theta2 = np.sqrt(theta2) ** 2
+    F2 = F ** 2
     if base.kind == "circle":
         # one direction only: the lone eigenvalue of st is 1 - Theta^2 phi_theta^2
-        st = 1.0 - theta2 * lf["grad"][0] ** 2
+        st = 1.0 - theta2 * g ** 2
         D = theta2 * st / F2
     else:
         # st = I - Theta^2 Dphi Dphi^T keeps a unit eigenvalue transverse to Dphi
         D = theta2 / F2
     dmax = float(np.max(D))
     if dmax <= 0.0:
-        return config.dt_max
-    return min(config.dt_max,
-               config.safety * base.dx_min ** 2 / (2.0 * base.d * dmax))
+        return math.inf
+    return safety * base.dx_min ** 2 / (2.0 * base.d * dmax)
 
 
 def stable_dt(state, config):
     """Parabolic CFL step bound for the current state."""
     lf = _geom._light_fields(state)
-    return _stable_dt_from(state.base, lf, config)
+    return min(config.dt_max, _cfl_dt(state.base, lf["F"], lf["theta2"],
+                                      lf["grad"][0] if state.base.dc else None,
+                                      config.safety))
 
 
 def _diag_row(snap, dt_used):
@@ -266,6 +331,7 @@ def run(initial, config):
     when it is still a well-defined graph (F <= 0, angle below theta_min)
     and the last valid state otherwise (domain exit, non-finite values),
     so every event can be re-verified from what the trace preserves.
+    The trace's stats hold the run's counts (_RunStats).
     """
     if initial.base.dc == 0:
         return _run_point(initial, config)
@@ -274,6 +340,23 @@ def run(initial, config):
     t = 0.0
     times, rows, snaps = [], [], []
     k_rec, k_snap = 1, 1
+    stats = _RunStats()
+    fused = base.kind in _geom.FUSED_KINDS
+
+    def evaluate(phi_s, t_s):
+        """((F, 1/F, Theta^2, phi_theta), None) or (None, event)."""
+        stats.f_evals += 1
+        if fused:
+            fields = _fast_accept(base, wspec, phi_s, config.theta_min)
+            if fields is not None:
+                stats.fast_accepts += 1
+                return fields, None
+        stats.full_probes += 1
+        lf, ev = _probe(base, wspec, phi_s, t_s, config.theta_min)
+        if ev is not None:
+            return None, ev
+        F = lf["F"]
+        return (F, 1.0 / F, lf["theta2"], lf["grad"][0]), None
 
     def record(tt, phi_now, dt_used, want_row=True, want_snap=True):
         st = GraphState(base, wspec, phi_now.copy(), tt)
@@ -289,7 +372,8 @@ def run(initial, config):
         cols = {k: np.array([row[k] for row in rows]) for k in TRACE_COLUMNS}
         return FlowTrace(base=base, warp=wspec, config=config,
                          times=np.array(times), columns=cols,
-                         snapshots=snaps, terminal=terminal)
+                         snapshots=snaps, terminal=terminal,
+                         stats=stats.as_dict())
 
     def settle_event(ev, dt_used, bad_phi, ok_phi, ok_t):
         # graph-valid violations keep the offending state; otherwise fall
@@ -304,12 +388,13 @@ def run(initial, config):
                        want_snap=need_snap)
         return finish(ev)
 
-    lf, event = _probe(base, wspec, phi, t, config.theta_min)
+    fields, event = evaluate(phi, t)
     if event is not None and event.kind in ("domain", "numeric"):
         return finish(event)
     record(t, phi, 0.0)
     if event is not None:
         return finish(event)
+    F, k, theta2, g = fields
 
     t_end = config.t_end
     tol = 1e-12 * max(1.0, t_end)
@@ -320,32 +405,35 @@ def run(initial, config):
         next_rec = k_rec * config.record_every
         next_snap = k_snap * config.snapshot_every
         target = min(next_rec, next_snap, t_end)
-        dt = min(_stable_dt_from(base, lf, config), target - t)
+        cfl = _cfl_dt(base, F, theta2, g, config.safety)
+        dt = min(min(config.dt_max, cfl), target - t)
         landed = dt >= target - t - 1e-15 * max(1.0, target)
         if landed:
             dt = target - t
+        limiter = ("landing" if landed
+                   else "cfl" if cfl < config.dt_max else "dt_max")
 
         if euler:
-            phi_new = phi + dt / lf["F"]
+            phi_new = phi + dt / F
         else:
-            ks = [1.0 / lf["F"]]
-            ev = None
+            ks = [k]
             for frac in (0.5, 0.5, 1.0):
                 phi_stage = phi + frac * dt * ks[-1]
-                lf_s, ev = _probe(base, wspec, phi_stage, t + frac * dt,
-                                  config.theta_min)
+                fields, ev = evaluate(phi_stage, t + frac * dt)
                 if ev is not None:
                     return settle_event(ev, dt, phi_stage, phi, t)
-                ks.append(1.0 / lf_s["F"])
+                ks.append(fields[1])
             phi_new = phi + dt / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
 
         t_prev, phi_prev = t, phi
         t = target if landed else t + dt
         phi = phi_new
 
-        lf, event = _probe(base, wspec, phi, t, config.theta_min)
+        fields, event = evaluate(phi, t)
         if event is not None:
             return settle_event(event, dt, phi, phi_prev, t_prev)
+        F, k, theta2, g = fields
+        stats.step(dt, limiter)
 
         if landed:
             final = t >= t_end - tol
@@ -375,6 +463,11 @@ def _run_point(initial, config):
     """
     base, wspec = initial.base, initial.warp
     times, rows, snaps = [], [], []
+    stats = _RunStats()
+    per_step = 1 if config.integrator == "euler" else 4   # speed calls
+    # steps of exactly dt_max are only counted in the loop and recorded at
+    # the end: a stats call per step would cost this loop several percent
+    n_plain = 0
 
     def record(tt, phi_val, dt_used, want_row=True, want_snap=True):
         st = GraphState(base, wspec, np.array([phi_val]), tt)
@@ -387,13 +480,18 @@ def _run_point(initial, config):
 
     def finish(terminal):
         cols = {k: np.array([row[k] for row in rows]) for k in TRACE_COLUMNS}
+        stats.step(config.dt_max, "dt_max", n_plain)
+        stats.f_evals += per_step * stats.steps
         return FlowTrace(base=base, warp=wspec, config=config,
                          times=np.array(times), columns=cols,
-                         snapshots=snaps, terminal=terminal)
+                         snapshots=snaps, terminal=terminal,
+                         stats=stats.as_dict())
 
     phi_arr = np.array(initial.phi, dtype=float)
     phi = float(phi_arr[0])
     t = 0.0
+    stats.f_evals += 1
+    stats.full_probes += 1
     _, event = _probe(base, wspec, phi_arr, t, config.theta_min)
     if event is not None and event.kind in ("domain", "numeric"):
         return finish(event)
@@ -405,6 +503,7 @@ def _run_point(initial, config):
 
     def canonical_event(phi_val, tt):
         # reuse the array probe so event payloads match the generic path
+        stats.full_probes += 1
         _, ev = _probe(base, wspec, np.array([phi_val]), tt, config.theta_min)
         return ev if ev is not None else FlowEvent("domain", tt, 0, phi_val)
 
@@ -446,6 +545,8 @@ def _run_point(initial, config):
                     fail = (phi_stage, t + frac * dt)
                     break
         if fail is not None:
+            # the calls of this step, the failing one included
+            stats.f_evals += len(ks) + 1
             ph, tt = fail
             return settle_event(canonical_event(ph, tt), dt, phi, t)
         if euler:
@@ -458,9 +559,11 @@ def _run_point(initial, config):
         phi = phi_new
 
         if not phi_lo < phi < phi_hi:  # also catches NaN
+            stats.f_evals += per_step
             return settle_event(canonical_event(phi, t), dt, phi_prev, t_prev)
 
         if landed:
+            stats.step(dt, "landing")
             final = t >= t_end - tol
             at_rec = abs(t - next_rec) <= tol or final
             at_snap = abs(t - next_snap) <= tol or final
@@ -470,6 +573,8 @@ def _run_point(initial, config):
                 k_rec += 1
             while k_snap * config.snapshot_every <= t + tol:
                 k_snap += 1
+        else:
+            n_plain += 1
 
     need_row = abs(times[-1] - t_end) > tol
     need_snap = not snaps or abs(snaps[-1][0] - t_end) > tol

@@ -61,24 +61,43 @@ class GraphState:
         return cls(base, warp_spec, _warp.radial_potential(warp_spec, r), t)
 
 
-def _light_fields(state):
-    """r, h, h', Theta, dphi2, contraction st^ij phi_ij and F.
+# bases whose fields reduce to one polar or periodic coordinate; they take
+# the fused kernel _speed_1d, every other base the generic einsum path
+FUSED_KINDS = ("circle", "axisphere")
 
-    The minimal set the time stepper needs; exploits the diagonal sigma.
-    Returns a dict so the full snapshot can extend it without recomputing.
+
+def _light_fields(state):
+    """r, h, h', h'', Theta, Theta^2, dphi2, F and the stencil fields.
+
+    What _probe classifies events from and snapshot extends; exploits the
+    diagonal sigma.  Returns a dict so the full snapshot can extend it
+    without recomputing.
     """
     base = state.base
     r, h, hp, hpp = _warp.warp_at_phi(state.warp, state.phi)
-    nm1 = base.d
     if base.dc == 0:
         one = np.ones(base.shape)
-        F = nm1 * hp
-        out = dict(r=r, h=h, hp=hp, hpp=hpp, theta=one, dphi2=np.zeros(base.shape),
-                   S=np.zeros(base.shape), F=F, grad=base.grad(state.phi),
+        F = base.d * hp
+        out = dict(r=r, h=h, hp=hp, hpp=hpp, theta=one, theta2=one,
+                   dphi2=np.zeros(base.shape), F=F, grad=base.grad(state.phi),
                    hess=base.hess(state.phi), sinv=base.sigma_inv_diag())
         return out
-    grad = base.grad(state.phi)
-    hess = base.hess(state.phi)
+    if base.kind in FUSED_KINDS:
+        fields = _fused_fields(base, state.phi, hp)
+    else:
+        fields = _einsum_fields(base, state.phi, hp)
+    return dict(r=r, h=h, hp=hp, hpp=hpp, **fields)
+
+
+def _einsum_fields(base, phi, hp):
+    """Theta, dphi2 and F through the full stencils and einsum.
+
+    Works on any base with a diagonal metric; torus2 uses it, and tests use
+    it as the bitwise reference for the fused 1D kernel.
+    """
+    nm1 = base.d
+    grad = base.grad(phi)
+    hess = base.hess(phi)
     sinv = base.sigma_inv_diag()
     up = sinv * grad                       # phi^i (diagonal sigma)
     dphi2 = np.sum(up * grad, axis=0)      # |D phi|^2
@@ -87,8 +106,47 @@ def _light_fields(state):
     S = np.einsum("i...,ii...->...", sinv, hess)
     S -= theta2 * np.einsum("i...,j...,ij...->...", up, up, hess)
     F = theta2 * (nm1 * hp - S)
-    return dict(r=r, h=h, hp=hp, hpp=hpp, theta=np.sqrt(theta2), dphi2=dphi2,
-                S=S, F=F, grad=grad, hess=hess, sinv=sinv)
+    return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
+                grad=grad, hess=hess, sinv=sinv)
+
+
+def _speed_1d(base, phi, hp):
+    """F and Theta^2 on a circle or axisphere, straight from phi and h'.
+
+    The only F formula of these bases: the time stepper calls it for every
+    stage and _light_fields (so snapshot) for every recorded state.  Only
+    theta-derivatives exist here, so the einsum contractions collapse to
+    st^ij phi_ij = phi_tt [+ sin^-2 sin cos phi_t] - Theta^2 phi_t^2 phi_tt
+    (the bracket is the axisphere's azimuthal Christoffel term).  The
+    operations run in the einsum path's order, so F and Theta^2 agree with
+    _einsum_fields bit for bit.
+
+    Returns (F, theta2, dphi2, phi_t, phi_tt).
+    """
+    g, d2 = base.differences(phi)
+    dphi2 = g * g
+    theta2 = 1.0 / (1.0 + dphi2)
+    if base.kind == "axisphere":
+        S = d2 + base.sin_inv2 * (base.sincos * g)
+    else:
+        S = d2
+    S = S - theta2 * (dphi2 * d2)
+    F = theta2 * (base.d * hp - S)
+    return F, theta2, dphi2, g, d2
+
+
+def _fused_fields(base, phi, hp):
+    """_einsum_fields' dict for a 1D base, from the fused kernel."""
+    F, theta2, dphi2, g, d2 = _speed_1d(base, phi, hp)
+    dc = base.dc
+    grad = np.zeros((dc,) + base.shape)
+    grad[0] = g
+    hess = np.zeros((dc, dc) + base.shape)
+    hess[0, 0] = d2
+    if dc == 2:
+        hess[1, 1] = base.sincos * g     # -Gamma^theta_ss phi_theta
+    return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
+                grad=grad, hess=hess, sinv=base.sigma_inv_diag())
 
 
 @dataclass

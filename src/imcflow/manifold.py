@@ -111,6 +111,8 @@ class CircleBase(BaseManifold):
         self.dtheta = 2.0 * np.pi / M
         self.theta = np.arange(M) * self.dtheta
         self.dx_min = self.dtheta
+        self._two_dx = 2.0 * self.dtheta
+        self._dx2 = self.dtheta ** 2
 
     def grad(self, f):
         f = self.check_field(f)
@@ -121,6 +123,14 @@ class CircleBase(BaseManifold):
         f = self.check_field(f)
         h = (np.roll(f, -1) + np.roll(f, 1) - 2.0 * f) / self.dtheta ** 2
         return h[None, None]
+
+    def differences(self, f):
+        """(f_theta, f_thetatheta) from one periodically padded copy of f.
+
+        Bit for bit the values of grad and hess, without the two rolls each.
+        """
+        return _central_differences(np.concatenate((f[-1:], f, f[:1])), f,
+                                    self._two_dx, self._dx2)
 
     def integrate(self, f):
         return float(np.sum(self.check_field(f)) * self.dtheta)
@@ -138,6 +148,16 @@ class CircleBase(BaseManifold):
 def _pad_even(f):
     # ghost nodes across both poles by even reflection
     return np.concatenate((f[:1], f, f[-1:]))
+
+
+def _central_differences(fp, f, two_dx, dx2):
+    """First and second central differences of f from its ghost-padded copy fp.
+
+    Written in the operation order of the per-base stencils, so the results
+    agree with them bit for bit.
+    """
+    up, down = fp[2:], fp[:-2]
+    return (up - down) / two_dx, (up + down - 2.0 * f) / dx2
 
 
 class AxisphereBase(BaseManifold):
@@ -174,6 +194,11 @@ class AxisphereBase(BaseManifold):
         self.cot = self.cos / self.sin
         self.dx_min = self.dtheta
         self._weights = 2.0 * np.pi * self.sin * self.dtheta
+        # constants of the fused speed kernel (geometry._speed_1d)
+        self.sincos = self.sin * self.cos
+        self.sin_inv2 = self.sin ** (-2.0)
+        self._two_dx = 2.0 * self.dtheta
+        self._dx2 = self.dtheta ** 2
 
     def dtheta_field(self, f):
         fp = _pad_even(np.asarray(f, dtype=float))
@@ -185,6 +210,13 @@ class AxisphereBase(BaseManifold):
         # neighbours are summed first so reflection maps the stencil to
         # itself bitwise (float + is commutative, the mixed order is not)
         return (fp[2:] + fp[:-2] - 2.0 * f) / self.dtheta ** 2
+
+    def differences(self, f):
+        """(f_theta, f_thetatheta) from one even-padded copy of f.
+
+        Bit for bit the values of dtheta_field and d2theta_field.
+        """
+        return _central_differences(_pad_even(f), f, self._two_dx, self._dx2)
 
     def grad(self, f):
         f = self.check_field(f)
@@ -209,7 +241,7 @@ class AxisphereBase(BaseManifold):
 
     def sigma_inv_diag(self):
         s = np.ones((2, self.resolution))
-        s[1] = self.sin ** (-2.0)
+        s[1] = self.sin_inv2
         return s
 
     def ricci_dphi(self, grad):

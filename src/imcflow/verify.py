@@ -277,10 +277,18 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
 
     expect_roundness: fitted decay rates of max|Dphi|, max|D^2 phi|,
     osc(e^{-t/(n-1)} h) and the normalized shape deviation over the second
-    half must all be positive, and the terminal oscillation must fall
-    below tol_osc.  expect_obstruction: the terminal oscillation must stay
-    above obstruction_floor.  The predicted rate beta = rho0 / C2^2 is
-    reported, not asserted.
+    half must all be positive, the terminal oscillation must fall below
+    tol_osc, and C2 must be time-uniform: the growth rate gamma of max H h,
+    fitted over the snapshots in the window, may not exceed the predicted
+    rate beta = rho0 / C2^2 (C2 = max H h over the run).  beta is a decay
+    rate only while H h <= C2 holds as the surface grows; in hyperbolic
+    space H h ~ (n-1) cosh r grows like e^{t/(n-1)}, and this part rejects
+    such runs even when their oscillation decays slowly.  gamma is compared
+    after subtracting the rounding floor of the log-linear fit,
+    64 eps max(1, |ln H h|) / (window length), so a constant H h (exactly
+    round data, gamma ~ 1e-17) is not a failure when beta = 0.  beta and
+    gamma are reported in details.  expect_obstruction: the terminal
+    oscillation must stay above obstruction_floor.
     """
     if mode not in ("expect_roundness", "expect_obstruction"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,14 +319,21 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     st = [(t, s) for t, _, s in trace.snapshots if lo - 1e-9 <= t <= hi + 1e-9]
     shape_t = np.array([t for t, _ in st])
     shape_dev = np.array([s.shape_dev_max for _, s in st])
+    Hh_max = np.array([float(np.max(s.H * s.h)) for _, s in st])
 
     rates = {k: fit_decay_rate(ts, v) for k, v in series.items()}
     if len(shape_t) >= 3:
         rates["shape_dev"] = fit_decay_rate(shape_t, shape_dev)
+        gamma = -fit_decay_rate(shape_t, Hh_max)
+        gamma_floor = (64.0 * np.finfo(float).eps
+                       * max(1.0, float(np.max(np.abs(np.log(Hh_max)))))
+                       / (shape_t[-1] - shape_t[0]))
     else:
         rates["shape_dev"] = float("nan")
+        gamma = gamma_floor = float("nan")
         notes.append("fewer than 3 snapshots in the fit window; shape "
-                     "deviation rate not fitted")
+                     "deviation rate and the growth rate of max H h not "
+                     "fitted")
 
     osc_T = float(trace.columns["osc_rescaled_h"][-1])
     C2_obs = max(float(np.max(s.H * s.h)) for _, _, s in trace.snapshots)
@@ -326,6 +341,7 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     beta = rho0 / C2_obs ** 2 if C2_obs > 0 else float("nan")
     details = {"rates": rates, "terminal_osc": osc_T,
                "beta_predicted": beta, "C2_obs": C2_obs, "rho0": rho0,
+               "gamma_Hh": gamma,
                "fit_window": [lo, hi],
                "worst": {"quantity": "osc_rescaled_h", "t": T,
                          "value": osc_T}}
@@ -344,9 +360,16 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
 
     rate_vals = [v for v in rates.values() if not math.isnan(v)]
     osc_margin = (tol_osc - osc_T) / tol_osc
-    margin = min([osc_margin] + rate_vals)
+    # NaN gamma (too few snapshots) or NaN beta leaves uniformity unchecked
+    excess = gamma - gamma_floor - beta
+    uniform = not excess > 0.0
+    margins = [osc_margin] + rate_vals
+    if not math.isnan(excess):
+        margins.append(-excess)
+    margin = min(margins)
     details["worst"]["bound"] = tol_osc
-    passed = osc_T < tol_osc and all(v > 0.0 for v in rate_vals)
+    passed = (osc_T < tol_osc and all(v > 0.0 for v in rate_vals)
+              and uniform)
     return CheckReport("asymptotics_roundness", hyp, bool(passed),
                        float(margin), 0.0, details, notes)
 

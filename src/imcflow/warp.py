@@ -31,6 +31,8 @@ __all__ = [
     "radial_potential",
     "r_of_phi",
     "warp_at_phi",
+    "hp_at_phi",
+    "phi_domain_violation",
     "r_at_h",
     "check_conditions",
     "infimum_h0",
@@ -41,7 +43,15 @@ TABLE_NODES = 4096
 
 
 class WarpDomainError(ValueError):
-    """Radius or potential value outside the valid domain of a warp."""
+    """Radius or potential value outside the valid domain of a warp.
+
+    ``node`` is the flat index of the first offending value when the input
+    was an array, None for scalar input.
+    """
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class _CubicTable:
@@ -78,11 +88,6 @@ class _CubicTable:
         t = xq - self._xl[i]
         c = self._cl
         return ((c[0][i] * t + c[1][i]) * t + c[2][i]) * t + c[3][i]
-
-
-def _as_float_array(r):
-    arr = np.asarray(r, dtype=float)
-    return arr
 
 
 class WarpSpec:
@@ -177,8 +182,7 @@ def _build_tables(spec, h_closed=None):
     # shift so Phi(phi_r0) = phi0
     phi_r0 = spec.params.get("phi_r0", r_lo + 1.0)
     phi0 = spec.params.get("phi0", 0.0)
-    shift = np.interp(phi_r0, nodes, phi_vals)
-    # re-anchor through the table itself for consistency
+    # anchor through the table itself, so Phi(phi_r0) = phi0 on the table
     probe = _CubicTable(nodes, phi_vals)
     shift = float(probe(phi_r0))
     phi_vals = phi_vals - shift + phi0
@@ -234,9 +238,12 @@ def _check_r_domain(spec, r):
     rmax = r.max() if np.ndim(r) else r
     # NaN fails both comparisons, infinities fail one; no separate check
     if not (rmin > lo and rmax < hi):
+        node = None
+        if np.ndim(r):
+            node = int((~((r > lo) & (r < hi))).argmax())
         raise WarpDomainError(
             f"radius outside domain ({lo}, {hi}) for {spec.preset_id}: "
-            f"range [{rmin}, {rmax}]")
+            f"range [{rmin}, {rmax}]", node)
 
 
 def eval_warp(spec, r):
@@ -253,7 +260,7 @@ def eval_warp(spec, r):
     h, hp, hpp : ndarray
         Warping factor and its first two radial derivatives.
     """
-    r = _as_float_array(r)
+    r = np.asarray(r, dtype=float)
     _check_r_domain(spec, r)
     pid = spec.preset_id
     if pid == "euclidean":
@@ -286,7 +293,7 @@ def radial_potential(spec, r):
     ln r and (r^(1-p) - 1)/(1-p)); hyperbolic uses ln tanh(r/2); the
     table-backed presets use Phi(1) = 0 unless overridden.
     """
-    r = _as_float_array(r)
+    r = np.asarray(r, dtype=float)
     _check_r_domain(spec, r)
     pid = spec.preset_id
     if pid == "euclidean":
@@ -303,35 +310,55 @@ def radial_potential(spec, r):
     return spec._phi_table(r)
 
 
+def phi_domain_violation(spec, phi):
+    """Flat index of the first potential value outside the image of Phi, or None.
+
+    Non-finite values count as outside.  This is where each preset's
+    potential domain is stated: ``r_of_phi`` raises exactly when it is not
+    None, and the flow reports the node it returns.
+    """
+    phi = np.asarray(phi, dtype=float)
+    pid = spec.preset_id
+    # each test is false on NaN; the bounds also shut out +-inf
+    if pid in ("schwarzschild3", "saturating"):
+        lo, hi = spec._phi_domain
+        ok = (phi > lo) & (phi < hi)
+    elif pid == "hyperbolic":
+        ok = (phi < 0.0) & (phi > -math.inf)
+    elif pid == "power" and spec.params["p"] != 1.0:
+        ok = ((1.0 + (1.0 - spec.params["p"]) * phi > 0.0)
+              & (phi > -math.inf))
+    else:
+        ok = np.isfinite(phi)
+    if ok.all():
+        return None
+    return int((~ok).argmax())
+
+
 def r_of_phi(spec, phi):
     """Invert the radial potential: returns r with Phi(r) = phi.
 
     Round-trips with ``radial_potential`` to ~1e-14 relative; values of phi
-    outside the image of Phi raise WarpDomainError.
+    outside the image of Phi (see ``phi_domain_violation``) raise
+    WarpDomainError.
     """
-    phi = _as_float_array(phi)
-    if not np.isfinite(phi).all():
-        raise WarpDomainError(f"non-finite potential value for {spec.preset_id}")
+    phi = np.asarray(phi, dtype=float)
     pid = spec.preset_id
+    node = phi_domain_violation(spec, phi)
+    if node is not None:
+        raise WarpDomainError(
+            f"potential {float(phi.flat[node])!r} outside the image of Phi for {pid}",
+            node if phi.ndim else None)
     if pid == "euclidean":
         return np.exp(phi)
     if pid == "hyperbolic":
-        if (phi >= 0.0).any():
-            raise WarpDomainError("hyperbolic potential is negative; got phi >= 0")
         # 2 artanh(e^phi) = log1p(e^phi) - log(-expm1(phi)), stable as phi -> 0-
         return np.log1p(np.exp(phi)) - np.log(-np.expm1(phi))
     if pid == "power":
         p = spec.params["p"]
         if p == 1.0:
             return np.exp(phi)
-        base = 1.0 + (1.0 - p) * phi
-        if (base <= 0.0).any():
-            raise WarpDomainError(f"potential beyond the image of Phi for power p={p}")
-        return base ** (1.0 / (1.0 - p))
-    lo, hi = spec._phi_domain
-    if (phi <= lo).any() or (phi >= hi).any():
-        raise WarpDomainError(
-            f"potential outside tabulated image ({lo:.6g}, {hi:.6g}) for {pid}")
+        return (1.0 + (1.0 - p) * phi) ** (1.0 / (1.0 - p))
     r = spec._r_of_phi_table(phi)
     # one Newton step against the forward table: dPhi/dr = 1/h
     if pid == "schwarzschild3":
@@ -348,6 +375,22 @@ def warp_at_phi(spec, phi):
     r = r_of_phi(spec, phi)
     h, hp, hpp = eval_warp(spec, r)
     return r, h, hp, hpp
+
+
+def hp_at_phi(spec, phi):
+    """h'(r(phi)) alone, raising WarpDomainError exactly where warp_at_phi does.
+
+    The flat presets (euclidean, power with p = 1) have h' = 1: for them the
+    domain check runs on r = e^phi (non-finite phi fails it as well) and the
+    float 1.0 is returned, which broadcasts like warp_at_phi's array of ones
+    and gives the same products bit for bit.  Other presets go through
+    warp_at_phi.
+    """
+    pid = spec.preset_id
+    if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
+        _check_r_domain(spec, np.exp(phi))
+        return 1.0
+    return warp_at_phi(spec, phi)[2]
 
 
 def r_at_h(spec, h_target):

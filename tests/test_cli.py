@@ -161,6 +161,28 @@ class TestRunCommand:
         assert [c["check_id"] for c in report["checks"]] == [
             "growth_and_support", "A_bounded"]
 
+    def test_meta_records_run_counts(self, tmp_path):
+        cfg = write_cfg(tmp_path, """\
+            warp.preset = euclidean
+            base.kind = axisphere
+            base.resolution = 32
+            initial.r0 = 1.0
+            initial.modes = 1:0.3
+            flow.t_end = 0.2
+            flow.safety = 0.5
+            """)
+        metas = []
+        for name in ("a", "b"):
+            assert main(["run", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+            metas.append(json.loads((tmp_path / name / "meta.json").read_text()))
+        stats = metas[0]["stats"]
+        assert stats == metas[1]["stats"]
+        assert stats["f_evals"] == 1 + 4 * stats["steps"]
+        assert stats["f_evals"] == stats["fast_accepts"] + stats["full_probes"]
+        assert sum(stats["dt_limiter"].values()) == stats["steps"]
+        assert load_trace(tmp_path / "a").stats == stats
+
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"
         cfg = write_cfg(tmp_path, POINT_RUN + f"output_dir = {out}\n")

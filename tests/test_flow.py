@@ -308,6 +308,18 @@ class TestEvents:
         _, _, snap = tr.snapshots[-1]
         assert np.isfinite(snap.F).all()
 
+    def test_radius_domain_event_names_the_offending_node(self):
+        # phi = 710 inverts to r = e^710 = inf; the radius check names node 9
+        base = make_base("axisphere", 16)
+        phi = np.zeros(16)
+        phi[9] = 710.0
+        with np.errstate(over="ignore"):
+            tr = run(GraphState(base, make_warp("euclidean"), phi),
+                     FlowConfig(t_end=1.0))
+        ev = tr.terminal
+        assert (ev.kind, ev.t, ev.node, ev.value) == ("domain", 0.0, 9, 710.0)
+        assert tr.snapshots == []
+
     def test_event_repr_round_trips(self):
         st = GraphState(POINT, make_warp("hyperbolic"), np.array([0.5]))
         ev = run(st, FlowConfig(t_end=1.0)).terminal

@@ -179,6 +179,33 @@ class TestAsymptotics:
         assert rep.passed is False
         assert rep.margin < 0.0
 
+    def test_roundness_fails_when_H_h_grows(self):
+        # point base in hyperbolic space: H h = (n-1) cosh r grows like
+        # e^{t/2}, so C2 is no time-uniform constant; every rate is exact
+        # (inf) and the oscillation is 0, which passed before gamma was fitted
+        tr = point_trace("hyperbolic", 1.0, 8.0, dt_max=1e-2,
+                         record_every=0.5, snapshot_every=0.5)
+        rep = check_asymptotics(tr, "expect_roundness")
+        assert rep.details["terminal_osc"] == 0.0
+        assert all(v == math.inf for v in rep.details["rates"].values())
+        gamma, beta = rep.details["gamma_Hh"], rep.details["beta_predicted"]
+        assert abs(gamma - 0.5) < 1e-2 and beta < 1e-3
+        assert rep.passed is False
+        assert rep.margin < 0.0
+
+    def test_constant_H_h_is_uniform(self):
+        # a round circle: n = 2 gives beta = 0, and the fitted gamma of the
+        # constant H h = 1 is rounding noise, within the fit's floor
+        base = make_base("circle", 32)
+        w = make_warp("euclidean")
+        tr = run(GraphState(base, w, radial_potential(w, np.full(32, 1.3))),
+                 FlowConfig(t_end=8.0, safety=0.5, dt_max=1e-2,
+                            record_every=0.5, snapshot_every=0.5))
+        rep = check_asymptotics(tr, "expect_roundness")
+        assert rep.details["beta_predicted"] == 0.0
+        assert abs(rep.details["gamma_Hh"]) < 1e-15
+        assert rep.passed is True
+
     def test_short_trace_raises(self, euclid_point):
         with pytest.raises(ValueError, match="too short"):
             check_asymptotics(euclid_point, "expect_roundness")

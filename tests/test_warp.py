@@ -12,7 +12,9 @@ from imcflow.warp import (
     check_conditions,
     eval_warp,
     infimum_h0,
+    hp_at_phi,
     make_warp,
+    phi_domain_violation,
     r_at_h,
     r_of_phi,
     radial_potential,
@@ -152,6 +154,58 @@ class TestPotential:
             r_of_phi(presets["schwarzschild3"], 1e6)
         with pytest.raises(WarpDomainError):
             r_of_phi(presets["euclidean"], np.array([0.0, np.inf]))
+
+
+class TestDomains:
+    """One statement of each domain: r_of_phi, warp_at_phi and hp_at_phi
+    raise exactly where it fails, and the error names the first bad node."""
+
+    PROBES = [-800.0, -746.0, -1.0, -1e-300, -0.0, 0.0, 0.5, 1.0, 3.0,
+              710.0, 1e6, math.nan, math.inf, -math.inf]
+
+    def edge_values(self, spec):
+        lo, hi = spec._phi_domain
+        vals = list(self.PROBES)
+        for v in (lo, hi):
+            if math.isfinite(v):
+                vals += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+        if spec.preset_id == "power":
+            vals += [0.9999999999999999, 1.0000000000000002]
+        return vals
+
+    def raises(self, fn, *args):
+        try:
+            with np.errstate(all="ignore"):
+                fn(*args)
+        except WarpDomainError as exc:
+            return exc
+        return None
+
+    @pytest.mark.parametrize("pid", ["euclidean", "hyperbolic", "schwarzschild3",
+                                     "saturating", "power"])
+    def test_entry_points_agree_on_every_value(self, presets, pid):
+        spec = presets[pid]
+        for v in self.edge_values(spec):
+            c = -0.5 if pid == "hyperbolic" else 0.5
+            phi = np.array([c, v, c])
+            bad = phi_domain_violation(spec, phi)
+            exc = self.raises(r_of_phi, spec, phi)
+            assert (exc is not None) == (bad is not None), v
+            if bad is not None:
+                assert bad == exc.node == 1
+            full = self.raises(warp_at_phi, spec, phi)
+            lean = self.raises(hp_at_phi, spec, phi)
+            assert (full is None) == (lean is None), v
+            if full is None:
+                hp = warp_at_phi(spec, phi)[2]
+                assert np.array_equal(np.broadcast_to(hp_at_phi(spec, phi),
+                                                      hp.shape), hp)
+            else:
+                assert full.node == lean.node == 1
+
+    def test_scalar_error_has_no_node(self, presets):
+        exc = self.raises(r_of_phi, presets["hyperbolic"], 0.2)
+        assert exc is not None and exc.node is None
 
 
 class TestConditions:
