@@ -20,7 +20,6 @@ import argparse
 import json
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -38,8 +37,21 @@ __all__ = ["main", "parse_config", "ConfigError", "load_trace"]
 
 FMT = "%.17g"
 
-CHECK_IDS = ("growth_and_support", "H_floor", "asymptotics_roundness",
-             "asymptotics_obstruction", "evolution_residuals", "A_bounded")
+# check id -> check(trace, **overrides); each looks its verify function up
+# when called, so a replaced module attribute takes effect
+_CHECKS = {
+    "growth_and_support": lambda trace, **kw:
+        _verify.check_growth_and_support(trace, **kw),
+    "H_floor": lambda trace, **kw: _verify.check_H_floor(trace, **kw),
+    "asymptotics_roundness": lambda trace, **kw:
+        _verify.check_asymptotics(trace, "expect_roundness", **kw),
+    "asymptotics_obstruction": lambda trace, **kw:
+        _verify.check_asymptotics(trace, "expect_obstruction", **kw),
+    "evolution_residuals": lambda trace, **kw:
+        _verify.evolution_residuals(trace, **kw),
+    "A_bounded": lambda trace, **kw: _verify.check_A_bounded(trace),
+}
+CHECK_IDS = tuple(_CHECKS)
 
 
 class ConfigError(Exception):
@@ -311,19 +323,9 @@ def run_checks(trace, check_ids, overrides):
     for cid in check_ids:
         kw = {k: _conv_override(k, v)
               for k, v in overrides.get(cid, {}).items()}
-        if cid == "growth_and_support":
-            rep = _verify.check_growth_and_support(trace, **kw)
-        elif cid == "H_floor":
-            rep = _verify.check_H_floor(trace, **kw)
-        elif cid == "asymptotics_roundness":
-            rep = _verify.check_asymptotics(trace, "expect_roundness", **kw)
-        elif cid == "asymptotics_obstruction":
-            rep = _verify.check_asymptotics(trace, "expect_obstruction", **kw)
-        elif cid == "evolution_residuals":
-            rep = _verify.evolution_residuals(trace, **kw)
-        else:
-            rep = _verify.check_A_bounded(trace)
-        reports.append(rep)
+        # ids outside the table run A_bounded, which takes no overrides
+        check = _CHECKS.get(cid, _CHECKS["A_bounded"])
+        reports.append(check(trace, **kw))
     return reports
 
 
@@ -413,32 +415,41 @@ def cmd_sweep(config_path, outdir, jobs):
         subdir = Path(outdir) / _sweep_label(assignment)
         tasks.append((sub, subdir))
 
-    def one(task):
-        sub, subdir = task
-        echo = _echo(sub)
-        try:
-            wspec, base, phi0, fc, checks, overrides = build_setup(sub)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 3
-        trace = run(GraphState(base, wspec, phi0, 0.0), fc)
-        write_outputs(trace, subdir, echo)
-        code = 0
-        if checks:
-            reports = run_checks(trace, checks, overrides)
-            write_report(reports, subdir)
-            if any(r.passed is False for r in reports):
-                code = 1
-        if not trace.completed:
-            code = 2
-        return code
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(one, tasks))
+    if jobs > 1 and len(tasks) > 1:
+        # runs are numpy-bound, so threads serialize on the GIL; forked
+        # workers inherit the imported numpy and scipy instead of
+        # importing them again
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            codes = list(pool.map(_sweep_one, tasks))
     else:
-        codes = [one(t) for t in tasks]
+        codes = [_sweep_one(t) for t in tasks]
     return max(codes) if codes else 0
+
+
+def _sweep_one(task):
+    """Run one sweep point (config entries, output directory); exit code."""
+    sub, subdir = task
+    echo = _echo(sub)
+    try:
+        wspec, base, phi0, fc, checks, overrides = build_setup(sub)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    trace = run(GraphState(base, wspec, phi0, 0.0), fc)
+    write_outputs(trace, subdir, echo)
+    code = 0
+    if checks:
+        reports = run_checks(trace, checks, overrides)
+        write_report(reports, subdir)
+        if any(r.passed is False for r in reports):
+            code = 1
+    if not trace.completed:
+        code = 2
+    return code
 
 
 def cmd_presets():

@@ -11,9 +11,9 @@ Diagnostics are recorded on a fixed cadence and full field snapshots on a
 (usually coarser) second cadence; steps are clipped to land exactly on both
 grids, which keeps runs bit-reproducible for a given configuration.
 
-On the circle and the axisphere each stage state goes first through a fast
-acceptance test: the fused kernel gives F and Theta^2, and a state whose
-h' exists, whose F is positive and finite everywhere and whose smallest
+On every field base each stage state goes first through a fast acceptance
+test: the base's fused kernel gives F and Theta^2, and a state whose h'
+exists, whose F is positive and finite everywhere and whose smallest
 Theta reaches theta_min is taken as it is.  Every other state goes to
 _probe, the only code that classifies events.  The test accepts exactly
 the states on which _probe would find no event, and the kernel's F is
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError, hp_at_phi, phi_domain_violation
+from .warp import WarpDomainError, hp_at_phi
 from .geometry import GraphState
 
 __all__ = [
@@ -155,13 +155,11 @@ def _probe(base, wspec, phi, t, theta_min):
     if not finite.all():
         node = int((~finite).argmax())
         return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
-    node = phi_domain_violation(wspec, phi)
-    if node is not None:
-        return None, FlowEvent("domain", t, node, float(phi.flat[node]))
     try:
         lf = _geom._light_fields(GraphState(base, wspec, phi, t))
     except WarpDomainError as exc:
-        # the radius check failed after inversion; it names the node
+        # phi outside the image of Phi, or the radius check after
+        # inversion; either names the first offending node
         node = exc.node if exc.node is not None else 0
         return None, FlowEvent("domain", t, node, float(phi.flat[node]))
     F = lf["F"]
@@ -254,7 +252,7 @@ def _scalar_speed(wspec, nm1):
 
 
 def _fast_accept(base, wspec, phi, theta_min):
-    """(F, 1/F, Theta^2, phi_theta) of a state _probe passes, else None.
+    """(F, 1/F, Theta^2, phi_0) of a state _probe passes, else None.
 
     Accepts when h' exists (the warp's own domain check, which also fails
     on non-finite phi), F > 0 and 1/F > 0 everywhere (F positive and
@@ -267,7 +265,9 @@ def _fast_accept(base, wspec, phi, theta_min):
         hp = hp_at_phi(wspec, phi)
     except WarpDomainError:
         return None
-    F, theta2, _, g, _ = _geom._speed_1d(base, phi, hp)
+    # both kernels return (F, Theta^2, dphi2, phi_0, ...)
+    kernel = _geom._speed_2d if base.kind == "torus2" else _geom._speed_1d
+    F, theta2, _, g = kernel(base, phi, hp)[:4]
     k = 1.0 / F
     if (F.min() > 0.0 and k.min() > 0.0
             and math.sqrt(theta2.min()) >= theta_min):
@@ -341,16 +341,14 @@ def run(initial, config):
     times, rows, snaps = [], [], []
     k_rec, k_snap = 1, 1
     stats = _RunStats()
-    fused = base.kind in _geom.FUSED_KINDS
 
     def evaluate(phi_s, t_s):
-        """((F, 1/F, Theta^2, phi_theta), None) or (None, event)."""
+        """((F, 1/F, Theta^2, phi_0), None) or (None, event)."""
         stats.f_evals += 1
-        if fused:
-            fields = _fast_accept(base, wspec, phi_s, config.theta_min)
-            if fields is not None:
-                stats.fast_accepts += 1
-                return fields, None
+        fields = _fast_accept(base, wspec, phi_s, config.theta_min)
+        if fields is not None:
+            stats.fast_accepts += 1
+            return fields, None
         stats.full_probes += 1
         lf, ev = _probe(base, wspec, phi_s, t_s, config.theta_min)
         if ev is not None:

@@ -61,11 +61,6 @@ class GraphState:
         return cls(base, warp_spec, _warp.radial_potential(warp_spec, r), t)
 
 
-# bases whose fields reduce to one polar or periodic coordinate; they take
-# the fused kernel _speed_1d, every other base the generic einsum path
-FUSED_KINDS = ("circle", "axisphere")
-
-
 def _light_fields(state):
     """r, h, h', h'', Theta, Theta^2, dphi2, F and the stencil fields.
 
@@ -82,32 +77,7 @@ def _light_fields(state):
                    dphi2=np.zeros(base.shape), F=F, grad=base.grad(state.phi),
                    hess=base.hess(state.phi), sinv=base.sigma_inv_diag())
         return out
-    if base.kind in FUSED_KINDS:
-        fields = _fused_fields(base, state.phi, hp)
-    else:
-        fields = _einsum_fields(base, state.phi, hp)
-    return dict(r=r, h=h, hp=hp, hpp=hpp, **fields)
-
-
-def _einsum_fields(base, phi, hp):
-    """Theta, dphi2 and F through the full stencils and einsum.
-
-    Works on any base with a diagonal metric; torus2 uses it, and tests use
-    it as the bitwise reference for the fused 1D kernel.
-    """
-    nm1 = base.d
-    grad = base.grad(phi)
-    hess = base.hess(phi)
-    sinv = base.sigma_inv_diag()
-    up = sinv * grad                       # phi^i (diagonal sigma)
-    dphi2 = np.sum(up * grad, axis=0)      # |D phi|^2
-    theta2 = 1.0 / (1.0 + dphi2)
-    # st^ij phi_ij = sigma^ii phi_ii - Theta^2 phi^i phi^j phi_ij
-    S = np.einsum("i...,ii...->...", sinv, hess)
-    S -= theta2 * np.einsum("i...,j...,ij...->...", up, up, hess)
-    F = theta2 * (nm1 * hp - S)
-    return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
-                grad=grad, hess=hess, sinv=sinv)
+    return dict(r=r, h=h, hp=hp, hpp=hpp, **_fused_fields(base, state.phi, hp))
 
 
 def _speed_1d(base, phi, hp):
@@ -115,11 +85,12 @@ def _speed_1d(base, phi, hp):
 
     The only F formula of these bases: the time stepper calls it for every
     stage and _light_fields (so snapshot) for every recorded state.  Only
-    theta-derivatives exist here, so the einsum contractions collapse to
+    theta-derivatives exist here, so the contractions of the generic
+    formula collapse to
     st^ij phi_ij = phi_tt [+ sin^-2 sin cos phi_t] - Theta^2 phi_t^2 phi_tt
     (the bracket is the axisphere's azimuthal Christoffel term).  The
-    operations run in the einsum path's order, so F and Theta^2 agree with
-    _einsum_fields bit for bit.
+    operations run in the order of numpy's einsum over the full gradient
+    and Hessian arrays, so F and Theta^2 agree with it bit for bit.
 
     Returns (F, theta2, dphi2, phi_t, phi_tt).
     """
@@ -135,16 +106,50 @@ def _speed_1d(base, phi, hp):
     return F, theta2, dphi2, g, d2
 
 
+def _speed_2d(base, phi, hp):
+    """F and Theta^2 on the flat torus, straight from phi and h'.
+
+    The torus2 counterpart of _speed_1d and the only F formula of that
+    base.  sigma is the identity, so
+    st^ij phi_ij = phi_00 + phi_11 - Theta^2 phi^i phi^j phi_ij, with the
+    four products summed in einsum's (i, j) order; the two mixed ones are
+    equal (float * commutes), so one is formed and added twice.
+
+    Returns (F, theta2, dphi2, phi_0, phi_1, phi_00, phi_11, phi_01).
+    """
+    g0, g1, h00, h11, h01 = base.differences(phi)
+    g00, g11 = g0 * g0, g1 * g1
+    dphi2 = g00 + g11
+    theta2 = 1.0 / (1.0 + dphi2)
+    mixed = g0 * g1 * h01
+    S = h00 + h11
+    S = S - theta2 * (g00 * h00 + mixed + mixed + g11 * h11)
+    F = theta2 * (base.d * hp - S)
+    return F, theta2, dphi2, g0, g1, h00, h11, h01
+
+
 def _fused_fields(base, phi, hp):
-    """_einsum_fields' dict for a 1D base, from the fused kernel."""
-    F, theta2, dphi2, g, d2 = _speed_1d(base, phi, hp)
+    """Theta, Theta^2, dphi2, F and the grad/hess/sinv arrays of a field base.
+
+    The stencil arrays equal base.grad, base.hess and base.sigma_inv_diag
+    bit for bit; F comes from the base's fused kernel.
+    """
     dc = base.dc
-    grad = np.zeros((dc,) + base.shape)
-    grad[0] = g
-    hess = np.zeros((dc, dc) + base.shape)
-    hess[0, 0] = d2
-    if dc == 2:
-        hess[1, 1] = base.sincos * g     # -Gamma^theta_ss phi_theta
+    if base.kind == "torus2":
+        F, theta2, dphi2, g0, g1, h00, h11, h01 = _speed_2d(base, phi, hp)
+        grad = np.stack((g0, g1))
+        hess = np.empty((dc, dc) + base.shape)
+        hess[0, 0] = h00
+        hess[0, 1] = hess[1, 0] = h01
+        hess[1, 1] = h11
+    else:
+        F, theta2, dphi2, g, d2 = _speed_1d(base, phi, hp)
+        grad = np.zeros((dc,) + base.shape)
+        grad[0] = g
+        hess = np.zeros((dc, dc) + base.shape)
+        hess[0, 0] = d2
+        if dc == 2:
+            hess[1, 1] = base.sincos * g     # -Gamma^theta_ss phi_theta
     return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
                 grad=grad, hess=hess, sinv=base.sigma_inv_diag())
 

@@ -267,12 +267,32 @@ class Torus2Base(BaseManifold):
         self.dx = 2.0 * np.pi / M
         self.x = np.arange(M) * self.dx
         self.dx_min = self.dx
+        # constants of the fused speed kernel (geometry._speed_2d)
+        self._two_dx = 2.0 * self.dx
+        self._dx2 = self.dx ** 2
 
     def _d1(self, f, axis):
         return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * self.dx)
 
     def _d2(self, f, axis):
         return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2.0 * f) / self.dx ** 2
+
+    def differences(self, f):
+        """(f_0, f_1, f_00, f_11, f_01) from one periodically padded copy of f.
+
+        Bit for bit the values of grad and hess, without their ten rolls:
+        the first differences along axis 0 are taken on the axis-1-padded
+        rows, so differencing them along axis 1 is _d1(_d1(f, 0), 1).
+        """
+        fp = np.concatenate((f[-1:], f, f[:1]))
+        fp = np.concatenate((fp[:, -1:], fp, fp[:, :1]), axis=1)
+        two_dx, dx2 = self._two_dx, self._dx2
+        g0p = (fp[2:] - fp[:-2]) / two_dx
+        up, down = fp[1:-1, 2:], fp[1:-1, :-2]
+        f00 = (fp[2:, 1:-1] + fp[:-2, 1:-1] - 2.0 * f) / dx2
+        f11 = (up + down - 2.0 * f) / dx2
+        f01 = (g0p[:, 2:] - g0p[:, :-2]) / two_dx
+        return g0p[:, 1:-1], (up - down) / two_dx, f00, f11, f01
 
     def grad(self, f):
         f = self.check_field(f)

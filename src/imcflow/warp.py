@@ -73,11 +73,21 @@ class _CubicTable:
 
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
+        return self.at(self.segment(xq), xq)
+
+    def segment(self, xq):
+        """Index of the polynomial piece each of the points xq falls in.
+
+        Tables built on the same knots share it, so one search serves all.
+        """
         idx = self.x.searchsorted(xq) - 1
-        idx = np.minimum(np.maximum(idx, 0), self._last_seg)
-        t = xq - self.x[idx]
-        c = self.c
-        return ((c[0, idx] * t + c[1, idx]) * t + c[2, idx]) * t + c[3, idx]
+        return np.minimum(np.maximum(idx, 0), self._last_seg)
+
+    def at(self, idx, xq):
+        """The cubic of piece idx, evaluated at xq."""
+        t = xq - self.x.take(idx)
+        c0, c1, c2, c3 = self.c.take(idx, axis=1)   # one gather, not four
+        return ((c0 * t + c1) * t + c2) * t + c3
 
     def scalar(self, xq):
         i = bisect.bisect_left(self._xl, xq) - 1
@@ -266,24 +276,38 @@ def eval_warp(spec, r):
     if pid == "euclidean":
         return r.copy(), np.ones_like(r), np.zeros_like(r)
     if pid == "hyperbolic":
-        return np.sinh(r), np.cosh(r), np.sinh(r)
+        return np.sinh(r), _hp(spec, r), np.sinh(r)
     if pid == "power":
         p = spec.params["p"]
-        h = r ** p
-        return h, p * r ** (p - 1.0), p * (p - 1.0) * r ** (p - 2.0)
+        return r ** p, _hp(spec, r), p * (p - 1.0) * r ** (p - 2.0)
     if pid == "saturating":
         a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-        h = _saturating_h(a, b, k, r)
-        hp = a - b * (1.0 + r) ** (-k)
         hpp = k * b * (1.0 + r) ** (-k - 1.0)
-        return h, hp, hpp
+        return _saturating_h(a, b, k, r), _hp(spec, r), hpp
     if pid == "schwarzschild3":
-        m = spec.params["m"]
         h = spec._h_table(r)
-        hp = np.sqrt(1.0 - 2.0 * m / h)
-        hpp = m / h ** 2
-        return h, hp, hpp
+        return h, _hp(spec, r, h), spec.params["m"] / h ** 2
     raise ValueError(f"unknown preset {pid!r}")
+
+
+def _hp(spec, r, h=None):
+    """h'(r) of a preset other than euclidean, for r inside its domain.
+
+    The one statement of each h' formula; schwarzschild3 reads h(r) from
+    its table unless h is given.
+    """
+    pid = spec.preset_id
+    if pid == "hyperbolic":
+        return np.cosh(r)
+    if pid == "power":
+        p = spec.params["p"]
+        return p * r ** (p - 1.0)
+    if pid == "saturating":
+        a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
+        return a - b * (1.0 + r) ** (-k)
+    if h is None:
+        h = spec._h_table(r)
+    return np.sqrt(1.0 - 2.0 * spec.params["m"] / h)
 
 
 def radial_potential(spec, r):
@@ -360,14 +384,16 @@ def r_of_phi(spec, phi):
             return np.exp(phi)
         return (1.0 + (1.0 - p) * phi) ** (1.0 / (1.0 - p))
     r = spec._r_of_phi_table(phi)
-    # one Newton step against the forward table: dPhi/dr = 1/h
+    # one Newton step against the forward table: dPhi/dr = 1/h; the h and
+    # Phi tables share their knots, so one search finds the piece of both
+    fwd = spec._phi_table
+    idx = fwd.segment(r)
     if pid == "schwarzschild3":
-        h = spec._h_table(r)
+        h = spec._h_table.at(idx, r)
     else:
         a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
         h = _saturating_h(a, b, k, r)
-    r = r - (spec._phi_table(r) - phi) * h
-    return r
+    return r - (fwd.at(idx, r) - phi) * h
 
 
 def warp_at_phi(spec, phi):
@@ -383,14 +409,16 @@ def hp_at_phi(spec, phi):
     The flat presets (euclidean, power with p = 1) have h' = 1: for them the
     domain check runs on r = e^phi (non-finite phi fails it as well) and the
     float 1.0 is returned, which broadcasts like warp_at_phi's array of ones
-    and gives the same products bit for bit.  Other presets go through
-    warp_at_phi.
+    and gives the same products bit for bit.  Other presets invert phi and
+    check the radius as warp_at_phi does, then evaluate h' only.
     """
     pid = spec.preset_id
     if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
         _check_r_domain(spec, np.exp(phi))
         return 1.0
-    return warp_at_phi(spec, phi)[2]
+    r = r_of_phi(spec, phi)
+    _check_r_domain(spec, r)
+    return _hp(spec, r)
 
 
 def r_at_h(spec, h_target):

@@ -1,8 +1,9 @@
-"""The lean stage path on 1D bases: fused kernel, fast accept, run counts.
+"""The lean stage path on every field base: fused kernels, fast accept, counts.
 
-The fused kernel must give the generic einsum path's F and Theta^2 bit for
-bit, a state the fast test accepts must be one _probe passes without an
-event, and a run must not change by one bit when the fast path is removed.
+Each fused kernel must give the generic einsum formula's F and Theta^2 bit
+for bit, a state the fast test accepts must be one _probe passes without
+an event, and a run must not change by one bit when the fast path is
+removed.
 """
 
 import math
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from imcflow import flow as flow_mod
 from imcflow.flow import FlowConfig, run
-from imcflow.geometry import (GraphState, _einsum_fields, _light_fields,
-                              _speed_1d)
+from imcflow.geometry import (GraphState, _fused_fields, _light_fields,
+                              _speed_1d, _speed_2d)
 from imcflow.manifold import make_base
 from imcflow.warp import make_warp, radial_potential, warp_at_phi
 
@@ -46,12 +47,37 @@ def edges(pid):
     return w._phi_domain
 
 
+def _einsum_fields(base, phi, hp):
+    """Theta, dphi2 and F through the full stencils and einsum.
+
+    The generic formula for any base with a diagonal metric, from
+    base.grad and base.hess; the bitwise reference for the fused kernels.
+    """
+    nm1 = base.d
+    grad = base.grad(phi)
+    hess = base.hess(phi)
+    sinv = base.sigma_inv_diag()
+    up = sinv * grad                       # phi^i (diagonal sigma)
+    dphi2 = np.sum(up * grad, axis=0)      # |D phi|^2
+    theta2 = 1.0 / (1.0 + dphi2)
+    # st^ij phi_ij = sigma^ii phi_ii - Theta^2 phi^i phi^j phi_ij
+    S = np.einsum("i...,ii...->...", sinv, hess)
+    S -= theta2 * np.einsum("i...,j...,ij...->...", up, up, hess)
+    F = theta2 * (nm1 * hp - S)
+    return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
+                grad=grad, hess=hess, sinv=sinv)
+
+
+FIELD_KEYS = ("F", "theta", "theta2", "dphi2", "grad", "hess", "sinv")
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-kinds = st.sampled_from(["circle", "axisphere"])
+KINDS = ["circle", "axisphere", "torus2"]
+kinds = st.sampled_from(KINDS)
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
 
@@ -59,19 +85,26 @@ finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 def fields(draw, kind=None):
     """A base and a field on it: smooth modes, rough noise or raw values."""
     kind = kind or draw(kinds)
-    M = draw(st.integers(4, 40))
+    M = draw(st.integers(4, 24 if kind == "torus2" else 40))
     base = make_base(kind, M)
     style = draw(st.sampled_from(["smooth", "rough", "raw"]))
     if style == "raw":
-        phi = np.array(draw(st.lists(finite | st.just(-0.0), min_size=M,
-                                     max_size=M)))
+        phi = np.array(draw(st.lists(finite | st.just(-0.0),
+                                     min_size=base.n_nodes,
+                                     max_size=base.n_nodes)))
+        phi = phi.reshape(base.shape)
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         amp = 10.0 ** draw(st.floats(-4.0, 1.0))
         l = draw(st.integers(1, 6))
-        phi = draw(finite) * 0.01 + amp * np.cos(l * base.theta)
+        if kind == "torus2":
+            q = draw(st.integers(-3, 3))
+            angle = l * base.x[:, None] + q * base.x[None, :]
+        else:
+            angle = l * base.theta
+        phi = draw(finite) * 0.01 + amp * np.cos(angle)
         if style == "rough":
-            phi = phi + amp * rng.standard_normal(M)
+            phi = phi + amp * rng.standard_normal(base.shape)
     return base, phi
 
 
@@ -86,13 +119,33 @@ class TestFusedKernel:
         if data.draw(st.booleans()):
             rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
             hp = hp * (1.0 + 0.1 * rng.random(base.shape))   # h' as a field
-        F, theta2, dphi2, g, d2 = _speed_1d(base, phi, hp)
         ref = _einsum_fields(base, phi, hp)
+        if base.kind == "torus2":
+            F, theta2, dphi2, g0, g1, h00, h11, h01 = _speed_2d(base, phi, hp)
+            stencils = [(g0, ref["grad"][0]), (g1, ref["grad"][1]),
+                        (h00, ref["hess"][0, 0]), (h11, ref["hess"][1, 1]),
+                        (h01, ref["hess"][0, 1]), (h01, ref["hess"][1, 0])]
+        else:
+            F, theta2, dphi2, g, d2 = _speed_1d(base, phi, hp)
+            stencils = [(g, ref["grad"][0]), (d2, ref["hess"][0, 0])]
         assert same_bits(F, ref["F"])
         assert same_bits(theta2, ref["theta2"])
         assert same_bits(dphi2, ref["dphi2"])
-        assert same_bits(g, ref["grad"][0])
-        assert same_bits(d2, ref["hess"][0, 0])
+        for mine, theirs in stencils:
+            assert same_bits(mine, theirs)
+        fused = _fused_fields(base, phi, hp)
+        for key in FIELD_KEYS:
+            assert same_bits(fused[key], ref[key]), key
+
+    @pytest.mark.parametrize("sign", [0.0, -0.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_signed_zero_field(self, kind, sign):
+        base = make_base(kind, 6)
+        phi = np.full(base.shape, sign)
+        ref = _einsum_fields(base, phi, 1.0)
+        fused = _fused_fields(base, phi, 1.0)
+        for key in FIELD_KEYS:
+            assert same_bits(fused[key], ref[key]), key
 
     @SETTINGS
     @given(fields(), st.sampled_from(sorted(WARPS)))
@@ -103,8 +156,15 @@ class TestFusedKernel:
         phi = CENTRE[pid] + 1e-2 * np.tanh(phi)
         lf = _light_fields(GraphState(base, w, phi))
         ref = _einsum_fields(base, phi, warp_at_phi(w, phi)[2])
-        for key in ("F", "theta", "theta2", "dphi2", "grad", "hess", "sinv"):
+        for key in FIELD_KEYS:
             assert same_bits(lf[key], ref[key]), key
+
+
+def wave(base, l):
+    """cos(l theta) on a 1D base, cos(l (x + y)) on the torus."""
+    if base.kind == "torus2":
+        return np.cos(l * (base.x[:, None] + base.x[None, :]))
+    return np.cos(l * base.theta)
 
 
 def probe_agrees(base, w, phi, theta_min):
@@ -142,8 +202,8 @@ class TestFastAccept:
         else:
             phi = CENTRE[pid] + shape
             node = data.draw(st.integers(0, phi.size - 1))
-            phi[node] = data.draw(st.sampled_from([math.nan, math.inf,
-                                                   -math.inf]))
+            phi.flat[node] = data.draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf]))
         with np.errstate(all="ignore"):
             lf, _ = flow_mod._probe(base, w, phi, 0.0, 0.0)
             theta_min = data.draw(st.sampled_from([0.0, 1e-3, 0.5]))
@@ -155,21 +215,21 @@ class TestFastAccept:
                 theta_min = min(theta_min, np.nextafter(1.0, 0.0))
             probe_agrees(base, w, phi, theta_min)
 
-    @pytest.mark.parametrize("kind", ["circle", "axisphere"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_theta_min_boundary_is_exact(self, kind):
         base = make_base(kind, 32)
         w = WARPS["euclidean"]
-        phi = np.log(1.0 + 0.3 * np.cos(base.theta))
+        phi = np.log(1.0 + 0.3 * wave(base, 1))
         tmin = float(_light_fields(GraphState(base, w, phi))["theta"].min())
         assert probe_agrees(base, w, phi, tmin) == (True, None)
         accepted, ev = probe_agrees(base, w, phi, np.nextafter(tmin, 1.0))
         assert not accepted and ev.kind == "angle_degeneracy"
 
-    @pytest.mark.parametrize("kind", ["circle", "axisphere"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_loss_of_mean_convexity_falls_back(self, kind):
         base = make_base(kind, 32)
         w = WARPS["euclidean"]
-        phi = 0.6 * np.cos(4 * base.theta)
+        phi = 0.6 * wave(base, 4)
         accepted, ev = probe_agrees(base, w, phi, 0.0)
         assert not accepted and ev.kind == "loss_of_mean_convexity"
 
@@ -199,13 +259,13 @@ class TestFastAccept:
         ("power", 1.0), ("schwarzschild3", None), ("saturating", None)])
     def test_warp_domain_edge_falls_back(self, pid, value):
         w = WARPS[pid]
-        base = make_base("axisphere", 16)
-        phi = np.full(16, CENTRE[pid])
-        phi[9] = w._phi_domain[1] if value is None else value
-        with np.errstate(all="ignore"):
-            accepted, ev = probe_agrees(base, w, phi, 1e-3)
-        assert not accepted
-        assert (ev.kind, ev.node, ev.value) == ("domain", 9, phi[9])
+        for base in (make_base("axisphere", 16), make_base("torus2", 4)):
+            phi = np.full(base.shape, CENTRE[pid])
+            phi.flat[9] = w._phi_domain[1] if value is None else value
+            with np.errstate(all="ignore"):
+                accepted, ev = probe_agrees(base, w, phi, 1e-3)
+            assert not accepted
+            assert (ev.kind, ev.node, ev.value) == ("domain", 9, phi.flat[9])
 
 
 def strip_path_counts(stats):
@@ -239,6 +299,24 @@ def circle_state():
     return GraphState(base, w, radial_potential(w, r))
 
 
+def torus_tabulated_state():
+    # the torus_tabulated benchmark's seed-0 input
+    base = make_base("torus2", 32)
+    w = WARPS["schwarzschild3"]
+    x, y = base.x[:, None], base.x[None, :]
+    r = np.ones(base.shape)
+    for p, q in ((1, 0), (0, 1), (1, 1)):
+        r = r + 0.05 * np.cos(p * x + q * y + 0.0)
+    return GraphState(base, w, radial_potential(w, 2.0 * r))
+
+
+def saturating_state():
+    base = make_base("axisphere", 64)
+    w = WARPS["saturating"]
+    return GraphState(base, w,
+                      radial_potential(w, 1.0 + 0.3 * np.cos(base.theta)))
+
+
 def domain_exit_state():
     base = make_base("axisphere", 8)
     w = WARPS["saturating"]
@@ -256,6 +334,12 @@ CASES = {
         t_end=0.3, integrator="euler", safety=0.25, dt_max=5e-3)),
     "domain_exit": (domain_exit_state, FlowConfig(
         t_end=3.0, dt_max=1e-2, safety=0.5)),
+    "torus_tabulated": (torus_tabulated_state, FlowConfig(
+        t_end=0.05, integrator="rk4", safety=0.5, dt_max=1e-3,
+        record_every=0.1, snapshot_every=0.5)),
+    "saturating_axisphere": (saturating_state, FlowConfig(
+        t_end=0.3, integrator="rk4", safety=0.5, dt_max=1e-3,
+        record_every=0.1, snapshot_every=0.1)),
 }
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from imcflow import warp
@@ -206,6 +207,36 @@ class TestDomains:
     def test_scalar_error_has_no_node(self, presets):
         exc = self.raises(r_of_phi, presets["hyperbolic"], 0.2)
         assert exc is not None and exc.node is None
+
+
+LEAN_WARPS = {
+    "euclidean": make_warp("euclidean"),
+    "hyperbolic": make_warp("hyperbolic"),
+    "power p=1": make_warp("power", p=1.0),
+    "power p=2": make_warp("power", p=2.0),
+    "schwarzschild3": make_warp("schwarzschild3", m=0.5),
+    "saturating k=1": make_warp("saturating", a=2.0, b=1.0, k=1.0),
+    "saturating k=2": make_warp("saturating", a=2.0, b=1.0, k=2.0),
+}
+
+
+class TestLeanSlope:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(sorted(LEAN_WARPS)),
+           st.lists(st.floats(-3.0, 1.5), min_size=1, max_size=40),
+           st.booleans())
+    def test_hp_at_phi_matches_warp_at_phi_bitwise(self, name, logr, square):
+        # radii from 1e-3 to 10^1.5, inside every preset's domain and below
+        # the hyperbolic potential's rounding to 0, as a row or a 2D grid
+        spec = LEAN_WARPS[name]
+        r = 10.0 ** np.array(logr)
+        if square:
+            r = np.outer(r, r[::-1]) ** 0.5
+        phi = radial_potential(spec, r)
+        ref = warp_at_phi(spec, phi)[2]
+        hp = hp_at_phi(spec, phi)
+        assert np.broadcast_to(hp, ref.shape).tobytes() == ref.tobytes()
 
 
 class TestConditions:
