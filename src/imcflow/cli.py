@@ -121,12 +121,15 @@ def _parse_floats(s):
     return [float(x) for x in s.split(",") if x.strip()]
 
 
-def _parse_ids(s):
-    ids = [x.strip() for x in s.split(",") if x.strip()]
+def _known_check_ids(ids):
     for x in ids:
         if x not in CHECK_IDS:
             raise ValueError(f"unknown check id {x!r} (known: {', '.join(CHECK_IDS)})")
     return ids
+
+
+def _parse_ids(s):
+    return _known_check_ids([x.strip() for x in s.split(",") if x.strip()])
 
 
 def _extract_checks(cfg):
@@ -320,12 +323,10 @@ def _conv_override(name, val):
 
 def run_checks(trace, check_ids, overrides):
     reports = []
-    for cid in check_ids:
+    for cid in _known_check_ids(list(check_ids)):
         kw = {k: _conv_override(k, v)
               for k, v in overrides.get(cid, {}).items()}
-        # ids outside the table run A_bounded, which takes no overrides
-        check = _CHECKS.get(cid, _CHECKS["A_bounded"])
-        reports.append(check(trace, **kw))
+        reports.append(_CHECKS[cid](trace, **kw))
     return reports
 
 

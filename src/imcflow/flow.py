@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError, hp_at_phi
+from .warp import WarpDomainError, hp_at_phi, scalar_hp_at_phi
 from .geometry import GraphState
 
 __all__ = [
@@ -220,35 +220,12 @@ def _scalar_speed(wspec, nm1):
                 raise WarpDomainError("potential beyond the image of Phi")
             return b / (nm1 * p)
         return speed, -inf, hi
+    hp = scalar_hp_at_phi(wspec)
     lo, hi = wspec._phi_domain
-    inv, fwd = wspec._r_of_phi_table, wspec._phi_table
-    if pid == "schwarzschild3":
-        ht = wspec._h_table
-        m2 = 2.0 * wspec.params["m"]
 
-        def speed(phi):
-            if phi <= lo or phi >= hi:
-                raise WarpDomainError("potential outside tabulated image")
-            r = inv.scalar(phi)
-            r -= (fwd.scalar(r) - phi) * ht.scalar(r)
-            return 1.0 / (nm1 * math.sqrt(1.0 - m2 / ht.scalar(r)))
-        return speed, lo, hi
-    if pid == "saturating":
-        a, b, k = (wspec.params[key] for key in ("a", "b", "k"))
-
-        def h_closed(r):
-            if k == 1.0:
-                return 1.0 + a * r - b * math.log1p(r)
-            return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
-
-        def speed(phi):
-            if phi <= lo or phi >= hi:
-                raise WarpDomainError("potential outside tabulated image")
-            r = inv.scalar(phi)
-            r -= (fwd.scalar(r) - phi) * h_closed(r)
-            return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
-        return speed, lo, hi
-    raise ValueError(f"unknown preset {pid!r}")
+    def speed(phi):
+        return 1.0 / (nm1 * hp(phi))
+    return speed, lo, hi
 
 
 def _fast_accept(base, wspec, phi, theta_min):

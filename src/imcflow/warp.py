@@ -32,6 +32,7 @@ __all__ = [
     "r_of_phi",
     "warp_at_phi",
     "hp_at_phi",
+    "scalar_hp_at_phi",
     "phi_domain_violation",
     "r_at_h",
     "check_conditions",
@@ -54,6 +55,18 @@ class WarpDomainError(ValueError):
         self.node = node
 
 
+def _horner(c, t):
+    """((c0 t + c1) t + c2) t + c3 for coefficient rows c, in place after
+    the first product (the same roundings without the temporaries)."""
+    out = c[0] * t
+    out += c[1]
+    out *= t
+    out += c[2]
+    out *= t
+    out += c[3]
+    return out
+
+
 class _CubicTable:
     """Piecewise cubic with a cheap vectorized evaluator.
 
@@ -65,7 +78,10 @@ class _CubicTable:
     def __init__(self, x, y):
         sp = CubicSpline(x, y)
         self.x = sp.x
-        self.c = sp.c  # (4, len(x) - 1)
+        # left knot and coefficients of each piece in one column, so that
+        # one take gathers a piece
+        self._xc = np.vstack([sp.x[:-1], sp.c])
+        self.c = self._xc[1:]  # (4, len(x) - 1)
         self._last_seg = self.c.shape[1] - 1
         # plain-float copies for the scalar path (single-node flows)
         self._xl = self.x.tolist()
@@ -85,19 +101,81 @@ class _CubicTable:
 
     def at(self, idx, xq):
         """The cubic of piece idx, evaluated at xq."""
-        t = xq - self.x.take(idx)
-        c0, c1, c2, c3 = self.c.take(idx, axis=1)   # one gather, not four
-        return ((c0 * t + c1) * t + c2) * t + c3
+        x0, *c = self._xc.take(idx, axis=1)   # one gather, not five
+        return _horner(c, xq - x0)
 
-    def scalar(self, xq):
+    def scalar_segment(self, xq):
+        """segment for one float xq."""
         i = bisect.bisect_left(self._xl, xq) - 1
         if i < 0:
-            i = 0
-        elif i > self._last_seg:
-            i = self._last_seg
+            return 0
+        return self._last_seg if i > self._last_seg else i
+
+    def scalar_piece(self, i, xq):
+        """scalar_segment(xq), searching only when the guess i is not it.
+
+        The test is segment's own decision: piece i holds xq when
+        x[i] < xq <= x[i+1], with no lower bound on the first piece and no
+        upper bound on the last.
+        """
+        x = self._xl
+        if (i == 0 or x[i] < xq) and (i == self._last_seg or xq <= x[i + 1]):
+            return i
+        return self.scalar_segment(xq)
+
+    def scalar_at(self, i, xq):
+        """The cubic of piece i, evaluated at the float xq."""
         t = xq - self._xl[i]
         c = self._cl
         return ((c[0][i] * t + c[1][i]) * t + c[2][i]) * t + c[3][i]
+
+
+class _SharedKnots:
+    """Cubic tables on one set of knots, gathered a piece at a time.
+
+    Column i of ``rows`` holds what piece i needs: the knot above it
+    (+inf for the last piece), its left knot, then the four coefficients of
+    each table in order, so one take gathers every table's piece.  The
+    first table's knots and coefficients become a view of these rows, so
+    they are stored once.
+    """
+
+    def __init__(self, *tables):
+        x = tables[0].x
+        hi = x[1:].copy()
+        hi[-1] = math.inf
+        self.rows = np.vstack([hi, x[:-1]] + [t.c for t in tables])
+        tables[0]._xc = self.rows[1:6]
+        tables[0].c = self.rows[2:6]
+        self.segment = tables[0].segment
+
+    def gather(self, guess, xq):
+        """Columns of the piece each xq falls in, as segment picks it.
+
+        ``guess`` is trusted where its piece holds xq and only the other
+        points are searched.  The test is segment's rule, x[i] < xq <=
+        x[i+1] with no upper bound on the last piece, except that points at
+        or below the first knot (outside every domain), NaN included, are
+        searched rather than accepted.
+        """
+        return self.verify(self.rows.take(guess, axis=1), xq)
+
+    def verify(self, cols, xq):
+        """cols gathered for other points, mended where xq leaves their piece."""
+        ok = (cols[1] < xq) & (xq <= cols[0])
+        if ok.all():
+            return cols
+        if cols.ndim == 1:
+            return self.rows.take(self.segment(xq), axis=1)
+        miss = ~ok
+        cols[:, miss] = self.rows.take(self.segment(xq[miss]), axis=1)
+        return cols
+
+    @staticmethod
+    def at(cols, table, t):
+        """Table number ``table`` (0 first) of the gathered columns, at the
+        offsets t = x - cols[1] from the pieces' left knots."""
+        return _horner(cols[2 + 4 * table:6 + 4 * table], t)
 
 
 class WarpSpec:
@@ -120,6 +198,7 @@ class WarpSpec:
         self._h_table = None        # h(r)
         self._phi_table = None      # Phi(r)
         self._r_of_phi_table = None  # r(Phi)
+        self._forward = None        # _SharedKnots of Phi (and h) on r
         self._phi_domain = (-math.inf, math.inf)
 
     def __repr__(self):
@@ -198,6 +277,8 @@ def _build_tables(spec, h_closed=None):
     phi_vals = phi_vals - shift + phi0
     spec._phi_table = _CubicTable(nodes, phi_vals)
     spec._r_of_phi_table = _CubicTable(phi_vals, nodes)
+    tables = [spec._phi_table] + ([spec._h_table] if spec._h_table is not None else [])
+    spec._forward = _SharedKnots(*tables)
     spec._phi_domain = (float(phi_vals[0]), float(phi_vals[-1]))
 
 
@@ -272,6 +353,12 @@ def eval_warp(spec, r):
     """
     r = np.asarray(r, dtype=float)
     _check_r_domain(spec, r)
+    return _warp_at_r(spec, r)
+
+
+def _warp_at_r(spec, r, h=None):
+    """(h, h', h'') at radii r inside the domain; schwarzschild3 reads h(r)
+    from its table unless h is given."""
     pid = spec.preset_id
     if pid == "euclidean":
         return r.copy(), np.ones_like(r), np.zeros_like(r)
@@ -285,7 +372,8 @@ def eval_warp(spec, r):
         hpp = k * b * (1.0 + r) ** (-k - 1.0)
         return _saturating_h(a, b, k, r), _hp(spec, r), hpp
     if pid == "schwarzschild3":
-        h = spec._h_table(r)
+        if h is None:
+            h = spec._h_table(r)
         return h, _hp(spec, r, h), spec.params["m"] / h ** 2
     raise ValueError(f"unknown preset {pid!r}")
 
@@ -359,6 +447,14 @@ def phi_domain_violation(spec, phi):
     return int((~ok).argmax())
 
 
+def _check_phi_domain(spec, phi):
+    node = phi_domain_violation(spec, phi)
+    if node is not None:
+        raise WarpDomainError(
+            f"potential {float(phi.flat[node])!r} outside the image of Phi "
+            f"for {spec.preset_id}", node if phi.ndim else None)
+
+
 def r_of_phi(spec, phi):
     """Invert the radial potential: returns r with Phi(r) = phi.
 
@@ -367,12 +463,8 @@ def r_of_phi(spec, phi):
     WarpDomainError.
     """
     phi = np.asarray(phi, dtype=float)
+    _check_phi_domain(spec, phi)
     pid = spec.preset_id
-    node = phi_domain_violation(spec, phi)
-    if node is not None:
-        raise WarpDomainError(
-            f"potential {float(phi.flat[node])!r} outside the image of Phi for {pid}",
-            node if phi.ndim else None)
     if pid == "euclidean":
         return np.exp(phi)
     if pid == "hyperbolic":
@@ -383,24 +475,57 @@ def r_of_phi(spec, phi):
         if p == 1.0:
             return np.exp(phi)
         return (1.0 + (1.0 - p) * phi) ** (1.0 / (1.0 - p))
-    r = spec._r_of_phi_table(phi)
-    # one Newton step against the forward table: dPhi/dr = 1/h; the h and
-    # Phi tables share their knots, so one search finds the piece of both
-    fwd = spec._phi_table
-    idx = fwd.segment(r)
-    if pid == "schwarzschild3":
-        h = spec._h_table.at(idx, r)
+    return _table_r(spec, phi)[0]
+
+
+def _table_r(spec, phi):
+    """r(phi) of a table-backed preset, and the forward columns that made it.
+
+    The inverse table's cubic, then one Newton step against the forward
+    table: dPhi/dr = 1/h.  The inverse table's knots are the potentials of
+    the forward knots, so the inverse piece of phi is nearly always the
+    forward piece of r; it is the guess, verified, and only the points it
+    misses are searched.  phi must lie in the potential domain.
+    """
+    inv = spec._r_of_phi_table
+    # phi lies strictly between the first and last knot, so the search
+    # lands on a piece without segment's clamp
+    idx = inv.x.searchsorted(phi) - 1
+    r = inv.at(idx, phi)
+    fwd = spec._forward
+    cols = fwd.gather(idx, r)
+    t = r - cols[1]
+    if spec._h_table is not None:
+        h = fwd.at(cols, 1, t)
     else:
         a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
         h = _saturating_h(a, b, k, r)
-    return r - (fwd.at(idx, r) - phi) * h
+    return r - (fwd.at(cols, 0, t) - phi) * h, cols
+
+
+def _r_and_h(spec, phi):
+    """r(phi) checked against the radius domain, and h(r) where a table
+    gives it (schwarzschild3; None elsewhere)."""
+    if spec._forward is None:
+        r = r_of_phi(spec, phi)
+        _check_r_domain(spec, r)
+        return r, None
+    phi = np.asarray(phi, dtype=float)
+    _check_phi_domain(spec, phi)
+    r, cols = _table_r(spec, phi)
+    _check_r_domain(spec, r)
+    if spec._h_table is None:
+        return r, None
+    # the Newton step seldom leaves its piece: reuse the gathered columns
+    fwd = spec._forward
+    cols = fwd.verify(cols, r)
+    return r, fwd.at(cols, 1, r - cols[1])
 
 
 def warp_at_phi(spec, phi):
     """Fused hot-path evaluation: phi -> (r, h, h', h'')."""
-    r = r_of_phi(spec, phi)
-    h, hp, hpp = eval_warp(spec, r)
-    return r, h, hp, hpp
+    r, h = _r_and_h(spec, phi)
+    return (r,) + _warp_at_r(spec, r, h)
 
 
 def hp_at_phi(spec, phi):
@@ -416,9 +541,53 @@ def hp_at_phi(spec, phi):
     if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
         _check_r_domain(spec, np.exp(phi))
         return 1.0
-    r = r_of_phi(spec, phi)
-    _check_r_domain(spec, r)
-    return _hp(spec, r)
+    return _hp(spec, *_r_and_h(spec, phi))
+
+
+def scalar_hp_at_phi(spec):
+    """A float function phi -> h'(r(phi)) for a table-backed preset.
+
+    The scalar entry point for single-node flows: the steps of hp_at_phi on
+    plain floats, with bisect on float lists in place of searchsorted and
+    the inverse piece as the verified guess of the forward one.  On
+    schwarzschild3 it returns hp_at_phi's value bit for bit; on saturating
+    the Newton step uses a float copy of h (math.log1p and float powers),
+    which can differ from ``_saturating_h`` in the last bit.  The function
+    raises WarpDomainError outside the potential domain.
+    """
+    pid = spec.preset_id
+    if spec._forward is None:
+        raise ValueError(f"{pid} is not table-backed")
+    lo, hi = spec._phi_domain
+    inv, fwd = spec._r_of_phi_table, spec._phi_table
+    if pid == "schwarzschild3":
+        ht = spec._h_table
+        m2 = 2.0 * spec.params["m"]
+
+        def hp(phi):
+            if phi <= lo or phi >= hi:
+                raise WarpDomainError("potential outside tabulated image")
+            i = inv.scalar_segment(phi)
+            r = inv.scalar_at(i, phi)
+            i = fwd.scalar_piece(i, r)
+            r -= (fwd.scalar_at(i, r) - phi) * ht.scalar_at(i, r)
+            return math.sqrt(1.0 - m2 / ht.scalar_at(fwd.scalar_piece(i, r), r))
+        return hp
+    a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
+
+    def h_closed(r):
+        if k == 1.0:
+            return 1.0 + a * r - b * math.log1p(r)
+        return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
+
+    def hp(phi):
+        if phi <= lo or phi >= hi:
+            raise WarpDomainError("potential outside tabulated image")
+        i = inv.scalar_segment(phi)
+        r = inv.scalar_at(i, phi)
+        r -= (fwd.scalar_at(fwd.scalar_piece(i, r), r) - phi) * h_closed(r)
+        return a - b * (1.0 + r) ** (-k)
+    return hp
 
 
 def r_at_h(spec, h_target):

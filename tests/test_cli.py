@@ -6,13 +6,17 @@ run/check round-trip through the on-disk formats.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
 import pytest
 
-from imcflow.cli import ConfigError, load_trace, main, parse_config
+from imcflow.cli import (CHECK_IDS, ConfigError, load_trace, main,
+                         parse_config, run_checks)
 from imcflow.flow import TRACE_COLUMNS
 from imcflow.verify import DEFAULT_C_RES
 
@@ -320,6 +324,26 @@ class TestPresets:
                      "saturating", "schwarzschild3"):
             assert name in text
         assert "params" in text and "conditions" in text
+
+    def test_module_entry_point_from_a_checkout(self, tmp_path, capsys):
+        # python -m imcflow with only the source tree on the path
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "imcflow", "presets"],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert main(["presets"]) == 0
+        assert done.stdout == capsys.readouterr().out
+
+
+class TestRunChecks:
+    def test_unknown_id_raises_naming_the_known_ids(self):
+        # raised before any check runs, so no trace is needed
+        with pytest.raises(ValueError, match="'no_such_check'") as exc:
+            run_checks(None, ["A_bounded", "no_such_check"], {})
+        for cid in CHECK_IDS:
+            assert cid in str(exc.value)
 
 
 class TestCalibrationFixture:

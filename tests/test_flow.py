@@ -16,7 +16,7 @@ from imcflow.flow import (
 )
 from imcflow.geometry import GraphState, _light_fields
 from imcflow.manifold import make_base
-from imcflow.warp import make_warp, r_at_h, radial_potential
+from imcflow.warp import hp_at_phi, make_warp, r_at_h, radial_potential
 
 POINT = make_base("point", 2)  # surfaces in a 3-dimensional ambient
 
@@ -126,6 +126,14 @@ class TestScalarSpeed:
             lf = _light_fields(GraphState(POINT, w, np.array([phi])))
             want = 1.0 / float(lf["F"][0])
             assert abs(speed(phi) - want) / want < 1e-9
+        if pid == "schwarzschild3":
+            # the float path is hp_at_phi step for step: equal bits
+            lo, hi = w._phi_domain
+            phis = np.random.default_rng(5).uniform(lo, hi, 2000)
+            phis = np.concatenate([phi_grid, phis[(phis > lo) & (phis < hi)]])
+            hp = hp_at_phi(w, phis)
+            assert all(speed(v) == 1.0 / (POINT.d * h)
+                       for v, h in zip(phis.tolist(), hp.tolist()))
 
     def test_euclidean_speed_is_exact_constant(self):
         speed, _, _ = flow_mod._scalar_speed(make_warp("euclidean"), 3)

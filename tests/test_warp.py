@@ -1,5 +1,6 @@
 """Warping-factor presets: closed forms, tables, potentials, condition flags."""
 
+import bisect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from imcflow import flow as flow_mod
 from imcflow import warp
 from imcflow.warp import (
     WarpDomainError,
@@ -237,6 +239,175 @@ class TestLeanSlope:
         ref = warp_at_phi(spec, phi)[2]
         hp = hp_at_phi(spec, phi)
         assert np.broadcast_to(hp, ref.shape).tobytes() == ref.tobytes()
+
+
+# The tabulated inversion as it stood before one knot search served all
+# three tables: a searchsorted per table evaluation (four bisects on the
+# scalar path).  Frozen here as the bitwise reference for the piece reuse.
+
+def _ref_segment(table, xq):
+    idx = table.x.searchsorted(xq) - 1
+    return np.minimum(np.maximum(idx, 0), len(table.x) - 2)
+
+
+def _ref_at(table, idx, xq):
+    t = xq - table.x.take(idx)
+    c0, c1, c2, c3 = table.c.take(idx, axis=1)
+    return ((c0 * t + c1) * t + c2) * t + c3
+
+
+def _ref_saturating(spec, r):
+    a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
+    if k == 1.0:
+        h = 1.0 + a * r - b * np.log1p(r)
+    else:
+        h = 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
+    return h, a - b * (1.0 + r) ** (-k), k * b * (1.0 + r) ** (-k - 1.0)
+
+
+def reference_r_of_phi(spec, phi):
+    inv, fwd = spec._r_of_phi_table, spec._phi_table
+    r = _ref_at(inv, _ref_segment(inv, phi), phi)
+    idx = _ref_segment(fwd, r)
+    if spec.preset_id == "schwarzschild3":
+        h = _ref_at(spec._h_table, idx, r)
+    else:
+        h = _ref_saturating(spec, r)[0]
+    return r - (_ref_at(fwd, idx, r) - phi) * h
+
+
+def reference_warp_at_phi(spec, phi):
+    """(r, h, h', h'') or the node of the first bad radius."""
+    r = reference_r_of_phi(spec, phi)
+    ok = (r > 0.0) & (r < spec.r_domain[1])
+    if not ok.all():
+        return int((~ok).argmax())
+    if spec.preset_id == "schwarzschild3":
+        ht, m = spec._h_table, spec.params["m"]
+        h = _ref_at(ht, _ref_segment(ht, r), r)
+        return r, h, np.sqrt(1.0 - 2.0 * m / h), m / h ** 2
+    return (r,) + _ref_saturating(spec, r)
+
+
+def reference_scalar_speed(spec, nm1):
+    lists = [(t.x.tolist(), t.c.tolist()) for t in
+             (spec._r_of_phi_table, spec._phi_table, spec._h_table or spec._phi_table)]
+
+    def scalar(table, xq):
+        x, c = lists[table]
+        i = min(max(bisect.bisect_left(x, xq) - 1, 0), len(x) - 2)
+        t = xq - x[i]
+        return ((c[0][i] * t + c[1][i]) * t + c[2][i]) * t + c[3][i]
+
+    a, b, k = (spec.params.get(key, 0.0) for key in ("a", "b", "k"))
+
+    def speed(phi):
+        r = scalar(0, phi)
+        if spec.preset_id == "schwarzschild3":
+            r -= (scalar(1, r) - phi) * scalar(2, r)
+            return 1.0 / (nm1 * math.sqrt(1.0 - 2.0 * spec.params["m"] / scalar(2, r)))
+        if k == 1.0:
+            h = 1.0 + a * r - b * math.log1p(r)
+        else:
+            h = 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
+        r -= (scalar(1, r) - phi) * h
+        return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
+    return speed
+
+
+TABLE_WARPS = {name: LEAN_WARPS[name] for name in
+               ("schwarzschild3", "saturating k=1", "saturating k=2")}
+
+
+def knot_potentials(spec):
+    """Every inner knot of the inverse table and both float neighbours."""
+    x = spec._r_of_phi_table.x
+    phi = np.concatenate([x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)])
+    lo, hi = spec._phi_domain
+    return phi[(phi > lo) & (phi < hi)]
+
+
+def same_outcome(spec, phi):
+    """r_of_phi, warp_at_phi and hp_at_phi give the reference's bits or
+    raise at the reference's node."""
+    assert reference_r_of_phi(spec, phi).tobytes() == r_of_phi(spec, phi).tobytes()
+    ref = reference_warp_at_phi(spec, phi)
+    if isinstance(ref, int):
+        for fn in (warp_at_phi, hp_at_phi):
+            with pytest.raises(WarpDomainError) as exc:
+                fn(spec, phi)
+            assert exc.value.node == (ref if phi.ndim else None)
+        return
+    for want, got in zip(ref, warp_at_phi(spec, phi)):
+        assert want.tobytes() == got.tobytes()
+    assert hp_at_phi(spec, phi).tobytes() == ref[2].tobytes()
+
+
+class TestOneKnotSearch:
+    """One search per tabulated evaluation, verified, gives the frozen
+    three-search inversion bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_WARPS))
+    def test_knots_and_neighbours(self, name):
+        spec = TABLE_WARPS[name]
+        phi = knot_potentials(spec)
+        inv, fwd = spec._r_of_phi_table, spec._phi_table
+        # the set reaches both fallbacks: the inverse piece is not the
+        # forward piece of r, and the Newton step leaves r's piece
+        guess = _ref_segment(inv, phi)
+        r = _ref_at(inv, guess, phi)
+        piece = _ref_segment(fwd, r)
+        left = _ref_segment(fwd, reference_r_of_phi(spec, phi)) != piece
+        assert (piece != guess).sum() > 100 and left.sum() > 10
+        same_outcome(spec, phi)
+        same_outcome(spec, phi[:phi.size // 4 * 4].reshape(4, -1)[::-1])
+        for v in phi[(piece != guess) | left][:60]:
+            same_outcome(spec, np.asarray(v))
+        speed = flow_mod._scalar_speed(spec, 2)[0]
+        ref = reference_scalar_speed(spec, 2)
+        assert all(speed(v) == ref(v) for v in phi.tolist())
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(TABLE_WARPS)), st.data())
+    def test_any_guess_gives_the_searched_piece(self, name, data):
+        # near a knot the neighbouring cubics agree to the bit, so the runs
+        # above cannot see an unverified guess; the pieces themselves can
+        spec = TABLE_WARPS[name]
+        fwd, table = spec._forward, spec._phi_table
+        last = len(table.x) - 2
+        knot = st.integers(0, last + 1).map(lambda i: float(table.x[i]))
+        near = st.tuples(knot, st.integers(-3, 3)).map(
+            lambda p: float(p[0] + p[1] * np.spacing(p[0])))
+        xq = data.draw(st.lists(near | st.floats(-10.0, 3e3) | st.sampled_from(
+            [math.nan, math.inf, -math.inf]), min_size=1, max_size=30))
+        # guesses around the right piece (a knot's two sides) or anywhere
+        off = data.draw(st.lists(st.integers(-1, 1) | st.integers(-5000, 5000),
+                                 min_size=len(xq), max_size=len(xq)))
+        xq = np.array(xq)
+        piece = table.segment(xq)
+        guess = np.clip(piece + np.array(off), 0, last)
+        want = fwd.rows.take(piece, axis=1)
+        assert fwd.gather(guess, xq).tobytes() == want.tobytes()
+        assert fwd.gather(guess[0], xq[0]).tobytes() == want[:, 0].tobytes()
+        for i, x in zip(guess.tolist(), xq.tolist()):
+            assert table.scalar_piece(i, x) == table.scalar_segment(x)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(TABLE_WARPS)),
+           st.lists(st.floats(-6.0, 3.25), min_size=1, max_size=60),
+           st.booleans())
+    def test_random_radii(self, name, logr, square):
+        spec = TABLE_WARPS[name]
+        r = 10.0 ** np.array(logr)
+        if square:
+            r = np.outer(r, r[::-1]) ** 0.5
+        phi = radial_potential(spec, r)
+        if phi_domain_violation(spec, phi) is not None:
+            return
+        same_outcome(spec, phi)
+        speed = flow_mod._scalar_speed(spec, 2)[0]
+        ref = reference_scalar_speed(spec, 2)
+        assert all(speed(v) == ref(v) for v in phi.ravel().tolist())
 
 
 class TestConditions:
