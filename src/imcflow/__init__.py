@@ -28,7 +28,7 @@ from .geometry import (
     ambient_ricci, embedding_oracle_H, OracleUnsupportedError,
 )
 from .flow import (
-    FlowConfig, FlowEvent, FlowTrace, MeanConvexityError, rhs, stable_dt, run,
+    FlowConfig, FlowEvent, FlowTrace, stable_dt, run,
 )
 from .verify import (
     CheckReport, check_growth_and_support, check_H_floor, check_asymptotics,

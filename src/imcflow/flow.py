@@ -11,13 +11,21 @@ Diagnostics are recorded on a fixed cadence and full field snapshots on a
 (usually coarser) second cadence; steps are clipped to land exactly on both
 grids, which keeps runs bit-reproducible for a given configuration.
 
-On every field base each stage state goes first through a fast acceptance
-test: the base's fused kernel gives F and Theta^2, and a state whose h'
-exists, whose F is positive and finite everywhere and whose smallest
-Theta reaches theta_min is taken as it is.  Every other state goes to
-_probe, the only code that classifies events.  The test accepts exactly
-the states on which _probe would find no event, and the kernel's F is
-_probe's F bit for bit, so the fast path changes no trajectory.
+One driver, run, owns the cadence, the landing, the dt limiter, the
+records and the events of every base.  A stepper supplies what differs:
+the first evaluation, one Euler or RK4 step (the new state, or the stage
+that failed with its event), the post-step check and the CFL bound.
+_FieldStepper works on arrays.  Each of its stage states goes first
+through a fast acceptance test: the base's fused kernel gives F and
+Theta^2, and a state whose h' exists, whose F is positive and finite
+everywhere and whose smallest Theta reaches theta_min is taken as it is.
+Every other state goes to _probe, the only code that classifies events.
+The test accepts exactly the states on which _probe would find no event,
+and the kernel's F is _probe's F bit for bit, so the fast path changes no
+trajectory.  _PointStepper works on a plain float through the warp's
+scalar speed and calls _probe only to build event payloads: criterion
+1's 80k speed calls must fit its 1 s gate, and one array probe on the
+point base costs 15-46 us.
 """
 
 from __future__ import annotations
@@ -28,25 +36,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError, hp_at_phi, scalar_hp_at_phi
+from .warp import WarpDomainError, hp_at_phi, scalar_speed
 from .geometry import GraphState
 
 __all__ = [
-    "FlowConfig", "FlowEvent", "FlowTrace", "MeanConvexityError",
-    "rhs", "stable_dt", "run", "TRACE_COLUMNS",
+    "FlowConfig", "FlowEvent", "FlowTrace", "stable_dt", "run", "TRACE_COLUMNS",
 ]
 
 TRACE_COLUMNS = ("dt", "min_H", "max_H", "min_omega", "max_omega",
                  "max_grad_phi", "max_hess_phi", "max_A", "osc_rescaled_h")
-
-
-class MeanConvexityError(RuntimeError):
-    """Speed weight F <= 0 somewhere: 1/F is no longer defined."""
-
-    def __init__(self, node, value):
-        self.node = int(node)
-        self.value = float(value)
-        super().__init__(f"F = {value:.6g} <= 0 at node {node}")
 
 
 @dataclass
@@ -110,16 +108,19 @@ class FlowTrace:
 class _RunStats:
     """Counts of one run; machine-independent, so reruns give equal dicts.
 
-    f_evals counts every evaluation of F (initial state, RK4 stages, step
-    results); on field bases each is either a fast accept or a full
-    _probe, on the point base it is a call of the scalar speed function
-    (and full_probes counts the _probe calls for the initial state and
-    event payloads).  The dt limiter is "landing" when a step was clipped
-    onto a record, snapshot or end time, else "cfl" when the parabolic
-    bound was below dt_max, else "dt_max".
+    f_evals counts every evaluation of F: the initial state, then per_step
+    (RK4: three stages and the step result, Euler: the step result) for
+    each completed step, and the evaluations of a failed step.  On field
+    bases each is either a fast accept or a full _probe; on the point base
+    it is a call of the scalar speed (RK4's first stage included, the
+    domain test of the step result not), and full_probes counts the _probe
+    calls for the initial state and event payloads.  The dt limiter is
+    "landing" when a step was clipped onto a record, snapshot or end time,
+    else "cfl" when the parabolic bound was below dt_max, else "dt_max".
     """
 
-    def __init__(self):
+    def __init__(self, config):
+        self.per_step = 1 if config.integrator == "euler" else 4
         self.f_evals = 0
         self.fast_accepts = 0
         self.full_probes = 0
@@ -129,10 +130,11 @@ class _RunStats:
         self.max_dt = -math.inf
 
     def step(self, dt, limiter, n=1):
-        """Record n steps of size dt, all set by one limiter."""
+        """Record n completed steps of size dt, all set by one limiter."""
         if n == 0:
             return
         self.steps += n
+        self.f_evals += n * self.per_step
         self.limiter[limiter] += n
         if dt < self.min_dt:
             self.min_dt = dt
@@ -177,57 +179,6 @@ def _probe(base, wspec, phi, t, theta_min):
     return lf, None
 
 
-def rhs(state):
-    """Speed of the potential, 1/F, as a field over the base."""
-    lf = _geom._light_fields(state)
-    F = lf["F"]
-    fmin = float(np.min(F))
-    if fmin <= 0.0 or not np.isfinite(fmin):
-        raise MeanConvexityError(int(np.argmin(F)), fmin)
-    return 1.0 / F
-
-
-def _scalar_speed(wspec, nm1):
-    """Pure-float 1/F for round slices: (speed_fn, phi_lo, phi_hi).
-
-    On the point base the flow is the ODE d phi/dt = 1/((n-1) h'(r(phi)));
-    the numpy probe costs dominate there, so each preset gets a closed-form
-    or table-backed float evaluator.  speed_fn raises WarpDomainError
-    outside (phi_lo, phi_hi).
-    """
-    pid = wspec.preset_id
-    inf = math.inf
-    if pid == "euclidean" or (pid == "power" and wspec.params["p"] == 1.0):
-        c = 1.0 / nm1
-        return (lambda phi: c), -inf, inf
-    if pid == "hyperbolic":
-        # h' = cosh r = (1 + e^{2 phi}) / (1 - e^{2 phi}) for phi = ln tanh(r/2)
-        def speed(phi):
-            if phi >= 0.0:
-                raise WarpDomainError("hyperbolic potential must be negative")
-            e2 = math.exp(2.0 * phi)
-            return (1.0 - e2) / ((1.0 + e2) * nm1)
-        return speed, -inf, 0.0
-    if pid == "power":
-        p = wspec.params["p"]
-        q = 1.0 - p
-        hi = 1.0 / (p - 1.0)
-
-        # r^{1-p} = 1 + (1-p) phi exactly, so 1/F is affine in phi
-        def speed(phi):
-            b = 1.0 + q * phi
-            if b <= 0.0:
-                raise WarpDomainError("potential beyond the image of Phi")
-            return b / (nm1 * p)
-        return speed, -inf, hi
-    hp = scalar_hp_at_phi(wspec)
-    lo, hi = wspec._phi_domain
-
-    def speed(phi):
-        return 1.0 / (nm1 * hp(phi))
-    return speed, lo, hi
-
-
 def _fast_accept(base, wspec, phi, theta_min):
     """(F, 1/F, Theta^2, phi_0) of a state _probe passes, else None.
 
@@ -253,14 +204,12 @@ def _fast_accept(base, wspec, phi, theta_min):
 
 
 def _cfl_dt(base, F, theta2, g, safety):
-    """Parabolic CFL bound, inf when it does not bind (point base, D <= 0).
+    """Parabolic CFL bound of a field base, inf when it does not bind (D <= 0).
 
     Theta is formed as sqrt(Theta^2) and squared again, as the stored Theta
     field would be, so the bound does not depend on which path produced
     the fields.
     """
-    if base.dc == 0:
-        return math.inf
     theta2 = np.sqrt(theta2) ** 2
     F2 = F ** 2
     if base.kind == "circle":
@@ -276,12 +225,121 @@ def _cfl_dt(base, F, theta2, g, safety):
     return safety * base.dx_min ** 2 / (2.0 * base.d * dmax)
 
 
+class _FieldStepper:
+    """Euler/RK4 on the arrays of a field base, fast accept before _probe."""
+
+    def __init__(self, base, wspec, config, stats):
+        self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
+        self.euler = config.integrator == "euler"
+        self.fields = None      # (F, 1/F, Theta^2, phi_0) of the last state checked
+
+    def start(self, phi):
+        """(state, event|None) of the initial potential array."""
+        return phi, self.check(phi, 0.0)
+
+    def check(self, phi, t):
+        """Event of a state, else None; its fields feed the next stage."""
+        stats = self.stats
+        self.fields = _fast_accept(self.base, self.wspec, phi, self.config.theta_min)
+        if self.fields is not None:
+            stats.fast_accepts += 1
+            return None
+        stats.full_probes += 1
+        lf, ev = _probe(self.base, self.wspec, phi, t, self.config.theta_min)
+        if ev is None:
+            F = lf["F"]
+            self.fields = (F, 1.0 / F, lf["theta2"], lf["grad"][0])
+        return ev
+
+    def cfl(self):
+        F, _, theta2, g = self.fields
+        return _cfl_dt(self.base, F, theta2, g, self.config.safety)
+
+    def step(self, phi, t, dt):
+        """(new state, None), or (offending stage, event)."""
+        F, k = self.fields[:2]
+        if self.euler:
+            return phi + dt / F, None
+        ks = [k]
+        for frac in (0.5, 0.5, 1.0):
+            stage = phi + frac * dt * ks[-1]
+            ev = self.check(stage, t + frac * dt)
+            if ev is not None:
+                self.stats.f_evals += len(ks)     # the stages evaluated
+                return stage, ev
+            ks.append(self.fields[1])
+        return phi + dt / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]), None
+
+
+class _PointStepper:
+    """Euler/RK4 on a plain float through the warp's scalar speed.
+
+    The speed raises WarpDomainError where the potential leaves the image
+    of Phi.  _probe runs only on the initial state and to give an event
+    its payload, so events carry what the field path would report.
+    """
+
+    def __init__(self, base, wspec, config, stats):
+        self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
+        self.euler = config.integrator == "euler"
+        self.speed, self.lo, self.hi = scalar_speed(wspec, base.d)
+
+    def _event(self, phi, t):
+        self.stats.full_probes += 1
+        _, ev = _probe(self.base, self.wspec, np.array([phi]), t,
+                       self.config.theta_min)
+        return ev if ev is not None else FlowEvent("domain", t, 0, phi)
+
+    def start(self, phi):
+        self.stats.full_probes += 1
+        _, ev = _probe(self.base, self.wspec, phi, 0.0, self.config.theta_min)
+        return float(phi[0]), ev
+
+    def check(self, phi, t):
+        if self.lo < phi < self.hi:     # also false on NaN
+            return None
+        return self._event(phi, t)
+
+    def cfl(self):
+        return math.inf
+
+    def step(self, phi, t, dt):
+        # the stages are unrolled: a call per stage slows the point runs
+        speed = self.speed
+        stage, n, ts = phi, 1, t
+        try:
+            k1 = speed(phi)
+            if self.euler:
+                return phi + dt * k1, None
+            h = 0.5 * dt
+            stage, n, ts = phi + h * k1, 2, t + h
+            k2 = speed(stage)
+            stage, n = phi + h * k2, 3
+            k3 = speed(stage)
+            stage, n, ts = phi + dt * k3, 4, t + dt
+            k4 = speed(stage)
+        except WarpDomainError:
+            self.stats.f_evals += n       # this step's calls, the failed one included
+            return stage, self._event(stage, ts)
+        return phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None
+
+
+def _stepper(base, wspec, config):
+    cls = _PointStepper if base.dc == 0 else _FieldStepper
+    return cls(base, wspec, config, _RunStats(config))
+
+
 def stable_dt(state, config):
-    """Parabolic CFL step bound for the current state."""
-    lf = _geom._light_fields(state)
-    return min(config.dt_max, _cfl_dt(state.base, lf["F"], lf["theta2"],
-                                      lf["grad"][0] if state.base.dc else None,
-                                      config.safety))
+    """Step bound for the current state: dt_max or the parabolic CFL bound.
+
+    Raises ValueError when the state has an event (no valid step starts
+    there).
+    """
+    stepper = _stepper(state.base, state.warp, config)
+    _, event = stepper.start(np.array(state.phi, dtype=float))
+    if event is not None:
+        raise ValueError(f"no step from this state: {event}")
+    return min(config.dt_max, stepper.cfl())
 
 
 def _diag_row(snap, dt_used):
@@ -310,38 +368,21 @@ def run(initial, config):
     so every event can be re-verified from what the trace preserves.
     The trace's stats hold the run's counts (_RunStats).
     """
-    if initial.base.dc == 0:
-        return _run_point(initial, config)
     base, wspec = initial.base, initial.warp
-    phi = np.array(initial.phi, dtype=float)
-    t = 0.0
+    stepper = _stepper(base, wspec, config)
+    stats = stepper.stats
     times, rows, snaps = [], [], []
-    k_rec, k_snap = 1, 1
-    stats = _RunStats()
-
-    def evaluate(phi_s, t_s):
-        """((F, 1/F, Theta^2, phi_0), None) or (None, event)."""
-        stats.f_evals += 1
-        fields = _fast_accept(base, wspec, phi_s, config.theta_min)
-        if fields is not None:
-            stats.fast_accepts += 1
-            return fields, None
-        stats.full_probes += 1
-        lf, ev = _probe(base, wspec, phi_s, t_s, config.theta_min)
-        if ev is not None:
-            return None, ev
-        F = lf["F"]
-        return (F, 1.0 / F, lf["theta2"], lf["grad"][0]), None
 
     def record(tt, phi_now, dt_used, want_row=True, want_snap=True):
-        st = GraphState(base, wspec, phi_now.copy(), tt)
+        if not (want_row or want_snap):
+            return
+        st = GraphState(base, wspec, np.array(phi_now, dtype=float, ndmin=1), tt)
         snap = _geom.snapshot(st)
         if want_row:
             times.append(tt)
             rows.append(_diag_row(snap, dt_used))
         if want_snap:
             snaps.append((tt, st, snap))
-        return snap
 
     def finish(terminal):
         cols = {k: np.array([row[k] for row in rows]) for k in TRACE_COLUMNS}
@@ -350,37 +391,23 @@ def run(initial, config):
                          snapshots=snaps, terminal=terminal,
                          stats=stats.as_dict())
 
-    def settle_event(ev, dt_used, bad_phi, ok_phi, ok_t):
-        # graph-valid violations keep the offending state; otherwise fall
-        # back to the last valid one (unless it is already stored)
-        if ev.kind in ("loss_of_mean_convexity", "angle_degeneracy"):
-            record(ev.t, bad_phi, dt_used)
-        else:
-            need_row = not times or times[-1] != ok_t
-            need_snap = not snaps or snaps[-1][0] != ok_t
-            if need_row or need_snap:
-                record(ok_t, ok_phi, dt_used, want_row=need_row,
-                       want_snap=need_snap)
-        return finish(ev)
-
-    fields, event = evaluate(phi, t)
-    if event is not None and event.kind in ("domain", "numeric"):
-        return finish(event)
-    record(t, phi, 0.0)
-    if event is not None:
-        return finish(event)
-    F, k, theta2, g = fields
-
+    stats.f_evals += 1      # the initial state
+    phi, event = stepper.start(np.array(initial.phi, dtype=float))
+    bad, t, dt = phi, 0.0, 0.0
+    if event is None:
+        record(t, phi, dt)
     t_end = config.t_end
     tol = 1e-12 * max(1.0, t_end)
-    euler = config.integrator == "euler"
-    dt = 0.0
+    k_rec, k_snap = 1, 1
+    # completed steps go to stats in runs of equal (dt, limiter): a stats
+    # call per step would cost the point runs several percent
+    run_dt, run_lim, run_n = 0.0, "dt_max", 0
 
-    while t < t_end - tol:
+    while event is None and t < t_end - tol:
         next_rec = k_rec * config.record_every
         next_snap = k_snap * config.snapshot_every
         target = min(next_rec, next_snap, t_end)
-        cfl = _cfl_dt(base, F, theta2, g, config.safety)
+        cfl = stepper.cfl()
         dt = min(min(config.dt_max, cfl), target - t)
         landed = dt >= target - t - 1e-15 * max(1.0, target)
         if landed:
@@ -388,171 +415,46 @@ def run(initial, config):
         limiter = ("landing" if landed
                    else "cfl" if cfl < config.dt_max else "dt_max")
 
-        if euler:
-            phi_new = phi + dt / F
-        else:
-            ks = [k]
-            for frac in (0.5, 0.5, 1.0):
-                phi_stage = phi + frac * dt * ks[-1]
-                fields, ev = evaluate(phi_stage, t + frac * dt)
-                if ev is not None:
-                    return settle_event(ev, dt, phi_stage, phi, t)
-                ks.append(fields[1])
-            phi_new = phi + dt / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-
-        t_prev, phi_prev = t, phi
-        t = target if landed else t + dt
-        phi = phi_new
-
-        fields, event = evaluate(phi, t)
+        new, event = stepper.step(phi, t, dt)
         if event is not None:
-            return settle_event(event, dt, phi, phi_prev, t_prev)
-        F, k, theta2, g = fields
-        stats.step(dt, limiter)
-
-        if landed:
-            final = t >= t_end - tol
-            at_rec = abs(t - next_rec) <= tol or final
-            at_snap = abs(t - next_snap) <= tol or final
-            if at_rec or at_snap:
-                record(t, phi, dt, want_row=at_rec, want_snap=at_snap)
-            while k_rec * config.record_every <= t + tol:
-                k_rec += 1
-            while k_snap * config.snapshot_every <= t + tol:
-                k_snap += 1
-
-    # accumulated steps can drift inside the exit band without landing on
-    # t_end; force the terminal row and snapshot if they are missing
-    need_row = abs(times[-1] - t_end) > tol
-    need_snap = not snaps or abs(snaps[-1][0] - t_end) > tol
-    if need_row or need_snap:
-        record(t_end, phi, dt, want_row=need_row, want_snap=need_snap)
-    return finish("completed")
-
-
-def _run_point(initial, config):
-    """Scalar fast path of run() for the degenerate single-node base.
-
-    Same cadence, landing and event semantics, but the inner loop works on
-    a plain float through _scalar_speed instead of the array probe.
-    """
-    base, wspec = initial.base, initial.warp
-    times, rows, snaps = [], [], []
-    stats = _RunStats()
-    per_step = 1 if config.integrator == "euler" else 4   # speed calls
-    # steps of exactly dt_max are only counted in the loop and recorded at
-    # the end: a stats call per step would cost this loop several percent
-    n_plain = 0
-
-    def record(tt, phi_val, dt_used, want_row=True, want_snap=True):
-        st = GraphState(base, wspec, np.array([phi_val]), tt)
-        snap = _geom.snapshot(st)
-        if want_row:
-            times.append(tt)
-            rows.append(_diag_row(snap, dt_used))
-        if want_snap:
-            snaps.append((tt, st, snap))
-
-    def finish(terminal):
-        cols = {k: np.array([row[k] for row in rows]) for k in TRACE_COLUMNS}
-        stats.step(config.dt_max, "dt_max", n_plain)
-        stats.f_evals += per_step * stats.steps
-        return FlowTrace(base=base, warp=wspec, config=config,
-                         times=np.array(times), columns=cols,
-                         snapshots=snaps, terminal=terminal,
-                         stats=stats.as_dict())
-
-    phi_arr = np.array(initial.phi, dtype=float)
-    phi = float(phi_arr[0])
-    t = 0.0
-    stats.f_evals += 1
-    stats.full_probes += 1
-    _, event = _probe(base, wspec, phi_arr, t, config.theta_min)
-    if event is not None and event.kind in ("domain", "numeric"):
-        return finish(event)
-    record(t, phi, 0.0)
-    if event is not None:
-        return finish(event)
-
-    speed, phi_lo, phi_hi = _scalar_speed(wspec, base.d)
-
-    def canonical_event(phi_val, tt):
-        # reuse the array probe so event payloads match the generic path
-        stats.full_probes += 1
-        _, ev = _probe(base, wspec, np.array([phi_val]), tt, config.theta_min)
-        return ev if ev is not None else FlowEvent("domain", tt, 0, phi_val)
-
-    def settle_event(ev, dt_used, ok_phi, ok_t):
-        # scalar-path events are domain or numeric: keep the last valid state
-        need_row = not times or times[-1] != ok_t
-        need_snap = not snaps or snaps[-1][0] != ok_t
-        if need_row or need_snap:
-            record(ok_t, ok_phi, dt_used, want_row=need_row, want_snap=need_snap)
-        return finish(ev)
-
-    t_end = config.t_end
-    tol = 1e-12 * max(1.0, t_end)
-    euler = config.integrator == "euler"
-    dt = 0.0
-    k_rec, k_snap = 1, 1
-
-    while t < t_end - tol:
-        next_rec = k_rec * config.record_every
-        next_snap = k_snap * config.snapshot_every
-        target = min(next_rec, next_snap, t_end)
-        dt = min(config.dt_max, target - t)
-        landed = dt >= target - t - 1e-15 * max(1.0, target)
-        if landed:
-            dt = target - t
-
-        fail = None
-        ks = []
-        try:
-            ks.append(speed(phi))
-        except WarpDomainError:
-            fail = (phi, t)
-        if fail is None and not euler:
-            for frac in (0.5, 0.5, 1.0):
-                phi_stage = phi + frac * dt * ks[-1]
-                try:
-                    ks.append(speed(phi_stage))
-                except WarpDomainError:
-                    fail = (phi_stage, t + frac * dt)
-                    break
-        if fail is not None:
-            # the calls of this step, the failing one included
-            stats.f_evals += len(ks) + 1
-            ph, tt = fail
-            return settle_event(canonical_event(ph, tt), dt, phi, t)
-        if euler:
-            phi_new = phi + dt * ks[0]
-        else:
-            phi_new = phi + dt / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-
+            bad = new
+            break
         t_prev, phi_prev = t, phi
         t = target if landed else t + dt
-        phi = phi_new
+        phi = new
+        event = stepper.check(phi, t)
+        if event is not None:
+            stats.f_evals += stats.per_step     # the failed step's evaluations
+            bad, phi, t = phi, phi_prev, t_prev
+            break
 
-        if not phi_lo < phi < phi_hi:  # also catches NaN
-            stats.f_evals += per_step
-            return settle_event(canonical_event(phi, t), dt, phi_prev, t_prev)
-
+        if dt == run_dt and limiter == run_lim:
+            run_n += 1
+        else:
+            stats.step(run_dt, run_lim, run_n)
+            run_dt, run_lim, run_n = dt, limiter, 1
         if landed:
-            stats.step(dt, "landing")
             final = t >= t_end - tol
             at_rec = abs(t - next_rec) <= tol or final
             at_snap = abs(t - next_snap) <= tol or final
-            if at_rec or at_snap:
-                record(t, phi, dt, want_row=at_rec, want_snap=at_snap)
+            record(t, phi, dt, at_rec, at_snap)
             while k_rec * config.record_every <= t + tol:
                 k_rec += 1
             while k_snap * config.snapshot_every <= t + tol:
                 k_snap += 1
-        else:
-            n_plain += 1
+    stats.step(run_dt, run_lim, run_n)
 
-    need_row = abs(times[-1] - t_end) > tol
-    need_snap = not snaps or abs(snaps[-1][0] - t_end) > tol
-    if need_row or need_snap:
-        record(t_end, phi, dt, want_row=need_row, want_snap=need_snap)
-    return finish("completed")
+    if event is None:
+        # accumulated steps can drift inside the exit band without landing
+        # on t_end; store the terminal row and snapshot if they are missing
+        record(t_end, phi, dt, abs(times[-1] - t_end) > tol,
+               abs(snaps[-1][0] - t_end) > tol)
+        return finish("completed")
+    # graph-valid violations keep the offending state; otherwise fall back
+    # to the last valid one (phi at t; there is none before the first
+    # record) unless it is already stored
+    if event.kind in ("loss_of_mean_convexity", "angle_degeneracy"):
+        record(event.t, bad, dt)
+    elif times:
+        record(t, phi, dt, times[-1] != t, snaps[-1][0] != t)
+    return finish(event)

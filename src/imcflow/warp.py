@@ -32,7 +32,7 @@ __all__ = [
     "r_of_phi",
     "warp_at_phi",
     "hp_at_phi",
-    "scalar_hp_at_phi",
+    "scalar_speed",
     "phi_domain_violation",
     "r_at_h",
     "check_conditions",
@@ -544,35 +544,67 @@ def hp_at_phi(spec, phi):
     return _hp(spec, *_r_and_h(spec, phi))
 
 
-def scalar_hp_at_phi(spec):
-    """A float function phi -> h'(r(phi)) for a table-backed preset.
+def scalar_speed(spec, nm1):
+    """Float speed of round slices: (speed, phi_lo, phi_hi).
 
-    The scalar entry point for single-node flows: the steps of hp_at_phi on
-    plain floats, with bisect on float lists in place of searchsorted and
-    the inverse piece as the verified guess of the forward one.  On
-    schwarzschild3 it returns hp_at_phi's value bit for bit; on saturating
-    the Newton step uses a float copy of h (math.log1p and float powers),
-    which can differ from ``_saturating_h`` in the last bit.  The function
-    raises WarpDomainError outside the potential domain.
+    On the point base the flow is the ODE d phi/dt = 1/((n-1) h'(r(phi)))
+    and array costs dominate, so each preset gets one float closure for
+    ``speed(phi) = 1/(nm1 h')``.  It raises WarpDomainError exactly where
+    ``phi_domain_violation`` flags phi (NaN and infinities included); the
+    single-node stepper checks each new state against (phi_lo, phi_hi).
+    Euclidean, hyperbolic and power are closed forms of the speed itself.
+    The table-backed presets take the steps of hp_at_phi on plain floats,
+    with bisect on float lists in place of searchsorted and the inverse
+    piece as the verified guess of the forward one: on schwarzschild3
+    h' is hp_at_phi's bit for bit; on saturating the Newton step uses a
+    float copy of h (math.log1p and float powers), which can differ from
+    ``_saturating_h`` in the last bit.
     """
     pid = spec.preset_id
-    if spec._forward is None:
-        raise ValueError(f"{pid} is not table-backed")
+    inf = math.inf
+    if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
+        c = 1.0 / nm1
+
+        def speed(phi):
+            if not -inf < phi < inf:
+                raise WarpDomainError("potential must be finite")
+            return c
+        return speed, -inf, inf
+    if pid == "hyperbolic":
+        # h' = cosh r = (1 + e^{2 phi}) / (1 - e^{2 phi}) for phi = ln tanh(r/2)
+        def speed(phi):
+            if not -inf < phi < 0.0:
+                raise WarpDomainError("hyperbolic potential must be negative")
+            e2 = math.exp(2.0 * phi)
+            return (1.0 - e2) / ((1.0 + e2) * nm1)
+        return speed, -inf, 0.0
+    if pid == "power":
+        p = spec.params["p"]
+        q = 1.0 - p
+
+        # r^{1-p} = 1 + (1-p) phi exactly, so 1/F is affine in phi
+        def speed(phi):
+            b = 1.0 + q * phi
+            if not (-inf < phi and b > 0.0):
+                raise WarpDomainError("potential beyond the image of Phi")
+            return b / (nm1 * p)
+        return speed, -inf, 1.0 / (p - 1.0)
     lo, hi = spec._phi_domain
     inv, fwd = spec._r_of_phi_table, spec._phi_table
     if pid == "schwarzschild3":
         ht = spec._h_table
         m2 = 2.0 * spec.params["m"]
 
-        def hp(phi):
-            if phi <= lo or phi >= hi:
+        def speed(phi):
+            if not lo < phi < hi:
                 raise WarpDomainError("potential outside tabulated image")
             i = inv.scalar_segment(phi)
             r = inv.scalar_at(i, phi)
             i = fwd.scalar_piece(i, r)
             r -= (fwd.scalar_at(i, r) - phi) * ht.scalar_at(i, r)
-            return math.sqrt(1.0 - m2 / ht.scalar_at(fwd.scalar_piece(i, r), r))
-        return hp
+            h = ht.scalar_at(fwd.scalar_piece(i, r), r)
+            return 1.0 / (nm1 * math.sqrt(1.0 - m2 / h))
+        return speed, lo, hi
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
 
     def h_closed(r):
@@ -580,14 +612,14 @@ def scalar_hp_at_phi(spec):
             return 1.0 + a * r - b * math.log1p(r)
         return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
 
-    def hp(phi):
-        if phi <= lo or phi >= hi:
+    def speed(phi):
+        if not lo < phi < hi:
             raise WarpDomainError("potential outside tabulated image")
         i = inv.scalar_segment(phi)
         r = inv.scalar_at(i, phi)
         r -= (fwd.scalar_at(fwd.scalar_piece(i, r), r) - phi) * h_closed(r)
-        return a - b * (1.0 + r) ** (-k)
-    return hp
+        return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
+    return speed, lo, hi
 
 
 def r_at_h(spec, h_target):

@@ -388,3 +388,22 @@ class TestRunStats:
                  FlowConfig(t_end=1.0))
         assert tr.stats["steps"] == 0
         assert tr.stats["min_dt"] is None and tr.stats["max_dt"] is None
+
+    @pytest.mark.parametrize("integrator,f_evals", [
+        # initial probe, per_step calls per completed step, then the calls
+        # of the step that left the domain
+        ("rk4", 1 + 4 * 138 + 4),
+        ("euler", 1 + 138 + 1),
+    ])
+    def test_point_domain_exit_counts(self, integrator, f_evals):
+        w = WARPS["saturating"]
+        phi0 = radial_potential(w, np.array([5000.0]))
+        tr = run(GraphState(make_base("point", 2), w, phi0),
+                 FlowConfig(t_end=3.0, integrator=integrator, dt_max=1e-2))
+        assert tr.terminal.kind == "domain"
+        assert math.isclose(tr.terminal.t, 1.39, abs_tol=1e-12)
+        s = tr.stats
+        assert s["steps"] == 138 and s["f_evals"] == f_evals
+        # the initial state and the event payload
+        assert s["fast_accepts"] == 0 and s["full_probes"] == 2
+        assert sum(s["dt_limiter"].values()) == 138

@@ -5,18 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from imcflow import flow as flow_mod
 from imcflow.flow import (
     TRACE_COLUMNS,
     FlowConfig,
-    MeanConvexityError,
-    rhs,
     run,
     stable_dt,
 )
 from imcflow.geometry import GraphState, _light_fields
 from imcflow.manifold import make_base
-from imcflow.warp import hp_at_phi, make_warp, r_at_h, radial_potential
+from imcflow.warp import hp_at_phi, make_warp, r_at_h, radial_potential, scalar_speed
 
 POINT = make_base("point", 2)  # surfaces in a 3-dimensional ambient
 
@@ -120,7 +117,7 @@ class TestScalarSpeed:
     ])
     def test_matches_field_speed(self, pid, kw, phi_grid):
         w = make_warp(pid, **kw)
-        speed, lo, hi = flow_mod._scalar_speed(w, POINT.d)
+        speed, lo, hi = scalar_speed(w, POINT.d)
         for phi in phi_grid:
             assert lo < phi < hi
             lf = _light_fields(GraphState(POINT, w, np.array([phi])))
@@ -136,12 +133,12 @@ class TestScalarSpeed:
                        for v, h in zip(phis.tolist(), hp.tolist()))
 
     def test_euclidean_speed_is_exact_constant(self):
-        speed, _, _ = flow_mod._scalar_speed(make_warp("euclidean"), 3)
+        speed, _, _ = scalar_speed(make_warp("euclidean"), 3)
         assert speed(-2.0) == speed(7.0) == 1.0 / 3.0
 
     def test_domain_edges_raise(self):
         from imcflow.warp import WarpDomainError
-        speed, _, _ = flow_mod._scalar_speed(make_warp("hyperbolic"), 2)
+        speed, _, _ = scalar_speed(make_warp("hyperbolic"), 2)
         with pytest.raises(WarpDomainError):
             speed(0.0)
 
@@ -197,21 +194,12 @@ class TestStableDt:
             base, w, 1.0 + 0.3 * np.cos(base.theta)), cfg)
         assert 0.0 < wavy < flat
 
-
-class TestRhs:
-    def test_slice_speed_is_one_over_F(self):
-        base = make_base("axisphere", 32)
-        st = GraphState.from_radius(base, make_warp("euclidean"), np.full(32, 2.0))
-        np.testing.assert_allclose(rhs(st), 0.5, atol=1e-12)
-
-    def test_raises_on_nonconvex_state(self):
+    def test_state_with_an_event_raises(self):
         base = make_base("circle", 64)
         r = 1.0 + 0.3 * np.cos(3 * base.theta)   # min H < 0 for this profile
         st = GraphState.from_radius(base, make_warp("euclidean"), r)
-        with pytest.raises(MeanConvexityError) as exc:
-            rhs(st)
-        assert exc.value.value <= 0.0
-        assert 0 <= exc.value.node < 64
+        with pytest.raises(ValueError, match="loss_of_mean_convexity"):
+            stable_dt(st, FlowConfig(t_end=1.0))
 
 
 class TestCadence:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from imcflow import flow as flow_mod
 from imcflow import warp
 from imcflow.warp import (
     WarpDomainError,
@@ -21,6 +20,7 @@ from imcflow.warp import (
     r_at_h,
     r_of_phi,
     radial_potential,
+    scalar_speed,
     warp_at_phi,
 )
 
@@ -160,8 +160,9 @@ class TestPotential:
 
 
 class TestDomains:
-    """One statement of each domain: r_of_phi, warp_at_phi and hp_at_phi
-    raise exactly where it fails, and the error names the first bad node."""
+    """One statement of each domain: r_of_phi, warp_at_phi, hp_at_phi and
+    the float speed raise exactly where it fails, and the error names the
+    first bad node."""
 
     PROBES = [-800.0, -746.0, -1.0, -1e-300, -0.0, 0.0, 0.5, 1.0, 3.0,
               710.0, 1e6, math.nan, math.inf, -math.inf]
@@ -194,6 +195,8 @@ class TestDomains:
             bad = phi_domain_violation(spec, phi)
             exc = self.raises(r_of_phi, spec, phi)
             assert (exc is not None) == (bad is not None), v
+            speed = self.raises(scalar_speed(spec, 2)[0], float(v))
+            assert (speed is not None) == (bad is not None), v
             if bad is not None:
                 assert bad == exc.node == 1
             full = self.raises(warp_at_phi, spec, phi)
@@ -205,6 +208,15 @@ class TestDomains:
                                                       hp.shape), hp)
             else:
                 assert full.node == lean.node == 1
+
+    @pytest.mark.parametrize("pid", ["euclidean", "hyperbolic", "schwarzschild3",
+                                     "saturating", "power"])
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_scalar_speed_rejects_non_finite(self, presets, pid, v):
+        spec = presets[pid]
+        assert phi_domain_violation(spec, np.array([v])) == 0
+        with pytest.raises(WarpDomainError):
+            scalar_speed(spec, 2)[0](v)
 
     def test_scalar_error_has_no_node(self, presets):
         exc = self.raises(r_of_phi, presets["hyperbolic"], 0.2)
@@ -363,7 +375,7 @@ class TestOneKnotSearch:
         same_outcome(spec, phi[:phi.size // 4 * 4].reshape(4, -1)[::-1])
         for v in phi[(piece != guess) | left][:60]:
             same_outcome(spec, np.asarray(v))
-        speed = flow_mod._scalar_speed(spec, 2)[0]
+        speed = scalar_speed(spec, 2)[0]
         ref = reference_scalar_speed(spec, 2)
         assert all(speed(v) == ref(v) for v in phi.tolist())
 
@@ -405,7 +417,7 @@ class TestOneKnotSearch:
         if phi_domain_violation(spec, phi) is not None:
             return
         same_outcome(spec, phi)
-        speed = flow_mod._scalar_speed(spec, 2)[0]
+        speed = scalar_speed(spec, 2)[0]
         ref = reference_scalar_speed(spec, 2)
         assert all(speed(v) == ref(v) for v in phi.ravel().tolist())
 
