@@ -197,15 +197,18 @@ def build_setup(cfg):
                 r = r + a * np.cos(l * theta)
         phi0 = radial_potential(wspec, r)
 
-    fc = FlowConfig(
-        t_end=_take(cfg, "flow.t_end", float, required=True),
-        integrator=_take(cfg, "flow.integrator", str, default="rk4"),
-        safety=_take(cfg, "flow.safety", float, default=0.25),
-        dt_max=_take(cfg, "flow.dt_max", float, default=1e-3),
-        snapshot_every=_take(cfg, "flow.snapshot_every", float, default=1.0),
-        record_every=_take(cfg, "flow.record_every", float, default=0.1),
-        theta_min=_take(cfg, "flow.theta_min", float, default=1e-3),
-    )
+    try:
+        fc = FlowConfig(
+            t_end=_take(cfg, "flow.t_end", float, required=True),
+            integrator=_take(cfg, "flow.integrator", str, default="rk4"),
+            safety=_take(cfg, "flow.safety", float, default=0.25),
+            dt_max=_take(cfg, "flow.dt_max", float, default=1e-3),
+            snapshot_every=_take(cfg, "flow.snapshot_every", float, default=1.0),
+            record_every=_take(cfg, "flow.record_every", float, default=0.1),
+            theta_min=_take(cfg, "flow.theta_min", float, default=1e-3),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="flow.*")
 
     checks, overrides = _extract_checks(cfg)
     cfg.pop("output_dir", None)
@@ -346,42 +349,29 @@ def _echo(cfg):
     return {k: v for k, (v, _) in sorted(cfg.items())}
 
 
-def cmd_run(config_path, outdir):
-    cfg = parse_config(config_path)
-    echo = _echo(cfg)
+def _out_dir(cfg, outdir, what):
+    """--out, else the config's output_dir; ConfigError when neither is set."""
     if outdir is None:
         outdir = cfg.get("output_dir", (None, None))[0]
     if outdir is None:
-        raise ConfigError("no output directory (use --out or output_dir)")
-    wspec, base, phi0, fc, checks, overrides = build_setup(cfg)
-    initial = GraphState(base, wspec, phi0, 0.0)
-    trace = run(initial, fc)
-    write_outputs(trace, outdir, echo)
-    code = 0
-    if checks:
-        reports = run_checks(trace, checks, overrides)
-        write_report(reports, outdir)
-        if any(r.passed is False for r in reports):
-            code = 1
-    if not trace.completed:
-        code = 2
-    return code
+        raise ConfigError(f"no {what} directory (use --out or output_dir)")
+    return outdir
+
+
+def cmd_run(config_path, outdir):
+    cfg = parse_config(config_path)
+    return _run_one((cfg, _out_dir(cfg, outdir, "output")))
 
 
 def cmd_check(config_path, outdir):
     cfg = parse_config(config_path)
-    if outdir is None:
-        outdir = cfg.get("output_dir", (None, None))[0]
-    if outdir is None:
-        raise ConfigError("no trace directory (use --out or output_dir)")
+    outdir = _out_dir(cfg, outdir, "trace")
     # only the check keys matter here; run keys describe the stored trace
     checks, overrides = _extract_checks(dict(cfg))
     if not checks:
         raise ConfigError("no checks requested", field="checks")
-    trace = load_trace(outdir)
-    reports = run_checks(trace, checks, overrides)
-    write_report(reports, outdir)
-    return 1 if any(r.passed is False for r in reports) else 0
+    doc = write_report(run_checks(load_trace(outdir), checks, overrides), outdir)
+    return 0 if doc["all_passed"] else 1
 
 
 def _sweep_label(assignment):
@@ -390,10 +380,7 @@ def _sweep_label(assignment):
 
 def cmd_sweep(config_path, outdir, jobs):
     cfg = parse_config(config_path)
-    if outdir is None:
-        outdir = cfg.get("output_dir", (None, None))[0]
-    if outdir is None:
-        raise ConfigError("no output directory (use --out or output_dir)")
+    outdir = _out_dir(cfg, outdir, "output")
     sweep_keys = sorted(k for k in cfg if k.startswith("sweep."))
     if not sweep_keys:
         raise ConfigError("sweep needs at least one sweep.* key")
@@ -425,14 +412,14 @@ def cmd_sweep(config_path, outdir, jobs):
         with ProcessPoolExecutor(
                 max_workers=min(jobs, len(tasks)),
                 mp_context=multiprocessing.get_context("fork")) as pool:
-            codes = list(pool.map(_sweep_one, tasks))
+            codes = list(pool.map(_run_one, tasks))
     else:
-        codes = [_sweep_one(t) for t in tasks]
+        codes = [_run_one(t) for t in tasks]
     return max(codes) if codes else 0
 
 
-def _sweep_one(task):
-    """Run one sweep point (config entries, output directory); exit code."""
+def _run_one(task):
+    """Run one config (entries, output directory) and its checks; exit code."""
     sub, subdir = task
     echo = _echo(sub)
     try:
@@ -444,10 +431,8 @@ def _sweep_one(task):
     write_outputs(trace, subdir, echo)
     code = 0
     if checks:
-        reports = run_checks(trace, checks, overrides)
-        write_report(reports, subdir)
-        if any(r.passed is False for r in reports):
-            code = 1
+        doc = write_report(run_checks(trace, checks, overrides), subdir)
+        code = 0 if doc["all_passed"] else 1
     if not trace.completed:
         code = 2
     return code

@@ -15,17 +15,12 @@ One driver, run, owns the cadence, the landing, the dt limiter, the
 records and the events of every base.  A stepper supplies what differs:
 the first evaluation, one Euler or RK4 step (the new state, or the stage
 that failed with its event), the post-step check and the CFL bound.
-_FieldStepper works on arrays.  Each of its stage states goes first
-through a fast acceptance test: the base's fused kernel gives F and
-Theta^2, and a state whose h' exists, whose F is positive and finite
-everywhere and whose smallest Theta reaches theta_min is taken as it is.
-Every other state goes to _probe, the only code that classifies events.
-The test accepts exactly the states on which _probe would find no event,
-and the kernel's F is _probe's F bit for bit, so the fast path changes no
-trajectory.  _PointStepper works on a plain float through the warp's
-scalar speed and calls _probe only to build event payloads: criterion
-1's 80k speed calls must fit its 1 s gate, and one array probe on the
-point base costs 15-46 us.
+_FieldStepper works on arrays and sends every stage state through
+_evaluate, the one code that decides whether a state is valid and, when
+it is not, which event it is.  _PointStepper works on a plain float
+through the warp's scalar speed and calls _evaluate only on the initial
+state and to build event payloads: criterion 1's 80k speed calls must fit
+its 1 s gate, and one array evaluation on the point base costs 20-100 us.
 """
 
 from __future__ import annotations
@@ -61,8 +56,10 @@ class FlowConfig:
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         for name in ("t_end", "safety", "dt_max", "snapshot_every", "record_every"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:      # also true on NaN
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if not 0.0 <= self.theta_min < 1.0:
             raise ValueError("theta_min must lie in [0, 1)")
 
@@ -111,19 +108,16 @@ class _RunStats:
     f_evals counts every evaluation of F: the initial state, then per_step
     (RK4: three stages and the step result, Euler: the step result) for
     each completed step, and the evaluations of a failed step.  On field
-    bases each is either a fast accept or a full _probe; on the point base
-    it is a call of the scalar speed (RK4's first stage included, the
-    domain test of the step result not), and full_probes counts the _probe
-    calls for the initial state and event payloads.  The dt limiter is
-    "landing" when a step was clipped onto a record, snapshot or end time,
-    else "cfl" when the parabolic bound was below dt_max, else "dt_max".
+    bases each is an _evaluate call; on the point base it is a call of the
+    scalar speed (RK4's first stage included, the domain test of the step
+    result not).  The dt limiter is "landing" when a step was clipped onto
+    a record, snapshot or end time, else "cfl" when the parabolic bound was
+    below dt_max, else "dt_max".
     """
 
     def __init__(self, config):
         self.per_step = 1 if config.integrator == "euler" else 4
         self.f_evals = 0
-        self.fast_accepts = 0
-        self.full_probes = 0
         self.steps = 0
         self.limiter = {"cfl": 0, "landing": 0, "dt_max": 0}
         self.min_dt = math.inf
@@ -144,71 +138,63 @@ class _RunStats:
     def as_dict(self):
         taken = self.steps > 0
         return {"steps": self.steps, "f_evals": self.f_evals,
-                "fast_accepts": self.fast_accepts,
-                "full_probes": self.full_probes,
                 "min_dt": self.min_dt if taken else None,
                 "max_dt": self.max_dt if taken else None,
                 "dt_limiter": dict(self.limiter)}
 
 
-def _probe(base, wspec, phi, t, theta_min):
-    """Light geometry fields plus event detection; (lf, event|None)."""
-    finite = np.isfinite(phi)
-    if not finite.all():
-        node = int((~finite).argmax())
-        return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
-    try:
-        lf = _geom._light_fields(GraphState(base, wspec, phi, t))
-    except WarpDomainError as exc:
-        # phi outside the image of Phi, or the radius check after
-        # inversion; either names the first offending node
-        node = exc.node if exc.node is not None else 0
-        return None, FlowEvent("domain", t, node, float(phi.flat[node]))
-    F = lf["F"]
-    finite = np.isfinite(F)
-    if not finite.all():
-        node = int((~finite).argmax())
-        return None, FlowEvent("numeric", t, node, float(F.flat[node]))
-    fmin = float(F.min())
-    if fmin <= 0.0:
-        return lf, FlowEvent("loss_of_mean_convexity", t, int(F.argmin()), fmin)
-    theta = lf["theta"]
-    tmin = float(theta.min())
-    if tmin < theta_min:
-        return lf, FlowEvent("angle_degeneracy", t, int(theta.argmin()), tmin)
-    return lf, None
+def _evaluate(base, wspec, phi, t, theta_min):
+    """((F, 1/F, Theta^2, phi_0), None) of a valid state, else (None, event).
 
-
-def _fast_accept(base, wspec, phi, theta_min):
-    """(F, 1/F, Theta^2, phi_0) of a state _probe passes, else None.
-
-    Accepts when h' exists (the warp's own domain check, which also fails
-    on non-finite phi), F > 0 and 1/F > 0 everywhere (F positive and
+    h' comes from the warp's own domain check, F and Theta^2 from the
+    base's fused kernel (F = d h' on the point base, where phi_0 is None).
+    A state is valid when F > 0 and 1/F > 0 everywhere (F positive and
     finite) and sqrt(min Theta^2) >= theta_min, which is min Theta >=
-    theta_min because sqrt is correctly rounded and monotone.  NaN fails
-    every comparison.  Returns None for anything else, so the caller falls
-    back to _probe.
+    theta_min because sqrt is correctly rounded and monotone; NaN fails
+    every comparison.  Otherwise the event is, in this order: non-finite
+    phi, phi outside the image of Phi (or the radius check after
+    inversion), non-finite F, F <= 0 at its smallest node, Theta below
+    theta_min at its smallest node.
     """
     try:
         hp = hp_at_phi(wspec, phi)
-    except WarpDomainError:
-        return None
-    # both kernels return (F, Theta^2, dphi2, phi_0, ...)
-    kernel = _geom._speed_2d if base.kind == "torus2" else _geom._speed_1d
-    F, theta2, _, g = kernel(base, phi, hp)[:4]
+    except WarpDomainError as exc:
+        # the domain check fails on non-finite phi too; those come first
+        bad = ~np.isfinite(phi)
+        if bad.any():
+            node = int(bad.argmax())
+            return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
+        return None, FlowEvent("domain", t, exc.node, float(phi.flat[exc.node]))
+    if base.dc == 0:
+        theta2, g = np.ones(base.shape), None
+        F = theta2 * (base.d * hp)      # h' is the float 1.0 on flat presets
+    else:
+        # both kernels return (F, Theta^2, dphi2, phi_0, ...)
+        kernel = _geom._speed_2d if base.kind == "torus2" else _geom._speed_1d
+        F, theta2, _, g = kernel(base, phi, hp)[:4]
     k = 1.0 / F
     if (F.min() > 0.0 and k.min() > 0.0
             and math.sqrt(theta2.min()) >= theta_min):
-        return F, k, theta2, g
-    return None
+        return (F, k, theta2, g), None
+    bad = ~np.isfinite(F)
+    if bad.any():
+        node = int(bad.argmax())
+        return None, FlowEvent("numeric", t, node, float(F.flat[node]))
+    fmin = float(F.min())
+    if fmin <= 0.0:
+        return None, FlowEvent("loss_of_mean_convexity", t, int(F.argmin()), fmin)
+    # F passed, so the angle test failed
+    theta = np.sqrt(theta2)
+    return None, FlowEvent("angle_degeneracy", t, int(theta.argmin()),
+                           float(theta.min()))
 
 
 def _cfl_dt(base, F, theta2, g, safety):
     """Parabolic CFL bound of a field base, inf when it does not bind (D <= 0).
 
-    Theta is formed as sqrt(Theta^2) and squared again, as the stored Theta
-    field would be, so the bound does not depend on which path produced
-    the fields.
+    Theta^2 goes through sqrt and is squared again.  The round trip only
+    keeps the dt sequence, and so every stored trace hash, unchanged: the
+    bound from Theta^2 itself differs in the last bit on some steps.
     """
     theta2 = np.sqrt(theta2) ** 2
     F2 = F ** 2
@@ -226,7 +212,7 @@ def _cfl_dt(base, F, theta2, g, safety):
 
 
 class _FieldStepper:
-    """Euler/RK4 on the arrays of a field base, fast accept before _probe."""
+    """Euler/RK4 on the arrays of a field base, each stage through _evaluate."""
 
     def __init__(self, base, wspec, config, stats):
         self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
@@ -239,16 +225,8 @@ class _FieldStepper:
 
     def check(self, phi, t):
         """Event of a state, else None; its fields feed the next stage."""
-        stats = self.stats
-        self.fields = _fast_accept(self.base, self.wspec, phi, self.config.theta_min)
-        if self.fields is not None:
-            stats.fast_accepts += 1
-            return None
-        stats.full_probes += 1
-        lf, ev = _probe(self.base, self.wspec, phi, t, self.config.theta_min)
-        if ev is None:
-            F = lf["F"]
-            self.fields = (F, 1.0 / F, lf["theta2"], lf["grad"][0])
+        self.fields, ev = _evaluate(self.base, self.wspec, phi, t,
+                                    self.config.theta_min)
         return ev
 
     def cfl(self):
@@ -275,7 +253,7 @@ class _PointStepper:
     """Euler/RK4 on a plain float through the warp's scalar speed.
 
     The speed raises WarpDomainError where the potential leaves the image
-    of Phi.  _probe runs only on the initial state and to give an event
+    of Phi.  _evaluate runs only on the initial state and to give an event
     its payload, so events carry what the field path would report.
     """
 
@@ -285,14 +263,12 @@ class _PointStepper:
         self.speed, self.lo, self.hi = scalar_speed(wspec, base.d)
 
     def _event(self, phi, t):
-        self.stats.full_probes += 1
-        _, ev = _probe(self.base, self.wspec, np.array([phi]), t,
-                       self.config.theta_min)
+        _, ev = _evaluate(self.base, self.wspec, np.array([phi]), t,
+                          self.config.theta_min)
         return ev if ev is not None else FlowEvent("domain", t, 0, phi)
 
     def start(self, phi):
-        self.stats.full_probes += 1
-        _, ev = _probe(self.base, self.wspec, phi, 0.0, self.config.theta_min)
+        _, ev = _evaluate(self.base, self.wspec, phi, 0.0, self.config.theta_min)
         return float(phi[0]), ev
 
     def check(self, phi, t):

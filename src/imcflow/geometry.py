@@ -64,9 +64,9 @@ class GraphState:
 def _light_fields(state):
     """r, h, h', h'', Theta, Theta^2, dphi2, F and the stencil fields.
 
-    What _probe classifies events from and snapshot extends; exploits the
-    diagonal sigma.  Returns a dict so the full snapshot can extend it
-    without recomputing.
+    What snapshot extends (shape_operator and induced_metric read it too);
+    the time stepper does not call it.  Exploits the diagonal sigma.
+    Returns a dict so the full snapshot can extend it without recomputing.
     """
     base = state.base
     r, h, hp, hpp = _warp.warp_at_phi(state.warp, state.phi)

@@ -42,6 +42,10 @@ __all__ = [
 
 TABLE_NODES = 4096
 
+# e^phi lies in (0, inf) exactly for _EXP_LO < phi < _EXP_HI: below, np.exp
+# and math.exp underflow to 0; above, they overflow
+_EXP_LO, _EXP_HI = -745.1332191019412, 709.7827128933841
+
 
 class WarpDomainError(ValueError):
     """Radius or potential value outside the valid domain of a warp.
@@ -199,7 +203,8 @@ class WarpSpec:
         self._phi_table = None      # Phi(r)
         self._r_of_phi_table = None  # r(Phi)
         self._forward = None        # _SharedKnots of Phi (and h) on r
-        self._phi_domain = (-math.inf, math.inf)
+        # valid potentials, an open interval (power p != 1 has its own rule)
+        self._phi_domain = (_EXP_LO, _EXP_HI)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -287,7 +292,9 @@ def make_warp(preset_id, **params):
     if preset_id == "euclidean":
         return WarpSpec("euclidean", params, (0.0, math.inf), (1.0, 1.0))
     if preset_id == "hyperbolic":
-        return WarpSpec("hyperbolic", params, (0.0, math.inf), (1.0, math.sinh(1.0)))
+        spec = WarpSpec("hyperbolic", params, (0.0, math.inf), (1.0, math.sinh(1.0)))
+        spec._phi_domain = (_EXP_LO, 0.0)     # r ~ 2 e^phi as phi -> -inf
+        return spec
     if preset_id == "power":
         p = float(params.get("p", 1.0))
         if p < 1.0:
@@ -425,23 +432,20 @@ def radial_potential(spec, r):
 def phi_domain_violation(spec, phi):
     """Flat index of the first potential value outside the image of Phi, or None.
 
-    Non-finite values count as outside.  This is where each preset's
-    potential domain is stated: ``r_of_phi`` raises exactly when it is not
-    None, and the flow reports the node it returns.
+    Non-finite values count as outside, and so do potentials whose radius
+    underflows to 0 or overflows in floats (e^phi on the flat presets).
+    This is where each preset's potential domain is stated: ``r_of_phi``
+    raises exactly when it is not None, and the flow reports the node it
+    returns.
     """
     phi = np.asarray(phi, dtype=float)
-    pid = spec.preset_id
     # each test is false on NaN; the bounds also shut out +-inf
-    if pid in ("schwarzschild3", "saturating"):
-        lo, hi = spec._phi_domain
-        ok = (phi > lo) & (phi < hi)
-    elif pid == "hyperbolic":
-        ok = (phi < 0.0) & (phi > -math.inf)
-    elif pid == "power" and spec.params["p"] != 1.0:
+    if spec.preset_id == "power" and spec.params["p"] != 1.0:
         ok = ((1.0 + (1.0 - spec.params["p"]) * phi > 0.0)
               & (phi > -math.inf))
     else:
-        ok = np.isfinite(phi)
+        lo, hi = spec._phi_domain
+        ok = (phi > lo) & (phi < hi)
     if ok.all():
         return None
     return int((~ok).argmax())
@@ -562,22 +566,23 @@ def scalar_speed(spec, nm1):
     """
     pid = spec.preset_id
     inf = math.inf
+    lo, hi = spec._phi_domain
     if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
         c = 1.0 / nm1
 
         def speed(phi):
-            if not -inf < phi < inf:
-                raise WarpDomainError("potential must be finite")
+            if not lo < phi < hi:
+                raise WarpDomainError(f"potential outside ({lo}, {hi})")
             return c
-        return speed, -inf, inf
+        return speed, lo, hi
     if pid == "hyperbolic":
         # h' = cosh r = (1 + e^{2 phi}) / (1 - e^{2 phi}) for phi = ln tanh(r/2)
         def speed(phi):
-            if not -inf < phi < 0.0:
-                raise WarpDomainError("hyperbolic potential must be negative")
+            if not lo < phi < hi:
+                raise WarpDomainError(f"potential outside ({lo}, {hi})")
             e2 = math.exp(2.0 * phi)
             return (1.0 - e2) / ((1.0 + e2) * nm1)
-        return speed, -inf, 0.0
+        return speed, lo, hi
     if pid == "power":
         p = spec.params["p"]
         q = 1.0 - p
@@ -589,7 +594,6 @@ def scalar_speed(spec, nm1):
                 raise WarpDomainError("potential beyond the image of Phi")
             return b / (nm1 * p)
         return speed, -inf, 1.0 / (p - 1.0)
-    lo, hi = spec._phi_domain
     inv, fwd = spec._r_of_phi_table, spec._phi_table
     if pid == "schwarzschild3":
         ht = spec._h_table

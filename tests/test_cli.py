@@ -105,6 +105,14 @@ class TestConfigErrorsExitThree:
         err = capsys.readouterr().err
         assert "line 4" in err and "flow.t_end" in err
 
+    def test_nan_end_time(self, tmp_path, capsys):
+        # NaN passed the positivity test once and "completed" at t = 0
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("flow.t_end = 2.0",
+                                                    "flow.t_end = nan"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "t_end" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_phi_length_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "warp.preset = euclidean\nbase.kind = point\n"
                                   "initial.phi = 0.0, 1.0\nflow.t_end = 1\n")
@@ -183,7 +191,6 @@ class TestRunCommand:
         stats = metas[0]["stats"]
         assert stats == metas[1]["stats"]
         assert stats["f_evals"] == 1 + 4 * stats["steps"]
-        assert stats["f_evals"] == stats["fast_accepts"] + stats["full_probes"]
         assert sum(stats["dt_limiter"].values()) == stats["steps"]
         assert load_trace(tmp_path / "a").stats == stats
 

@@ -1,9 +1,9 @@
-"""The lean stage path on every field base: fused kernels, fast accept, counts.
+"""The lean stage path on every field base: fused kernels, _evaluate, counts.
 
 Each fused kernel must give the generic einsum formula's F and Theta^2 bit
-for bit, a state the fast test accepts must be one _probe passes without
-an event, and a run must not change by one bit when the fast path is
-removed.
+for bit, flow._evaluate must give the verdict, event and fields of a
+reference built from warp_at_phi and that formula, and a run must not
+change by one bit when the reference takes _evaluate's place.
 """
 
 import math
@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imcflow import flow as flow_mod
-from imcflow.flow import FlowConfig, run
+from imcflow.flow import FlowConfig, FlowEvent, run
 from imcflow.geometry import (GraphState, _fused_fields, _light_fields,
                               _speed_1d, _speed_2d)
 from imcflow.manifold import make_base
-from imcflow.warp import make_warp, radial_potential, warp_at_phi
+from imcflow.warp import (WarpDomainError, make_warp, radial_potential,
+                          warp_at_phi)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -167,18 +168,49 @@ def wave(base, l):
     return np.cos(l * base.theta)
 
 
+def reference_evaluate(base, w, phi, t, theta_min):
+    """flow._evaluate from the full warp evaluation and the einsum formula.
+
+    The event rules, in their order: non-finite phi, the warp's domain,
+    non-finite F, F <= 0, Theta < theta_min, each at its first or
+    smallest node.
+    """
+    finite = np.isfinite(phi)
+    if not finite.all():
+        node = int((~finite).argmax())
+        return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
+    try:
+        hp = warp_at_phi(w, phi)[2]
+    except WarpDomainError as exc:
+        return None, FlowEvent("domain", t, exc.node, float(phi.flat[exc.node]))
+    ref = _einsum_fields(base, phi, hp)
+    F = ref["F"]
+    finite = np.isfinite(F)
+    if not finite.all():
+        node = int((~finite).argmax())
+        return None, FlowEvent("numeric", t, node, float(F.flat[node]))
+    fmin = float(F.min())
+    if fmin <= 0.0:
+        return None, FlowEvent("loss_of_mean_convexity", t, int(F.argmin()), fmin)
+    theta = ref["theta"]
+    tmin = float(theta.min())
+    if tmin < theta_min:
+        return None, FlowEvent("angle_degeneracy", t, int(theta.argmin()), tmin)
+    g = ref["grad"][0] if base.dc else None
+    return (F, 1.0 / F, ref["theta2"], g), None
+
+
 def probe_agrees(base, w, phi, theta_min):
-    """Fast accept must imply no _probe event and the same fields."""
-    fast = flow_mod._fast_accept(base, w, phi, theta_min)
-    lf, ev = flow_mod._probe(base, w, phi, 0.0, theta_min)
-    if fast is not None:
-        assert ev is None
-        F, k, theta2, g = fast
-        assert same_bits(F, lf["F"])
-        assert same_bits(k, 1.0 / lf["F"])
-        assert same_bits(theta2, lf["theta2"])
-        assert same_bits(g, lf["grad"][0])
-    return fast is not None, ev
+    """_evaluate must give the reference's event, or its fields bit for bit."""
+    fields, ev = flow_mod._evaluate(base, w, phi, 0.0, theta_min)
+    ref_fields, ref_ev = reference_evaluate(base, w, phi, 0.0, theta_min)
+    assert repr(ev) == repr(ref_ev)
+    if ev is None:
+        for mine, theirs in zip(fields, ref_fields):
+            assert same_bits(mine, theirs)
+    else:
+        assert fields is None
+    return ev is None, ev
 
 
 class TestFastAccept:
@@ -205,11 +237,13 @@ class TestFastAccept:
             phi.flat[node] = data.draw(st.sampled_from(
                 [math.nan, math.inf, -math.inf]))
         with np.errstate(all="ignore"):
-            lf, _ = flow_mod._probe(base, w, phi, 0.0, 0.0)
+            _, ev = reference_evaluate(base, w, phi, 0.0, 0.0)
+            graph = ev is None or ev.kind == "loss_of_mean_convexity"
             theta_min = data.draw(st.sampled_from([0.0, 1e-3, 0.5]))
-            if lf is not None and data.draw(st.booleans()):
+            if graph and data.draw(st.booleans()):
                 # put theta_min on, or one ulp either side of, min Theta
-                tmin = float(lf["theta"].min())
+                # (Theta does not depend on h')
+                tmin = float(_einsum_fields(base, phi, 1.0)["theta"].min())
                 theta_min = data.draw(st.sampled_from(
                     [tmin, np.nextafter(tmin, 0.0), np.nextafter(tmin, 1.0)]))
                 theta_min = min(theta_min, np.nextafter(1.0, 0.0))
@@ -267,10 +301,18 @@ class TestFastAccept:
             assert not accepted
             assert (ev.kind, ev.node, ev.value) == ("domain", 9, phi.flat[9])
 
-
-def strip_path_counts(stats):
-    return {k: v for k, v in stats.items()
-            if k not in ("fast_accepts", "full_probes")}
+    @pytest.mark.parametrize("pid", sorted(WARPS))
+    def test_point_base_matches_reference(self, pid):
+        # the scalar stepper's initial state and event payloads
+        base = make_base("point", 2)
+        w = WARPS[pid]
+        phi = np.array([CENTRE[pid]])
+        assert probe_agrees(base, w, phi, 1e-3) == (True, None)
+        for value in edges(pid) + (math.nan, math.inf, -math.inf):
+            if value is not None:
+                phi[0] = value
+                with np.errstate(all="ignore"):
+                    probe_agrees(base, w, phi, 1e-3)
 
 
 def assert_same_trace(a, b):
@@ -282,7 +324,7 @@ def assert_same_trace(a, b):
     for (ta, sa, _), (tb, sb, _) in zip(a.snapshots, b.snapshots):
         assert ta == tb and same_bits(sa.phi, sb.phi)
     assert repr(a.terminal) == repr(b.terminal)
-    assert strip_path_counts(a.stats) == strip_path_counts(b.stats)
+    assert a.stats == b.stats
 
 
 def criterion2_state(M=200):
@@ -347,13 +389,10 @@ class TestTraceIdentity:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_fast_path_changes_no_bit(self, case, monkeypatch):
         make_state, cfg = CASES[case]
-        fast = run(make_state(), cfg)
-        monkeypatch.setattr(flow_mod, "_fast_accept", lambda *args: None)
-        slow = run(make_state(), cfg)
-        assert_same_trace(fast, slow)
-        assert fast.stats["fast_accepts"] > 0
-        assert slow.stats["fast_accepts"] == 0
-        assert slow.stats["full_probes"] == slow.stats["f_evals"]
+        lean = run(make_state(), cfg)
+        monkeypatch.setattr(flow_mod, "_evaluate", reference_evaluate)
+        reference = run(make_state(), cfg)
+        assert_same_trace(lean, reference)
 
 
 class TestRunStats:
@@ -363,8 +402,7 @@ class TestRunStats:
         b = run(criterion2_state(100), cfg)
         s = a.stats
         assert s == b.stats
-        assert s["f_evals"] == s["fast_accepts"] + s["full_probes"]
-        # RK4: initial probe plus four F evaluations per step
+        # RK4: the initial evaluation plus four F evaluations per step
         assert s["f_evals"] == 1 + 4 * s["steps"]
         assert sum(s["dt_limiter"].values()) == s["steps"]
         # M=100 at safety 0.5 is CFL-bound; every record time is landed on
@@ -378,7 +416,6 @@ class TestRunStats:
                  FlowConfig(t_end=0.3, dt_max=1e-3))
         s = tr.stats
         assert s["steps"] == 300 and s["f_evals"] == 1 + 4 * 300
-        assert s["fast_accepts"] == 0 and s["full_probes"] == 1
         assert s["dt_limiter"]["cfl"] == 0
         assert s["dt_limiter"]["landing"] + s["dt_limiter"]["dt_max"] == 300
 
@@ -390,7 +427,7 @@ class TestRunStats:
         assert tr.stats["min_dt"] is None and tr.stats["max_dt"] is None
 
     @pytest.mark.parametrize("integrator,f_evals", [
-        # initial probe, per_step calls per completed step, then the calls
+        # initial evaluation, per_step calls per completed step, then the calls
         # of the step that left the domain
         ("rk4", 1 + 4 * 138 + 4),
         ("euler", 1 + 138 + 1),
@@ -404,6 +441,4 @@ class TestRunStats:
         assert math.isclose(tr.terminal.t, 1.39, abs_tol=1e-12)
         s = tr.stats
         assert s["steps"] == 138 and s["f_evals"] == f_evals
-        # the initial state and the event payload
-        assert s["fast_accepts"] == 0 and s["full_probes"] == 2
         assert sum(s["dt_limiter"].values()) == 138

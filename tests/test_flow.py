@@ -1,10 +1,13 @@
 """Tests for the explicit time stepper: exactness, cadence, CFL bound, events."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from imcflow import flow as flow_mod
 from imcflow.flow import (
     TRACE_COLUMNS,
     FlowConfig,
@@ -13,7 +16,8 @@ from imcflow.flow import (
 )
 from imcflow.geometry import GraphState, _light_fields
 from imcflow.manifold import make_base
-from imcflow.warp import hp_at_phi, make_warp, r_at_h, radial_potential, scalar_speed
+from imcflow.warp import (hp_at_phi, make_warp, phi_domain_violation, r_at_h,
+                          radial_potential, scalar_speed)
 
 POINT = make_base("point", 2)  # surfaces in a 3-dimensional ambient
 
@@ -38,8 +42,10 @@ class TestFlowConfig:
     @pytest.mark.parametrize("field", ["t_end", "safety", "dt_max",
                                        "snapshot_every", "record_every"])
     def test_rejects_nonpositive(self, field):
-        with pytest.raises(ValueError, match=field):
-            FlowConfig(**{"t_end": 1.0, field: 0.0})
+        # NaN fails every comparison, and an infinite t_end leaves no end time
+        for value in (0.0, math.nan) + ((math.inf,) if field == "t_end" else ()):
+            with pytest.raises(ValueError, match=field):
+                FlowConfig(**{"t_end": 1.0, field: value})
 
     def test_theta_min_range(self):
         with pytest.raises(ValueError, match="theta_min"):
@@ -304,6 +310,23 @@ class TestEvents:
         _, _, snap = tr.snapshots[-1]
         assert np.isfinite(snap.F).all()
 
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_overflow_edge_ends_point_and_field_runs_alike(self, integrator):
+        # r = e^phi overflows above phi = 709.78, which a flow from r = 1e308
+        # reaches at t ~ 1.2; the point base once stepped past it and then
+        # raised in its snapshot
+        w = make_warp("euclidean")
+        cfg = FlowConfig(t_end=2.0, integrator=integrator, dt_max=1e-2)
+        traces = []
+        for base in (POINT, make_base("axisphere", 8)):
+            state = GraphState.from_radius(base, w, np.full(base.shape, 1e308))
+            with np.errstate(over="ignore"):
+                traces.append(run(state, cfg))
+        point, field = traces
+        assert point.terminal.kind == "domain"
+        assert repr(point.terminal) == repr(field.terminal)
+        assert point.t_final == field.t_final == point.snapshots[-1][0]
+
     def test_radius_domain_event_names_the_offending_node(self):
         # phi = 710 inverts to r = e^710 = inf; the radius check names node 9
         base = make_base("axisphere", 16)
@@ -322,6 +345,100 @@ class TestEvents:
         d = ev.as_dict()
         assert d["kind"] == "domain" and d["t"] == 0.0
         assert isinstance(d["node"], int)
+
+
+# warp and the radius of the unperturbed state
+PLANT_WARPS = {
+    "euclidean": (make_warp("euclidean"), 1.0),
+    "hyperbolic": (make_warp("hyperbolic"), 1.0),
+    "power": (make_warp("power", p=2.0), 1.0),
+    "schwarzschild3": (make_warp("schwarzschild3", m=0.5), 2.0),
+    "saturating": (make_warp("saturating", a=2.0, b=1.0, k=1.0), 1.0),
+}
+NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def past_edge(w, upper, x):
+    """A potential x past the upper or lower edge of the image of Phi."""
+    pid = w.preset_id
+    if pid == "euclidean":
+        # r = e^phi overflows above 709.78 and underflows below -745.13
+        return 710.0 + x if upper else -746.0 - x
+    if pid == "hyperbolic":
+        return x        # the image is phi < 0
+    if pid == "power":
+        return 1.0 + x  # p = 2: the image is phi < 1
+    lo, hi = w._phi_domain
+    return hi + x if upper else lo - x
+
+
+class TestEventKeepsState:
+    """A bad node planted into a valid state ends the run at that node, and
+    a domain or numeric event leaves the last valid state as the last
+    snapshot (ROADMAP item 4)."""
+
+    @pytest.mark.parametrize("pid", sorted(PLANT_WARPS))
+    @pytest.mark.parametrize("kind", ["point", "axisphere", "torus2"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(integrator=st.sampled_from(["rk4", "euler"]),
+           bad=st.sampled_from(sorted(NONFINITE) + ["upper", "lower"]),
+           x=st.floats(0.1, 10.0), at_step=st.integers(0, 30), data=st.data())
+    def test_planted_node(self, kind, pid, integrator, bad, x, at_step, data):
+        w, r0 = PLANT_WARPS[pid]
+        if kind == "point":
+            base = make_base("point", 2)
+            r = np.full(base.shape, r0)
+        else:
+            base = make_base(kind, 16 if kind == "axisphere" else 6)
+            angle = (base.theta if kind == "axisphere"
+                     else base.x[:, None] + base.x[None, :])
+            r = r0 * (1.0 + 0.05 * np.cos(angle))
+        node = data.draw(st.integers(0, base.n_nodes - 1))
+        value = NONFINITE[bad] if bad in NONFINITE \
+            else past_edge(w, bad == "upper", x)
+        expected = "numeric" if bad in NONFINITE else "domain"
+        cfg = FlowConfig(t_end=0.05, integrator=integrator, safety=0.5,
+                         dt_max=1e-3, record_every=0.01, snapshot_every=0.02)
+
+        def planted(phi):
+            phi = np.array(phi, dtype=float, ndmin=1)
+            phi.flat[node] = value
+            return phi
+
+        phi0 = radial_potential(w, r)
+        stepper = flow_mod._PointStepper if kind == "point" \
+            else flow_mod._FieldStepper
+        step, seen = stepper.step, {}
+
+        def step_planting(self, phi, t, dt):
+            # plant into the state a step starts from, after its check
+            seen["n"] = seen.get("n", 0) + 1
+            if seen["n"] == at_step:
+                seen["t"], seen["phi"] = t, np.array(phi, ndmin=1)
+                phi = planted(phi)
+                phi = float(phi[0]) if kind == "point" else phi
+            return step(self, phi, t, dt)
+
+        with np.errstate(all="ignore"), \
+                mock.patch.object(stepper, "step", step_planting):
+            if at_step == 0:
+                tr = run(GraphState(base, w, planted(phi0)), cfg)
+            else:
+                tr = run(GraphState(base, w, phi0), cfg)
+        ev = tr.terminal
+        assert (ev.kind, ev.node) == (expected, node)
+        if at_step == 0:
+            assert ev.t == 0.0 and len(tr.times) == 0 and tr.snapshots == []
+            return
+        t_valid = seen["t"]
+        assert t_valid <= ev.t <= t_valid + cfg.dt_max
+        assert tr.times[-1] == t_valid
+        t_s, state, snap = tr.snapshots[-1]
+        assert t_s == t_valid
+        assert np.array_equal(state.phi, seen["phi"])
+        assert np.isfinite(state.phi).all()
+        assert phi_domain_violation(w, state.phi) is None
+        assert np.isfinite(snap.F).all() and float(snap.F.min()) > 0.0
 
 
 class TestSymmetryAndMonotonicity:

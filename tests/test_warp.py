@@ -201,7 +201,7 @@ class TestDomains:
                 assert bad == exc.node == 1
             full = self.raises(warp_at_phi, spec, phi)
             lean = self.raises(hp_at_phi, spec, phi)
-            assert (full is None) == (lean is None), v
+            assert (full is None) == (lean is None) == (bad is None), v
             if full is None:
                 hp = warp_at_phi(spec, phi)[2]
                 assert np.array_equal(np.broadcast_to(hp_at_phi(spec, phi),
