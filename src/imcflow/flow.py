@@ -144,17 +144,17 @@ class _RunStats:
 
 
 def _evaluate(base, wspec, phi, t, theta_min):
-    """((F, 1/F, Theta^2, phi_0), None) of a valid state, else (None, event).
+    """((F, 1/F, Theta^2, diffs), None) of a valid state, else (None, event).
 
-    h' comes from the warp's own domain check, F and Theta^2 from the
-    base's fused kernel (F = d h' on the point base, where phi_0 is None).
-    A state is valid when F > 0 and 1/F > 0 everywhere (F positive and
-    finite) and sqrt(min Theta^2) >= theta_min, which is min Theta >=
-    theta_min because sqrt is correctly rounded and monotone; NaN fails
-    every comparison.  Otherwise the event is, in this order: non-finite
-    phi, phi outside the image of Phi (or the radius check after
-    inversion), non-finite F, F <= 0 at its smallest node, Theta below
-    theta_min at its smallest node.
+    h' comes from the warp's own domain check, F, Theta^2 and diffs (the
+    base's differences of phi) from geometry.speed.  A state is valid when F > 0
+    and 1/F > 0 everywhere (F positive and finite) and sqrt(min Theta^2)
+    >= theta_min, which is min Theta >= theta_min because sqrt is
+    correctly rounded and monotone; NaN fails every comparison.
+    Otherwise the event is, in this order: non-finite phi, phi outside the
+    image of Phi (or the radius check after inversion), non-finite F,
+    F <= 0 at its smallest node, Theta below theta_min at its smallest
+    node.
     """
     try:
         hp = hp_at_phi(wspec, phi)
@@ -165,17 +165,11 @@ def _evaluate(base, wspec, phi, t, theta_min):
             node = int(bad.argmax())
             return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
         return None, FlowEvent("domain", t, exc.node, float(phi.flat[exc.node]))
-    if base.dc == 0:
-        theta2, g = np.ones(base.shape), None
-        F = theta2 * (base.d * hp)      # h' is the float 1.0 on flat presets
-    else:
-        # both kernels return (F, Theta^2, dphi2, phi_0, ...)
-        kernel = _geom._speed_2d if base.kind == "torus2" else _geom._speed_1d
-        F, theta2, _, g = kernel(base, phi, hp)[:4]
+    F, theta2, _, diffs = _geom.speed(base, phi, hp)
     k = 1.0 / F
     if (F.min() > 0.0 and k.min() > 0.0
             and math.sqrt(theta2.min()) >= theta_min):
-        return (F, k, theta2, g), None
+        return (F, k, theta2, diffs), None
     bad = ~np.isfinite(F)
     if bad.any():
         node = int(bad.argmax())
@@ -189,7 +183,7 @@ def _evaluate(base, wspec, phi, t, theta_min):
                            float(theta.min()))
 
 
-def _cfl_dt(base, F, theta2, g, safety):
+def _cfl_dt(base, F, theta2, diffs, safety):
     """Parabolic CFL bound of a field base, inf when it does not bind (D <= 0).
 
     Theta^2 goes through sqrt and is squared again.  The round trip only
@@ -200,7 +194,7 @@ def _cfl_dt(base, F, theta2, g, safety):
     F2 = F ** 2
     if base.kind == "circle":
         # one direction only: the lone eigenvalue of st is 1 - Theta^2 phi_theta^2
-        st = 1.0 - theta2 * g ** 2
+        st = 1.0 - theta2 * diffs[0] ** 2
         D = theta2 * st / F2
     else:
         # st = I - Theta^2 Dphi Dphi^T keeps a unit eigenvalue transverse to Dphi
@@ -217,7 +211,7 @@ class _FieldStepper:
     def __init__(self, base, wspec, config, stats):
         self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
         self.euler = config.integrator == "euler"
-        self.fields = None      # (F, 1/F, Theta^2, phi_0) of the last state checked
+        self.fields = None      # _evaluate's fields of the last state checked
 
     def start(self, phi):
         """(state, event|None) of the initial potential array."""
@@ -230,8 +224,8 @@ class _FieldStepper:
         return ev
 
     def cfl(self):
-        F, _, theta2, g = self.fields
-        return _cfl_dt(self.base, F, theta2, g, self.config.safety)
+        F, _, theta2, diffs = self.fields
+        return _cfl_dt(self.base, F, theta2, diffs, self.config.safety)
 
     def step(self, phi, t, dt):
         """(new state, None), or (offending stage, event)."""
@@ -263,9 +257,9 @@ class _PointStepper:
         self.speed, self.lo, self.hi = scalar_speed(wspec, base.d)
 
     def _event(self, phi, t):
-        _, ev = _evaluate(self.base, self.wspec, np.array([phi]), t,
-                          self.config.theta_min)
-        return ev if ev is not None else FlowEvent("domain", t, 0, phi)
+        # phi is outside (lo, hi), so the warp's domain check fails on it
+        return _evaluate(self.base, self.wspec, np.array([phi]), t,
+                         self.config.theta_min)[1]
 
     def start(self, phi):
         _, ev = _evaluate(self.base, self.wspec, phi, 0.0, self.config.theta_min)

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import warp as _warp
-from .manifold import PointBase
 
 __all__ = [
-    "GraphState", "GeometrySnapshot", "snapshot", "shape_operator",
+    "GraphState", "GeometrySnapshot", "snapshot", "speed", "shape_operator",
     "induced_metric", "ambient_ricci", "embedding_oracle_H",
     "OracleUnsupportedError",
 ]
@@ -62,39 +61,47 @@ class GraphState:
 
 
 def _light_fields(state):
-    """r, h, h', h'', Theta, Theta^2, dphi2, F and the stencil fields.
+    """r, h, h', h'', Theta, Theta^2, dphi2, F and the grad/hess/sinv arrays.
 
     What snapshot extends (shape_operator and induced_metric read it too);
-    the time stepper does not call it.  Exploits the diagonal sigma.
+    the time stepper calls speed alone.  Exploits the diagonal sigma.
     Returns a dict so the full snapshot can extend it without recomputing.
     """
     base = state.base
     r, h, hp, hpp = _warp.warp_at_phi(state.warp, state.phi)
-    if base.dc == 0:
-        one = np.ones(base.shape)
-        F = base.d * hp
-        out = dict(r=r, h=h, hp=hp, hpp=hpp, theta=one, theta2=one,
-                   dphi2=np.zeros(base.shape), F=F, grad=base.grad(state.phi),
-                   hess=base.hess(state.phi), sinv=base.sigma_inv_diag())
-        return out
-    return dict(r=r, h=h, hp=hp, hpp=hpp, **_fused_fields(base, state.phi, hp))
+    F, theta2, dphi2, diffs = speed(base, state.phi, hp)
+    grad, hess = base.assemble(diffs)
+    return dict(r=r, h=h, hp=hp, hpp=hpp, theta=np.sqrt(theta2), theta2=theta2,
+                dphi2=dphi2, F=F, grad=grad, hess=hess, sinv=base.sigma_inv_diag())
+
+
+def speed(base, phi, hp):
+    """(F, Theta^2, |D phi|^2, differences of phi) of a state, from phi and h'.
+
+    The one F formula of every base: the time stepper calls it for every
+    stage and _light_fields (so snapshot) for every recorded state.  The
+    point base has no derivatives (F = d h', Theta = 1, no differences);
+    the field bases take their kernel.
+    """
+    if base.kind == "torus2":
+        return _speed_2d(base, phi, hp)
+    if base.dc:
+        return _speed_1d(base, phi, hp)
+    one = np.ones(base.shape)
+    return one * (base.d * hp), one, np.zeros(base.shape), ()
 
 
 def _speed_1d(base, phi, hp):
-    """F and Theta^2 on a circle or axisphere, straight from phi and h'.
+    """The speed kernel of the circle and the axisphere.
 
-    The only F formula of these bases: the time stepper calls it for every
-    stage and _light_fields (so snapshot) for every recorded state.  Only
-    theta-derivatives exist here, so the contractions of the generic
+    Only theta-derivatives exist here, so the contractions of the generic
     formula collapse to
     st^ij phi_ij = phi_tt [+ sin^-2 sin cos phi_t] - Theta^2 phi_t^2 phi_tt
     (the bracket is the axisphere's azimuthal Christoffel term).  The
     operations run in the order of numpy's einsum over the full gradient
     and Hessian arrays, so F and Theta^2 agree with it bit for bit.
-
-    Returns (F, theta2, dphi2, phi_t, phi_tt).
     """
-    g, d2 = base.differences(phi)
+    diffs = g, d2 = base.differences(phi)
     dphi2 = g * g
     theta2 = 1.0 / (1.0 + dphi2)
     if base.kind == "axisphere":
@@ -103,21 +110,18 @@ def _speed_1d(base, phi, hp):
         S = d2
     S = S - theta2 * (dphi2 * d2)
     F = theta2 * (base.d * hp - S)
-    return F, theta2, dphi2, g, d2
+    return F, theta2, dphi2, diffs
 
 
 def _speed_2d(base, phi, hp):
-    """F and Theta^2 on the flat torus, straight from phi and h'.
+    """The speed kernel of the flat torus.
 
-    The torus2 counterpart of _speed_1d and the only F formula of that
-    base.  sigma is the identity, so
+    sigma is the identity, so
     st^ij phi_ij = phi_00 + phi_11 - Theta^2 phi^i phi^j phi_ij, with the
     four products summed in einsum's (i, j) order; the two mixed ones are
     equal (float * commutes), so one is formed and added twice.
-
-    Returns (F, theta2, dphi2, phi_0, phi_1, phi_00, phi_11, phi_01).
     """
-    g0, g1, h00, h11, h01 = base.differences(phi)
+    diffs = g0, g1, h00, h11, h01 = base.differences(phi)
     g00, g11 = g0 * g0, g1 * g1
     dphi2 = g00 + g11
     theta2 = 1.0 / (1.0 + dphi2)
@@ -125,33 +129,7 @@ def _speed_2d(base, phi, hp):
     S = h00 + h11
     S = S - theta2 * (g00 * h00 + mixed + mixed + g11 * h11)
     F = theta2 * (base.d * hp - S)
-    return F, theta2, dphi2, g0, g1, h00, h11, h01
-
-
-def _fused_fields(base, phi, hp):
-    """Theta, Theta^2, dphi2, F and the grad/hess/sinv arrays of a field base.
-
-    The stencil arrays equal base.grad, base.hess and base.sigma_inv_diag
-    bit for bit; F comes from the base's fused kernel.
-    """
-    dc = base.dc
-    if base.kind == "torus2":
-        F, theta2, dphi2, g0, g1, h00, h11, h01 = _speed_2d(base, phi, hp)
-        grad = np.stack((g0, g1))
-        hess = np.empty((dc, dc) + base.shape)
-        hess[0, 0] = h00
-        hess[0, 1] = hess[1, 0] = h01
-        hess[1, 1] = h11
-    else:
-        F, theta2, dphi2, g, d2 = _speed_1d(base, phi, hp)
-        grad = np.zeros((dc,) + base.shape)
-        grad[0] = g
-        hess = np.zeros((dc, dc) + base.shape)
-        hess[0, 0] = d2
-        if dc == 2:
-            hess[1, 1] = base.sincos * g     # -Gamma^theta_ss phi_theta
-    return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
-                grad=grad, hess=hess, sinv=base.sigma_inv_diag())
+    return F, theta2, dphi2, diffs
 
 
 @dataclass
@@ -287,9 +265,6 @@ def induced_metric(state):
     base = state.base
     lf = _light_fields(state)
     dc = base.dc
-    if dc == 0:
-        e = np.zeros((0, 0, 1))
-        return e, e
     h = lf["h"]
     grad = lf["grad"]
     sinv = lf["sinv"]
@@ -322,23 +297,20 @@ def embedding_oracle_H(state):
         raise OracleUnsupportedError("embedding oracle needs the euclidean warp")
     base = state.base
     r = state.radius()
+    if base.kind not in ("circle", "axisphere"):
+        raise OracleUnsupportedError(f"embedding oracle not available for base {base.kind!r}")
+    rt, rtt = base.differences(r)
     if base.kind == "circle":
         # curvature of the polar curve (r cos, r sin), outward normal
-        rt = base.grad(r)[0]
-        rtt = base.hess(r)[0, 0]
         return (r ** 2 + 2.0 * rt ** 2 - r * rtt) / (r ** 2 + rt ** 2) ** 1.5
-    if base.kind == "axisphere":
-        # meridian curve (rho, z) = (r sin, r cos) revolved about z
-        s, c = base.sin, base.cos
-        rt = base.dtheta_field(r)
-        rtt = base.d2theta_field(r)
-        rho = r * s
-        rho_t = rt * s + r * c
-        rho_tt = rtt * s + 2.0 * rt * c - r * s
-        z_t = rt * c - r * s
-        z_tt = rtt * c - 2.0 * rt * s - r * c
-        w2 = rho_t ** 2 + z_t ** 2
-        kappa_meridian = (z_t * rho_tt - rho_t * z_tt) / w2 ** 1.5
-        kappa_parallel = -z_t / (rho * np.sqrt(w2))
-        return kappa_meridian + kappa_parallel
-    raise OracleUnsupportedError(f"embedding oracle not available for base {base.kind!r}")
+    # meridian curve (rho, z) = (r sin, r cos) revolved about z
+    s, c = base.sin, base.cos
+    rho = r * s
+    rho_t = rt * s + r * c
+    rho_tt = rtt * s + 2.0 * rt * c - r * s
+    z_t = rt * c - r * s
+    z_tt = rtt * c - 2.0 * rt * s - r * c
+    w2 = rho_t ** 2 + z_t ** 2
+    kappa_meridian = (z_t * rho_tt - rho_t * z_tt) / w2 ** 1.5
+    kappa_parallel = -z_t / (rho * np.sqrt(w2))
+    return kappa_meridian + kappa_parallel

@@ -16,6 +16,12 @@ Hessians (dc, dc, *grid) with dc stored coordinate components.  On the
 axisphere dc = 2 but axisymmetric fields carry only theta-components in the
 gradient; the azimuthal Hessian entry sin(theta) cos(theta) f_theta comes
 from the Christoffel term and survives in traces.
+
+Each base has one finite-difference stencil, differences(f): the central
+first and second differences of f from one ghost-padded copy (a tuple,
+empty on the point base).  assemble(diffs) lays them out as the covariant
+(grad, hess) arrays; grad, hess and covariant_derivatives are the two
+composed, and the speed kernels of geometry read the differences directly.
 """
 
 from __future__ import annotations
@@ -42,7 +48,14 @@ class BaseManifold:
             raise ValueError(f"field shape {f.shape} does not match {self.kind} grid {self.shape}")
         return f
 
-    # subclasses: grad, hess, integrate, sigma_diag, sigma_inv_diag, ricci_dphi
+    # subclasses: differences (the one stencil), assemble, integrate,
+    # sigma_diag, sigma_inv_diag, ricci_dphi
+
+    def grad(self, f):
+        return self.assemble(self.differences(self.check_field(f)))[0]
+
+    def hess(self, f):
+        return self.assemble(self.differences(self.check_field(f)))[1]
 
     def __repr__(self):
         return f"{type(self).__name__}(resolution={getattr(self, 'resolution', 1)})"
@@ -72,13 +85,11 @@ class PointBase(BaseManifold):
         self._grad0 = np.zeros((0, 1))
         self._hess0 = np.zeros((0, 0, 1))
 
-    def grad(self, f):
-        self.check_field(f)
-        return self._grad0
+    def differences(self, f):
+        return ()
 
-    def hess(self, f):
-        self.check_field(f)
-        return self._hess0
+    def assemble(self, diffs):
+        return self._grad0, self._hess0
 
     def integrate(self, f):
         return float(self.check_field(f)[0])
@@ -114,23 +125,14 @@ class CircleBase(BaseManifold):
         self._two_dx = 2.0 * self.dtheta
         self._dx2 = self.dtheta ** 2
 
-    def grad(self, f):
-        f = self.check_field(f)
-        g = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * self.dtheta)
-        return g[None]
-
-    def hess(self, f):
-        f = self.check_field(f)
-        h = (np.roll(f, -1) + np.roll(f, 1) - 2.0 * f) / self.dtheta ** 2
-        return h[None, None]
-
     def differences(self, f):
-        """(f_theta, f_thetatheta) from one periodically padded copy of f.
-
-        Bit for bit the values of grad and hess, without the two rolls each.
-        """
+        """(f_theta, f_thetatheta) from one periodically padded copy of f."""
         return _central_differences(np.concatenate((f[-1:], f, f[:1])), f,
                                     self._two_dx, self._dx2)
+
+    def assemble(self, diffs):
+        g, d2 = diffs
+        return g[None], d2[None, None]
 
     def integrate(self, f):
         return float(np.sum(self.check_field(f)) * self.dtheta)
@@ -145,16 +147,11 @@ class CircleBase(BaseManifold):
         return np.zeros(self.shape)
 
 
-def _pad_even(f):
-    # ghost nodes across both poles by even reflection
-    return np.concatenate((f[:1], f, f[-1:]))
-
-
 def _central_differences(fp, f, two_dx, dx2):
     """First and second central differences of f from its ghost-padded copy fp.
 
-    Written in the operation order of the per-base stencils, so the results
-    agree with them bit for bit.
+    The neighbours are summed first, so reflecting f reflects the second
+    difference bitwise (float + is commutative, the mixed order is not).
     """
     up, down = fp[2:], fp[:-2]
     return (up - down) / two_dx, (up + down - 2.0 * f) / dx2
@@ -194,42 +191,26 @@ class AxisphereBase(BaseManifold):
         self.cot = self.cos / self.sin
         self.dx_min = self.dtheta
         self._weights = 2.0 * np.pi * self.sin * self.dtheta
-        # constants of the fused speed kernel (geometry._speed_1d)
+        # constants of the stencil and the speed kernel (geometry._speed_1d)
         self.sincos = self.sin * self.cos
         self.sin_inv2 = self.sin ** (-2.0)
         self._two_dx = 2.0 * self.dtheta
         self._dx2 = self.dtheta ** 2
 
-    def dtheta_field(self, f):
-        fp = _pad_even(np.asarray(f, dtype=float))
-        return (fp[2:] - fp[:-2]) / (2.0 * self.dtheta)
-
-    def d2theta_field(self, f):
-        f = np.asarray(f, dtype=float)
-        fp = _pad_even(f)
-        # neighbours are summed first so reflection maps the stencil to
-        # itself bitwise (float + is commutative, the mixed order is not)
-        return (fp[2:] + fp[:-2] - 2.0 * f) / self.dtheta ** 2
-
     def differences(self, f):
-        """(f_theta, f_thetatheta) from one even-padded copy of f.
+        """(f_theta, f_thetatheta) from one copy of f padded across both
+        poles by even reflection."""
+        return _central_differences(np.concatenate((f[:1], f, f[-1:])), f,
+                                    self._two_dx, self._dx2)
 
-        Bit for bit the values of dtheta_field and d2theta_field.
-        """
-        return _central_differences(_pad_even(f), f, self._two_dx, self._dx2)
-
-    def grad(self, f):
-        f = self.check_field(f)
-        g = np.zeros((2,) + self.shape)
-        g[0] = self.dtheta_field(f)
-        return g
-
-    def hess(self, f):
-        f = self.check_field(f)
-        H = np.zeros((2, 2) + self.shape)
-        H[0, 0] = self.d2theta_field(f)
-        H[1, 1] = self.sin * self.cos * self.dtheta_field(f)  # -Gamma^theta_{ss} f_theta
-        return H
+    def assemble(self, diffs):
+        g, d2 = diffs
+        grad = np.zeros((2,) + self.shape)
+        grad[0] = g
+        hess = np.zeros((2, 2) + self.shape)
+        hess[0, 0] = d2
+        hess[1, 1] = self.sincos * g     # -Gamma^theta_{ss} f_theta
+        return grad, hess
 
     def integrate(self, f):
         return float(np.sum(self.check_field(f) * self._weights))
@@ -267,22 +248,16 @@ class Torus2Base(BaseManifold):
         self.dx = 2.0 * np.pi / M
         self.x = np.arange(M) * self.dx
         self.dx_min = self.dx
-        # constants of the fused speed kernel (geometry._speed_2d)
+        # constants of the stencil
         self._two_dx = 2.0 * self.dx
         self._dx2 = self.dx ** 2
-
-    def _d1(self, f, axis):
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * self.dx)
-
-    def _d2(self, f, axis):
-        return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2.0 * f) / self.dx ** 2
 
     def differences(self, f):
         """(f_0, f_1, f_00, f_11, f_01) from one periodically padded copy of f.
 
-        Bit for bit the values of grad and hess, without their ten rolls:
-        the first differences along axis 0 are taken on the axis-1-padded
-        rows, so differencing them along axis 1 is _d1(_d1(f, 0), 1).
+        The first differences along axis 0 are taken on the axis-1-padded
+        rows, so f_01 is their difference along axis 1: the axis-1
+        difference of f_0, bit for bit.
         """
         fp = np.concatenate((f[-1:], f, f[:1]))
         fp = np.concatenate((fp[:, -1:], fp, fp[:, :1]), axis=1)
@@ -294,17 +269,12 @@ class Torus2Base(BaseManifold):
         f01 = (g0p[:, 2:] - g0p[:, :-2]) / two_dx
         return g0p[:, 1:-1], (up - down) / two_dx, f00, f11, f01
 
-    def grad(self, f):
-        f = self.check_field(f)
-        return np.stack([self._d1(f, 0), self._d1(f, 1)])
-
-    def hess(self, f):
-        f = self.check_field(f)
-        H = np.zeros((2, 2) + self.shape)
-        H[0, 0] = self._d2(f, 0)
-        H[1, 1] = self._d2(f, 1)
-        H[0, 1] = H[1, 0] = self._d1(self._d1(f, 0), 1)
-        return H
+    def assemble(self, diffs):
+        g0, g1, h00, h11, h01 = diffs
+        hess = np.empty((2, 2) + self.shape)
+        hess[0, 0], hess[1, 1] = h00, h11
+        hess[0, 1] = hess[1, 0] = h01
+        return np.stack((g0, g1)), hess
 
     def integrate(self, f):
         return float(np.sum(self.check_field(f)) * self.dx ** 2)
@@ -333,7 +303,7 @@ def make_base(kind, resolution=1, **kw):
 
 def covariant_derivatives(base, f):
     """Covariant gradient and Hessian of a scalar field: (grad, hess)."""
-    return base.grad(f), base.hess(f)
+    return base.assemble(base.differences(base.check_field(f)))
 
 
 def integrate(base, f):
@@ -350,13 +320,13 @@ def _third_covariant_axisphere(base, f):
     T3[i,j,k] = d_k T_ij - Gamma^l_{ki} T_lj - Gamma^l_{kj} T_il leaves
     four nonzero component families.
     """
-    H = base.hess(f)
-    ft = base.dtheta_field(f)
-    s, c, cot = base.sin, base.cos, base.cot
+    ft, T00 = base.differences(f)
+    T11 = base.sincos * ft
+    cot = base.cot
     T3 = np.zeros((2, 2, 2) + base.shape)
-    T3[0, 0, 0] = base.dtheta_field(H[0, 0])
-    T3[1, 1, 0] = base.dtheta_field(H[1, 1]) - 2.0 * cot * H[1, 1]
-    T3[0, 1, 1] = T3[1, 0, 1] = s * c * H[0, 0] - cot * H[1, 1]
+    T3[0, 0, 0] = base.differences(T00)[0]
+    T3[1, 1, 0] = base.differences(T11)[0] - 2.0 * cot * T11
+    T3[0, 1, 1] = T3[1, 0, 1] = base.sincos * T00 - cot * T11
     return T3, ft
 
 
@@ -371,19 +341,18 @@ def commuting_residual(base, f):
     """
     if base.kind == "point":
         raise UnsupportedBaseError("commuting residual needs at least one tangent direction")
+    f = base.check_field(f)
     if base.kind == "circle":
         # one direction: both orderings are the same nested stencil
         return 0.0
     if base.kind == "torus2":
         # nested first differences along flat axes commute up to rounding
         worst = 0.0
-        for i in range(2):
-            di = base._d1(f, i)
-            for j in range(2):
-                for k in range(j + 1, 2):
-                    a = base._d1(base._d1(di, j), k)
-                    b = base._d1(base._d1(di, k), j)
-                    worst = max(worst, float(np.max(np.abs(a - b))))
+        for di in base.differences(f)[:2]:
+            d = base.differences(di)
+            # d_1 d_0 di is d's mixed entry; d_0 d_1 di needs one more pass
+            a, b = d[4], base.differences(d[1])[0]
+            worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
     if base.kind == "axisphere":
         T3, ft = _third_covariant_axisphere(base, f)

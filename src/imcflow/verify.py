@@ -405,8 +405,8 @@ def _induced_laplacian_1d(base, snap, f):
 
 def _grad_contract_1d(base, snap, f1, f2):
     """g^{ij} f1_i f2_j for the 1d-reduced induced metric."""
-    g1 = covariant_derivatives(base, f1)[0][0]
-    g2 = covariant_derivatives(base, f2)[0][0]
+    g1 = base.differences(f1)[0]
+    g2 = base.differences(f2)[0]
     return (snap.theta ** 2 / snap.h ** 2) * g1 * g2
 
 

@@ -418,9 +418,12 @@ def radial_potential(spec, r):
     if pid == "euclidean":
         return np.log(r)
     if pid == "hyperbolic":
-        # ln tanh(r/2) = log1p(-2 e^-r / (1 + e^-r)); immune to tanh -> 1
+        # ln tanh(r/2) = log1p(-2 e^-r / (1 + e^-r)) is immune to tanh -> 1
+        # but cancels as r -> 0; below r = 1 tanh itself is accurate
         t = np.exp(-r)
-        return np.log1p(-2.0 * t / (1.0 + t))
+        with np.errstate(divide="ignore"):
+            return np.where(r < 1.0, np.log(np.tanh(0.5 * r)),
+                            np.log1p(-2.0 * t / (1.0 + t)))[()]
     if pid == "power":
         p = spec.params["p"]
         if p == 1.0:
@@ -472,8 +475,13 @@ def r_of_phi(spec, phi):
     if pid == "euclidean":
         return np.exp(phi)
     if pid == "hyperbolic":
-        # 2 artanh(e^phi) = log1p(e^phi) - log(-expm1(phi)), stable as phi -> 0-
-        return np.log1p(np.exp(phi)) - np.log(-np.expm1(phi))
+        # 2 artanh(e^phi) = log1p(e^phi) - log(-expm1(phi)) is stable as
+        # phi -> 0-, log1p(2 e^phi / -expm1(phi)) below phi = -1, where the
+        # first form rounds -expm1(phi) to 1
+        x, em = np.exp(phi), -np.expm1(phi)
+        with np.errstate(over="ignore"):
+            return np.where(phi < -1.0, np.log1p(2.0 * x / em),
+                            np.log1p(x) - np.log(em))[()]
     if pid == "power":
         p = spec.params["p"]
         if p == 1.0:
@@ -554,8 +562,9 @@ def scalar_speed(spec, nm1):
     On the point base the flow is the ODE d phi/dt = 1/((n-1) h'(r(phi)))
     and array costs dominate, so each preset gets one float closure for
     ``speed(phi) = 1/(nm1 h')``.  It raises WarpDomainError exactly where
-    ``phi_domain_violation`` flags phi (NaN and infinities included); the
-    single-node stepper checks each new state against (phi_lo, phi_hi).
+    ``phi_domain_violation`` flags phi (NaN and infinities included), which
+    is exactly outside (phi_lo, phi_hi); the single-node stepper checks each
+    new state against that interval.
     Euclidean, hyperbolic and power are closed forms of the speed itself.
     The table-backed presets take the steps of hp_at_phi on plain floats,
     with bisect on float lists in place of searchsorted and the inverse
@@ -593,7 +602,14 @@ def scalar_speed(spec, nm1):
             if not (-inf < phi and b > 0.0):
                 raise WarpDomainError("potential beyond the image of Phi")
             return b / (nm1 * p)
-        return speed, -inf, 1.0 / (p - 1.0)
+        # the rule's bound: the smallest phi it rejects, an ulp off 1/(p-1)
+        # for some p (p = 2.9)
+        hi = 1.0 / (p - 1.0)
+        while 1.0 + q * hi > 0.0:
+            hi = math.nextafter(hi, inf)
+        while not 1.0 + q * math.nextafter(hi, -inf) > 0.0:
+            hi = math.nextafter(hi, -inf)
+        return speed, -inf, hi
     inv, fwd = spec._r_of_phi_table, spec._phi_table
     if pid == "schwarzschild3":
         ht = spec._h_table

@@ -1,9 +1,10 @@
-"""The lean stage path on every field base: fused kernels, _evaluate, counts.
+"""The lean stage path: the stencil, geometry.speed, _evaluate, the counts.
 
-Each fused kernel must give the generic einsum formula's F and Theta^2 bit
-for bit, flow._evaluate must give the verdict, event and fields of a
-reference built from warp_at_phi and that formula, and a run must not
-change by one bit when the reference takes _evaluate's place.
+differences and assemble must give the np.roll stencils' gradient and
+Hessian bit for bit, geometry.speed the generic einsum formula's F and
+Theta^2, flow._evaluate the verdict, event and fields of a reference built
+from warp_at_phi and that formula, and a run must not change by one bit
+when the reference takes _evaluate's place.
 """
 
 import math
@@ -14,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from imcflow import flow as flow_mod
 from imcflow.flow import FlowConfig, FlowEvent, run
-from imcflow.geometry import (GraphState, _fused_fields, _light_fields,
-                              _speed_1d, _speed_2d)
-from imcflow.manifold import make_base
+from imcflow.geometry import GraphState, _light_fields, speed
+from imcflow.manifold import covariant_derivatives, make_base
 from imcflow.warp import (WarpDomainError, make_warp, radial_potential,
                           warp_at_phi)
 
@@ -48,15 +48,47 @@ def edges(pid):
     return w._phi_domain
 
 
+def _roll_stencils(base, f):
+    """Covariant gradient and Hessian by np.roll, independent of manifold.
+
+    Periodic neighbours on the circle and the torus, neighbours by even
+    reflection across the poles on the axisphere; zero-size arrays on the
+    point base.  The bitwise reference for differences and assemble.
+    """
+    if base.kind == "torus2":
+        def d1(f, axis):
+            return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * base.dx)
+
+        def d2(f, axis):
+            return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2.0 * f) / base.dx ** 2
+        hess = np.zeros((2, 2) + base.shape)
+        hess[0, 0], hess[1, 1] = d2(f, 0), d2(f, 1)
+        hess[0, 1] = hess[1, 0] = d1(d1(f, 0), 1)
+        return np.stack([d1(f, 0), d1(f, 1)]), hess
+    grad = np.zeros((base.dc,) + base.shape)
+    hess = np.zeros((base.dc, base.dc) + base.shape)
+    if base.dc == 0:
+        return grad, hess
+    if base.kind == "circle":
+        up, down = np.roll(f, -1), np.roll(f, 1)
+    else:
+        up = np.concatenate((f[1:], f[-1:]))
+        down = np.concatenate((f[:1], f[:-1]))
+    grad[0] = (up - down) / (2.0 * base.dtheta)
+    hess[0, 0] = (up + down - 2.0 * f) / base.dtheta ** 2
+    if base.kind == "axisphere":
+        hess[1, 1] = base.sin * base.cos * grad[0]   # -Gamma^theta_ss f_theta
+    return grad, hess
+
+
 def _einsum_fields(base, phi, hp):
     """Theta, dphi2 and F through the full stencils and einsum.
 
-    The generic formula for any base with a diagonal metric, from
-    base.grad and base.hess; the bitwise reference for the fused kernels.
+    The generic formula for any base with a diagonal metric, from the
+    np.roll stencils; the bitwise reference for geometry.speed.
     """
     nm1 = base.d
-    grad = base.grad(phi)
-    hess = base.hess(phi)
+    grad, hess = _roll_stencils(base, phi)
     sinv = base.sigma_inv_diag()
     up = sinv * grad                       # phi^i (diagonal sigma)
     dphi2 = np.sum(up * grad, axis=0)      # |D phi|^2
@@ -70,6 +102,21 @@ def _einsum_fields(base, phi, hp):
 
 
 FIELD_KEYS = ("F", "theta", "theta2", "dphi2", "grad", "hess", "sinv")
+
+
+def _speed_fields(base, phi, hp):
+    """geometry.speed and base.assemble, keyed like _einsum_fields."""
+    F, theta2, dphi2, diffs = speed(base, phi, hp)
+    grad, hess = base.assemble(diffs)
+    return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
+                grad=grad, hess=hess, sinv=base.sigma_inv_diag())
+
+
+def _diffs(base, grad, hess):
+    """The differences tuple of a base, read off full grad/hess arrays."""
+    if base.kind == "torus2":
+        return grad[0], grad[1], hess[0, 0], hess[1, 1], hess[0, 1]
+    return (grad[0], hess[0, 0]) if base.dc else ()
 
 
 def same_bits(a, b):
@@ -121,22 +168,16 @@ class TestFusedKernel:
             rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
             hp = hp * (1.0 + 0.1 * rng.random(base.shape))   # h' as a field
         ref = _einsum_fields(base, phi, hp)
-        if base.kind == "torus2":
-            F, theta2, dphi2, g0, g1, h00, h11, h01 = _speed_2d(base, phi, hp)
-            stencils = [(g0, ref["grad"][0]), (g1, ref["grad"][1]),
-                        (h00, ref["hess"][0, 0]), (h11, ref["hess"][1, 1]),
-                        (h01, ref["hess"][0, 1]), (h01, ref["hess"][1, 0])]
-        else:
-            F, theta2, dphi2, g, d2 = _speed_1d(base, phi, hp)
-            stencils = [(g, ref["grad"][0]), (d2, ref["hess"][0, 0])]
-        assert same_bits(F, ref["F"])
-        assert same_bits(theta2, ref["theta2"])
-        assert same_bits(dphi2, ref["dphi2"])
-        for mine, theirs in stencils:
-            assert same_bits(mine, theirs)
-        fused = _fused_fields(base, phi, hp)
+        mine = _speed_fields(base, phi, hp)
         for key in FIELD_KEYS:
-            assert same_bits(fused[key], ref[key]), key
+            assert same_bits(mine[key], ref[key]), key
+        diffs = base.differences(phi)
+        for a, b in zip(diffs, _diffs(base, ref["grad"], ref["hess"]), strict=True):
+            assert same_bits(a, b)
+        grad, hess = covariant_derivatives(base, phi)
+        assert same_bits(grad, ref["grad"]) and same_bits(hess, ref["hess"])
+        assert same_bits(base.grad(phi), ref["grad"])
+        assert same_bits(base.hess(phi), ref["hess"])
 
     @pytest.mark.parametrize("sign", [0.0, -0.0])
     @pytest.mark.parametrize("kind", KINDS)
@@ -144,9 +185,9 @@ class TestFusedKernel:
         base = make_base(kind, 6)
         phi = np.full(base.shape, sign)
         ref = _einsum_fields(base, phi, 1.0)
-        fused = _fused_fields(base, phi, 1.0)
+        mine = _speed_fields(base, phi, 1.0)
         for key in FIELD_KEYS:
-            assert same_bits(fused[key], ref[key]), key
+            assert same_bits(mine[key], ref[key]), key
 
     @SETTINGS
     @given(fields(), st.sampled_from(sorted(WARPS)))
@@ -196,8 +237,7 @@ def reference_evaluate(base, w, phi, t, theta_min):
     tmin = float(theta.min())
     if tmin < theta_min:
         return None, FlowEvent("angle_degeneracy", t, int(theta.argmin()), tmin)
-    g = ref["grad"][0] if base.dc else None
-    return (F, 1.0 / F, ref["theta2"], g), None
+    return (F, 1.0 / F, ref["theta2"], _diffs(base, ref["grad"], ref["hess"])), None
 
 
 def probe_agrees(base, w, phi, theta_min):
@@ -206,7 +246,9 @@ def probe_agrees(base, w, phi, theta_min):
     ref_fields, ref_ev = reference_evaluate(base, w, phi, 0.0, theta_min)
     assert repr(ev) == repr(ref_ev)
     if ev is None:
-        for mine, theirs in zip(fields, ref_fields):
+        # F, 1/F, Theta^2, then each difference
+        for mine, theirs in zip(fields[:3] + fields[3],
+                                ref_fields[:3] + ref_fields[3], strict=True):
             assert same_bits(mine, theirs)
     else:
         assert fields is None

@@ -142,6 +142,26 @@ class TestScalarSpeed:
         speed, _, _ = scalar_speed(make_warp("euclidean"), 3)
         assert speed(-2.0) == speed(7.0) == 1.0 / 3.0
 
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.3, 1.7, 2.2, 2.9, 3.3, 7.0])
+    def test_power_bound_is_the_domain_rule(self, p):
+        # hi is the smallest potential phi_domain_violation rejects, so the
+        # point check and the rule agree on every float
+        w = make_warp("power", p=p)
+        _, lo, hi = scalar_speed(w, POINT.d)
+        assert lo == -math.inf
+        assert phi_domain_violation(w, np.array([hi])) == 0
+        assert phi_domain_violation(w, np.array([math.nextafter(hi, 0.0)])) is None
+
+    def test_power_last_valid_potential_passes_point_check(self):
+        # 1/(p-1) sits one ulp below the rule's bound for p = 2.9
+        w = make_warp("power", p=2.9)
+        phi = 0.5263157894736842
+        assert phi_domain_violation(w, np.array([phi])) is None
+        cfg = FlowConfig(t_end=1.0)
+        stepper = flow_mod._PointStepper(POINT, w, cfg, flow_mod._RunStats(cfg))
+        assert stepper.check(phi, 0.0) is None
+        assert stepper.check(math.nextafter(phi, 1.0), 0.0).kind == "domain"
+
     def test_domain_edges_raise(self):
         from imcflow.warp import WarpDomainError
         speed, _, _ = scalar_speed(make_warp("hyperbolic"), 2)

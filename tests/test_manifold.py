@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imcflow.manifold import (
     AxisphereBase,
@@ -191,6 +192,33 @@ class TestShiftEquivariance:
             assert np.array_equal(b.hess(rf), np.roll(b.hess(f), 3, axis=axis + 2))
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0])
+
+
+class TestAxisphereReflection:
+    """theta -> pi - theta maps node j to M-1-j on the cell-centred grid."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 40).flatmap(
+        lambda M: st.lists(values, min_size=M, max_size=M)))
+    def test_differences_reflect_bitwise(self, vals):
+        # the reflected field has (-f_theta, f_thetatheta) reversed; the
+        # first difference of equal values is +0 both ways, so -f_theta
+        # is 0 - f_theta, and only a negative zero in f can flip a zero
+        f = np.array(vals)
+        b = make_base("axisphere", f.size)
+        g, d2 = b.differences(f)
+        gr, d2r = b.differences(f[::-1].copy())
+        assert same_bits(d2r, d2[::-1])
+        assert np.array_equal(gr, -g[::-1])
+        if not np.signbit(f[f == 0.0]).any():
+            assert same_bits(gr, (0.0 - g)[::-1])
+
+
 class TestCommutingResidual:
     def test_circle_exactly_zero(self):
         b = make_base("circle", 64)
@@ -230,7 +258,7 @@ class TestAxispherePoles:
         for M in (100, 200, 400):
             b = make_base("axisphere", M)
             f = np.cos(b.theta)
-            ft = b.dtheta_field(f)
+            ft = b.differences(f)[0]
             first[M] = abs(ft[0])
             assert abs(ft[-1]) == pytest.approx(abs(ft[0]), rel=1e-12)
             err[M] = np.max(np.abs(ft + np.sin(b.theta)))
@@ -243,7 +271,7 @@ class TestAxispherePoles:
         b = make_base("axisphere", 100)
         f = np.cos(b.theta)
         H = b.hess(f)
-        assert np.max(np.abs(H[1, 1] - b.sin * b.cos * b.dtheta_field(f))) == 0.0
+        assert np.max(np.abs(H[1, 1] - b.sin * b.cos * b.differences(f)[0])) == 0.0
         assert np.max(np.abs(H[0, 1])) == 0.0
 
     def test_weights_positive(self):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from imcflow import warp
@@ -251,6 +251,37 @@ class TestLeanSlope:
         ref = warp_at_phi(spec, phi)[2]
         hp = hp_at_phi(spec, phi)
         assert np.broadcast_to(hp, ref.shape).tobytes() == ref.tobytes()
+
+
+ROUND_TRIP_WARPS = dict(LEAN_WARPS, **{"power p=3.7": make_warp("power", p=3.7)})
+TINY, EPS = np.finfo(float).tiny, np.finfo(float).eps
+
+
+class TestRoundTripProperty:
+    """radial_potential inverts r_of_phi on each preset's whole potential domain.
+
+    Wherever r, h(r) and phi are normal floats (a subnormal carries fewer
+    than 53 bits, so nothing recovers it), to 16 ulps of phi plus the
+    potential step of one ulp of r, eps r / h(r).
+    """
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(ROUND_TRIP_WARPS)), st.data())
+    def test_round_trip_on_the_potential_domain(self, name, data):
+        spec = ROUND_TRIP_WARPS[name]
+        _, lo, hi = scalar_speed(spec, 1)
+        phi = data.draw(st.floats(lo, hi, exclude_min=lo > -math.inf,
+                                  exclude_max=True, allow_nan=False,
+                                  allow_infinity=False))
+        assert phi_domain_violation(spec, np.array([phi])) is None
+        with np.errstate(all="ignore"):
+            r = float(r_of_phi(spec, phi))
+        assume(TINY <= r < math.inf and not 0.0 < abs(phi) < TINY)
+        with np.errstate(all="ignore"):
+            h = float(eval_warp(spec, r)[0])
+        assume(TINY <= h)
+        back = float(radial_potential(spec, r))
+        assert abs(back - phi) <= 16.0 * EPS * (abs(phi) + r / h), (phi, r, back)
 
 
 # The tabulated inversion as it stood before one knot search served all
