@@ -12,15 +12,15 @@ Diagnostics are recorded on a fixed cadence and full field snapshots on a
 grids, which keeps runs bit-reproducible for a given configuration.
 
 One driver, run, owns the cadence, the landing, the dt limiter, the
-records and the events of every base.  A stepper supplies what differs:
-the first evaluation, one Euler or RK4 step (the new state, or the stage
-that failed with its event), the post-step check and the CFL bound.
-_FieldStepper works on arrays and sends every stage state through
-_evaluate, the one code that decides whether a state is valid and, when
-it is not, which event it is.  _PointStepper works on a plain float
-through the warp's scalar speed and calls _evaluate only on the initial
-state and to build event payloads: criterion 1's 80k speed calls must fit
-its 1 s gate, and one array evaluation on the point base costs 20-100 us.
+records and the events of every base, and _step is the one Euler/RK4
+step.  A stepper only evaluates states (start, check) and bounds dt
+(cfl); a valid state leaves its rate k = 1/F for the next stage.
+_FieldStepper sends every array state through _evaluate, the one code
+that decides whether a state is valid and which event it is.
+_PointStepper takes a plain float's rate from the warp's scalar speed and
+calls _evaluate only on the initial state and for event payloads:
+criterion 1's 80k speed calls must fit its 1 s gate, and one array
+evaluation on the point base costs 20-100 us.
 """
 
 from __future__ import annotations
@@ -105,18 +105,16 @@ class FlowTrace:
 class _RunStats:
     """Counts of one run; machine-independent, so reruns give equal dicts.
 
-    f_evals counts every evaluation of F: the initial state, then per_step
-    (RK4: three stages and the step result, Euler: the step result) for
-    each completed step, and the evaluations of a failed step.  On field
-    bases each is an _evaluate call; on the point base it is a call of the
-    scalar speed (RK4's first stage included, the domain test of the step
-    result not).  The dt limiter is "landing" when a step was clipped onto
-    a record, snapshot or end time, else "cfl" when the parabolic bound was
-    below dt_max, else "dt_max".
+    f_evals counts the states evaluated, one per start or check call of
+    the stepper: the initial state, each RK4 stage and each step result,
+    the state that ended the run included.  On field bases each is an
+    _evaluate call, on the point base a call of the scalar speed.  The dt
+    limiter is "landing" when a step was clipped onto a record, snapshot
+    or end time, else "cfl" when the parabolic bound was below dt_max,
+    else "dt_max".
     """
 
-    def __init__(self, config):
-        self.per_step = 1 if config.integrator == "euler" else 4
+    def __init__(self):
         self.f_evals = 0
         self.steps = 0
         self.limiter = {"cfl": 0, "landing": 0, "dt_max": 0}
@@ -128,7 +126,6 @@ class _RunStats:
         if n == 0:
             return
         self.steps += n
-        self.f_evals += n * self.per_step
         self.limiter[limiter] += n
         if dt < self.min_dt:
             self.min_dt = dt
@@ -206,97 +203,90 @@ def _cfl_dt(base, F, theta2, diffs, safety):
 
 
 class _FieldStepper:
-    """Euler/RK4 on the arrays of a field base, each stage through _evaluate."""
+    """The arrays of a field base, each state through _evaluate."""
 
     def __init__(self, base, wspec, config, stats):
         self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
-        self.euler = config.integrator == "euler"
-        self.fields = None      # _evaluate's fields of the last state checked
+        self.k = self.fields = None     # set by check
 
     def start(self, phi):
         """(state, event|None) of the initial potential array."""
         return phi, self.check(phi, 0.0)
 
     def check(self, phi, t):
-        """Event of a state, else None; its fields feed the next stage."""
+        """Event of a state, else None and its rate k = 1/F."""
+        self.stats.f_evals += 1
         self.fields, ev = _evaluate(self.base, self.wspec, phi, t,
                                     self.config.theta_min)
+        if ev is None:
+            self.k = self.fields[1]
         return ev
 
     def cfl(self):
         F, _, theta2, diffs = self.fields
         return _cfl_dt(self.base, F, theta2, diffs, self.config.safety)
 
-    def step(self, phi, t, dt):
-        """(new state, None), or (offending stage, event)."""
-        F, k = self.fields[:2]
-        if self.euler:
-            return phi + dt / F, None
-        ks = [k]
-        for frac in (0.5, 0.5, 1.0):
-            stage = phi + frac * dt * ks[-1]
-            ev = self.check(stage, t + frac * dt)
-            if ev is not None:
-                self.stats.f_evals += len(ks)     # the stages evaluated
-                return stage, ev
-            ks.append(self.fields[1])
-        return phi + dt / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]), None
-
 
 class _PointStepper:
-    """Euler/RK4 on a plain float through the warp's scalar speed.
-
-    The speed raises WarpDomainError where the potential leaves the image
-    of Phi.  _evaluate runs only on the initial state and to give an event
-    its payload, so events carry what the field path would report.
-    """
+    """A plain float; the scalar speed raises WarpDomainError where
+    phi_domain_violation flags the state, and _evaluate gives that event
+    the field path's payload."""
 
     def __init__(self, base, wspec, config, stats):
         self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
-        self.euler = config.integrator == "euler"
-        self.speed, self.lo, self.hi = scalar_speed(wspec, base.d)
+        self.k = None
+        speed = scalar_speed(wspec, base.d)
 
-    def _event(self, phi, t):
-        # phi is outside (lo, hi), so the warp's domain check fails on it
-        return _evaluate(self.base, self.wspec, np.array([phi]), t,
-                         self.config.theta_min)[1]
+        # a closure, not a method: the stages call it four times a step
+        def check(phi, t):
+            stats.f_evals += 1
+            try:
+                self.k = speed(phi)
+            except WarpDomainError:
+                return _evaluate(base, wspec, np.array([phi]), t,
+                                 config.theta_min)[1]
+        self.check = check
 
     def start(self, phi):
-        _, ev = _evaluate(self.base, self.wspec, phi, 0.0, self.config.theta_min)
-        return float(phi[0]), ev
-
-    def check(self, phi, t):
-        if self.lo < phi < self.hi:     # also false on NaN
-            return None
-        return self._event(phi, t)
+        # only this _evaluate sees an F that overflows where the speed stays
+        # finite (cosh r above r = 710 on hyperbolic); check does not
+        x = float(phi[0])
+        return x, self.check(x, 0.0) or _evaluate(
+            self.base, self.wspec, phi, 0.0, self.config.theta_min)[1]
 
     def cfl(self):
         return math.inf
 
-    def step(self, phi, t, dt):
-        # the stages are unrolled: a call per stage slows the point runs
-        speed = self.speed
-        stage, n, ts = phi, 1, t
-        try:
-            k1 = speed(phi)
-            if self.euler:
-                return phi + dt * k1, None
-            h = 0.5 * dt
-            stage, n, ts = phi + h * k1, 2, t + h
-            k2 = speed(stage)
-            stage, n = phi + h * k2, 3
-            k3 = speed(stage)
-            stage, n, ts = phi + dt * k3, 4, t + dt
-            k4 = speed(stage)
-        except WarpDomainError:
-            self.stats.f_evals += n       # this step's calls, the failed one included
-            return stage, self._event(stage, ts)
-        return phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None
+
+def _step(stepper, phi, t, dt, euler):
+    """One Euler or RK4 step from a checked state: (new state, None), or
+    (offending stage, event).  The new state is left to the caller's check;
+    the stages are unrolled, as a loop slows the point runs."""
+    k1 = stepper.k
+    if euler:
+        return phi + dt * k1, None
+    h = 0.5 * dt
+    check = stepper.check
+    stage = phi + h * k1
+    ev = check(stage, t + h)
+    if ev is not None:
+        return stage, ev
+    k2 = stepper.k
+    stage = phi + h * k2
+    ev = check(stage, t + h)
+    if ev is not None:
+        return stage, ev
+    k3 = stepper.k
+    stage = phi + dt * k3
+    ev = check(stage, t + dt)
+    if ev is not None:
+        return stage, ev
+    return phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + stepper.k), None
 
 
 def _stepper(base, wspec, config):
     cls = _PointStepper if base.dc == 0 else _FieldStepper
-    return cls(base, wspec, config, _RunStats(config))
+    return cls(base, wspec, config, _RunStats())
 
 
 def stable_dt(state, config):
@@ -361,7 +351,7 @@ def run(initial, config):
                          snapshots=snaps, terminal=terminal,
                          stats=stats.as_dict())
 
-    stats.f_evals += 1      # the initial state
+    euler = config.integrator == "euler"
     phi, event = stepper.start(np.array(initial.phi, dtype=float))
     bad, t, dt = phi, 0.0, 0.0
     if event is None:
@@ -385,7 +375,7 @@ def run(initial, config):
         limiter = ("landing" if landed
                    else "cfl" if cfl < config.dt_max else "dt_max")
 
-        new, event = stepper.step(phi, t, dt)
+        new, event = _step(stepper, phi, t, dt, euler)
         if event is not None:
             bad = new
             break
@@ -394,7 +384,6 @@ def run(initial, config):
         phi = new
         event = stepper.check(phi, t)
         if event is not None:
-            stats.f_evals += stats.per_step     # the failed step's evaluations
             bad, phi, t = phi, phi_prev, t_prev
             break
 

@@ -203,7 +203,7 @@ class WarpSpec:
         self._phi_table = None      # Phi(r)
         self._r_of_phi_table = None  # r(Phi)
         self._forward = None        # _SharedKnots of Phi (and h) on r
-        # valid potentials, an open interval (power p != 1 has its own rule)
+        # valid potentials, an open interval
         self._phi_domain = (_EXP_LO, _EXP_HI)
 
     def __repr__(self):
@@ -300,7 +300,10 @@ def make_warp(preset_id, **params):
         if p < 1.0:
             raise ValueError(f"power preset needs p >= 1, got {p}")
         params = dict(params, p=p)
-        return WarpSpec("power", params, (0.0, math.inf), (1.0, 1.0))
+        spec = WarpSpec("power", params, (0.0, math.inf), (1.0, 1.0))
+        if p != 1.0:
+            spec._phi_domain = _power_phi_domain(p)
+        return spec
     if preset_id == "schwarzschild3":
         m = float(params.get("m", 0.5))
         if m <= 0:
@@ -322,6 +325,34 @@ def make_warp(preset_id, **params):
         _build_tables(spec, h_closed=lambda r: _saturating_h(a, b, k, r))
         return spec
     raise ValueError(f"unknown warp preset {preset_id!r}")
+
+
+def _power_phi_domain(p):
+    """Open interval of the potentials whose power radius (p > 1)
+    r = b^(1/(1-p)), b = 1 + (1-p) phi, is a positive float; r rises with phi.
+
+    b > 0 is tested too: where 1/(1-p) is an even integer (p = 1.5) pow is
+    positive on a negative base.  numpy's ``**`` on arrays and the C pow of
+    its scalars can differ in the last bit, so both must give r in (0, inf).
+    """
+    q, e = 1.0 - p, 1.0 / (1.0 - p)
+
+    def edge(sign):
+        # the first potential outside from 0 towards sign * inf: bisection
+        # on the bits of |phi|, which order like the floats >= 0
+        g, b = 0, int(np.array(math.inf).view(np.int64))
+        while b - g > 1:
+            m = (g + b) // 2
+            base = 1.0 + q * (sign * np.array([m]).view(float))
+            r = (float((base ** e)[0]), float(base[0] ** e))
+            if base[0] > 0.0 and min(r) > 0.0 and max(r) < math.inf:
+                g = m
+            else:
+                b = m
+        return sign * float(np.array(b).view(float))
+
+    with np.errstate(all="ignore"):
+        return edge(-1.0), edge(1.0)
 
 
 def _saturating_h(a, b, k, r):
@@ -435,20 +466,16 @@ def radial_potential(spec, r):
 def phi_domain_violation(spec, phi):
     """Flat index of the first potential value outside the image of Phi, or None.
 
-    Non-finite values count as outside, and so do potentials whose radius
-    underflows to 0 or overflows in floats (e^phi on the flat presets).
-    This is where each preset's potential domain is stated: ``r_of_phi``
-    raises exactly when it is not None, and the flow reports the node it
-    returns.
+    Each preset's potential domain is the open interval ``spec._phi_domain``:
+    non-finite values lie outside it, and so do potentials whose radius
+    underflows to 0 or overflows in floats (e^phi on the flat presets,
+    (1 + (1-p) phi)^(1/(1-p)) on power with p != 1).  ``r_of_phi`` raises
+    exactly when this is not None, and the flow reports the node it returns.
     """
     phi = np.asarray(phi, dtype=float)
-    # each test is false on NaN; the bounds also shut out +-inf
-    if spec.preset_id == "power" and spec.params["p"] != 1.0:
-        ok = ((1.0 + (1.0 - spec.params["p"]) * phi > 0.0)
-              & (phi > -math.inf))
-    else:
-        lo, hi = spec._phi_domain
-        ok = (phi > lo) & (phi < hi)
+    lo, hi = spec._phi_domain
+    # both tests are false on NaN; the bounds also shut out +-inf
+    ok = (phi > lo) & (phi < hi)
     if ok.all():
         return None
     return int((~ok).argmax())
@@ -557,14 +584,13 @@ def hp_at_phi(spec, phi):
 
 
 def scalar_speed(spec, nm1):
-    """Float speed of round slices: (speed, phi_lo, phi_hi).
+    """Float speed of round slices, ``speed(phi) = 1/(nm1 h'(r(phi)))``.
 
     On the point base the flow is the ODE d phi/dt = 1/((n-1) h'(r(phi)))
-    and array costs dominate, so each preset gets one float closure for
-    ``speed(phi) = 1/(nm1 h')``.  It raises WarpDomainError exactly where
-    ``phi_domain_violation`` flags phi (NaN and infinities included), which
-    is exactly outside (phi_lo, phi_hi); the single-node stepper checks each
-    new state against that interval.
+    and array costs dominate, so each preset gets one float closure.  It
+    raises WarpDomainError exactly where ``phi_domain_violation`` flags phi
+    (NaN and infinities included), so the single-node stepper checks a
+    state by calling it.
     Euclidean, hyperbolic and power are closed forms of the speed itself.
     The table-backed presets take the steps of hp_at_phi on plain floats,
     with bisect on float lists in place of searchsorted and the inverse
@@ -574,7 +600,6 @@ def scalar_speed(spec, nm1):
     ``_saturating_h`` in the last bit.
     """
     pid = spec.preset_id
-    inf = math.inf
     lo, hi = spec._phi_domain
     if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
         c = 1.0 / nm1
@@ -583,33 +608,25 @@ def scalar_speed(spec, nm1):
             if not lo < phi < hi:
                 raise WarpDomainError(f"potential outside ({lo}, {hi})")
             return c
-        return speed, lo, hi
+        return speed
     if pid == "hyperbolic":
-        # h' = cosh r = (1 + e^{2 phi}) / (1 - e^{2 phi}) for phi = ln tanh(r/2)
+        # 1/h' = 1/cosh r = (1 - e^{2 phi}) / (1 + e^{2 phi}) = -tanh(phi) for
+        # phi = ln tanh(r/2); tanh does not cancel as phi -> 0-, unlike 1 - e^{2 phi}
         def speed(phi):
             if not lo < phi < hi:
                 raise WarpDomainError(f"potential outside ({lo}, {hi})")
-            e2 = math.exp(2.0 * phi)
-            return (1.0 - e2) / ((1.0 + e2) * nm1)
-        return speed, lo, hi
+            return -math.tanh(phi) / nm1
+        return speed
     if pid == "power":
         p = spec.params["p"]
         q = 1.0 - p
 
         # r^{1-p} = 1 + (1-p) phi exactly, so 1/F is affine in phi
         def speed(phi):
-            b = 1.0 + q * phi
-            if not (-inf < phi and b > 0.0):
-                raise WarpDomainError("potential beyond the image of Phi")
-            return b / (nm1 * p)
-        # the rule's bound: the smallest phi it rejects, an ulp off 1/(p-1)
-        # for some p (p = 2.9)
-        hi = 1.0 / (p - 1.0)
-        while 1.0 + q * hi > 0.0:
-            hi = math.nextafter(hi, inf)
-        while not 1.0 + q * math.nextafter(hi, -inf) > 0.0:
-            hi = math.nextafter(hi, -inf)
-        return speed, -inf, hi
+            if not lo < phi < hi:
+                raise WarpDomainError(f"potential outside ({lo}, {hi})")
+            return (1.0 + q * phi) / (nm1 * p)
+        return speed
     inv, fwd = spec._r_of_phi_table, spec._phi_table
     if pid == "schwarzschild3":
         ht = spec._h_table
@@ -624,7 +641,7 @@ def scalar_speed(spec, nm1):
             r -= (fwd.scalar_at(i, r) - phi) * ht.scalar_at(i, r)
             h = ht.scalar_at(fwd.scalar_piece(i, r), r)
             return 1.0 / (nm1 * math.sqrt(1.0 - m2 / h))
-        return speed, lo, hi
+        return speed
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
 
     def h_closed(r):
@@ -639,7 +656,7 @@ def scalar_speed(spec, nm1):
         r = inv.scalar_at(i, phi)
         r -= (fwd.scalar_at(fwd.scalar_piece(i, r), r) - phi) * h_closed(r)
         return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
-    return speed, lo, hi
+    return speed
 
 
 def r_at_h(spec, h_target):

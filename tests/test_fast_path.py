@@ -8,6 +8,7 @@ when the reference takes _evaluate's place.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from imcflow.flow import FlowConfig, FlowEvent, run
 from imcflow.geometry import GraphState, _light_fields, speed
 from imcflow.manifold import covariant_derivatives, make_base
 from imcflow.warp import (WarpDomainError, make_warp, radial_potential,
-                          warp_at_phi)
+                          scalar_speed, warp_at_phi)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -469,9 +470,9 @@ class TestRunStats:
         assert tr.stats["min_dt"] is None and tr.stats["max_dt"] is None
 
     @pytest.mark.parametrize("integrator,f_evals", [
-        # initial evaluation, per_step calls per completed step, then the calls
-        # of the step that left the domain
-        ("rk4", 1 + 4 * 138 + 4),
+        # the initial state, the states of each completed step, then those of
+        # the step that left the domain (RK4: its last stage)
+        ("rk4", 1 + 4 * 138 + 3),
         ("euler", 1 + 138 + 1),
     ])
     def test_point_domain_exit_counts(self, integrator, f_evals):
@@ -484,3 +485,40 @@ class TestRunStats:
         s = tr.stats
         assert s["steps"] == 138 and s["f_evals"] == f_evals
         assert sum(s["dt_limiter"].values()) == 138
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("kind,pid,r0,t_end", [
+        ("point", "euclidean", 1.0, 0.3),
+        ("point", "saturating", 5000.0, 3.0),      # leaves the domain
+        ("axisphere", "euclidean", 1.0, 0.05),
+        ("axisphere", "saturating", 5000.0, 3.0),  # leaves the domain
+    ])
+    def test_f_evals_are_the_evaluations_made(self, integrator, kind, pid,
+                                              r0, t_end):
+        # field bases evaluate each state by _evaluate, the point base by the
+        # scalar speed (_evaluate only builds its events)
+        calls = [0]
+        if kind == "point":
+            def counted(spec, nm1):
+                speed = scalar_speed(spec, nm1)
+
+                def call(phi):
+                    calls[0] += 1
+                    return speed(phi)
+                return call
+            patch = mock.patch.object(flow_mod, "scalar_speed", counted)
+        else:
+            def counted(*args):
+                calls[0] += 1
+                return evaluate(*args)
+            evaluate = flow_mod._evaluate
+            patch = mock.patch.object(flow_mod, "_evaluate", counted)
+        base = make_base(kind, 2 if kind == "point" else 8)
+        r = r0 * (1.0 + 0.01 * np.cos(base.theta)) if kind != "point" \
+            else np.array([r0])
+        st0 = GraphState.from_radius(base, WARPS[pid], r)
+        with patch:
+            tr = run(st0, FlowConfig(t_end=t_end, integrator=integrator,
+                                     dt_max=1e-2, safety=0.5))
+        assert tr.completed == (pid == "euclidean")
+        assert tr.stats["f_evals"] == calls[0]

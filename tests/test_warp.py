@@ -174,7 +174,12 @@ class TestDomains:
             if math.isfinite(v):
                 vals += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
         if spec.preset_id == "power":
-            vals += [0.9999999999999999, 1.0000000000000002]
+            # near 1/(p-1), where the base 1 + (1-p) phi reaches 0; potentials
+            # whose radius overflows (p = 1.01, phi = 99.9999) or underflows
+            # to 0; a negative base (8 for p = 1.5 and 1.25)
+            edge = 1.0 / (spec.params["p"] - 1.0)
+            vals += [edge, np.nextafter(edge, -math.inf),
+                     np.nextafter(edge, math.inf), 8.0, 99.9999, -1e6, -1e308]
         return vals
 
     def raises(self, fn, *args):
@@ -186,16 +191,18 @@ class TestDomains:
         return None
 
     @pytest.mark.parametrize("pid", ["euclidean", "hyperbolic", "schwarzschild3",
-                                     "saturating", "power"])
+                                     "saturating", "power", "power p=1.01",
+                                     "power p=1.25", "power p=1.5", "power p=3.7"])
     def test_entry_points_agree_on_every_value(self, presets, pid):
-        spec = presets[pid]
+        spec = (presets[pid] if pid in presets
+                else make_warp("power", p=float(pid.split("=")[1])))
         for v in self.edge_values(spec):
-            c = -0.5 if pid == "hyperbolic" else 0.5
+            c = 0.5 if pid in ("euclidean", "schwarzschild3", "saturating") else -0.5
             phi = np.array([c, v, c])
             bad = phi_domain_violation(spec, phi)
             exc = self.raises(r_of_phi, spec, phi)
             assert (exc is not None) == (bad is not None), v
-            speed = self.raises(scalar_speed(spec, 2)[0], float(v))
+            speed = self.raises(scalar_speed(spec, 2), float(v))
             assert (speed is not None) == (bad is not None), v
             if bad is not None:
                 assert bad == exc.node == 1
@@ -209,6 +216,19 @@ class TestDomains:
             else:
                 assert full.node == lean.node == 1
 
+    @pytest.mark.parametrize("p,phi", [(1.5, 8.0), (1.5, 99.9999), (1.25, 8.0),
+                                       (1.01, 99.9999), (1.01, -1e6), (3.7, -1e308)])
+    def test_power_radius_off_the_floats_is_outside(self, p, phi):
+        # pow of the negative base 1 + (1-p) phi is finite and positive where
+        # 1/(1-p) is an even integer (p = 1.5: b = -3 gives r = 1/9); the
+        # other values give r = inf or 0
+        spec = make_warp("power", p=p)
+        arr = np.array([phi])
+        assert phi_domain_violation(spec, arr) == 0
+        assert self.raises(r_of_phi, spec, arr) is not None
+        assert self.raises(hp_at_phi, spec, arr) is not None
+        assert self.raises(scalar_speed(spec, 2), phi) is not None
+
     @pytest.mark.parametrize("pid", ["euclidean", "hyperbolic", "schwarzschild3",
                                      "saturating", "power"])
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
@@ -216,7 +236,7 @@ class TestDomains:
         spec = presets[pid]
         assert phi_domain_violation(spec, np.array([v])) == 0
         with pytest.raises(WarpDomainError):
-            scalar_speed(spec, 2)[0](v)
+            scalar_speed(spec, 2)(v)
 
     def test_scalar_error_has_no_node(self, presets):
         exc = self.raises(r_of_phi, presets["hyperbolic"], 0.2)
@@ -269,11 +289,11 @@ class TestRoundTripProperty:
     @given(st.sampled_from(sorted(ROUND_TRIP_WARPS)), st.data())
     def test_round_trip_on_the_potential_domain(self, name, data):
         spec = ROUND_TRIP_WARPS[name]
-        _, lo, hi = scalar_speed(spec, 1)
+        lo, hi = spec._phi_domain
         phi = data.draw(st.floats(lo, hi, exclude_min=lo > -math.inf,
                                   exclude_max=True, allow_nan=False,
                                   allow_infinity=False))
-        assert phi_domain_violation(spec, np.array([phi])) is None
+        assume(phi_domain_violation(spec, np.array([phi])) is None)
         with np.errstate(all="ignore"):
             r = float(r_of_phi(spec, phi))
         assume(TINY <= r < math.inf and not 0.0 < abs(phi) < TINY)
@@ -406,7 +426,7 @@ class TestOneKnotSearch:
         same_outcome(spec, phi[:phi.size // 4 * 4].reshape(4, -1)[::-1])
         for v in phi[(piece != guess) | left][:60]:
             same_outcome(spec, np.asarray(v))
-        speed = scalar_speed(spec, 2)[0]
+        speed = scalar_speed(spec, 2)
         ref = reference_scalar_speed(spec, 2)
         assert all(speed(v) == ref(v) for v in phi.tolist())
 
@@ -448,7 +468,7 @@ class TestOneKnotSearch:
         if phi_domain_violation(spec, phi) is not None:
             return
         same_outcome(spec, phi)
-        speed = scalar_speed(spec, 2)[0]
+        speed = scalar_speed(spec, 2)
         ref = reference_scalar_speed(spec, 2)
         assert all(speed(v) == ref(v) for v in phi.ravel().tolist())
 
