@@ -249,7 +249,8 @@ class _PointStepper:
 
     def start(self, phi):
         # only this _evaluate sees an F that overflows where the speed stays
-        # finite (cosh r above r = 710 on hyperbolic); check does not
+        # finite (d cosh r for d >= 2 above r = 709.8 on hyperbolic); check
+        # does not
         x = float(phi[0])
         return x, self.check(x, 0.0) or _evaluate(
             self.base, self.wspec, phi, 0.0, self.config.theta_min)[1]

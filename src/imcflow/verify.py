@@ -497,12 +497,16 @@ _MATERIAL = ("omega_eq", "u_eq", "H_eq")
 
 
 def _advection(base, snap, q):
-    """Transport term V^k d_k q with V^k = Theta^2 phi^k / F."""
+    """Transport term V^k d_k q with V^k = Theta^2 phi^k / F.
+
+    Only the circle and the axisphere carry the material identities, and
+    there only theta-derivatives exist with sigma^{theta theta} = 1, so
+    V^k d_k q = Theta^2 phi_theta q_theta / F.
+    """
     if base.dc == 0:
         return 0.0
-    gq = base.grad(q)
-    up = base.sigma_inv_diag() * snap.grad
-    return snap.theta ** 2 / snap.F * np.einsum("k...,k...->...", up, gq)
+    q_theta = base.differences(q)[0]
+    return snap.theta ** 2 / snap.F * (snap.grad[0] * q_theta)
 
 
 def _lhs_field(which, snap):

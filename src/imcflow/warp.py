@@ -10,6 +10,11 @@ whose inverse converts the evolving graph variable phi back to a radius.
 Presets cover the closed-form model geometries plus two families where h
 is only available through an ODE or a quadrature; those are tabulated once
 at construction and evaluated through cubic coefficient tables.
+
+The closed-form presets need numpy alone.  scipy is imported where it is
+used: by ``make_warp`` for the table-backed presets (schwarzschild3,
+saturating), by ``r_at_h`` (and so the H_floor check) and by
+``infimum_h0``.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ import bisect
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
 
 __all__ = [
     "WarpSpec",
@@ -80,6 +82,7 @@ class _CubicTable:
     """
 
     def __init__(self, x, y):
+        from scipy.interpolate import CubicSpline
         sp = CubicSpline(x, y)
         self.x = sp.x
         # left knot and coefficients of each piece in one column, so that
@@ -258,6 +261,7 @@ def _geometric_nodes(r_max, n=TABLE_NODES):
 
 def _build_tables(spec, h_closed=None):
     """Tabulate h (if ODE-defined) and Phi on a geometric grid."""
+    from scipy.integrate import solve_ivp
     r_lo, r_max = spec.r_domain
     nodes = _geometric_nodes(r_max)
     if spec.preset_id == "schwarzschild3":
@@ -293,7 +297,13 @@ def make_warp(preset_id, **params):
         return WarpSpec("euclidean", params, (0.0, math.inf), (1.0, 1.0))
     if preset_id == "hyperbolic":
         spec = WarpSpec("hyperbolic", params, (0.0, math.inf), (1.0, math.sinh(1.0)))
-        spec._phi_domain = (_EXP_LO, 0.0)     # r ~ 2 e^phi as phi -> -inf
+        # r ~ 2 e^phi as phi -> -inf; r -> inf as phi -> 0-, but h' = cosh r
+        # overflows first, at r = 710.48 (phi = -5.6e-309); the search probes
+        # (-1, 0), inside the default domain
+        with np.errstate(over="ignore"):
+            hi = -_first_outside(
+                lambda a: math.isfinite(hp_at_phi(spec, np.array([-a]))[0]), 1.0, 0.0)
+        spec._phi_domain = (_EXP_LO, hi)
         return spec
     if preset_id == "power":
         p = float(params.get("p", 1.0))
@@ -327,6 +337,21 @@ def make_warp(preset_id, **params):
     raise ValueError(f"unknown warp preset {preset_id!r}")
 
 
+def _first_outside(inside, good, bad):
+    """The first float x from ``good`` towards ``bad`` (both >= 0) on which
+    ``inside(x)`` fails, for a test that holds on good and, once it fails,
+    fails all the way to bad: bisection on the bits, which order like the
+    floats >= 0."""
+    g, b = (int(np.array(x).view(np.int64)) for x in (good, bad))
+    while abs(b - g) > 1:
+        m = (g + b) // 2
+        if inside(float(np.array(m).view(float))):
+            g = m
+        else:
+            b = m
+    return float(np.array(b).view(float))
+
+
 def _power_phi_domain(p):
     """Open interval of the potentials whose power radius (p > 1)
     r = b^(1/(1-p)), b = 1 + (1-p) phi, is a positive float; r rises with phi.
@@ -337,22 +362,14 @@ def _power_phi_domain(p):
     """
     q, e = 1.0 - p, 1.0 / (1.0 - p)
 
-    def edge(sign):
-        # the first potential outside from 0 towards sign * inf: bisection
-        # on the bits of |phi|, which order like the floats >= 0
-        g, b = 0, int(np.array(math.inf).view(np.int64))
-        while b - g > 1:
-            m = (g + b) // 2
-            base = 1.0 + q * (sign * np.array([m]).view(float))
-            r = (float((base ** e)[0]), float(base[0] ** e))
-            if base[0] > 0.0 and min(r) > 0.0 and max(r) < math.inf:
-                g = m
-            else:
-                b = m
-        return sign * float(np.array(b).view(float))
+    def inside(phi):
+        base = 1.0 + q * np.array([phi])
+        r = (float((base ** e)[0]), float(base[0] ** e))
+        return base[0] > 0.0 and min(r) > 0.0 and max(r) < math.inf
 
     with np.errstate(all="ignore"):
-        return edge(-1.0), edge(1.0)
+        return (-_first_outside(lambda a: inside(-a), 0.0, math.inf),
+                _first_outside(inside, 0.0, math.inf))
 
 
 def _saturating_h(a, b, k, r):
@@ -469,8 +486,9 @@ def phi_domain_violation(spec, phi):
     Each preset's potential domain is the open interval ``spec._phi_domain``:
     non-finite values lie outside it, and so do potentials whose radius
     underflows to 0 or overflows in floats (e^phi on the flat presets,
-    (1 + (1-p) phi)^(1/(1-p)) on power with p != 1).  ``r_of_phi`` raises
-    exactly when this is not None, and the flow reports the node it returns.
+    (1 + (1-p) phi)^(1/(1-p)) on power with p != 1) or whose h' overflows
+    (cosh r on hyperbolic).  ``r_of_phi`` raises exactly when this is not
+    None, and the flow reports the node it returns.
     """
     phi = np.asarray(phi, dtype=float)
     lo, hi = spec._phi_domain
@@ -661,6 +679,7 @@ def scalar_speed(spec, nm1):
 
 def r_at_h(spec, h_target):
     """Radius at which the warping factor reaches ``h_target`` (h is monotone)."""
+    from scipy.optimize import brentq
     lo, hi = spec.r_domain
     lo = max(lo, 1e-12) + 1e-15
     if math.isinf(hi):
@@ -771,6 +790,7 @@ def infimum_h0(spec, interval, samples=10000):
     Dense sampling plus a local bounded refine around the best sample; exact
     at the endpoints for monotone integrands.
     """
+    from scipy.optimize import minimize_scalar
     r_lo, r_hi = float(interval[0]), float(interval[1])
     lo, hi = spec.r_domain
     r_lo = max(r_lo, lo + 1e-12)

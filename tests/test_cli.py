@@ -19,6 +19,7 @@ from imcflow.cli import (CHECK_IDS, ConfigError, load_trace, main,
                          parse_config, run_checks)
 from imcflow.flow import TRACE_COLUMNS
 from imcflow.verify import DEFAULT_C_RES
+from imcflow.warp import eval_warp, infimum_h0, make_warp, r_at_h
 
 POINT_RUN = """\
 warp.preset = euclidean
@@ -342,6 +343,62 @@ class TestPresets:
         assert done.returncode == 0, done.stderr
         assert main(["presets"]) == 0
         assert done.stdout == capsys.readouterr().out
+
+
+SCIPY_USED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+
+CLOSED_FORM_RUN = f"""\
+import sys
+import numpy as np
+import imcflow.cli
+from imcflow import flow, geometry, manifold, warp
+base = manifold.make_base("axisphere", 16)
+for w in (warp.make_warp("euclidean"), warp.make_warp("hyperbolic"),
+          warp.make_warp("power", p=2.0)):
+    r = 1.0 + 0.2 * np.cos(base.theta)
+    tr = flow.run(geometry.GraphState.from_radius(base, w, r),
+                  flow.FlowConfig(t_end=0.01))
+    assert tr.completed, tr.terminal
+print(sorted(m for m in {SCIPY_USED!r} if m in sys.modules))
+"""
+
+# table-backed presets, and a closed form for r_at_h's bracket search
+SCIPY_WARPS = (("schwarzschild3", {"m": 0.5}),
+               ("saturating", {"a": 2.0, "b": 1.0, "k": 1.0}),
+               ("hyperbolic", {}))
+
+SCIPY_ENTRY_POINTS = f"""\
+import json
+from imcflow import warp
+print(json.dumps([[warp.r_at_h(w, 5.0), warp.infimum_h0(w, (1.0, 2.0))]
+                  for w in (warp.make_warp(pid, **params)
+                            for pid, params in {SCIPY_WARPS!r})]))
+"""
+
+
+class TestColdStart:
+    """Fresh interpreters, since this one has loaded scipy already."""
+
+    def python(self, code):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_closed_form_runs_load_no_scipy_submodule(self):
+        # the CLI, the closed-form warps and a field run need numpy alone
+        assert self.python(CLOSED_FORM_RUN).strip() == "[]"
+
+    def test_tables_and_root_finders_work_from_a_cold_start(self):
+        # the same values as in this interpreter, where scipy is loaded
+        cold = json.loads(self.python(SCIPY_ENTRY_POINTS))
+        assert len(cold) == len(SCIPY_WARPS)
+        for (pid, params), (r, inf_h0) in zip(SCIPY_WARPS, cold):
+            w = make_warp(pid, **params)
+            assert (r, inf_h0) == (r_at_h(w, 5.0), infimum_h0(w, (1.0, 2.0))), pid
+            assert abs(float(eval_warp(w, r)[0]) - 5.0) < 1e-12, pid
 
 
 class TestRunChecks:

@@ -43,7 +43,8 @@ def edges(pid):
         # r = e^phi leaves (0, inf) by underflow and overflow
         return (-745.1332191019411, 709.782712893384)
     if pid == "hyperbolic":
-        return (None, 0.0)
+        # cosh r overflows just below phi = 0
+        return (None, w._phi_domain[1])
     if pid == "power":
         return (None, 1.0 / (w.params["p"] - 1.0))
     return w._phi_domain
@@ -321,11 +322,11 @@ class TestFastAccept:
         assert (ev.kind, ev.node) == ("numeric", 5)
 
     def test_infinite_F_inside_the_domain_falls_back(self):
-        # the smallest negative potential maps to r ~ 745, where cosh r
-        # overflows: h' = inf passes the radius check, F = inf does not; a
-        # round state, so F is positive (infinite) everywhere
+        # phi = -1e-308 maps to r = 709.89, where h' = cosh r is finite but
+        # F = 2 cosh r overflows: the state passes the domain check, F = inf
+        # does not; a round state, so F is positive (infinite) everywhere
         base = make_base("axisphere", 16)
-        phi = np.full(16, -5e-324)
+        phi = np.full(16, -1e-308)
         with np.errstate(all="ignore"):
             accepted, ev = probe_agrees(base, WARPS["hyperbolic"], phi, 1e-3)
         assert not accepted

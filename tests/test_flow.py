@@ -351,6 +351,27 @@ class TestEvents:
             assert repr(point.terminal) == repr(field.terminal)
             assert point.t_final == field.t_final == point.snapshots[-1][0]
 
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_cosh_overflow_ends_point_and_field_runs_alike(self, integrator):
+        # h' = cosh r overflows at r = 710.48, which a hyperbolic flow of
+        # curves (n = 2, dr/dt ~ 1) from r = 705 reaches at t ~ 5.5.  The
+        # point base once stepped on with h = inf, the circle ended with a
+        # numeric event (F = h' = inf).  At n = 2, F = (n-1) h' is finite
+        # exactly where h' is; at n >= 3 it overflows first.
+        w = make_warp("hyperbolic")
+        cfg = FlowConfig(t_end=20.0, integrator=integrator, dt_max=1e-2)
+        traces = []
+        for base in (make_base("point", d=1), make_base("circle", 8)):
+            state = GraphState.from_radius(base, w, np.full(base.shape, 705.0))
+            with np.errstate(all="ignore"):
+                traces.append(run(state, cfg))
+        point, field = traces
+        assert point.terminal.kind == field.terminal.kind == "domain"
+        assert point.terminal.t == field.terminal.t
+        assert point.t_final == field.t_final == point.snapshots[-1][0]
+        for tr in traces:
+            assert np.isfinite(tr.snapshots[-1][2].F).all()
+
     def test_radius_domain_event_names_the_offending_node(self):
         # phi = 710 inverts to r = e^710 = inf; the radius check names node 9
         base = make_base("axisphere", 16)

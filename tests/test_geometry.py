@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imcflow.geometry import (
     GraphState,
@@ -351,3 +352,57 @@ class TestRandomizedInvariants:
             assert np.all((s.n - 1) * s.A2 >= s.H ** 2 - 1e-12)
             np.testing.assert_allclose(s.shape[0, 0] + s.shape[1, 1], s.H,
                                        rtol=1e-10, atol=1e-12)
+
+
+PROPERTY_WARPS = {
+    "euclidean": make_warp("euclidean"),
+    "hyperbolic": make_warp("hyperbolic"),
+    "power p=2": make_warp("power", p=2.0),
+    "schwarzschild3": make_warp("schwarzschild3", m=0.5),
+    "saturating": make_warp("saturating", a=2.0, b=1.0, k=2.0),
+}
+EPS = np.finfo(float).eps
+# H = F/(h Theta) and |A|^2 = S^i_j S^j_i are rounded along different
+# paths from the same curvatures, each to a relative few eps; where they
+# are equal (umbilic nodes) H^2 exceeded (n-1)|A|^2 by at most 10 eps |A|^2
+# over 20000 random states of this strategy
+CAUCHY_SCHWARZ_ULPS = 16
+
+
+@st.composite
+def low_mode_states(draw):
+    """A snapshot of r = r0 (1 + up to three low modes) on the axisphere or
+    torus2, on every warp; total relative amplitude below 0.3."""
+    kind = draw(st.sampled_from(["axisphere", "torus2"]))
+    base = make_base(kind, draw(st.integers(6, 40 if kind == "axisphere" else 20)))
+    w = PROPERTY_WARPS[draw(st.sampled_from(sorted(PROPERTY_WARPS)))]
+    r0 = 10.0 ** draw(st.floats(-1.0, 1.5))
+    n_modes = draw(st.integers(1, 3))
+    r = np.full(base.shape, 1.0)
+    for _ in range(n_modes):
+        # amplitudes down to 1e-16: near-umbilic states are where
+        # H^2 = (n-1)|A|^2 holds with equality
+        a = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -0.53))
+        if kind == "axisphere":
+            # cos(l theta) is even across both poles, so smooth on the sphere
+            r = r + a / n_modes * np.cos(draw(st.integers(1, 4)) * base.theta)
+        else:
+            p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            phase = draw(st.floats(0.0, 2.0 * np.pi))
+            r = r + a / n_modes * np.cos(p * base.x[:, None] + q * base.x[None, :] + phase)
+    return snapshot(GraphState.from_radius(base, w, r0 * r))
+
+
+class TestSnapshotProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(low_mode_states())
+    def test_theta_in_unit_interval(self, s):
+        assert np.all(s.theta > 0.0) and np.all(s.theta <= 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(low_mode_states())
+    def test_mean_curvature_below_norm_of_second_fundamental_form(self, s):
+        # H^2 <= (n-1)|A|^2 (Cauchy-Schwarz on the n-1 principal curvatures),
+        # to CAUCHY_SCHWARZ_ULPS ulps of |A|^2
+        excess = s.H ** 2 - (s.n - 1) * s.A2
+        assert np.all(excess <= CAUCHY_SCHWARZ_ULPS * EPS * s.A2)
