@@ -4,7 +4,8 @@ The ambient space is N x_h (0, r_max) with metric dr^2 + h(r)^2 sigma; the
 hypersurface is the graph r = r(x, t) over the base N, driven by normal
 speed 1/H.  Submodules:
 
-warp      presets for the warping factor h and the radial potential
+warp      presets for the warping factor h and the radial potential;
+          closed forms but for the tabulated saturating preset
 manifold  discretized base manifolds (point, circle, axisphere, torus2)
 geometry  graph states and pointwise extrinsic geometry
 flow      explicit time stepping with CFL control and event detection

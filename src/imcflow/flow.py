@@ -18,20 +18,21 @@ step.  A stepper only evaluates states (start, check) and bounds dt
 _FieldStepper sends every array state through _evaluate, the one code
 that decides whether a state is valid and which event it is.
 _PointStepper takes a plain float's rate from the warp's scalar speed and
-calls _evaluate only on the initial state and for event payloads:
-criterion 1's 80k speed calls must fit its 1 s gate, and one array
-evaluation on the point base costs 20-100 us.
+calls _evaluate only for event payloads: criterion 1's 80k speed calls
+must fit its 1 s gate, and one array evaluation on the point base costs
+20-100 us.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError, hp_at_phi, scalar_speed
+from .warp import WarpDomainError, _first_outside, hp_at_phi, scalar_speed
 from .geometry import GraphState
 
 __all__ = [
@@ -227,33 +228,43 @@ class _FieldStepper:
         return _cfl_dt(self.base, F, theta2, diffs, self.config.safety)
 
 
+@functools.lru_cache(maxsize=16)
+def _point_f_edge(wspec, d):
+    """The least potential where the point base's F = d h' overflows or
+    leaves the domain: h' rises with phi on every preset, and the float
+    speed 1/(d h') stays finite where d cosh r overflows on hyperbolic."""
+    def finite(phi):     # the search probes inside the domain only
+        return bool(np.isfinite(d * hp_at_phi(wspec, np.array([phi]))).all())
+    lo, hi = wspec._phi_domain
+    with np.errstate(over="ignore"):
+        return _first_outside(finite, float(np.nextafter(lo, hi)), hi)
+
+
 class _PointStepper:
-    """A plain float; the scalar speed raises WarpDomainError where
-    phi_domain_violation flags the state, and _evaluate gives that event
-    the field path's payload."""
+    """A plain float, valid below _point_f_edge where the scalar speed
+    accepts it; _evaluate gives every event the field path's payload."""
 
     def __init__(self, base, wspec, config, stats):
-        self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
-        self.k = None
+        self.stats, self.k = stats, None
         speed = scalar_speed(wspec, base.d)
+        top = _point_f_edge(wspec, base.d)
 
         # a closure, not a method: the stages call it four times a step
         def check(phi, t):
             stats.f_evals += 1
             try:
                 self.k = speed(phi)
+                if phi < top:
+                    return None
             except WarpDomainError:
-                return _evaluate(base, wspec, np.array([phi]), t,
-                                 config.theta_min)[1]
+                pass
+            return _evaluate(base, wspec, np.array([phi]), t,
+                             config.theta_min)[1]
         self.check = check
 
     def start(self, phi):
-        # only this _evaluate sees an F that overflows where the speed stays
-        # finite (d cosh r for d >= 2 above r = 709.8 on hyperbolic); check
-        # does not
         x = float(phi[0])
-        return x, self.check(x, 0.0) or _evaluate(
-            self.base, self.wspec, phi, 0.0, self.config.theta_min)[1]
+        return x, self.check(x, 0.0)
 
     def cfl(self):
         return math.inf

@@ -7,14 +7,15 @@ dr^2 + h(r)^2 sigma.  Everything downstream needs fast pointwise access to
     Phi(r) = int dr / h(r),
 
 whose inverse converts the evolving graph variable phi back to a radius.
-Presets cover the closed-form model geometries plus two families where h
-is only available through an ODE or a quadrature; those are tabulated once
-at construction and evaluated through cubic coefficient tables.
+Presets cover the closed-form model geometries.  schwarzschild3 is closed
+form in the potential itself: with h = 2m cosh^2(v/2), h' = tanh(v/2) and
+Phi = v + const, so the stage path needs no radius.  Only saturating, whose
+potential is a quadrature, is tabulated once at construction and evaluated
+through cubic coefficient tables.
 
-The closed-form presets need numpy alone.  scipy is imported where it is
-used: by ``make_warp`` for the table-backed presets (schwarzschild3,
-saturating), by ``r_at_h`` (and so the H_floor check) and by
-``infimum_h0``.
+Every preset but saturating needs numpy alone.  scipy is imported where it
+is used: by ``make_warp`` for the saturating tables, by ``r_at_h`` (and so
+the H_floor check) and by ``infimum_h0``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ __all__ = [
     "PRESETS",
 ]
 
-TABLE_NODES = 4096
-
 # e^phi lies in (0, inf) exactly for _EXP_LO < phi < _EXP_HI: below, np.exp
 # and math.exp underflow to 0; above, they overflow
 _EXP_LO, _EXP_HI = -745.1332191019412, 709.7827128933841
@@ -61,34 +60,25 @@ class WarpDomainError(ValueError):
         self.node = node
 
 
-def _horner(c, t):
-    """((c0 t + c1) t + c2) t + c3 for coefficient rows c, in place after
-    the first product (the same roundings without the temporaries)."""
-    out = c[0] * t
-    out += c[1]
-    out *= t
-    out += c[2]
-    out *= t
-    out += c[3]
-    return out
-
-
 class _CubicTable:
     """Piecewise cubic with a cheap vectorized evaluator.
 
     scipy's PPoly __call__ carries enough per-call overhead to dominate the
     reduced (single node) flow, so we keep the knots and coefficients from a
-    CubicSpline fit and do searchsorted + Horner ourselves.
+    CubicSpline fit and do searchsorted + Horner ourselves.  Column i of
+    ``rows`` holds what piece i needs: the knot above it (+inf for the last
+    piece), its left knot, then its four coefficients, so one take gathers
+    a piece.
     """
 
     def __init__(self, x, y):
         from scipy.interpolate import CubicSpline
         sp = CubicSpline(x, y)
         self.x = sp.x
-        # left knot and coefficients of each piece in one column, so that
-        # one take gathers a piece
-        self._xc = np.vstack([sp.x[:-1], sp.c])
-        self.c = self._xc[1:]  # (4, len(x) - 1)
+        hi = sp.x[1:].copy()
+        hi[-1] = math.inf
+        self.rows = np.vstack([hi, sp.x[:-1], sp.c])
+        self.c = self.rows[2:]  # (4, len(x) - 1)
         self._last_seg = self.c.shape[1] - 1
         # plain-float copies for the scalar path (single-node flows)
         self._xl = self.x.tolist()
@@ -99,17 +89,46 @@ class _CubicTable:
         return self.at(self.segment(xq), xq)
 
     def segment(self, xq):
-        """Index of the polynomial piece each of the points xq falls in.
-
-        Tables built on the same knots share it, so one search serves all.
-        """
+        """Index of the polynomial piece each of the points xq falls in."""
         idx = self.x.searchsorted(xq) - 1
         return np.minimum(np.maximum(idx, 0), self._last_seg)
 
     def at(self, idx, xq):
         """The cubic of piece idx, evaluated at xq."""
-        x0, *c = self._xc.take(idx, axis=1)   # one gather, not five
-        return _horner(c, xq - x0)
+        return self.horner(self.rows.take(idx, axis=1), xq)
+
+    @staticmethod
+    def horner(cols, xq):
+        """The gathered pieces' cubics at xq: ((c0 t + c1) t + c2) t + c3,
+        t = xq - left knot, in place after the first product (the same
+        roundings without the temporaries)."""
+        t = xq - cols[1]
+        out = cols[2] * t
+        out += cols[3]
+        out *= t
+        out += cols[4]
+        out *= t
+        out += cols[5]
+        return out
+
+    def gather(self, guess, xq):
+        """Columns of the piece each xq falls in, as segment picks it.
+
+        ``guess`` is trusted where its piece holds xq and only the other
+        points are searched.  The test is segment's rule, x[i] < xq <=
+        x[i+1] with no upper bound on the last piece, except that points at
+        or below the first knot (outside every domain), NaN included, are
+        searched rather than accepted.
+        """
+        cols = self.rows.take(guess, axis=1)
+        ok = (cols[1] < xq) & (xq <= cols[0])
+        if ok.all():
+            return cols
+        if cols.ndim == 1:
+            return self.rows.take(self.segment(xq), axis=1)
+        miss = ~ok
+        cols[:, miss] = self.rows.take(self.segment(xq[miss]), axis=1)
+        return cols
 
     def scalar_segment(self, xq):
         """segment for one float xq."""
@@ -137,61 +156,11 @@ class _CubicTable:
         return ((c[0][i] * t + c[1][i]) * t + c[2][i]) * t + c[3][i]
 
 
-class _SharedKnots:
-    """Cubic tables on one set of knots, gathered a piece at a time.
-
-    Column i of ``rows`` holds what piece i needs: the knot above it
-    (+inf for the last piece), its left knot, then the four coefficients of
-    each table in order, so one take gathers every table's piece.  The
-    first table's knots and coefficients become a view of these rows, so
-    they are stored once.
-    """
-
-    def __init__(self, *tables):
-        x = tables[0].x
-        hi = x[1:].copy()
-        hi[-1] = math.inf
-        self.rows = np.vstack([hi, x[:-1]] + [t.c for t in tables])
-        tables[0]._xc = self.rows[1:6]
-        tables[0].c = self.rows[2:6]
-        self.segment = tables[0].segment
-
-    def gather(self, guess, xq):
-        """Columns of the piece each xq falls in, as segment picks it.
-
-        ``guess`` is trusted where its piece holds xq and only the other
-        points are searched.  The test is segment's rule, x[i] < xq <=
-        x[i+1] with no upper bound on the last piece, except that points at
-        or below the first knot (outside every domain), NaN included, are
-        searched rather than accepted.
-        """
-        return self.verify(self.rows.take(guess, axis=1), xq)
-
-    def verify(self, cols, xq):
-        """cols gathered for other points, mended where xq leaves their piece."""
-        ok = (cols[1] < xq) & (xq <= cols[0])
-        if ok.all():
-            return cols
-        if cols.ndim == 1:
-            return self.rows.take(self.segment(xq), axis=1)
-        miss = ~ok
-        cols[:, miss] = self.rows.take(self.segment(xq[miss]), axis=1)
-        return cols
-
-    @staticmethod
-    def at(cols, table, t):
-        """Table number ``table`` (0 first) of the gathered columns, at the
-        offsets t = x - cols[1] from the pieces' left knots."""
-        return _horner(cols[2 + 4 * table:6 + 4 * table], t)
-
-
 class WarpSpec:
     """One warping factor: preset id, parameters, domain and anchor.
 
-    Instances are immutable by convention.  ``anchor`` is the (r0, h0) pair
-    fixing the integration constant when h itself solves an ODE; for
-    closed-form presets it just records h at the reference radius.  The
-    additive constant of the radial potential is a per-preset convention
+    Instances are immutable by convention.  ``anchor`` is an (r0, h0) pair
+    recording h at a reference radius.  The additive constant of the radial potential is a per-preset convention
     (see ``radial_potential``) and can be overridden with the parameters
     ``phi_r0`` / ``phi0``.
     """
@@ -201,11 +170,11 @@ class WarpSpec:
         self.params = dict(params)
         self.r_domain = tuple(r_domain)
         self.anchor = tuple(anchor)
-        # table-backed presets fill these in make_warp
-        self._h_table = None        # h(r)
+        # saturating fills these in make_warp
         self._phi_table = None      # Phi(r)
         self._r_of_phi_table = None  # r(Phi)
-        self._forward = None        # _SharedKnots of Phi (and h) on r
+        # schwarzschild3: the potential at r = 0, where h = 3m
+        self._phi_lo = None
         # valid potentials, an open interval
         self._phi_domain = (_EXP_LO, _EXP_HI)
 
@@ -226,13 +195,13 @@ PRESETS = {
         "conditions": "strict convexity; h' unbounded, outside the bounded-derivative family",
     },
     "schwarzschild3": {
-        "params": {"m": "mass > 0", "r_max": "table extent (default 2000)"},
-        "summary": "n = 3 exterior region: h' = sqrt(1 - 2m/h), tabulated h(r)",
+        "params": {"m": "mass > 0", "r_max": "radius-domain extent (default 2000)"},
+        "summary": "n = 3 exterior region: h' = sqrt(1 - 2m/h), closed form h' = tanh(v/2) in the potential",
         "conditions": "strict convexity for rho >= 1 - 3m/h; bounded-derivative family (alpha <= 1)",
     },
     "saturating": {
         "params": {"a": "limit slope, a > b > 0", "b": "slope deficit", "k": "decay power > 0",
-                   "r_max": "table extent (default 1e4)"},
+                   "r_max": "radius-domain extent (default 1e4)"},
         "summary": "h'(r) = a - b (1+r)^(-k), h(0) = 1",
         "conditions": "strict convexity; bounded-derivative family for alpha <= k",
     },
@@ -244,39 +213,60 @@ PRESETS = {
 }
 
 
-def _schwarzschild_rhs(m):
-    def rhs(r, y):
-        h = y[0]
-        hp = math.sqrt(max(1.0 - 2.0 * m / h, 0.0))
-        return [hp, 1.0 / h]
-    return rhs
+# schwarzschild3 with h = 2m cosh^2(v/2): h' = tanh(v/2) and dr = h dv, so
+# the potential is v plus a constant; h(0) = 3m puts r = 0 at v0 = arccosh 2
+_SW_V0 = math.acosh(2.0)
+_SW_SINH_V0 = math.sqrt(3.0)
 
 
-def _geometric_nodes(r_max, n=TABLE_NODES):
-    # node 0 at the left edge, then geometric spacing; clusters points where
-    # the tabulated functions bend fastest
-    tail = np.geomspace(r_max * 1e-7, r_max, n - 1)
-    return np.concatenate(([0.0], tail))
+def _sw_r(m, w):
+    """schwarzschild3 radius at w = v - v0 = phi - phi_lo.
+
+    r = m (v + sinh v) - m (v0 + sinh v0), with sinh v - sinh v0 written as
+    a product, which does not cancel as w -> 0.
+    """
+    return m * (w + 2.0 * np.cosh(_SW_V0 + 0.5 * w) * np.sinh(0.5 * w))
 
 
-def _build_tables(spec, h_closed=None):
-    """Tabulate h (if ODE-defined) and Phi on a geometric grid."""
+def _sw_hp(w):
+    """schwarzschild3 h' = tanh(v/2) at w = v - v0."""
+    return np.tanh(0.5 * (_SW_V0 + w))
+
+
+def _sw_warp(m, w):
+    """schwarzschild3 (r, h, h', h'') at w = v - v0: h = m (1 + cosh v) and
+    h'' = m / h^2."""
+    h = m * (1.0 + np.cosh(_SW_V0 + w))
+    return _sw_r(m, w), h, _sw_hp(w), m / h ** 2
+
+
+def _sw_w_of_r(m, r):
+    """w = v - v0 at radii r >= 0: Newton's method on _sw_r, whose slope in
+    w is h.  r is convex in w, and the start, where sinh v alone reaches
+    r/m + v0 + sinh v0, lies right of the root, so the iterates fall
+    monotonically onto it."""
+    w = np.arcsinh(r / m + (_SW_V0 + _SW_SINH_V0)) - _SW_V0
+    for _ in range(100):
+        step = (_sw_r(m, w) - r) / (m * (1.0 + np.cosh(_SW_V0 + w)))
+        w = w - step
+        if not np.any(np.abs(step) > 4.0 * np.finfo(float).eps * w):
+            break
+    return w
+
+
+def _build_tables(spec, h_closed):
+    """Tabulate Phi = int dr / h on a geometric grid, and its inverse."""
     from scipy.integrate import solve_ivp
     r_lo, r_max = spec.r_domain
-    nodes = _geometric_nodes(r_max)
-    if spec.preset_id == "schwarzschild3":
-        m = spec.params["m"]
-        sol = solve_ivp(_schwarzschild_rhs(m), (0.0, r_max), [spec.anchor[1], 0.0],
-                        t_eval=nodes, method="DOP853", rtol=1e-12, atol=1e-13)
-        h_vals, phi_vals = sol.y
-        spec._h_table = _CubicTable(nodes, h_vals)
-    else:
-        # h is closed form; only the potential needs quadrature
-        def rhs(r, y):
-            return [1.0 / h_closed(r)]
-        sol = solve_ivp(rhs, (0.0, r_max), [0.0], t_eval=nodes,
-                        method="DOP853", rtol=1e-12, atol=1e-13)
-        phi_vals = sol.y[0]
+    # 4096 nodes: 0 at the left edge, then geometric spacing, which clusters
+    # them where Phi bends fastest
+    nodes = np.concatenate(([0.0], np.geomspace(r_max * 1e-7, r_max, 4095)))
+
+    def rhs(r, y):
+        return [1.0 / h_closed(r)]
+    sol = solve_ivp(rhs, (0.0, r_max), [0.0], t_eval=nodes,
+                    method="DOP853", rtol=1e-12, atol=1e-13)
+    phi_vals = sol.y[0]
     # shift so Phi(phi_r0) = phi0
     phi_r0 = spec.params.get("phi_r0", r_lo + 1.0)
     phi0 = spec.params.get("phi0", 0.0)
@@ -286,8 +276,6 @@ def _build_tables(spec, h_closed=None):
     phi_vals = phi_vals - shift + phi0
     spec._phi_table = _CubicTable(nodes, phi_vals)
     spec._r_of_phi_table = _CubicTable(phi_vals, nodes)
-    tables = [spec._phi_table] + ([spec._h_table] if spec._h_table is not None else [])
-    spec._forward = _SharedKnots(*tables)
     spec._phi_domain = (float(phi_vals[0]), float(phi_vals[-1]))
 
 
@@ -301,8 +289,8 @@ def make_warp(preset_id, **params):
         # overflows first, at r = 710.48 (phi = -5.6e-309); the search probes
         # (-1, 0), inside the default domain
         with np.errstate(over="ignore"):
-            hi = -_first_outside(
-                lambda a: math.isfinite(hp_at_phi(spec, np.array([-a]))[0]), 1.0, 0.0)
+            hi = _first_outside(
+                lambda phi: math.isfinite(hp_at_phi(spec, np.array([phi]))[0]), -1.0, 0.0)
         spec._phi_domain = (_EXP_LO, hi)
         return spec
     if preset_id == "power":
@@ -321,7 +309,17 @@ def make_warp(preset_id, **params):
         r_max = float(params.get("r_max", 2000.0))
         params = dict(params, m=m, r_max=r_max)
         spec = WarpSpec("schwarzschild3", params, (0.0, r_max), (0.0, 3.0 * m))
-        _build_tables(spec)
+        # Phi(phi_r0) = phi0
+        spec._phi_lo = (params.get("phi0", 0.0)
+                        - float(_sw_w_of_r(m, params.get("phi_r0", 1.0))))
+
+        def inside(phi):
+            return 0.0 < _sw_r(m, np.array([phi]) - spec._phi_lo)[0] < r_max
+
+        mid = spec._phi_lo + float(_sw_w_of_r(m, 0.5 * r_max))
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec._phi_domain = (_first_outside(inside, mid, -math.inf),
+                                _first_outside(inside, mid, math.inf))
         return spec
     if preset_id == "saturating":
         a = float(params.get("a", 2.0))
@@ -338,18 +336,26 @@ def make_warp(preset_id, **params):
 
 
 def _first_outside(inside, good, bad):
-    """The first float x from ``good`` towards ``bad`` (both >= 0) on which
+    """The first float x from ``good`` towards ``bad`` on which
     ``inside(x)`` fails, for a test that holds on good and, once it fails,
-    fails all the way to bad: bisection on the bits, which order like the
-    floats >= 0."""
-    g, b = (int(np.array(x).view(np.int64)) for x in (good, bad))
+    fails all the way to bad: bisection on integer keys that order like the
+    floats (-0.0 and 0.0 share 0)."""
+    def key(x):
+        u = int(np.array(x, dtype=float).view(np.uint64))
+        return u if u < 1 << 63 else (1 << 63) - u
+
+    def value(k):
+        u = k if k >= 0 else (1 << 63) - k
+        return float(np.array(u, dtype=np.uint64).view(float))
+
+    g, b = key(good), key(bad)
     while abs(b - g) > 1:
         m = (g + b) // 2
-        if inside(float(np.array(m).view(float))):
+        if inside(value(m)):
             g = m
         else:
             b = m
-    return float(np.array(b).view(float))
+    return value(b)
 
 
 def _power_phi_domain(p):
@@ -368,7 +374,7 @@ def _power_phi_domain(p):
         return base[0] > 0.0 and min(r) > 0.0 and max(r) < math.inf
 
     with np.errstate(all="ignore"):
-        return (-_first_outside(lambda a: inside(-a), 0.0, math.inf),
+        return (_first_outside(inside, 0.0, -math.inf),
                 _first_outside(inside, 0.0, math.inf))
 
 
@@ -411,9 +417,8 @@ def eval_warp(spec, r):
     return _warp_at_r(spec, r)
 
 
-def _warp_at_r(spec, r, h=None):
-    """(h, h', h'') at radii r inside the domain; schwarzschild3 reads h(r)
-    from its table unless h is given."""
+def _warp_at_r(spec, r):
+    """(h, h', h'') at radii r inside the domain."""
     pid = spec.preset_id
     if pid == "euclidean":
         return r.copy(), np.ones_like(r), np.zeros_like(r)
@@ -427,38 +432,30 @@ def _warp_at_r(spec, r, h=None):
         hpp = k * b * (1.0 + r) ** (-k - 1.0)
         return _saturating_h(a, b, k, r), _hp(spec, r), hpp
     if pid == "schwarzschild3":
-        if h is None:
-            h = spec._h_table(r)
-        return h, _hp(spec, r, h), spec.params["m"] / h ** 2
+        m = spec.params["m"]
+        return _sw_warp(m, _sw_w_of_r(m, r))[1:]
     raise ValueError(f"unknown preset {pid!r}")
 
 
-def _hp(spec, r, h=None):
-    """h'(r) of a preset other than euclidean, for r inside its domain.
-
-    The one statement of each h' formula; schwarzschild3 reads h(r) from
-    its table unless h is given.
-    """
+def _hp(spec, r):
+    """h'(r) of hyperbolic, power or saturating, for r inside its domain:
+    the one statement of each h' formula."""
     pid = spec.preset_id
     if pid == "hyperbolic":
         return np.cosh(r)
     if pid == "power":
         p = spec.params["p"]
         return p * r ** (p - 1.0)
-    if pid == "saturating":
-        a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-        return a - b * (1.0 + r) ** (-k)
-    if h is None:
-        h = spec._h_table(r)
-    return np.sqrt(1.0 - 2.0 * spec.params["m"] / h)
+    a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
+    return a - b * (1.0 + r) ** (-k)
 
 
 def radial_potential(spec, r):
     """Potential Phi(r) with Phi'(r) = 1/h(r).
 
     Anchoring conventions: euclidean and power use Phi(1) = 0 (giving
-    ln r and (r^(1-p) - 1)/(1-p)); hyperbolic uses ln tanh(r/2); the
-    table-backed presets use Phi(1) = 0 unless overridden.
+    ln r and (r^(1-p) - 1)/(1-p)); hyperbolic uses ln tanh(r/2);
+    schwarzschild3 and saturating use Phi(1) = 0 unless overridden.
     """
     r = np.asarray(r, dtype=float)
     _check_r_domain(spec, r)
@@ -477,6 +474,8 @@ def radial_potential(spec, r):
         if p == 1.0:
             return np.log(r)
         return (r ** (1.0 - p) - 1.0) / (1.0 - p)
+    if pid == "schwarzschild3":
+        return spec._phi_lo + _sw_w_of_r(spec.params["m"], r)
     return spec._phi_table(r)
 
 
@@ -486,8 +485,9 @@ def phi_domain_violation(spec, phi):
     Each preset's potential domain is the open interval ``spec._phi_domain``:
     non-finite values lie outside it, and so do potentials whose radius
     underflows to 0 or overflows in floats (e^phi on the flat presets,
-    (1 + (1-p) phi)^(1/(1-p)) on power with p != 1) or whose h' overflows
-    (cosh r on hyperbolic).  ``r_of_phi`` raises exactly when this is not
+    (1 + (1-p) phi)^(1/(1-p)) on power with p != 1), whose h' overflows
+    (cosh r on hyperbolic) or whose radius leaves (0, r_max) (schwarzschild3
+    and saturating).  ``r_of_phi`` raises exactly when this is not
     None, and the flow reports the node it returns.
     """
     phi = np.asarray(phi, dtype=float)
@@ -532,57 +532,44 @@ def r_of_phi(spec, phi):
         if p == 1.0:
             return np.exp(phi)
         return (1.0 + (1.0 - p) * phi) ** (1.0 / (1.0 - p))
-    return _table_r(spec, phi)[0]
+    if pid == "schwarzschild3":
+        return _sw_r(spec.params["m"], phi - spec._phi_lo)
+    return _table_r(spec, phi)
 
 
 def _table_r(spec, phi):
-    """r(phi) of a table-backed preset, and the forward columns that made it.
+    """r(phi) of saturating: the inverse table's cubic, then one Newton step
+    against the forward table, dPhi/dr = 1/h.
 
-    The inverse table's cubic, then one Newton step against the forward
-    table: dPhi/dr = 1/h.  The inverse table's knots are the potentials of
-    the forward knots, so the inverse piece of phi is nearly always the
-    forward piece of r; it is the guess, verified, and only the points it
-    misses are searched.  phi must lie in the potential domain.
+    The inverse table's knots are the potentials of the forward knots, so
+    the inverse piece of phi is nearly always the forward piece of r; it is
+    the guess, verified, and only the points it misses are searched.  phi
+    must lie in the potential domain.
     """
     inv = spec._r_of_phi_table
     # phi lies strictly between the first and last knot, so the search
     # lands on a piece without segment's clamp
     idx = inv.x.searchsorted(phi) - 1
     r = inv.at(idx, phi)
-    fwd = spec._forward
-    cols = fwd.gather(idx, r)
-    t = r - cols[1]
-    if spec._h_table is not None:
-        h = fwd.at(cols, 1, t)
-    else:
-        a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-        h = _saturating_h(a, b, k, r)
-    return r - (fwd.at(cols, 0, t) - phi) * h, cols
-
-
-def _r_and_h(spec, phi):
-    """r(phi) checked against the radius domain, and h(r) where a table
-    gives it (schwarzschild3; None elsewhere)."""
-    if spec._forward is None:
-        r = r_of_phi(spec, phi)
-        _check_r_domain(spec, r)
-        return r, None
-    phi = np.asarray(phi, dtype=float)
-    _check_phi_domain(spec, phi)
-    r, cols = _table_r(spec, phi)
-    _check_r_domain(spec, r)
-    if spec._h_table is None:
-        return r, None
-    # the Newton step seldom leaves its piece: reuse the gathered columns
-    fwd = spec._forward
-    cols = fwd.verify(cols, r)
-    return r, fwd.at(cols, 1, r - cols[1])
+    fwd = spec._phi_table
+    a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
+    return r - (fwd.horner(fwd.gather(idx, r), r) - phi) * _saturating_h(a, b, k, r)
 
 
 def warp_at_phi(spec, phi):
     """Fused hot-path evaluation: phi -> (r, h, h', h'')."""
-    r, h = _r_and_h(spec, phi)
-    return (r,) + _warp_at_r(spec, r, h)
+    if spec.preset_id == "schwarzschild3":
+        return _sw_warp(spec.params["m"], _sw_w(spec, phi))
+    r = r_of_phi(spec, phi)
+    _check_r_domain(spec, r)
+    return (r,) + _warp_at_r(spec, r)
+
+
+def _sw_w(spec, phi):
+    """w = phi - phi_lo of schwarzschild3 potentials inside the domain."""
+    phi = np.asarray(phi, dtype=float)
+    _check_phi_domain(spec, phi)
+    return phi - spec._phi_lo
 
 
 def hp_at_phi(spec, phi):
@@ -591,14 +578,19 @@ def hp_at_phi(spec, phi):
     The flat presets (euclidean, power with p = 1) have h' = 1: for them the
     domain check runs on r = e^phi (non-finite phi fails it as well) and the
     float 1.0 is returned, which broadcasts like warp_at_phi's array of ones
-    and gives the same products bit for bit.  Other presets invert phi and
-    check the radius as warp_at_phi does, then evaluate h' only.
+    and gives the same products bit for bit.  schwarzschild3 takes the
+    interval test and h' = tanh(v/2), with no radius.  Other presets invert
+    phi and check the radius as warp_at_phi does, then evaluate h' only.
     """
     pid = spec.preset_id
     if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
         _check_r_domain(spec, np.exp(phi))
         return 1.0
-    return _hp(spec, *_r_and_h(spec, phi))
+    if pid == "schwarzschild3":
+        return _sw_hp(_sw_w(spec, phi))
+    r = r_of_phi(spec, phi)
+    _check_r_domain(spec, r)
+    return _hp(spec, r)
 
 
 def scalar_speed(spec, nm1):
@@ -610,11 +602,12 @@ def scalar_speed(spec, nm1):
     (NaN and infinities included), so the single-node stepper checks a
     state by calling it.
     Euclidean, hyperbolic and power are closed forms of the speed itself.
-    The table-backed presets take the steps of hp_at_phi on plain floats,
-    with bisect on float lists in place of searchsorted and the inverse
-    piece as the verified guess of the forward one: on schwarzschild3
-    h' is hp_at_phi's bit for bit; on saturating the Newton step uses a
-    float copy of h (math.log1p and float powers), which can differ from
+    schwarzschild3 reads hp_at_phi's h' = tanh(v/2) on the float: numpy's
+    tanh of a float gives its array loop's bits, which math.tanh does not
+    always.  saturating takes the steps of hp_at_phi on plain floats, with
+    bisect on float lists in place of searchsorted and the inverse piece as
+    the verified guess of the forward one; the Newton step uses a float copy
+    of h (math.log1p and float powers), which can differ from
     ``_saturating_h`` in the last bit.
     """
     pid = spec.preset_id
@@ -645,21 +638,15 @@ def scalar_speed(spec, nm1):
                 raise WarpDomainError(f"potential outside ({lo}, {hi})")
             return (1.0 + q * phi) / (nm1 * p)
         return speed
-    inv, fwd = spec._r_of_phi_table, spec._phi_table
     if pid == "schwarzschild3":
-        ht = spec._h_table
-        m2 = 2.0 * spec.params["m"]
+        phi_lo = spec._phi_lo
 
         def speed(phi):
             if not lo < phi < hi:
-                raise WarpDomainError("potential outside tabulated image")
-            i = inv.scalar_segment(phi)
-            r = inv.scalar_at(i, phi)
-            i = fwd.scalar_piece(i, r)
-            r -= (fwd.scalar_at(i, r) - phi) * ht.scalar_at(i, r)
-            h = ht.scalar_at(fwd.scalar_piece(i, r), r)
-            return 1.0 / (nm1 * math.sqrt(1.0 - m2 / h))
+                raise WarpDomainError(f"potential outside ({lo}, {hi})")
+            return 1.0 / (nm1 * float(_sw_hp(phi - phi_lo)))
         return speed
+    inv, fwd = spec._r_of_phi_table, spec._phi_table
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
 
     def h_closed(r):

@@ -357,7 +357,7 @@ class TestEvents:
         # curves (n = 2, dr/dt ~ 1) from r = 705 reaches at t ~ 5.5.  The
         # point base once stepped on with h = inf, the circle ended with a
         # numeric event (F = h' = inf).  At n = 2, F = (n-1) h' is finite
-        # exactly where h' is; at n >= 3 it overflows first.
+        # exactly where h' is; at n >= 3 it overflows first (next test).
         w = make_warp("hyperbolic")
         cfg = FlowConfig(t_end=20.0, integrator=integrator, dt_max=1e-2)
         traces = []
@@ -368,6 +368,26 @@ class TestEvents:
         point, field = traces
         assert point.terminal.kind == field.terminal.kind == "domain"
         assert point.terminal.t == field.terminal.t
+        assert point.t_final == field.t_final == point.snapshots[-1][0]
+        for tr in traces:
+            assert np.isfinite(tr.snapshots[-1][2].F).all()
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_F_overflow_ends_point_and_field_runs_alike(self, integrator):
+        # n = 3: F = 2 cosh r overflows at r = 709.78, before h' = cosh r
+        # does (710.48), which surfaces from r = 705 (dr/dt ~ 1/2) reach at
+        # t ~ 9.57.  The point base once ran on to the domain edge, t = 10.955
+        w = make_warp("hyperbolic")
+        cfg = FlowConfig(t_end=20.0, integrator=integrator, dt_max=1e-2)
+        traces = []
+        for base in (POINT, make_base("axisphere", 8)):
+            state = GraphState.from_radius(base, w, np.full(base.shape, 705.0))
+            with np.errstate(all="ignore"):
+                traces.append(run(state, cfg))
+        point, field = traces
+        assert point.terminal.kind == field.terminal.kind == "numeric"
+        assert point.terminal.t == field.terminal.t
+        assert math.isclose(point.terminal.t, 9.57, abs_tol=0.05)
         assert point.t_final == field.t_final == point.snapshots[-1][0]
         for tr in traces:
             assert np.isfinite(tr.snapshots[-1][2].F).all()
@@ -517,6 +537,35 @@ class TestSymmetryAndMonotonicity:
         assert tr.completed
         for (_, s0, _), (_, s1, _) in zip(tr.snapshots, tr.snapshots[1:]):
             assert np.all(s1.phi > s0.phi)
+
+    @pytest.mark.parametrize("kind", ["circle", "axisphere", "torus2"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pid=st.sampled_from(sorted(PLANT_WARPS)),
+           integrator=st.sampled_from(["rk4", "euler"]),
+           modes=st.lists(st.tuples(st.integers(1, 2), st.integers(0, 2),
+                                    st.floats(-0.05, 0.05), st.floats(0.0, 6.3)),
+                          min_size=1, max_size=3))
+    def test_expansion_is_nodewise_monotone_on_random_states(
+            self, kind, pid, integrator, modes):
+        # every accepted stage has k = 1/F > 0, so no node's potential
+        # falls between snapshots, whatever the warp, state or integrator
+        w, r0 = PLANT_WARPS[pid]
+        base = make_base(kind, 6 if kind == "torus2" else 16)
+        r = np.ones(base.shape)
+        for p, q, a, phase in modes:
+            if kind == "torus2":
+                angle = p * base.x[:, None] + q * base.x[None, :] + phase
+            elif kind == "circle":
+                angle = p * base.theta + phase
+            else:
+                angle = p * base.theta   # even across the poles
+            r = r + a * np.cos(angle)
+        tr = run(GraphState.from_radius(base, w, r0 * r),
+                 FlowConfig(t_end=0.05, integrator=integrator, safety=0.5,
+                            dt_max=1e-3, record_every=0.01, snapshot_every=0.01))
+        assert len(tr.snapshots) >= 2, tr.terminal
+        for (_, s0, _), (_, s1, _) in zip(tr.snapshots, tr.snapshots[1:]):
+            assert np.all(s1.phi >= s0.phi)
 
     def test_record_times_strictly_increase(self):
         tr = run(point_state(make_warp("hyperbolic"), 1.0),
