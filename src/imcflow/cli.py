@@ -406,7 +406,7 @@ def cmd_sweep(config_path, outdir, jobs):
     if jobs > 1 and len(tasks) > 1:
         # runs are numpy-bound, so threads serialize on the GIL; forked
         # workers inherit the modules this process has loaded (numpy, and
-        # scipy's submodules only if a table or root finder was used)
+        # scipy's submodules only if a root finder or minimizer was used)
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(

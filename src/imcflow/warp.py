@@ -10,12 +10,13 @@ whose inverse converts the evolving graph variable phi back to a radius.
 Presets cover the closed-form model geometries.  schwarzschild3 is closed
 form in the potential itself: with h = 2m cosh^2(v/2), h' = tanh(v/2) and
 Phi = v + const, so the stage path needs no radius.  Only saturating, whose
-potential is a quadrature, is tabulated once at construction and evaluated
-through cubic coefficient tables.
+potential is a quadrature, is tabulated once at construction: Phi at 4096
+knots by Gauss-Legendre quadrature, then Phi(r) and its inverse r(Phi) as
+cubic Hermite pieces with the exact slopes 1/h and h.
 
-Every preset but saturating needs numpy alone.  scipy is imported where it
-is used: by ``make_warp`` for the saturating tables, by ``r_at_h`` (and so
-the H_floor check) and by ``infimum_h0``.
+Every preset and its tables need numpy alone.  scipy is imported where it
+is used: by ``r_at_h`` (and so the H_floor check) on every preset but
+schwarzschild3, and by ``infimum_h0``.
 """
 
 from __future__ import annotations
@@ -61,23 +62,29 @@ class WarpDomainError(ValueError):
 
 
 class _CubicTable:
-    """Piecewise cubic with a cheap vectorized evaluator.
+    """Piecewise cubic Hermite table with a cheap vectorized evaluator.
 
-    scipy's PPoly __call__ carries enough per-call overhead to dominate the
-    reduced (single node) flow, so we keep the knots and coefficients from a
-    CubicSpline fit and do searchsorted + Horner ourselves.  Column i of
-    ``rows`` holds what piece i needs: the knot above it (+inf for the last
-    piece), its left knot, then its four coefficients, so one take gathers
-    a piece.
+    Piece i is the cubic that takes the values y and the slopes dydx given
+    at its two knots; with exact slopes it is accurate to fourth order, and
+    no linear system ties the pieces together.  Evaluation is searchsorted
+    plus Horner on our own arrays, since a generic piecewise-polynomial
+    call carries enough per-call overhead to dominate the single-node flow.
+    Column i of ``rows`` holds what piece i needs: the knot above it (+inf
+    for the last piece), its left knot, then its four coefficients, highest
+    power first, so one take gathers a piece.
     """
 
-    def __init__(self, x, y):
-        from scipy.interpolate import CubicSpline
-        sp = CubicSpline(x, y)
-        self.x = sp.x
-        hi = sp.x[1:].copy()
+    def __init__(self, x, y, dydx):
+        dx = np.diff(x)
+        secant = np.diff(y) / dx
+        d0, d1 = dydx[:-1], dydx[1:]
+        self.x = x
+        hi = x[1:].copy()
         hi[-1] = math.inf
-        self.rows = np.vstack([hi, sp.x[:-1], sp.c])
+        # in t = xq - x[i]: y0 + d0 t + (3 s - 2 d0 - d1) t^2 / dx
+        # + (d0 + d1 - 2 s) t^3 / dx^2, s the secant slope
+        self.rows = np.vstack([hi, x[:-1], (d0 + d1 - 2.0 * secant) / dx ** 2,
+                               (3.0 * secant - 2.0 * d0 - d1) / dx, d0, y[:-1]])
         self.c = self.rows[2:]  # (4, len(x) - 1)
         self._last_seg = self.c.shape[1] - 1
         # plain-float copies for the scalar path (single-node flows)
@@ -255,27 +262,28 @@ def _sw_w_of_r(m, r):
 
 
 def _build_tables(spec, h_closed):
-    """Tabulate Phi = int dr / h on a geometric grid, and its inverse."""
-    from scipy.integrate import solve_ivp
+    """Tabulate Phi = int dr / h on a geometric grid, and its inverse, as
+    cubic Hermite tables with the exact slopes Phi' = 1/h and r' = h."""
+    from numpy.polynomial.legendre import leggauss
     r_lo, r_max = spec.r_domain
     # 4096 nodes: 0 at the left edge, then geometric spacing, which clusters
     # them where Phi bends fastest
     nodes = np.concatenate(([0.0], np.geomspace(r_max * 1e-7, r_max, 4095)))
-
-    def rhs(r, y):
-        return [1.0 / h_closed(r)]
-    sol = solve_ivp(rhs, (0.0, r_max), [0.0], t_eval=nodes,
-                    method="DOP853", rtol=1e-12, atol=1e-13)
-    phi_vals = sol.y[0]
+    # 8-point Gauss-Legendre on every interval between nodes, summed up
+    g, wg = leggauss(8)
+    mid, half = 0.5 * (nodes[1:] + nodes[:-1]), 0.5 * np.diff(nodes)
+    steps = half * (1.0 / h_closed(mid[:, None] + half[:, None] * g) @ wg)
+    phi_vals = np.concatenate(([0.0], np.cumsum(steps)))
+    h_nodes = h_closed(nodes)
     # shift so Phi(phi_r0) = phi0
     phi_r0 = spec.params.get("phi_r0", r_lo + 1.0)
     phi0 = spec.params.get("phi0", 0.0)
     # anchor through the table itself, so Phi(phi_r0) = phi0 on the table
-    probe = _CubicTable(nodes, phi_vals)
+    probe = _CubicTable(nodes, phi_vals, 1.0 / h_nodes)
     shift = float(probe(phi_r0))
     phi_vals = phi_vals - shift + phi0
-    spec._phi_table = _CubicTable(nodes, phi_vals)
-    spec._r_of_phi_table = _CubicTable(phi_vals, nodes)
+    spec._phi_table = _CubicTable(nodes, phi_vals, 1.0 / h_nodes)
+    spec._r_of_phi_table = _CubicTable(phi_vals, nodes, h_nodes)
     spec._phi_domain = (float(phi_vals[0]), float(phi_vals[-1]))
 
 
@@ -576,15 +584,22 @@ def hp_at_phi(spec, phi):
     """h'(r(phi)) alone, raising WarpDomainError exactly where warp_at_phi does.
 
     The flat presets (euclidean, power with p = 1) have h' = 1: for them the
-    domain check runs on r = e^phi (non-finite phi fails it as well) and the
-    float 1.0 is returned, which broadcasts like warp_at_phi's array of ones
-    and gives the same products bit for bit.  schwarzschild3 takes the
-    interval test and h' = tanh(v/2), with no radius.  Other presets invert
-    phi and check the radius as warp_at_phi does, then evaluate h' only.
+    interval test on the potential domain, where e^phi is a positive float,
+    decides (NaN fails it as well) and the float 1.0 is returned, which
+    broadcasts like warp_at_phi's array of ones and gives the same products
+    bit for bit.  schwarzschild3 takes the interval test and
+    h' = tanh(v/2), with no radius.  Other presets invert phi and check the
+    radius as warp_at_phi does, then evaluate h' only.
     """
     pid = spec.preset_id
     if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
-        _check_r_domain(spec, np.exp(phi))
+        lo, hi = spec._phi_domain
+        if np.ndim(phi):
+            inside = phi.min() > lo and phi.max() < hi
+        else:
+            inside = lo < phi < hi
+        if not inside:
+            _check_phi_domain(spec, np.asarray(phi, dtype=float))
         return 1.0
     if pid == "schwarzschild3":
         return _sw_hp(_sw_w(spec, phi))
@@ -665,8 +680,11 @@ def scalar_speed(spec, nm1):
 
 
 def r_at_h(spec, h_target):
-    """Radius at which the warping factor reaches ``h_target`` (h is monotone)."""
-    from scipy.optimize import brentq
+    """Radius at which the warping factor reaches ``h_target`` (h is monotone).
+
+    schwarzschild3 inverts h = m (1 + cosh v) in closed form; the other
+    presets find the root with brentq.
+    """
     lo, hi = spec.r_domain
     lo = max(lo, 1e-12) + 1e-15
     if math.isinf(hi):
@@ -682,6 +700,13 @@ def r_at_h(spec, h_target):
         if abs(h_lo - h_target) / max(h_target, 1.0) < 1e-9:
             return lo
         raise WarpDomainError(f"h >= {h_target} on the whole domain")
+    if spec.preset_id == "schwarzschild3":
+        m = spec.params["m"]
+        r = float(_sw_r(m, math.acosh(h_target / m - 1.0) - _SW_V0))
+        if not r < hi:
+            raise WarpDomainError(f"h reaches {h_target} only beyond r = {hi}")
+        return r
+    from scipy.optimize import brentq
     return brentq(lambda r: float(eval_warp(spec, r)[0]) - h_target, lo, hi,
                   xtol=1e-14, rtol=1e-15)
 
@@ -723,7 +748,7 @@ class ConditionReport:
                 f"c5_bounded={self.c5_bounded})")
 
 
-# strict sign tolerance: quantities produced through splines wobble at the
+# strict sign tolerance: quantities produced by Newton solves wobble at the
 # rounding floor, honest zeros (h''=0 for euclidean) must stay non-strict
 _SIGN_TOL = 1e-13
 

@@ -347,29 +347,36 @@ class TestPresets:
 
 SCIPY_USED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
 
-CLOSED_FORM_RUN = f"""\
+NUMPY_ONLY_RUN = f"""\
 import sys
 import numpy as np
 import imcflow.cli
 from imcflow import flow, geometry, manifold, warp
 axisphere = manifold.make_base("axisphere", 16)
 torus = manifold.make_base("torus2", 6)
+point = manifold.make_base("point", d=2)
+saturating = warp.make_warp("saturating", a=2.0, b=1.0, k=1.0)
 for base, w, r0 in (
         (axisphere, warp.make_warp("euclidean"), 1.0),
         (axisphere, warp.make_warp("hyperbolic"), 1.0),
         (axisphere, warp.make_warp("power", p=2.0), 1.0),
         (axisphere, warp.make_warp("schwarzschild3", m=0.5), 2.0),
-        (torus, warp.make_warp("schwarzschild3", m=0.5), 2.0)):
-    angle = base.theta if base.kind == "axisphere" else base.x[:, None] + base.x
-    r = r0 * (1.0 + 0.1 * np.cos(angle))
+        (torus, warp.make_warp("schwarzschild3", m=0.5), 2.0),
+        (axisphere, saturating, 1.0),
+        (point, saturating, 1.0)):
+    if base.kind == "point":
+        r = np.array([r0])
+    else:
+        angle = base.theta if base.kind == "axisphere" else base.x[:, None] + base.x
+        r = r0 * (1.0 + 0.1 * np.cos(angle))
     tr = flow.run(geometry.GraphState.from_radius(base, w, r),
                   flow.FlowConfig(t_end=0.01))
     assert tr.completed, tr.terminal
 print(sorted(m for m in {SCIPY_USED!r} if m in sys.modules))
 """
 
-# the closed form on a finite radius domain, the table-backed preset, and a
-# closed form for r_at_h's bracket search
+# schwarzschild3's closed-form r_at_h, the table-backed preset, and a closed
+# form for r_at_h's bracket search
 SCIPY_WARPS = (("schwarzschild3", {"m": 0.5}),
                ("saturating", {"a": 2.0, "b": 1.0, "k": 1.0}),
                ("hyperbolic", {}))
@@ -394,10 +401,10 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         return done.stdout
 
-    def test_closed_form_runs_load_no_scipy_submodule(self):
-        # the CLI, the closed-form warps (schwarzschild3 included) and field
-        # runs on the axisphere and the torus need numpy alone
-        assert self.python(CLOSED_FORM_RUN).strip() == "[]"
+    def test_runs_load_no_scipy_submodule(self):
+        # the CLI, every warp preset (saturating's tables included), field
+        # runs on the axisphere and the torus and point runs need numpy alone
+        assert self.python(NUMPY_ONLY_RUN).strip() == "[]"
 
     def test_tables_and_root_finders_work_from_a_cold_start(self):
         # the same values as in this interpreter, where scipy is loaded
