@@ -24,7 +24,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .warp import PRESETS, make_warp, radial_potential
@@ -260,7 +259,6 @@ def write_outputs(trace, outdir, config_echo):
         "versions": {
             "imcflow": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }
@@ -405,8 +403,7 @@ def cmd_sweep(config_path, outdir, jobs):
 
     if jobs > 1 and len(tasks) > 1:
         # runs are numpy-bound, so threads serialize on the GIL; forked
-        # workers inherit the modules this process has loaded (numpy, and
-        # scipy's submodules only if a root finder or minimizer was used)
+        # workers inherit the modules this process has loaded
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(

@@ -20,8 +20,8 @@ from the Christoffel term and survives in traces.
 Each base has one finite-difference stencil, differences(f): the central
 first and second differences of f from one ghost-padded copy (a tuple,
 empty on the point base).  assemble(diffs) lays them out as the covariant
-(grad, hess) arrays; grad, hess and covariant_derivatives are the two
-composed, and the speed kernels of geometry read the differences directly.
+(grad, hess) arrays; covariant_derivatives is the two composed, and the
+speed kernels of geometry read the differences directly.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ class BaseManifold:
 
     # subclasses: differences (the one stencil), assemble, integrate,
     # sigma_diag, sigma_inv_diag, ricci_dphi
-
-    def grad(self, f):
-        return self.assemble(self.differences(self.check_field(f)))[0]
-
-    def hess(self, f):
-        return self.assemble(self.differences(self.check_field(f)))[1]
 
     def __repr__(self):
         return f"{type(self).__name__}(resolution={getattr(self, 'resolution', 1)})"

@@ -14,9 +14,8 @@ potential is a quadrature, is tabulated once at construction: Phi at 4096
 knots by Gauss-Legendre quadrature, then Phi(r) and its inverse r(Phi) as
 cubic Hermite pieces with the exact slopes 1/h and h.
 
-Every preset and its tables need numpy alone.  scipy is imported where it
-is used: by ``r_at_h`` (and so the H_floor check) on every preset but
-schwarzschild3, and by ``infimum_h0``.
+Every preset, its tables, ``r_at_h`` (a Newton solve) and ``infimum_h0``
+(dense samples) need numpy alone.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ __all__ = [
 # e^phi lies in (0, inf) exactly for _EXP_LO < phi < _EXP_HI: below, np.exp
 # and math.exp underflow to 0; above, they overflow
 _EXP_LO, _EXP_HI = -745.1332191019412, 709.7827128933841
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class WarpDomainError(ValueError):
@@ -680,35 +680,46 @@ def scalar_speed(spec, nm1):
 
 
 def r_at_h(spec, h_target):
-    """Radius at which the warping factor reaches ``h_target`` (h is monotone).
+    """Radius at which the warping factor reaches ``h_target``.
 
-    schwarzschild3 inverts h = m (1 + cosh v) in closed form; the other
-    presets find the root with brentq.
+    Every preset has h' > 0 and h'' >= 0, so Newton steps that start right
+    of the root fall monotonically onto it.  The start doubles from r = 1
+    up to the top of the domain, r_max (1 - 1e-12) when it is finite, and
+    bisects back where h or h' overflows; the steps stop at the first one
+    that does not lower r.  A target h does not reach inside the domain
+    raises WarpDomainError.
     """
     lo, hi = spec.r_domain
     lo = max(lo, 1e-12) + 1e-15
-    if math.isinf(hi):
-        hi = 1.0
-        while float(eval_warp(spec, hi)[0]) < h_target:
-            hi *= 2.0
-            if hi > 1e30:
-                raise WarpDomainError(f"h never reaches {h_target}")
-    else:
-        hi = hi * (1.0 - 1e-12)
+    top = min(hi * (1.0 - 1e-12), _FLOAT_MAX)
     h_lo = float(eval_warp(spec, lo)[0])
     if h_lo >= h_target:
         if abs(h_lo - h_target) / max(h_target, 1.0) < 1e-9:
             return lo
         raise WarpDomainError(f"h >= {h_target} on the whole domain")
-    if spec.preset_id == "schwarzschild3":
-        m = spec.params["m"]
-        r = float(_sw_r(m, math.acosh(h_target / m - 1.0) - _SW_V0))
-        if not r < hi:
-            raise WarpDomainError(f"h reaches {h_target} only beyond r = {hi}")
-        return r
-    from scipy.optimize import brentq
-    return brentq(lambda r: float(eval_warp(spec, r)[0]) - h_target, lo, hi,
-                  xtol=1e-14, rtol=1e-15)
+    below, r = lo, min(1.0, top)
+    while True:
+        with np.errstate(over="ignore"):
+            h, hp, _ = (float(v) for v in eval_warp(spec, r))
+        if not (math.isfinite(h) and math.isfinite(hp)):
+            # h or h' overflows from r on: bisect back towards below
+            top, r = r, 0.5 * (below + r)
+            if r in (below, top):
+                raise WarpDomainError(f"h or h' overflows before h reaches {h_target}")
+        elif h >= h_target:
+            break
+        elif r == top:
+            raise WarpDomainError(f"h reaches {h_target} only beyond r = {top}")
+        else:
+            below, r = r, min(2.0 * r, top)
+    while True:
+        r_next = r - (h - h_target) / hp
+        if not r_next < r:
+            # r rounded onto the root, or (after a rounding in the first
+            # long step) just below it, which this step corrects
+            return r_next
+        r = r_next
+        h, hp, _ = (float(v) for v in eval_warp(spec, r))
 
 
 class ConditionReport:
@@ -797,29 +808,15 @@ def check_conditions(spec, interval, rho, C=math.inf, alpha=1.0, samples=10000):
 
 
 def infimum_h0(spec, interval, samples=10000):
-    """inf of h''(r)/h(r) over a radius interval.
+    """inf of h''(r)/h(r) over a radius interval, the least of ``samples``
+    evenly spaced values.
 
-    Dense sampling plus a local bounded refine around the best sample; exact
-    at the endpoints for monotone integrands.
+    On every preset h''/h does not increase (0, 1, p (p-1)/r^2, m/h^3 and
+    k b (1+r)^(-k-1)/h), so this is its value at the top of the interval.
     """
-    from scipy.optimize import minimize_scalar
     r_lo, r_hi = float(interval[0]), float(interval[1])
     lo, hi = spec.r_domain
     r_lo = max(r_lo, lo + 1e-12)
     r_hi = min(r_hi, hi * (1 - 1e-12)) if not math.isinf(hi) else r_hi
-    r = np.linspace(r_lo, r_hi, samples)
-    h, _, hpp = eval_warp(spec, r)
-    q = hpp / h
-    i = int(np.argmin(q))
-    best = float(q[i])
-    a = r[max(i - 1, 0)]
-    b = r[min(i + 1, samples - 1)]
-    if b > a:
-        def f(x):
-            hh, _, hh2 = eval_warp(spec, x)
-            return float(hh2 / hh)
-        res = minimize_scalar(f, bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-12})
-        if res.fun < best:
-            best = float(res.fun)
-    return best
+    h, _, hpp = eval_warp(spec, np.linspace(r_lo, r_hi, samples))
+    return float(np.min(hpp / h))

@@ -167,7 +167,7 @@ class TestRunCommand:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["terminal"] == {"status": "completed"}
         assert meta["config"]["warp.preset"] == "euclidean"
-        assert set(meta["versions"]) >= {"imcflow", "numpy", "scipy", "python"}
+        assert set(meta["versions"]) == {"imcflow", "numpy", "python"}
 
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is True
@@ -375,27 +375,47 @@ for base, w, r0 in (
 print(sorted(m for m in {SCIPY_USED!r} if m in sys.modules))
 """
 
-# schwarzschild3's closed-form r_at_h, the table-backed preset, and a closed
-# form for r_at_h's bracket search
-SCIPY_WARPS = (("schwarzschild3", {"m": 0.5}),
-               ("saturating", {"a": 2.0, "b": 1.0, "k": 1.0}),
-               ("hyperbolic", {}))
+ALL_WARPS = (("euclidean", {}),
+             ("hyperbolic", {}),
+             ("power", {"p": 2.0}),
+             ("schwarzschild3", {"m": 0.5}),
+             ("saturating", {"a": 2.0, "b": 1.0, "k": 1.0}))
 
-SCIPY_ENTRY_POINTS = f"""\
+ROOT_AND_INFIMUM = f"""\
 import json
 from imcflow import warp
 print(json.dumps([[warp.r_at_h(w, 5.0), warp.infimum_h0(w, (1.0, 2.0))]
                   for w in (warp.make_warp(pid, **params)
-                            for pid, params in {SCIPY_WARPS!r})]))
+                            for pid, params in {ALL_WARPS!r})]))
+"""
+
+# scipy made unimportable: run, then check the curvature floor, and find
+# every preset's radius and h0
+WITHOUT_SCIPY = f"""\
+import sys
+sys.modules["scipy"] = None
+from pathlib import Path
+from imcflow import cli, warp
+cfg = Path(sys.argv[1]) / "run.cfg"
+cfg.write_text({FIELD_RUN.replace("growth_and_support, evolution_residuals",
+                                  "H_floor")!r})
+out = str(Path(sys.argv[1]) / "out")
+assert cli.main(["run", "--config", str(cfg), "--out", out]) == 0
+assert cli.main(["check", "--config", str(cfg), "--out", out]) == 0
+for pid, params in {ALL_WARPS!r}:
+    w = warp.make_warp(pid, **params)
+    warp.r_at_h(w, 5.0), warp.infimum_h0(w, (1.0, 2.0))
+print(sorted(m for m, module in sys.modules.items()
+             if m.startswith("scipy") and module is not None))
 """
 
 
 class TestColdStart:
     """Fresh interpreters, since this one has loaded scipy already."""
 
-    def python(self, code):
+    def python(self, code, *args):
         src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run([sys.executable, "-c", code],
+        done = subprocess.run([sys.executable, "-c", code, *args],
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -406,11 +426,16 @@ class TestColdStart:
         # runs on the axisphere and the torus and point runs need numpy alone
         assert self.python(NUMPY_ONLY_RUN).strip() == "[]"
 
+    def test_run_and_curvature_floor_check_without_scipy(self, tmp_path):
+        assert self.python(WITHOUT_SCIPY, str(tmp_path)).strip() == "[]"
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [c["check_id"] for c in report["checks"]] == ["H_floor"]
+
     def test_tables_and_root_finders_work_from_a_cold_start(self):
         # the same values as in this interpreter, where scipy is loaded
-        cold = json.loads(self.python(SCIPY_ENTRY_POINTS))
-        assert len(cold) == len(SCIPY_WARPS)
-        for (pid, params), (r, inf_h0) in zip(SCIPY_WARPS, cold):
+        cold = json.loads(self.python(ROOT_AND_INFIMUM))
+        assert len(cold) == len(ALL_WARPS)
+        for (pid, params), (r, inf_h0) in zip(ALL_WARPS, cold):
             w = make_warp(pid, **params)
             assert (r, inf_h0) == (r_at_h(w, 5.0), infimum_h0(w, (1.0, 2.0))), pid
             assert abs(float(eval_warp(w, r)[0]) - 5.0) < 1e-12, pid

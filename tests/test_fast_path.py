@@ -178,8 +178,6 @@ class TestFusedKernel:
             assert same_bits(a, b)
         grad, hess = covariant_derivatives(base, phi)
         assert same_bits(grad, ref["grad"]) and same_bits(hess, ref["hess"])
-        assert same_bits(base.grad(phi), ref["grad"])
-        assert same_bits(base.hess(phi), ref["hess"])
 
     @pytest.mark.parametrize("sign", [0.0, -0.0])
     @pytest.mark.parametrize("kind", KINDS)

@@ -593,7 +593,68 @@ class TestConditions:
         assert bad.c1_strict is False
 
 
+# the presets with h''/h stated in closed form: 0, 1, p (p-1)/r^2, m/h^3
+# and k b (1+r)^(-k-1)/h
+H0_WARPS = {
+    "euclidean": make_warp("euclidean"),
+    "hyperbolic": make_warp("hyperbolic"),
+    "power_1": make_warp("power", p=1.0),
+    "power_2": make_warp("power", p=2.0),
+    "power_3.7": make_warp("power", p=3.7),
+    "schwarzschild3": make_warp("schwarzschild3", m=0.5),
+    "saturating_0.5": make_warp("saturating", a=2.0, b=1.0, k=0.5),
+    "saturating_1": make_warp("saturating", a=2.0, b=1.0, k=1.0),
+    "saturating_2": make_warp("saturating", a=2.0, b=1.0, k=2.0),
+}
+
+
+class TestRAtH:
+    # targets beyond each domain: no finite radius gives h = inf on the
+    # unbounded ones, and r_max caps the others
+    @pytest.mark.parametrize("pid,params,target", [
+        ("euclidean", {}, math.inf),
+        ("hyperbolic", {}, math.inf),
+        ("power", {"p": 2.0}, math.inf),
+        ("schwarzschild3", {"m": 0.5}, 3e3),
+        ("saturating", {"a": 2.0, "b": 1.0, "k": 1.0}, 3e4),
+        ("schwarzschild3", {"m": 0.5}, 1.0),   # below h(0) = 3m
+    ])
+    def test_target_beyond_the_domain(self, pid, params, target):
+        with pytest.raises(WarpDomainError):
+            r_at_h(make_warp(pid, **params), target)
+
+    @pytest.mark.parametrize("name", sorted(H0_WARPS))
+    def test_lands_on_the_target(self, name):
+        spec = H0_WARPS[name]
+        h0 = float(eval_warp(spec, 1e-12 + 1e-15)[0])
+        for target in h0 + np.geomspace(0.5, 1000.0, 25):
+            r = r_at_h(spec, target)
+            h = float(eval_warp(spec, r)[0])
+            assert abs(h / target - 1.0) <= 4.0 * np.finfo(float).eps, (target, r)
+
+    def test_closed_forms(self, presets):
+        # the last case bisects back from r = 1024, where sinh overflows
+        for target in (1e-3, 0.7, 5.0, 1e3, 1e250):
+            assert r_at_h(presets["euclidean"], target) == target
+            r = r_at_h(presets["hyperbolic"], target)
+            assert abs(r / math.asinh(target) - 1.0) < 1e-15, target
+            r = r_at_h(presets["power"], target)
+            assert abs(r / math.sqrt(target) - 1.0) < 1e-15, target
+
+
 class TestInfimumH0:
+    @pytest.mark.parametrize("name", sorted(H0_WARPS))
+    def test_ratio_does_not_increase_so_the_top_is_the_infimum(self, name):
+        # what lets infimum_h0 take the dense samples' least value
+        spec = H0_WARPS[name]
+        # hyperbolic's domain ends where cosh r overflows, just past 710
+        top = 710.0 if name == "hyperbolic" else min(spec.r_domain[1] * (1.0 - 1e-12), 1e4)
+        h, _, hpp = eval_warp(spec, np.geomspace(1e-6, top, 20000))
+        assert np.all(np.diff(hpp / h) <= 0.0)
+        for a, b in ((1e-3, 0.5), (0.5, 2.0), (1.0, 50.0), (3.0, 500.0)):
+            h, _, hpp = eval_warp(spec, np.linspace(a, b, 10000))
+            assert infimum_h0(spec, (a, b)) == float(hpp[-1] / h[-1])
+
     def test_schwarzschild_value(self, presets):
         spec = presets["schwarzschild3"]
         lo, hi = r_at_h(spec, 2.0), r_at_h(spec, 4.0)
@@ -608,8 +669,7 @@ class TestInfimumH0:
         assert abs(infimum_h0(presets["hyperbolic"], (1.0, 2.0)) - 1.0) < 1e-12
 
     def test_interior_minimum_refined(self, presets):
-        # saturating: h''/h has an interior dip? monotone here, but the refine
-        # step must never return something above the dense minimum
+        # h''/h falls on saturating, so more samples never raise the least
         spec = presets["saturating"]
         dense = infimum_h0(spec, (0.5, 50.0), samples=20000)
         coarse = infimum_h0(spec, (0.5, 50.0), samples=1000)
