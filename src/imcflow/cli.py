@@ -17,9 +17,11 @@ flow terminated with an event, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import platform
 import sys
+from dataclasses import MISSING, fields
 from itertools import product
 from pathlib import Path
 
@@ -36,21 +38,22 @@ __all__ = ["main", "parse_config", "ConfigError", "load_trace"]
 
 FMT = "%.17g"
 
-# check id -> check(trace, **overrides); each looks its verify function up
-# when called, so a replaced module attribute takes effect
+# check id -> (verify function, the arguments between the trace and the
+# overrides); the function is looked up when called, so a replaced module
+# attribute takes effect
 _CHECKS = {
-    "growth_and_support": lambda trace, **kw:
-        _verify.check_growth_and_support(trace, **kw),
-    "H_floor": lambda trace, **kw: _verify.check_H_floor(trace, **kw),
-    "asymptotics_roundness": lambda trace, **kw:
-        _verify.check_asymptotics(trace, "expect_roundness", **kw),
-    "asymptotics_obstruction": lambda trace, **kw:
-        _verify.check_asymptotics(trace, "expect_obstruction", **kw),
-    "evolution_residuals": lambda trace, **kw:
-        _verify.evolution_residuals(trace, **kw),
-    "A_bounded": lambda trace, **kw: _verify.check_A_bounded(trace),
+    "growth_and_support": ("check_growth_and_support", ()),
+    "H_floor": ("check_H_floor", ()),
+    "asymptotics_roundness": ("check_asymptotics", ("expect_roundness",)),
+    "asymptotics_obstruction": ("check_asymptotics", ("expect_obstruction",)),
+    "evolution_residuals": ("evolution_residuals", ()),
+    "A_bounded": ("check_A_bounded", ()),
 }
 CHECK_IDS = tuple(_CHECKS)
+# check id -> the overrides it takes, its function's remaining parameters
+_CHECK_PARAMS = {
+    cid: tuple(inspect.signature(getattr(_verify, fn)).parameters)[1 + len(args):]
+    for cid, (fn, args) in _CHECKS.items()}
 
 
 class ConfigError(Exception):
@@ -139,6 +142,10 @@ def _extract_checks(cfg):
             parts = key.split(".")
             if len(parts) != 3 or parts[1] not in CHECK_IDS:
                 raise ConfigError("expected check.<id>.<param>", field=key)
+            known = _CHECK_PARAMS[parts[1]]
+            if parts[2] not in known:
+                raise ConfigError(f"check {parts[1]} takes no parameter {parts[2]!r} "
+                                  f"(known: {', '.join(known) or 'none'})", field=key)
             val = _take(cfg, key, str)
             overrides.setdefault(parts[1], {})[parts[2]] = val
     return checks, overrides
@@ -196,16 +203,15 @@ def build_setup(cfg):
                 r = r + a * np.cos(l * theta)
         phi0 = radial_potential(wspec, r)
 
+    # only the flow.* keys the config sets; FlowConfig holds the defaults
+    flow_kw = {}
+    for f in fields(FlowConfig):
+        key = "flow." + f.name
+        if key in cfg or f.default is MISSING:
+            conv = float if f.default is MISSING else type(f.default)
+            flow_kw[f.name] = _take(cfg, key, conv, required=True)
     try:
-        fc = FlowConfig(
-            t_end=_take(cfg, "flow.t_end", float, required=True),
-            integrator=_take(cfg, "flow.integrator", str, default="rk4"),
-            safety=_take(cfg, "flow.safety", float, default=0.25),
-            dt_max=_take(cfg, "flow.dt_max", float, default=1e-3),
-            snapshot_every=_take(cfg, "flow.snapshot_every", float, default=1.0),
-            record_every=_take(cfg, "flow.record_every", float, default=0.1),
-            theta_min=_take(cfg, "flow.theta_min", float, default=1e-3),
-        )
+        fc = FlowConfig(**flow_kw)
     except ValueError as exc:
         raise ConfigError(str(exc), field="flow.*")
 
@@ -327,7 +333,8 @@ def run_checks(trace, check_ids, overrides):
     for cid in _known_check_ids(list(check_ids)):
         kw = {k: _conv_override(k, v)
               for k, v in overrides.get(cid, {}).items()}
-        reports.append(_CHECKS[cid](trace, **kw))
+        fn, args = _CHECKS[cid]
+        reports.append(getattr(_verify, fn)(trace, *args, **kw))
     return reports
 
 

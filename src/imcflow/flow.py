@@ -17,22 +17,22 @@ step.  A stepper only evaluates states (start, check) and bounds dt
 (cfl); a valid state leaves its rate k = 1/F for the next stage.
 _FieldStepper sends every array state through _evaluate, the one code
 that decides whether a state is valid and which event it is.
-_PointStepper takes a plain float's rate from the warp's scalar speed and
-calls _evaluate only for event payloads: criterion 1's 80k speed calls
-must fit its 1 s gate, and one array evaluation on the point base costs
-20-100 us.
+_PointStepper takes a plain float's rate from the warp's scalar speed,
+which raises wherever a point state is invalid (warp.py states the domain
+rule and the F = d h' edge), and calls _evaluate only for event payloads:
+criterion 1's 80k speed calls must fit its 1 s gate, and one array
+evaluation on the point base costs 20-100 us.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError, _first_outside, hp_at_phi, scalar_speed
+from .warp import WarpDomainError, hp_at_phi, scalar_speed
 from .geometry import GraphState
 
 __all__ = [
@@ -228,38 +228,24 @@ class _FieldStepper:
         return _cfl_dt(self.base, F, theta2, diffs, self.config.safety)
 
 
-@functools.lru_cache(maxsize=16)
-def _point_f_edge(wspec, d):
-    """The least potential where the point base's F = d h' overflows or
-    leaves the domain: h' rises with phi on every preset, and the float
-    speed 1/(d h') stays finite where d cosh r overflows on hyperbolic."""
-    def finite(phi):     # the search probes inside the domain only
-        return bool(np.isfinite(d * hp_at_phi(wspec, np.array([phi]))).all())
-    lo, hi = wspec._phi_domain
-    with np.errstate(over="ignore"):
-        return _first_outside(finite, float(np.nextafter(lo, hi)), hi)
-
-
 class _PointStepper:
-    """A plain float, valid below _point_f_edge where the scalar speed
-    accepts it; _evaluate gives every event the field path's payload."""
+    """A plain float, valid where the warp's scalar speed accepts it: the
+    speed raises wherever the point state is invalid, and _evaluate then
+    gives the event the field path's payload."""
 
     def __init__(self, base, wspec, config, stats):
         self.stats, self.k = stats, None
         speed = scalar_speed(wspec, base.d)
-        top = _point_f_edge(wspec, base.d)
 
         # a closure, not a method: the stages call it four times a step
         def check(phi, t):
             stats.f_evals += 1
             try:
                 self.k = speed(phi)
-                if phi < top:
-                    return None
+                return None
             except WarpDomainError:
-                pass
-            return _evaluate(base, wspec, np.array([phi]), t,
-                             config.theta_min)[1]
+                return _evaluate(base, wspec, np.array([phi]), t,
+                                 config.theta_min)[1]
         self.check = check
 
     def start(self, phi):

@@ -21,6 +21,7 @@ Every preset, its tables, ``r_at_h`` (a Newton solve) and ``infimum_h0``
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -164,19 +165,17 @@ class _CubicTable:
 
 
 class WarpSpec:
-    """One warping factor: preset id, parameters, domain and anchor.
+    """One warping factor: preset id, parameters and domains.
 
-    Instances are immutable by convention.  ``anchor`` is an (r0, h0) pair
-    recording h at a reference radius.  The additive constant of the radial potential is a per-preset convention
-    (see ``radial_potential``) and can be overridden with the parameters
-    ``phi_r0`` / ``phi0``.
+    Instances are immutable by convention.  The additive constant of the
+    radial potential is a per-preset convention (see ``radial_potential``)
+    and can be overridden with the parameters ``phi_r0`` / ``phi0``.
     """
 
-    def __init__(self, preset_id, params, r_domain, anchor):
+    def __init__(self, preset_id, params, r_domain):
         self.preset_id = preset_id
         self.params = dict(params)
-        self.r_domain = tuple(r_domain)
-        self.anchor = tuple(anchor)
+        self.r_domain = tuple(r_domain)     # valid radii, an open interval
         # saturating fills these in make_warp
         self._phi_table = None      # Phi(r)
         self._r_of_phi_table = None  # r(Phi)
@@ -202,13 +201,17 @@ PRESETS = {
         "conditions": "strict convexity; h' unbounded, outside the bounded-derivative family",
     },
     "schwarzschild3": {
-        "params": {"m": "mass > 0", "r_max": "radius-domain extent (default 2000)"},
+        "params": {"m": "mass > 0", "r_max": "radius-domain extent (default 2000)",
+                   "phi0": "potential at phi_r0 (default 0)",
+                   "phi_r0": "radius where the potential is phi0 (default 1)"},
         "summary": "n = 3 exterior region: h' = sqrt(1 - 2m/h), closed form h' = tanh(v/2) in the potential",
         "conditions": "strict convexity for rho >= 1 - 3m/h; bounded-derivative family (alpha <= 1)",
     },
     "saturating": {
         "params": {"a": "limit slope, a > b > 0", "b": "slope deficit", "k": "decay power > 0",
-                   "r_max": "radius-domain extent (default 1e4)"},
+                   "r_max": "radius-domain extent (default 1e4)",
+                   "phi0": "potential at phi_r0 (default 0)",
+                   "phi_r0": "radius where the potential is phi0 (default 1)"},
         "summary": "h'(r) = a - b (1+r)^(-k), h(0) = 1",
         "conditions": "strict convexity; bounded-derivative family for alpha <= k",
     },
@@ -288,27 +291,38 @@ def _build_tables(spec, h_closed):
 
 
 def make_warp(preset_id, **params):
-    """Construct a WarpSpec for one of the named presets."""
+    """Construct a WarpSpec for one of the named presets.
+
+    Raises ValueError on an unknown preset, on a parameter the preset does
+    not list in ``PRESETS`` and on parameter values outside its range.
+    """
+    if preset_id not in PRESETS:
+        raise ValueError(f"unknown warp preset {preset_id!r}")
+    known = PRESETS[preset_id]["params"]
+    for name in params:
+        if name not in known:
+            raise ValueError(f"{preset_id} preset has no parameter {name!r} "
+                             f"(known: {', '.join(known) or 'none'})")
     if preset_id == "euclidean":
-        return WarpSpec("euclidean", params, (0.0, math.inf), (1.0, 1.0))
+        return WarpSpec("euclidean", params, (0.0, math.inf))
     if preset_id == "hyperbolic":
-        spec = WarpSpec("hyperbolic", params, (0.0, math.inf), (1.0, math.sinh(1.0)))
-        # r ~ 2 e^phi as phi -> -inf; r -> inf as phi -> 0-, but h' = cosh r
-        # overflows first, at r = 710.48 (phi = -5.6e-309); the search probes
-        # (-1, 0), inside the default domain
-        with np.errstate(over="ignore"):
-            hi = _first_outside(
-                lambda phi: math.isfinite(hp_at_phi(spec, np.array([phi]))[0]), -1.0, 0.0)
-        spec._phi_domain = (_EXP_LO, hi)
+        # r ~ 2 e^phi as phi -> -inf; r -> inf as phi -> 0-, but cosh r
+        # overflows first, at r = 710.48 (phi = -5.6e-309)
+        spec = WarpSpec("hyperbolic", params, (0.0, math.inf))
+        _derive_domains(spec, -1.0, r_good=1.0)
         return spec
     if preset_id == "power":
         p = float(params.get("p", 1.0))
         if p < 1.0:
             raise ValueError(f"power preset needs p >= 1, got {p}")
         params = dict(params, p=p)
-        spec = WarpSpec("power", params, (0.0, math.inf), (1.0, 1.0))
+        spec = WarpSpec("power", params, (0.0, math.inf))
         if p != 1.0:
-            spec._phi_domain = _power_phi_domain(p)
+            # r = b^(1/(1-p)), b = 1 + (1-p) phi, rises with phi up to the
+            # pole b = 0, past which pow can be positive again (p = 1.5)
+            q = 1.0 - p
+            pole = _first_outside(lambda phi: 1.0 + q * phi > 0.0, 0.0, math.inf)
+            _derive_domains(spec, 0.0, r_good=1.0, phi_bad=pole)
         return spec
     if preset_id == "schwarzschild3":
         m = float(params.get("m", 0.5))
@@ -316,31 +330,22 @@ def make_warp(preset_id, **params):
             raise ValueError(f"schwarzschild3 preset needs m > 0, got {m}")
         r_max = float(params.get("r_max", 2000.0))
         params = dict(params, m=m, r_max=r_max)
-        spec = WarpSpec("schwarzschild3", params, (0.0, r_max), (0.0, 3.0 * m))
+        spec = WarpSpec("schwarzschild3", params, (0.0, r_max))
         # Phi(phi_r0) = phi0
         spec._phi_lo = (params.get("phi0", 0.0)
                         - float(_sw_w_of_r(m, params.get("phi_r0", 1.0))))
-
-        def inside(phi):
-            return 0.0 < _sw_r(m, np.array([phi]) - spec._phi_lo)[0] < r_max
-
-        mid = spec._phi_lo + float(_sw_w_of_r(m, 0.5 * r_max))
-        with np.errstate(over="ignore", invalid="ignore"):
-            spec._phi_domain = (_first_outside(inside, mid, -math.inf),
-                                _first_outside(inside, mid, math.inf))
+        _derive_domains(spec, spec._phi_lo + float(_sw_w_of_r(m, 0.5 * r_max)))
         return spec
-    if preset_id == "saturating":
-        a = float(params.get("a", 2.0))
-        b = float(params.get("b", 1.0))
-        k = float(params.get("k", 1.0))
-        if not (a > b > 0.0 and k > 0.0):
-            raise ValueError(f"saturating preset needs a > b > 0 and k > 0, got a={a} b={b} k={k}")
-        r_max = float(params.get("r_max", 1e4))
-        params = dict(params, a=a, b=b, k=k, r_max=r_max)
-        spec = WarpSpec("saturating", params, (0.0, r_max), (0.0, 1.0))
-        _build_tables(spec, h_closed=lambda r: _saturating_h(a, b, k, r))
-        return spec
-    raise ValueError(f"unknown warp preset {preset_id!r}")
+    a = float(params.get("a", 2.0))
+    b = float(params.get("b", 1.0))
+    k = float(params.get("k", 1.0))
+    if not (a > b > 0.0 and k > 0.0):
+        raise ValueError(f"saturating preset needs a > b > 0 and k > 0, got a={a} b={b} k={k}")
+    r_max = float(params.get("r_max", 1e4))
+    params = dict(params, a=a, b=b, k=k, r_max=r_max)
+    spec = WarpSpec("saturating", params, (0.0, r_max))
+    _build_tables(spec, h_closed=lambda r: _saturating_h(a, b, k, r))
+    return spec
 
 
 def _first_outside(inside, good, bad):
@@ -366,24 +371,34 @@ def _first_outside(inside, good, bad):
     return value(b)
 
 
-def _power_phi_domain(p):
-    """Open interval of the potentials whose power radius (p > 1)
-    r = b^(1/(1-p)), b = 1 + (1-p) phi, is a positive float; r rises with phi.
+def _valid(spec, r, h, hp, hpp):
+    """The domain rule, one for every preset: a radius is valid when r, h,
+    h' and h'' are finite, r, h and h' are positive, and r lies below r_max
+    where the preset has one.  A potential is valid when its unchecked
+    inverse is; each domain is one open interval."""
+    return ((r > 0.0) & (r < spec.params.get("r_max", math.inf))
+            & (h > 0.0) & (h < math.inf) & (hp > 0.0) & (hp < math.inf)
+            & (abs(hpp) < math.inf))
 
-    b > 0 is tested too: where 1/(1-p) is an even integer (p = 1.5) pow is
-    positive on a negative base.  numpy's ``**`` on arrays and the C pow of
-    its scalars can differ in the last bit, so both must give r in (0, inf).
-    """
-    q, e = 1.0 - p, 1.0 / (1.0 - p)
 
-    def inside(phi):
-        base = 1.0 + q * np.array([phi])
-        r = (float((base ** e)[0]), float(base[0] ** e))
-        return base[0] > 0.0 and min(r) > 0.0 and max(r) < math.inf
+def _derive_domains(spec, phi_good, r_good=None, phi_bad=math.inf):
+    """Set the potential domain (and from ``r_good`` the radius domain) to
+    where the domain rule holds, searching from these valid values towards
+    -inf and ``phi_bad`` (0 and inf).  numpy's array loops and the C
+    functions of its scalars can differ in the last bit, so both a
+    one-element array and a numpy scalar must pass."""
+    def inside(values):
+        return lambda x: all(bool(_valid(spec, *values(v)))
+                             for v in (np.array([x]), np.float64(x)))
 
     with np.errstate(all="ignore"):
-        return (_first_outside(inside, 0.0, -math.inf),
-                _first_outside(inside, 0.0, math.inf))
+        if r_good is not None:
+            valid_r = inside(lambda r: (r,) + _warp_at_r(spec, r))
+            spec.r_domain = (_first_outside(valid_r, r_good, 0.0),
+                             _first_outside(valid_r, r_good, math.inf))
+        valid_phi = inside(lambda phi: _warp_at_phi(spec, phi))
+        spec._phi_domain = (_first_outside(valid_phi, phi_good, -math.inf),
+                            _first_outside(valid_phi, phi_good, phi_bad))
 
 
 def _saturating_h(a, b, k, r):
@@ -428,7 +443,7 @@ def eval_warp(spec, r):
 def _warp_at_r(spec, r):
     """(h, h', h'') at radii r inside the domain."""
     pid = spec.preset_id
-    if pid == "euclidean":
+    if _flat(spec):     # p (p-1) r^(p-2) = 0 * inf once 1/r overflows
         return r.copy(), np.ones_like(r), np.zeros_like(r)
     if pid == "hyperbolic":
         return np.sinh(r), _hp(spec, r), np.sinh(r)
@@ -468,7 +483,7 @@ def radial_potential(spec, r):
     r = np.asarray(r, dtype=float)
     _check_r_domain(spec, r)
     pid = spec.preset_id
-    if pid == "euclidean":
+    if _flat(spec):
         return np.log(r)
     if pid == "hyperbolic":
         # ln tanh(r/2) = log1p(-2 e^-r / (1 + e^-r)) is immune to tanh -> 1
@@ -479,8 +494,6 @@ def radial_potential(spec, r):
                             np.log1p(-2.0 * t / (1.0 + t)))[()]
     if pid == "power":
         p = spec.params["p"]
-        if p == 1.0:
-            return np.log(r)
         return (r ** (1.0 - p) - 1.0) / (1.0 - p)
     if pid == "schwarzschild3":
         return spec._phi_lo + _sw_w_of_r(spec.params["m"], r)
@@ -490,13 +503,11 @@ def radial_potential(spec, r):
 def phi_domain_violation(spec, phi):
     """Flat index of the first potential value outside the image of Phi, or None.
 
-    Each preset's potential domain is the open interval ``spec._phi_domain``:
-    non-finite values lie outside it, and so do potentials whose radius
-    underflows to 0 or overflows in floats (e^phi on the flat presets,
-    (1 + (1-p) phi)^(1/(1-p)) on power with p != 1), whose h' overflows
-    (cosh r on hyperbolic) or whose radius leaves (0, r_max) (schwarzschild3
-    and saturating).  ``r_of_phi`` raises exactly when this is not
-    None, and the flow reports the node it returns.
+    Each preset's potential domain is the open interval ``spec._phi_domain``
+    of the potentials whose unchecked inverse obeys the domain rule, ``_valid``:
+    e^phi a positive float on the flat presets, the tables' ends on
+    saturating, derived by ``_derive_domains`` on the others.  ``r_of_phi``
+    raises exactly when this is not None, and the flow reports the node.
     """
     phi = np.asarray(phi, dtype=float)
     lo, hi = spec._phi_domain
@@ -508,11 +519,19 @@ def phi_domain_violation(spec, phi):
 
 
 def _check_phi_domain(spec, phi):
+    """Raise WarpDomainError, naming the first bad node, unless min and max
+    of phi lie in the domain (NaN fails that too)."""
+    lo, hi = spec._phi_domain
+    if np.ndim(phi):
+        if phi.min() > lo and phi.max() < hi:
+            return
+    elif lo < phi < hi:
+        return
+    phi = np.asarray(phi, dtype=float)
     node = phi_domain_violation(spec, phi)
-    if node is not None:
-        raise WarpDomainError(
-            f"potential {float(phi.flat[node])!r} outside the image of Phi "
-            f"for {spec.preset_id}", node if phi.ndim else None)
+    raise WarpDomainError(
+        f"potential {float(phi.flat[node])!r} outside the image of Phi "
+        f"for {spec.preset_id}", node if phi.ndim else None)
 
 
 def r_of_phi(spec, phi):
@@ -524,8 +543,13 @@ def r_of_phi(spec, phi):
     """
     phi = np.asarray(phi, dtype=float)
     _check_phi_domain(spec, phi)
+    return _r_of_phi(spec, phi)
+
+
+def _r_of_phi(spec, phi):
+    """r_of_phi without the domain check."""
     pid = spec.preset_id
-    if pid == "euclidean":
+    if _flat(spec):
         return np.exp(phi)
     if pid == "hyperbolic":
         # 2 artanh(e^phi) = log1p(e^phi) - log(-expm1(phi)) is stable as
@@ -537,8 +561,6 @@ def r_of_phi(spec, phi):
                             np.log1p(x) - np.log(em))[()]
     if pid == "power":
         p = spec.params["p"]
-        if p == 1.0:
-            return np.exp(phi)
         return (1.0 + (1.0 - p) * phi) ** (1.0 / (1.0 - p))
     if pid == "schwarzschild3":
         return _sw_r(spec.params["m"], phi - spec._phi_lo)
@@ -566,56 +588,57 @@ def _table_r(spec, phi):
 
 def warp_at_phi(spec, phi):
     """Fused hot-path evaluation: phi -> (r, h, h', h'')."""
+    phi = np.asarray(phi, dtype=float)
+    _check_phi_domain(spec, phi)
+    out = _warp_at_phi(spec, phi)
+    _check_r_domain(spec, out[0])
+    return out
+
+
+def _warp_at_phi(spec, phi):
+    """warp_at_phi without the domain checks."""
     if spec.preset_id == "schwarzschild3":
-        return _sw_warp(spec.params["m"], _sw_w(spec, phi))
-    r = r_of_phi(spec, phi)
-    _check_r_domain(spec, r)
+        return _sw_warp(spec.params["m"], phi - spec._phi_lo)
+    r = _r_of_phi(spec, phi)
     return (r,) + _warp_at_r(spec, r)
 
 
-def _sw_w(spec, phi):
-    """w = phi - phi_lo of schwarzschild3 potentials inside the domain."""
-    phi = np.asarray(phi, dtype=float)
-    _check_phi_domain(spec, phi)
-    return phi - spec._phi_lo
+def _flat(spec):
+    """euclidean and power with p = 1, where h' = 1."""
+    return spec.preset_id == "euclidean" or (
+        spec.preset_id == "power" and spec.params["p"] == 1.0)
 
 
 def hp_at_phi(spec, phi):
     """h'(r(phi)) alone, raising WarpDomainError exactly where warp_at_phi does.
 
-    The flat presets (euclidean, power with p = 1) have h' = 1: for them the
-    interval test on the potential domain, where e^phi is a positive float,
-    decides (NaN fails it as well) and the float 1.0 is returned, which
-    broadcasts like warp_at_phi's array of ones and gives the same products
-    bit for bit.  schwarzschild3 takes the interval test and
-    h' = tanh(v/2), with no radius.  Other presets invert phi and check the
-    radius as warp_at_phi does, then evaluate h' only.
+    The flat presets return the float 1.0, which broadcasts like
+    warp_at_phi's array of ones and gives the same products bit for bit;
+    schwarzschild3 h' = tanh(v/2), with no radius.  Other presets invert
+    phi and check the radius as warp_at_phi does, then evaluate h' only.
     """
-    pid = spec.preset_id
-    if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
-        lo, hi = spec._phi_domain
-        if np.ndim(phi):
-            inside = phi.min() > lo and phi.max() < hi
-        else:
-            inside = lo < phi < hi
-        if not inside:
-            _check_phi_domain(spec, np.asarray(phi, dtype=float))
+    if _flat(spec):
+        _check_phi_domain(spec, phi)
         return 1.0
-    if pid == "schwarzschild3":
-        return _sw_hp(_sw_w(spec, phi))
+    if spec.preset_id == "schwarzschild3":
+        _check_phi_domain(spec, phi)
+        return _sw_hp(phi - spec._phi_lo)
     r = r_of_phi(spec, phi)
     _check_r_domain(spec, r)
     return _hp(spec, r)
 
 
+@functools.lru_cache(maxsize=16)
 def scalar_speed(spec, nm1):
     """Float speed of round slices, ``speed(phi) = 1/(nm1 h'(r(phi)))``.
 
     On the point base the flow is the ODE d phi/dt = 1/((n-1) h'(r(phi)))
-    and array costs dominate, so each preset gets one float closure.  It
-    raises WarpDomainError exactly where ``phi_domain_violation`` flags phi
-    (NaN and infinities included), so the single-node stepper checks a
-    state by calling it.
+    and array costs dominate, so each (spec, nm1) gets one float closure,
+    built once.  It raises WarpDomainError wherever the point state is
+    invalid: where ``phi_domain_violation`` flags phi (NaN and infinities
+    included), and where F = nm1 h' overflows, an upper interval since h'
+    rises with phi (on hyperbolic before cosh r does).  So the single-node
+    stepper checks a state by calling it.
     Euclidean, hyperbolic and power are closed forms of the speed itself.
     schwarzschild3 reads hp_at_phi's h' = tanh(v/2) on the float: numpy's
     tanh of a float gives its array loop's bits, which math.tanh does not
@@ -627,7 +650,7 @@ def scalar_speed(spec, nm1):
     """
     pid = spec.preset_id
     lo, hi = spec._phi_domain
-    if pid == "euclidean" or (pid == "power" and spec.params["p"] == 1.0):
+    if _flat(spec):
         c = 1.0 / nm1
 
         def speed(phi):
@@ -635,6 +658,11 @@ def scalar_speed(spec, nm1):
                 raise WarpDomainError(f"potential outside ({lo}, {hi})")
             return c
         return speed
+
+    def finite(phi):     # the search probes inside the domain only
+        return bool(np.isfinite(nm1 * hp_at_phi(spec, np.array([phi]))).all())
+    with np.errstate(over="ignore"):
+        hi = _first_outside(finite, float(np.nextafter(lo, hi)), hi)
     if pid == "hyperbolic":
         # 1/h' = 1/cosh r = (1 - e^{2 phi}) / (1 + e^{2 phi}) = -tanh(phi) for
         # phi = ln tanh(r/2); tanh does not cancel as phi -> 0-, unlike 1 - e^{2 phi}
@@ -684,34 +712,27 @@ def r_at_h(spec, h_target):
 
     Every preset has h' > 0 and h'' >= 0, so Newton steps that start right
     of the root fall monotonically onto it.  The start doubles from r = 1
-    up to the top of the domain, r_max (1 - 1e-12) when it is finite, and
-    bisects back where h or h' overflows; the steps stop at the first one
-    that does not lower r.  A target h does not reach inside the domain
-    raises WarpDomainError.
+    up to the top of the radius domain, its end (1 - 1e-12) or the largest
+    float, where h and h' are finite by the domain rule; the steps stop at
+    the first one that does not lower r.  A target h does not reach inside
+    the domain raises WarpDomainError.
     """
     lo, hi = spec.r_domain
-    lo = max(lo, 1e-12) + 1e-15
+    lo = max(lo, 1e-12) + 1e-15     # the lower end is below 1 on every preset
     top = min(hi * (1.0 - 1e-12), _FLOAT_MAX)
     h_lo = float(eval_warp(spec, lo)[0])
     if h_lo >= h_target:
         if abs(h_lo - h_target) / max(h_target, 1.0) < 1e-9:
             return lo
         raise WarpDomainError(f"h >= {h_target} on the whole domain")
-    below, r = lo, min(1.0, top)
+    r = min(1.0, top)
     while True:
-        with np.errstate(over="ignore"):
-            h, hp, _ = (float(v) for v in eval_warp(spec, r))
-        if not (math.isfinite(h) and math.isfinite(hp)):
-            # h or h' overflows from r on: bisect back towards below
-            top, r = r, 0.5 * (below + r)
-            if r in (below, top):
-                raise WarpDomainError(f"h or h' overflows before h reaches {h_target}")
-        elif h >= h_target:
+        h, hp, _ = (float(v) for v in eval_warp(spec, r))
+        if h >= h_target:
             break
-        elif r == top:
+        if r == top:
             raise WarpDomainError(f"h reaches {h_target} only beyond r = {top}")
-        else:
-            below, r = r, min(2.0 * r, top)
+        r = min(2.0 * r, top)
     while True:
         r_next = r - (h - h_target) / hp
         if not r_next < r:

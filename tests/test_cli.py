@@ -131,6 +131,32 @@ class TestConfigErrorsExitThree:
             "growth_and_support, A_bounded", "growth_and_support, novelty"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_misspelled_warp_parameter(self, tmp_path, capsys):
+        # warp.M once ran with the default m = 0.5 and exited 0
+        cfg = write_cfg(tmp_path, POINT_RUN.replace(
+            "warp.preset = euclidean", "warp.preset = schwarzschild3\nwarp.M = 3"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "'M'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["check.H_floor.bogus = 1",
+                                     "check.A_bounded.tol = 5"])
+    def test_parameter_the_check_does_not_take(self, tmp_path, capsys, key):
+        # the first once raised TypeError after the outputs were written
+        # (exit 1), the second was dropped (exit 0)
+        cid, param = key.split(" ")[0].split(".")[1:]
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("A_bounded", "A_bounded, H_floor")
+                        + key + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert f"{cid} takes no parameter {param!r}" in capsys.readouterr().err
+        assert not out.exists()
+        main(["run", "--config", write_cfg(tmp_path, POINT_RUN, name="ok.cfg"),
+              "--out", str(out)])
+        before = read_bytes_map(out)
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 3
+        assert read_bytes_map(out) == before
+
     def test_no_output_dir_anywhere(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_RUN)
         assert main(["run", "--config", cfg]) == 3

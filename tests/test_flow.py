@@ -335,11 +335,12 @@ class TestEvents:
     def test_overflow_edge_ends_point_and_field_runs_alike(self, integrator):
         # r = e^phi overflows above phi = 709.78, which a flow from r = 1e308
         # reaches at t ~ 1.2; the point base once stepped past it and then
-        # raised in its snapshot.  Power p = 1.01 from r = 1e307 reaches
-        # the overflow of r = (1 - phi/100)^-100 at t ~ 5.84, where the
-        # point base once raised WarpDomainError out of run
+        # raised in its snapshot.  Power p = 1.01 from r = 1e304 reaches
+        # the end of its domain, where h = r^1.01 overflows, at t ~ 5.6;
+        # the point base once raised WarpDomainError out of run at the
+        # overflow of r = (1 - phi/100)^-100
         for w, r0, t_end in ((make_warp("euclidean"), 1e308, 2.0),
-                             (make_warp("power", p=1.01), 1e307, 7.0)):
+                             (make_warp("power", p=1.01), 1e304, 7.0)):
             cfg = FlowConfig(t_end=t_end, integrator=integrator, dt_max=1e-2)
             traces = []
             for base in (POINT, make_base("axisphere", 8)):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +215,11 @@ class TestDomains:
             exc = self.raises(r_of_phi, spec, phi)
             assert (exc is not None) == (bad is not None), v
             speed = self.raises(scalar_speed(spec, 2), float(v))
-            assert (speed is not None) == (bad is not None), v
+            # the float speed, the point base's check, also raises where
+            # F = 2 h' overflows (hyperbolic, before cosh r does)
+            with np.errstate(over="ignore"):
+                point_ok = bad is None and np.isfinite(2.0 * hp_at_phi(spec, phi)).all()
+            assert (speed is None) == point_ok, v
             if bad is not None:
                 assert bad == exc.node == 1
             full = self.raises(warp_at_phi, spec, phi)
@@ -633,7 +638,8 @@ class TestRAtH:
             assert abs(h / target - 1.0) <= 4.0 * np.finfo(float).eps, (target, r)
 
     def test_closed_forms(self, presets):
-        # the last case bisects back from r = 1024, where sinh overflows
+        # in the last case the doubling stops at the top of hyperbolic's
+        # domain (r = 710.48, where cosh r would overflow), not at r = 1024
         for target in (1e-3, 0.7, 5.0, 1e3, 1e250):
             assert r_at_h(presets["euclidean"], target) == target
             r = r_at_h(presets["hyperbolic"], target)
@@ -674,6 +680,93 @@ class TestInfimumH0:
         dense = infimum_h0(spec, (0.5, 50.0), samples=20000)
         coarse = infimum_h0(spec, (0.5, 50.0), samples=1000)
         assert coarse <= dense + 1e-12
+
+
+def valid(r, h, hp, hpp):
+    """The domain rule: r, h, h', h'' finite and r, h, h' > 0."""
+    values = np.array([r, h, hp, hpp], dtype=float)
+    return bool(np.isfinite(values).all() and (values[:3] > 0.0).all())
+
+
+def around(ends):
+    """Floats a few ulps from the finite ends, anywhere between them, or
+    anything, NaN and infinities included."""
+    lo, hi = ends
+    edges = [e for e in ends if math.isfinite(e)]
+    near = st.tuples(st.sampled_from(edges), st.integers(-4, 4)).map(
+        lambda p: float(p[0] + p[1] * np.spacing(p[0])))
+    return (near | st.floats(lo, hi, allow_infinity=False) | st.floats()
+            if edges else st.floats())
+
+
+class TestDomainRule:
+    """A radius is valid when r, h, h', h'' are finite and r, h, h' > 0,
+    a potential when its inverse is: every value the entry points accept
+    obeys the rule, as a one-element array, in a longer array and as a
+    numpy scalar."""
+
+    @staticmethod
+    def accepted(fn, spec, x):
+        try:
+            with np.errstate(all="ignore"):
+                return fn(spec, x)
+        except WarpDomainError:
+            return None
+
+    def check(self, fn, spec, xs, values):
+        """fn's output, through values, obeys the rule wherever fn accepts
+        a value, and a longer array of the accepted values is accepted."""
+        ok = []
+        for x in xs:
+            for arg in (np.array([x]), np.float64(x)):
+                out = self.accepted(fn, spec, arg)
+                if out is not None:
+                    assert valid(*values(arg, out)), (x, type(arg))
+                    ok.append(x)
+        if ok:
+            arg = np.array(ok * 8)
+            out = self.accepted(fn, spec, arg)
+            assert out is not None, ok
+            for i in range(arg.size):
+                assert valid(*(v.flat[i] if np.ndim(v) else v
+                               for v in values(arg, out))), arg[i]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(H0_WARPS)), st.data())
+    def test_accepted_radii_obey_the_rule(self, name, data):
+        spec = H0_WARPS[name]
+        xs = data.draw(st.lists(around(spec.r_domain), min_size=1, max_size=6))
+        self.check(eval_warp, spec, xs, lambda r, out: (r,) + tuple(out))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(H0_WARPS)), st.data())
+    def test_accepted_potentials_obey_the_rule(self, name, data):
+        spec = H0_WARPS[name]
+        xs = data.draw(st.lists(around(spec._phi_domain), min_size=1, max_size=6))
+        self.check(warp_at_phi, spec, xs, lambda phi, out: out)
+
+    def test_hyperbolic_radius_domain_ends_where_cosh_overflows(self):
+        spec = make_warp("hyperbolic")
+        with pytest.raises(WarpDomainError):
+            eval_warp(spec, 800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert infimum_h0(spec, (3.0, 1000.0)) == 1.0
+
+    def test_power_radius_whose_h_overflows_is_outside(self):
+        # h = r^1.01 overflows from r = 1.6e305; a point run from 1e307
+        # once completed with h = inf in every row
+        with pytest.raises(WarpDomainError):
+            radial_potential(make_warp("power", p=1.01), 1e307)
+
+
+@pytest.mark.parametrize("pid,params", [("schwarzschild3", {"M": 2.0}),
+                                        ("euclidean", {"p": 2.0}),
+                                        ("saturating", {"phi_0": 1.0})])
+def test_misspelled_parameter_is_rejected(pid, params):
+    # schwarzschild3 with M = 2 once returned m = 0.5
+    with pytest.raises(ValueError, match=repr(next(iter(params)))):
+        make_warp(pid, **params)
 
 
 def test_preset_catalog_complete():
