@@ -123,15 +123,22 @@ def _parse_floats(s):
     return [float(x) for x in s.split(",") if x.strip()]
 
 
-def _known_check_ids(ids):
+def _known_ids(ids, known=CHECK_IDS, what="check id"):
     for x in ids:
-        if x not in CHECK_IDS:
-            raise ValueError(f"unknown check id {x!r} (known: {', '.join(CHECK_IDS)})")
+        if x not in known:
+            raise ValueError(f"unknown {what} {x!r} (known: {', '.join(known)})")
     return ids
 
 
-def _parse_ids(s):
-    return _known_check_ids([x.strip() for x in s.split(",") if x.strip()])
+def _parse_ids(s, known=CHECK_IDS, what="check id"):
+    return _known_ids([x.strip() for x in s.split(",") if x.strip()], known, what)
+
+
+# check parameter -> its converter from config text; every other parameter
+# takes one float, and None marks the ones that take no single value
+_OVERRIDE_CONV = {
+    "which": lambda s: _parse_ids(s, tuple(_verify.DEFAULT_C_RES), "identity"),
+    "c_res": None, "fit_window": None}
 
 
 def _extract_checks(cfg):
@@ -146,8 +153,12 @@ def _extract_checks(cfg):
             if parts[2] not in known:
                 raise ConfigError(f"check {parts[1]} takes no parameter {parts[2]!r} "
                                   f"(known: {', '.join(known) or 'none'})", field=key)
-            val = _take(cfg, key, str)
-            overrides.setdefault(parts[1], {})[parts[2]] = val
+            conv = _OVERRIDE_CONV.get(parts[2], float)
+            if conv is None:
+                raise ConfigError(f"parameter {parts[2]!r} of check {parts[1]} takes "
+                                  "no single float; a config cannot set it",
+                                  line=cfg[key][1], field=key)
+            overrides.setdefault(parts[1], {})[parts[2]] = _take(cfg, key, conv)
     return checks, overrides
 
 
@@ -322,19 +333,13 @@ def load_trace(outdir):
 # ---------------------------------------------------------------------------
 # checks
 
-def _conv_override(name, val):
-    if name == "which":
-        return [x.strip() for x in val.split(",") if x.strip()]
-    return float(val)
-
-
 def run_checks(trace, check_ids, overrides):
+    """Reports of the checks, each with its converted overrides."""
     reports = []
-    for cid in _known_check_ids(list(check_ids)):
-        kw = {k: _conv_override(k, v)
-              for k, v in overrides.get(cid, {}).items()}
+    for cid in _known_ids(list(check_ids)):
         fn, args = _CHECKS[cid]
-        reports.append(getattr(_verify, fn)(trace, *args, **kw))
+        reports.append(getattr(_verify, fn)(trace, *args,
+                                            **overrides.get(cid, {})))
     return reports
 
 
@@ -477,7 +482,7 @@ def seed_fixtures(outdir):
         return run(GraphState(base, wspec, phi, 0.0), fc)
 
     grid = [(100, 0.05), (100, 0.0125), (200, 0.05), (200, 0.0125)]
-    ids = ("omega_eq", "u_eq", "H_eq", "tw_eq")
+    ids = tuple(DEFAULT_C_RES)
     points = {}
     for M, dt_snap in grid:
         trace = study(M, dt_snap)

@@ -256,15 +256,16 @@ class _PointStepper:
         return math.inf
 
 
-def _step(stepper, phi, t, dt, euler):
-    """One Euler or RK4 step from a checked state: (new state, None), or
-    (offending stage, event).  The new state is left to the caller's check;
-    the stages are unrolled, as a loop slows the point runs."""
+def _step(stepper, phi, t, dt, t_new, euler):
+    """One Euler or RK4 step from a checked state, landing at t_new:
+    (new state, its event|None), or (offending stage, event).  The stages
+    are unrolled, as a loop slows the point runs."""
     k1 = stepper.k
-    if euler:
-        return phi + dt * k1, None
-    h = 0.5 * dt
     check = stepper.check
+    if euler:
+        new = phi + dt * k1
+        return new, check(new, t_new)
+    h = 0.5 * dt
     stage = phi + h * k1
     ev = check(stage, t + h)
     if ev is not None:
@@ -279,7 +280,8 @@ def _step(stepper, phi, t, dt, euler):
     ev = check(stage, t + dt)
     if ev is not None:
         return stage, ev
-    return phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + stepper.k), None
+    new = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + stepper.k)
+    return new, check(new, t_new)
 
 
 def _stepper(base, wspec, config):
@@ -373,17 +375,12 @@ def run(initial, config):
         limiter = ("landing" if landed
                    else "cfl" if cfl < config.dt_max else "dt_max")
 
-        new, event = _step(stepper, phi, t, dt, euler)
+        t_new = target if landed else t + dt
+        new, event = _step(stepper, phi, t, dt, t_new, euler)
         if event is not None:
-            bad = new
+            bad = new       # phi, t stay the last valid state
             break
-        t_prev, phi_prev = t, phi
-        t = target if landed else t + dt
-        phi = new
-        event = stepper.check(phi, t)
-        if event is not None:
-            bad, phi, t = phi, phi_prev, t_prev
-            break
+        phi, t = new, t_new
 
         if dt == run_dt and limiter == run_lim:
             run_n += 1

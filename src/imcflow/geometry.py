@@ -63,7 +63,7 @@ class GraphState:
 def _light_fields(state):
     """r, h, h', h'', Theta, Theta^2, dphi2, F and the grad/hess/sinv arrays.
 
-    What snapshot extends (shape_operator and induced_metric read it too);
+    What snapshot extends (induced_metric reads it too);
     the time stepper calls speed alone.  Exploits the diagonal sigma.
     Returns a dict so the full snapshot can extend it without recomputing.
     """
@@ -213,7 +213,7 @@ def snapshot(state):
         ric_rr = -nm1 * hpp / h
         ric_vv = ric_rr.copy()
     else:
-        shape, A2 = _shape_from_fields(base, lf, nm1)
+        shape, A2 = _shape_from_fields(base, lf)
         ric_dphi = base.ricci_dphi(lf["grad"])
         dphi2 = lf["dphi2"]
         # direction-restricted base Ricci; zero-gradient nodes use the
@@ -232,7 +232,7 @@ def snapshot(state):
         shape=shape, A2=A2, Kh=Kh, ric_dphi=ric_dphi, ric_vv=ric_vv, ric_rr=ric_rr)
 
 
-def _shape_from_fields(base, lf, nm1):
+def _shape_from_fields(base, lf):
     sinv = lf["sinv"]
     grad, hess = lf["grad"], lf["hess"]
     theta, h, hp = lf["theta"], lf["h"], lf["hp"]
@@ -253,11 +253,8 @@ def _shape_from_fields(base, lf, nm1):
 
 def shape_operator(state):
     """Shape operator (mixed indices) and its squared norm |A|^2."""
-    lf = _light_fields(state)
-    if state.base.dc == 0:
-        hp, h = lf["hp"], lf["h"]
-        return np.zeros((0, 0, 1)), state.base.d * (hp / h) ** 2
-    return _shape_from_fields(state.base, lf, state.base.d)
+    snap = snapshot(state)
+    return snap.shape, snap.A2
 
 
 def induced_metric(state):

@@ -383,7 +383,10 @@ def _induced_laplacian_1d(base, snap, f):
     g^{tt} = Theta^2 / h^2 in the theta direction for both the circle and
     axisymmetric fields on the axisphere; the volume weight W differs.
     Pole faces on the axisphere carry zero flux (W ~ sin theta -> 0).
+    The point base has no derivatives: 0.
     """
+    if base.dc == 0:
+        return 0.0
     K = snap.theta ** 2 / snap.h ** 2
     if base.kind == "circle":
         W = snap.h / snap.theta
@@ -404,7 +407,9 @@ def _induced_laplacian_1d(base, snap, f):
 
 
 def _grad_contract_1d(base, snap, f1, f2):
-    """g^{ij} f1_i f2_j for the 1d-reduced induced metric."""
+    """g^{ij} f1_i f2_j for the 1d-reduced induced metric (0 on the point)."""
+    if base.dc == 0:
+        return 0.0
     g1 = base.differences(f1)[0]
     g2 = base.differences(f2)[0]
     return (snap.theta ** 2 / snap.h ** 2) * g1 * g2
@@ -412,10 +417,7 @@ def _grad_contract_1d(base, snap, f1, f2):
 
 def _rhs_omega(trace, snap):
     n = trace.n
-    if trace.base.dc == 0:
-        lap = 0.0
-    else:
-        lap = _induced_laplacian_1d(trace.base, snap, snap.omega)
+    lap = _induced_laplacian_1d(trace.base, snap, snap.omega)
     smooth_kh = ((1.0 - snap.theta ** 2) * (n - 2) *
                  (snap.h * snap.hpp - snap.hp ** 2)
                  + snap.theta ** 2 * snap.ric_dphi)
@@ -424,28 +426,18 @@ def _rhs_omega(trace, snap):
 
 
 def _rhs_u(trace, snap):
-    n = trace.n
-    u = snap.u
-    if trace.base.dc == 0:
-        lap = 0.0
-        gu2 = 0.0
-        gHu = 0.0
-    else:
-        lap = _induced_laplacian_1d(trace.base, snap, u)
-        gu2 = _grad_contract_1d(trace.base, snap, u, u)
-        gHu = _grad_contract_1d(trace.base, snap, snap.H, u)
+    base, n, u = trace.base, trace.n, snap.u
+    lap = _induced_laplacian_1d(base, snap, u)
+    gu2 = _grad_contract_1d(base, snap, u, u)
+    gHu = _grad_contract_1d(base, snap, snap.H, u)
     return (lap / snap.H ** 2 - 2.0 / u * gu2 / snap.H ** 2
             - 2.0 * gHu / snap.H ** 3
             - (n - 1) * snap.hpp / snap.h * u ** 3 * snap.omega ** 2)
 
 
 def _rhs_H(trace, snap):
-    if trace.base.dc == 0:
-        lap = 0.0
-        gH2 = 0.0
-    else:
-        lap = _induced_laplacian_1d(trace.base, snap, snap.H)
-        gH2 = _grad_contract_1d(trace.base, snap, snap.H, snap.H)
+    lap = _induced_laplacian_1d(trace.base, snap, snap.H)
+    gH2 = _grad_contract_1d(trace.base, snap, snap.H, snap.H)
     return (lap / snap.H ** 2 - 2.0 * gH2 / snap.H ** 3
             - (snap.A2 + snap.ric_vv) / snap.H)
 
@@ -486,16 +478,6 @@ def _rhs_tw(trace, snap):
     return rhs
 
 
-_RHS = {"omega_eq": _rhs_omega, "u_eq": _rhs_u, "H_eq": _rhs_H,
-        "tw_eq": _rhs_tw}
-
-# identities stated along the normal flow (material derivative); the trace
-# samples fields at fixed base points, so the tangential transport
-# (Theta^2/F) phi^k d_k Q is subtracted from the centered time difference.
-# tw_eq is derived directly in the fixed-coordinate gauge and needs none.
-_MATERIAL = ("omega_eq", "u_eq", "H_eq")
-
-
 def _advection(base, snap, q):
     """Transport term V^k d_k q with V^k = Theta^2 phi^k / F.
 
@@ -509,34 +491,37 @@ def _advection(base, snap, q):
     return snap.theta ** 2 / snap.F * (snap.grad[0] * q_theta)
 
 
-def _lhs_field(which, snap):
-    if which == "omega_eq":
-        return snap.omega
-    if which == "u_eq":
-        return snap.u
-    if which == "H_eq":
-        return snap.H
-    return 0.5 * snap.dphi2
-
-
-def _supported_identities(base):
-    if base.kind == "torus2":
-        return ("tw_eq",)
-    return ("omega_eq", "u_eq", "H_eq", "tw_eq")
+# id -> (field, rhs, material, undefined): the snapshot's evolving field,
+# the identity's right-hand side, whether the identity is stated along the
+# normal flow, and why the field can be non-finite (None: it cannot).  The
+# trace samples fields at fixed base points, so a material identity has
+# the tangential transport (Theta^2/F) phi^k d_k Q subtracted from the
+# centered time difference; tw_eq is derived directly in the
+# fixed-coordinate gauge and needs none.  The material identities use the
+# 1d-reduced induced operators, which torus2 lacks.
+_IDENTITIES = {
+    "omega_eq": (lambda s: s.omega, _rhs_omega, True, None),
+    "u_eq": (lambda s: s.u, _rhs_u, True,
+             "H <= 0 somewhere; modified speed undefined"),
+    "H_eq": (lambda s: s.H, _rhs_H, True, None),
+    "tw_eq": (lambda s: 0.5 * s.dphi2, _rhs_tw, False, None),
+}
 
 
 def evolution_residuals(trace, which=None, c_res=None):
     """Max |centered time difference - identity RHS| over snapshot triples.
 
     Passes when every selected identity stays below c_res * (dt_snap + dx^2),
-    with dt_snap the snapshot spacing.  Identities needing the induced-metric
-    Laplacian (all but tw_eq) are unsupported on torus2 and reported
-    inapplicable if requested there.
+    with dt_snap the snapshot spacing.  The material identities need the
+    1d-reduced induced operators, so they are unsupported on torus2 and
+    reported inapplicable if requested there; so is an identity whose field
+    is non-finite in a snapshot triple.
     """
-    supported = _supported_identities(trace.base)
+    supported = tuple(w for w, (_, _, material, _) in _IDENTITIES.items()
+                      if not material or trace.base.kind != "torus2")
     requested = tuple(which) if which is not None else supported
     for w in requested:
-        if w not in _RHS:
+        if w not in _IDENTITIES:
             raise ValueError(f"unknown identity {w!r}")
     if c_res is None:
         c_res = DEFAULT_C_RES
@@ -567,25 +552,25 @@ def evolution_residuals(trace, which=None, c_res=None):
             details["per_identity"][w] = {"status": "inapplicable"}
             notes.append(f"{w} unsupported on base {trace.base.kind}")
             continue
+        field, rhs, material, undefined = _IDENTITIES[w]
         worst = (-np.inf, None, None)
-        usable = True
         for i, dd in triples:
-            s_prev, s_mid, s_next = snaps[i - 1][2], snaps[i][2], snaps[i + 1][2]
-            if w == "u_eq" and (np.any(~np.isfinite(s_prev.u))
-                                or np.any(~np.isfinite(s_mid.u))
-                                or np.any(~np.isfinite(s_next.u))):
-                usable = False
+            q_prev, q_mid, q_next = (field(snaps[k][2])
+                                     for k in (i - 1, i, i + 1))
+            if undefined and not all(np.isfinite(q).all()
+                                     for q in (q_prev, q_mid, q_next)):
+                worst = None
                 break
-            lhs = (_lhs_field(w, s_next) - _lhs_field(w, s_prev)) / (2.0 * dd)
-            if w in _MATERIAL:
-                lhs = lhs - _advection(trace.base, s_mid, _lhs_field(w, s_mid))
-            res = np.abs(lhs - _RHS[w](trace, s_mid))
+            lhs = (q_next - q_prev) / (2.0 * dd)
+            if material:
+                lhs = lhs - _advection(trace.base, snaps[i][2], q_mid)
+            res = np.abs(lhs - rhs(trace, snaps[i][2]))
             j = int(np.argmax(res))
             if res.flat[j] > worst[0]:
                 worst = (float(res.flat[j]), snaps[i][0], j)
-        if not usable:
+        if worst is None:
             details["per_identity"][w] = {"status": "inapplicable"}
-            notes.append(f"{w}: H <= 0 somewhere; modified speed undefined")
+            notes.append(f"{w}: {undefined}")
             continue
         any_applicable = True
         threshold = c_res[w] * (dt_snap + dx ** 2)

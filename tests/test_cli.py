@@ -157,6 +157,33 @@ class TestConfigErrorsExitThree:
         assert main(["check", "--config", cfg, "--out", str(out)]) == 3
         assert read_bytes_map(out) == before
 
+    @pytest.mark.parametrize("key, message", [
+        ("check.evolution_residuals.c_res = 2",
+         "parameter 'c_res' of check evolution_residuals takes no single float"),
+        ("check.asymptotics_roundness.fit_window = 4, 8",
+         "parameter 'fit_window' of check asymptotics_roundness takes no"),
+        ("check.H_floor.h0 = abc", "line 8, field 'check.H_floor.h0'"),
+        ("check.evolution_residuals.which = omega_eq, bogus",
+         "unknown identity 'bogus'"),
+    ])
+    def test_override_value_the_check_cannot_take(self, tmp_path, capsys,
+                                                  key, message):
+        # each once reached the check after the outputs were written and
+        # ended in a traceback (exit 1, or an uncaught ValueError)
+        cid = key.split(".")[1]
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("A_bounded", f"A_bounded, {cid}")
+                        + key + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        main(["run", "--config", write_cfg(tmp_path, POINT_RUN, name="ok.cfg"),
+              "--out", str(out)])
+        before = read_bytes_map(out)
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert read_bytes_map(out) == before
+
     def test_no_output_dir_anywhere(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_RUN)
         assert main(["run", "--config", cfg]) == 3
@@ -250,6 +277,15 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is False
+
+    def test_identity_override_selects_identities(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("A_bounded", "evolution_residuals")
+                        + "check.evolution_residuals.which = tw_eq, omega_eq\n")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        per = report["checks"][1]["details"]["per_identity"]
+        assert sorted(per) == ["omega_eq", "tw_eq"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, FIELD_RUN)

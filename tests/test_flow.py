@@ -474,14 +474,14 @@ class TestEventKeepsState:
         phi0 = radial_potential(w, r)
         step, seen = flow_mod._step, {}
 
-        def step_planting(stepper, phi, t, dt, euler):
+        def step_planting(stepper, phi, t, dt, t_new, euler):
             # plant into the state a step starts from, after its check
             seen["n"] = seen.get("n", 0) + 1
             if seen["n"] == at_step:
                 seen["t"], seen["phi"] = t, np.array(phi, ndmin=1)
                 phi = planted(phi)
                 phi = float(phi[0]) if kind == "point" else phi
-            return step(stepper, phi, t, dt, euler)
+            return step(stepper, phi, t, dt, t_new, euler)
 
         with np.errstate(all="ignore"), \
                 mock.patch.object(flow_mod, "_step", step_planting):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from imcflow.flow import FlowConfig, run
-from imcflow.geometry import GraphState
+from imcflow.geometry import GraphState, snapshot
 from imcflow.manifold import make_base
 from imcflow.verify import (CheckReport, DEFAULT_C_RES, check_A_bounded,
                             check_asymptotics, check_growth_and_support,
@@ -266,6 +266,24 @@ class TestEvolutionResiduals:
             assert per[w_id] == {"status": "inapplicable"}
         assert "max_residual" in per["tw_eq"]
         assert any("unsupported" in note for note in rep4.notes)
+
+    def test_u_eq_inapplicable_where_H_is_not_positive(self):
+        tr = wavy_axisphere_trace(16, 0.05, t_end=0.1)
+        assert len(tr.snapshots) == 3
+        t, state, _ = tr.snapshots[1]
+        # a dent at one node: phi_tt ~ 26 against (n-1) h' ~ 2 makes F < 0
+        phi = state.phi.copy()
+        phi[5] -= 0.5
+        dented = GraphState(state.base, state.warp, phi, t)
+        snap = snapshot(dented)
+        assert snap.H[5] <= 0.0 and np.isnan(snap.u[5])
+        tr.snapshots[1] = (t, dented, snap)
+        rep = evolution_residuals(tr)
+        per = rep.details["per_identity"]
+        assert per["u_eq"] == {"status": "inapplicable"}
+        assert "u_eq: H <= 0 somewhere; modified speed undefined" in rep.notes
+        for w in ("omega_eq", "H_eq", "tw_eq"):
+            assert math.isfinite(per[w]["max_residual"]), w
 
     def test_needs_three_snapshots(self):
         tr = point_trace("euclidean", 1.0, 0.5,
