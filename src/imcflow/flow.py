@@ -356,46 +356,59 @@ def run(initial, config):
     bad, t, dt = phi, 0.0, 0.0
     if event is None:
         record(t, phi, dt)
-    t_end = config.t_end
+    t_end, dt_max = config.t_end, config.dt_max
+    rec_every, snap_every = config.record_every, config.snapshot_every
     tol = 1e-12 * max(1.0, t_end)
+    t_stop = t_end - tol
+    cfl_of = stepper.cfl
     k_rec, k_snap = 1, 1
     # completed steps go to stats in runs of equal (dt, limiter): a stats
     # call per step would cost the point runs several percent
     run_dt, run_lim, run_n = 0.0, "dt_max", 0
 
-    while event is None and t < t_end - tol:
-        next_rec = k_rec * config.record_every
-        next_snap = k_snap * config.snapshot_every
+    # one pass per cadence target, which only moves when a step lands on
+    # it; the conditional expressions are min's, which keeps its first
+    # argument on a tie (and on NaN)
+    while event is None and t < t_stop:
+        next_rec = k_rec * rec_every
+        next_snap = k_snap * snap_every
         target = min(next_rec, next_snap, t_end)
-        cfl = stepper.cfl()
-        dt = min(min(config.dt_max, cfl), target - t)
-        landed = dt >= target - t - 1e-15 * max(1.0, target)
-        if landed:
-            dt = target - t
-        limiter = ("landing" if landed
-                   else "cfl" if cfl < config.dt_max else "dt_max")
+        slack = 1e-15 * max(1.0, target)
+        while t < t_stop:
+            cfl = cfl_of()
+            capped = cfl < dt_max
+            dt = cfl if capped else dt_max
+            left = target - t
+            if left < dt:
+                dt = left
+            landed = dt >= left - slack
+            if landed:
+                dt = left
+            limiter = ("landing" if landed
+                       else "cfl" if capped else "dt_max")
 
-        t_new = target if landed else t + dt
-        new, event = _step(stepper, phi, t, dt, t_new, euler)
-        if event is not None:
-            bad = new       # phi, t stay the last valid state
-            break
-        phi, t = new, t_new
+            t_new = target if landed else t + dt
+            new, event = _step(stepper, phi, t, dt, t_new, euler)
+            if event is not None:
+                bad = new       # phi, t stay the last valid state
+                break
+            phi, t = new, t_new
 
-        if dt == run_dt and limiter == run_lim:
-            run_n += 1
-        else:
-            stats.step(run_dt, run_lim, run_n)
-            run_dt, run_lim, run_n = dt, limiter, 1
-        if landed:
-            final = t >= t_end - tol
-            at_rec = abs(t - next_rec) <= tol or final
-            at_snap = abs(t - next_snap) <= tol or final
-            record(t, phi, dt, at_rec, at_snap)
-            while k_rec * config.record_every <= t + tol:
-                k_rec += 1
-            while k_snap * config.snapshot_every <= t + tol:
-                k_snap += 1
+            if dt == run_dt and limiter == run_lim:
+                run_n += 1
+            else:
+                stats.step(run_dt, run_lim, run_n)
+                run_dt, run_lim, run_n = dt, limiter, 1
+            if landed:
+                final = t >= t_stop
+                at_rec = abs(t - next_rec) <= tol or final
+                at_snap = abs(t - next_snap) <= tol or final
+                record(t, phi, dt, at_rec, at_snap)
+                while k_rec * rec_every <= t + tol:
+                    k_rec += 1
+                while k_snap * snap_every <= t + tol:
+                    k_snap += 1
+                break
     stats.step(run_dt, run_lim, run_n)
 
     if event is None:

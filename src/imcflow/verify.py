@@ -512,7 +512,9 @@ def evolution_residuals(trace, which=None, c_res=None):
     """Max |centered time difference - identity RHS| over snapshot triples.
 
     Passes when every selected identity stays below c_res * (dt_snap + dx^2),
-    with dt_snap the snapshot spacing.  The material identities need the
+    with dt_snap the snapshot spacing.  A non-finite residual ends its
+    identity's scan: the identity fails with that value, its time and
+    node, and the check's margin is -inf.  The material identities need the
     1d-reduced induced operators, so they are unsupported on torus2 and
     reported inapplicable if requested there; so is an identity whose field
     is non-finite in a snapshot triple.
@@ -565,7 +567,11 @@ def evolution_residuals(trace, which=None, c_res=None):
             if material:
                 lhs = lhs - _advection(trace.base, snaps[i][2], q_mid)
             res = np.abs(lhs - rhs(trace, snaps[i][2]))
+            # argmax picks the first NaN, else the first inf, else the max
             j = int(np.argmax(res))
+            if not math.isfinite(res.flat[j]):
+                worst = (float(res.flat[j]), snaps[i][0], j)
+                break
             if res.flat[j] > worst[0]:
                 worst = (float(res.flat[j]), snaps[i][0], j)
         if worst is None:
@@ -574,10 +580,15 @@ def evolution_residuals(trace, which=None, c_res=None):
             continue
         any_applicable = True
         threshold = c_res[w] * (dt_snap + dx ** 2)
-        ok = worst[0] <= threshold
+        finite = math.isfinite(worst[0])
+        ok = finite and worst[0] <= threshold
         all_pass = all_pass and ok
-        margins.append((threshold - worst[0]) / threshold
-                       if math.isfinite(threshold) else float("inf"))
+        if not finite:
+            margins.append(-math.inf)
+        elif math.isfinite(threshold):
+            margins.append((threshold - worst[0]) / threshold)
+        else:
+            margins.append(float("inf"))
         details["per_identity"][w] = {
             "max_residual": worst[0], "t": worst[1], "node": worst[2],
             "threshold": threshold, "c_res": c_res[w],

@@ -643,8 +643,10 @@ def scalar_speed(spec, nm1):
     schwarzschild3 reads hp_at_phi's h' = tanh(v/2) on the float: numpy's
     tanh of a float gives its array loop's bits, which math.tanh does not
     always.  saturating takes the steps of hp_at_phi on plain floats, with
-    bisect on float lists in place of searchsorted and the inverse piece as
-    the verified guess of the forward one; the Newton step uses a float copy
+    bisect on float lists in place of searchsorted; the previous call's
+    inverse piece is the verified guess of this call's, and the inverse
+    piece that of the forward one, so no value depends on the order of
+    calls.  The Newton step uses a float copy
     of h (math.log1p and float powers), which can differ from
     ``_saturating_h`` in the last bit.
     """
@@ -697,12 +699,15 @@ def scalar_speed(spec, nm1):
             return 1.0 + a * r - b * math.log1p(r)
         return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
 
+    last = 0    # piece of the previous call, a guess that scalar_piece verifies
+
     def speed(phi):
+        nonlocal last
         if not lo < phi < hi:
             raise WarpDomainError("potential outside tabulated image")
-        i = inv.scalar_segment(phi)
-        r = inv.scalar_at(i, phi)
-        r -= (fwd.scalar_at(fwd.scalar_piece(i, r), r) - phi) * h_closed(r)
+        last = inv.scalar_piece(last, phi)
+        r = inv.scalar_at(last, phi)
+        r -= (fwd.scalar_at(fwd.scalar_piece(last, r), r) - phi) * h_closed(r)
         return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
     return speed
 

@@ -257,6 +257,20 @@ class TestCadence:
         np.testing.assert_allclose(tr.times, [0.0, 0.05], atol=1e-15)
         np.testing.assert_allclose(tr.snapshot_times(), [0.0, 0.05], atol=1e-15)
 
+    def test_point_run_stepping_is_pinned(self):
+        # criterion 1's euclidean run: the speed is the constant 1/2, so every
+        # dt, landing and phi is plain float arithmetic, equal on any platform
+        tr = run(point_state(make_warp("euclidean"), 1.0),
+                 FlowConfig(t_end=5.0, integrator="rk4", dt_max=1e-3,
+                            record_every=0.1, snapshot_every=1.0))
+        assert tr.stats == {
+            "steps": 5030, "f_evals": 20121,
+            "min_dt": 1.0658141036401503e-14, "max_dt": 0.0010000000000000009,
+            "dt_limiter": {"cfl": 0, "landing": 50, "dt_max": 4980}}
+        assert len(tr.times) == 51
+        assert tr.snapshot_times().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert float(tr.snapshots[-1][1].phi[0]) == 2.5
+
     def test_trace_contract(self):
         tr = self.make_trace(0.3)
         assert set(tr.columns) == set(TRACE_COLUMNS)

@@ -285,6 +285,29 @@ class TestEvolutionResiduals:
         for w in ("omega_eq", "H_eq", "tw_eq"):
             assert math.isfinite(per[w]["max_residual"]), w
 
+    def test_non_finite_residual_fails_its_identity(self):
+        base = make_base("axisphere", 16)
+        w = make_warp("euclidean")
+        r = 1.0 + 0.1 * np.cos(base.theta)
+        tr = run(GraphState(base, w, radial_potential(w, r), 0.0),
+                 FlowConfig(t_end=0.3, snapshot_every=0.1))
+        assert [t for t, _, _ in tr.snapshots] == [0.0, 0.1, 0.2, 0.3]
+        clean = evolution_residuals(tr)
+        assert clean.passed is True
+        # A2 enters the omega and H right-hand sides, not u's or tw's
+        tr.snapshots[1][2].A2[3] = np.nan
+        rep = evolution_residuals(tr)
+        assert rep.passed is False and rep.margin == -math.inf
+        per = rep.details["per_identity"]
+        for w_id in ("omega_eq", "H_eq"):
+            assert math.isnan(per[w_id]["max_residual"]), w_id
+            assert (per[w_id]["t"], per[w_id]["node"]) == (0.1, 3), w_id
+        for w_id in ("u_eq", "tw_eq"):
+            assert per[w_id] == clean.details["per_identity"][w_id], w_id
+        d = rep.as_dict()       # report.json's form
+        assert d["margin"] is None
+        assert d["details"]["per_identity"]["H_eq"]["max_residual"] is None
+
     def test_needs_three_snapshots(self):
         tr = point_trace("euclidean", 1.0, 0.5,
                          record_every=0.5, snapshot_every=0.5)

@@ -1,6 +1,7 @@
 """Warping-factor presets: closed forms, tables, potentials, condition flags."""
 
 import bisect
+import functools
 import math
 import os
 import subprocess
@@ -478,6 +479,31 @@ class TestOneKnotSearch:
         speed = scalar_speed(spec, 2)
         ref = reference_scalar_speed(spec, 2)
         assert all(speed(v) == ref(v) for v in phi.ravel().tolist())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(TABLE_WARPS)), st.data())
+    def test_order_of_calls_changes_no_bit(self, name, data):
+        # the float speed guesses each call's inverse piece from the last
+        # call's, and the lru_cache shares that closure between callers
+        spec = TABLE_WARPS[name]
+        x = spec._r_of_phi_table.x
+        lo, hi = spec._phi_domain
+        # a few neighbouring pieces: inside them, on their knots' float
+        # neighbours, and anywhere, so the guess both holds and misses
+        i0 = data.draw(st.integers(0, len(x) - 6))
+        inside = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0)).map(
+            lambda p: float(x[i0 + p[0]] + p[1] * (x[i0 + p[0] + 1] - x[i0 + p[0]])))
+        near = st.tuples(st.integers(0, 4), st.integers(-2, 2)).map(
+            lambda p: float(x[i0 + p[0]] + p[1] * np.spacing(x[i0 + p[0]])))
+        phi = data.draw(st.lists(inside | near | st.floats(lo, hi),
+                                 min_size=2, max_size=12, unique=True))
+        phi = [v for v in phi if lo < v < hi]
+        fresh = functools.partial(warp.scalar_speed.__wrapped__, spec, 2)
+        want = {v: fresh()(v).hex() for v in phi}
+        for order in (sorted(phi), sorted(phi, reverse=True),
+                      data.draw(st.permutations(phi))):
+            speed = fresh()
+            assert {v: speed(v).hex() for v in order} == want
 
 
 class TestHermiteTables:
