@@ -209,7 +209,7 @@ def snapshot(state):
         shape = np.zeros((0, 0, 1))
         A2 = nm1 * (hp / h) ** 2
         ric_dphi = np.zeros(base.shape)
-        Kh = (n - 2) * (h * hpp - hp ** 2)
+        Kh = (n - 2) * _warp.q(state.warp, r, h)
         ric_rr = -nm1 * hpp / h
         ric_vv = ric_rr.copy()
     else:
@@ -220,7 +220,7 @@ def snapshot(state):
         # slice convention (radial direction degenerates, term drops)
         with np.errstate(divide="ignore", invalid="ignore"):
             ric_dir = np.where(dphi2 > 0.0, ric_dphi / np.where(dphi2 > 0.0, dphi2, 1.0), 0.0)
-        Kh = (n - 2) * (h * hpp - hp ** 2) + ric_dir
+        Kh = (n - 2) * _warp.q(state.warp, r, h) + ric_dir
         ric_rr = np.broadcast_to(-nm1 * hpp / h, base.shape).copy()
         theta2 = theta ** 2
         ric_vv = theta2 * ric_rr + (theta2 / h ** 2) * (

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .warp import check_conditions, infimum_h0, r_at_h
+from .warp import check_conditions, infimum_h0, q, r_at_h
 from .manifold import covariant_derivatives
 
 __all__ = [
@@ -54,13 +54,14 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
+    # bool before int: True is an int, and report.json writes true, not 1
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return x if math.isfinite(x) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_json_safe(v) for v in obj.tolist()]
     return obj
@@ -120,9 +121,9 @@ def check_growth_and_support(trace, R1=None, R2=None, tol=None):
     """Exponential sandwich for h and the support function omega.
 
     R1/R2 default to the initial min/max of omega.  The h-sandwich and the
-    omega upper bound need only the weak convexity conditions; the omega
-    lower bound is asserted only when the strict conditions hold on the
-    radial hull of the run.
+    omega upper bound need only the weak convexity conditions, which hold
+    on every preset; the omega lower bound is asserted only when the strict
+    conditions hold on the radial hull of the run.
     """
     if not trace.snapshots:
         raise ValueError("trace has no snapshots")
@@ -148,12 +149,6 @@ def check_growth_and_support(trace, R1=None, R2=None, tol=None):
         notes.append(f"supplied [R1, R2]=[{R1:.6g}, {R2:.6g}] does not bracket "
                      f"initial omega in [{om0_min:.6g}, {om0_max:.6g}]; "
                      "asserting the sandwich for the supplied values anyway")
-    if not cond.c1_weak:
-        return CheckReport("growth_and_support", hyp, None, float("nan"), tol,
-                           {"R1": R1, "R2": R2},
-                           notes + ["weak convexity conditions fail on the "
-                                    "radial hull; sandwich not asserted"])
-
     assert_omega_lower = cond.c1_strict
     if not assert_omega_lower:
         notes.append("omega lower bound not asserted: strict conditions "
@@ -224,8 +219,7 @@ def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
     if not cond.c1_strict:
         notes.append("strict conditions unmet on h^{-1}[R1, R2 e^{T/(n-1)}]; "
                      "floor not asserted")
-        if cond.witnesses.get("c1_strict") is not None:
-            details["witness_r"] = cond.witnesses["c1_strict"]
+        details["witness_r"] = cond.witnesses["c1_strict"]
         return CheckReport("H_floor", hyp, None, float("nan"), tol,
                            details, notes)
 
@@ -258,16 +252,18 @@ def fit_decay_rate(times, values, eps=1e-30):
     """Decay rate lambda from a log-linear fit values ~ C exp(-lambda t).
 
     Returns +inf when the series is identically below eps (exact decay),
-    nan when fewer than 3 usable points remain.
+    nan when a value is non-finite or fewer than 3 usable points remain.
     """
     t = np.asarray(times, dtype=float)
-    q = np.asarray(values, dtype=float)
-    good = q > eps
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        return float("nan")
+    good = v > eps
     if not np.any(good):
         return float("inf")
     if int(np.sum(good)) < 3:
         return float("nan")
-    slope = np.polyfit(t[good], np.log(q[good]), 1)[0]
+    slope = np.polyfit(t[good], np.log(v[good]), 1)[0]
     return float(-slope)
 
 
@@ -288,7 +284,9 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     64 eps max(1, |ln H h|) / (window length), so a constant H h (exactly
     round data, gamma ~ 1e-17) is not a failure when beta = 0.  beta and
     gamma are reported in details.  expect_obstruction: the terminal
-    oscillation must stay above obstruction_floor.
+    oscillation must stay above obstruction_floor.  A non-finite value in
+    a fitted series or in max H h leaves the check inapplicable (passed
+    None), with a note naming the series.
     """
     if mode not in ("expect_roundness", "expect_obstruction"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -316,10 +314,20 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
         "hess_phi": trace.columns["max_hess_phi"][tmask],
         "osc": trace.columns["osc_rescaled_h"][tmask],
     }
-    st = [(t, s) for t, _, s in trace.snapshots if lo - 1e-9 <= t <= hi + 1e-9]
+    win = [lo - 1e-9 <= t <= hi + 1e-9 for t, _, _ in trace.snapshots]
+    st = [(t, s) for (t, _, s), w in zip(trace.snapshots, win) if w]
     shape_t = np.array([t for t, _ in st])
     shape_dev = np.array([s.shape_dev_max for _, s in st])
-    Hh_max = np.array([float(np.max(s.H * s.h)) for _, s in st])
+    Hh = np.array([np.max(s.H * s.h) for _, _, s in trace.snapshots])
+    Hh_max = Hh[win]
+
+    check_id = "asymptotics_" + mode.removeprefix("expect_")
+    bad = [k for k, v in (*series.items(), ("shape_dev", shape_dev),
+                          ("max_Hh", Hh)) if not np.isfinite(v).all()]
+    if bad:
+        notes.append(f"non-finite values in {', '.join(bad)}; nothing fitted")
+        return CheckReport(check_id, hyp, None, float("nan"), 0.0,
+                           {"fit_window": [lo, hi], "non_finite": bad}, notes)
 
     rates = {k: fit_decay_rate(ts, v) for k, v in series.items()}
     if len(shape_t) >= 3:
@@ -336,7 +344,7 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
                      "fitted")
 
     osc_T = float(trace.columns["osc_rescaled_h"][-1])
-    C2_obs = max(float(np.max(s.H * s.h)) for _, _, s in trace.snapshots)
+    C2_obs = float(np.max(Hh))
     rho0 = (n - 2) * trace.base.rho
     beta = rho0 / C2_obs ** 2 if C2_obs > 0 else float("nan")
     details = {"rates": rates, "terminal_osc": osc_T,
@@ -354,9 +362,8 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     if mode == "expect_obstruction":
         margin = (osc_T - obstruction_floor) / obstruction_floor
         details["worst"]["bound"] = obstruction_floor
-        return CheckReport("asymptotics_obstruction", hyp,
-                           bool(margin >= 0.0), float(margin), 0.0,
-                           details, notes)
+        return CheckReport(check_id, hyp, bool(margin >= 0.0), float(margin),
+                           0.0, details, notes)
 
     rate_vals = [v for v in rates.values() if not math.isnan(v)]
     osc_margin = (tol_osc - osc_T) / tol_osc
@@ -370,8 +377,8 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     details["worst"]["bound"] = tol_osc
     passed = (osc_T < tol_osc and all(v > 0.0 for v in rate_vals)
               and uniform)
-    return CheckReport("asymptotics_roundness", hyp, bool(passed),
-                       float(margin), 0.0, details, notes)
+    return CheckReport(check_id, hyp, bool(passed), float(margin), 0.0,
+                       details, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +425,7 @@ def _grad_contract_1d(base, snap, f1, f2):
 def _rhs_omega(trace, snap):
     n = trace.n
     lap = _induced_laplacian_1d(trace.base, snap, snap.omega)
-    smooth_kh = ((1.0 - snap.theta ** 2) * (n - 2) *
-                 (snap.h * snap.hpp - snap.hp ** 2)
+    smooth_kh = ((1.0 - snap.theta ** 2) * (n - 2) * q(trace.warp, snap.r, snap.h)
                  + snap.theta ** 2 * snap.ric_dphi)
     return (lap / snap.H ** 2 + snap.A2 / snap.H ** 2 * snap.omega
             + snap.omega * smooth_kh / (snap.H ** 2 * snap.h ** 2))

@@ -14,8 +14,7 @@ potential is a quadrature, is tabulated once at construction: Phi at 4096
 knots by Gauss-Legendre quadrature, then Phi(r) and its inverse r(Phi) as
 cubic Hermite pieces with the exact slopes 1/h and h.
 
-Every preset, its tables, ``r_at_h`` (a Newton solve) and ``infimum_h0``
-(dense samples) need numpy alone.
+Every preset, its tables and ``r_at_h`` (a Newton solve) need numpy alone.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "scalar_speed",
     "phi_domain_violation",
     "r_at_h",
+    "q",
     "check_conditions",
     "infimum_h0",
     "PRESETS",
@@ -193,19 +194,21 @@ PRESETS = {
     "euclidean": {
         "params": {},
         "summary": "h(r) = r; flat ambient space",
-        "conditions": "weak convexity only (h'' = 0); bounded-derivative family",
+        "conditions": "q = h h'' - h'^2 = -1; weak convexity only (h'' = 0); bounded-derivative family",
     },
     "hyperbolic": {
         "params": {},
         "summary": "h(r) = sinh r; constant curvature -1",
-        "conditions": "strict convexity; h' unbounded, outside the bounded-derivative family",
+        "conditions": "q = -1; strict convexity for rho >= 1; h' unbounded, outside "
+                      "the bounded-derivative family",
     },
     "schwarzschild3": {
         "params": {"m": "mass > 0", "r_max": "radius-domain extent (default 2000)",
                    "phi0": "potential at phi_r0 (default 0)",
                    "phi_r0": "radius where the potential is phi0 (default 1)"},
         "summary": "n = 3 exterior region: h' = sqrt(1 - 2m/h), closed form h' = tanh(v/2) in the potential",
-        "conditions": "strict convexity for rho >= 1 - 3m/h; bounded-derivative family (alpha <= 1)",
+        "conditions": "q = 3m/h - 1; strict convexity for rho >= 1 - 3m/h; "
+                      "bounded-derivative family (alpha <= 1)",
     },
     "saturating": {
         "params": {"a": "limit slope, a > b > 0", "b": "slope deficit", "k": "decay power > 0",
@@ -213,12 +216,14 @@ PRESETS = {
                    "phi0": "potential at phi_r0 (default 0)",
                    "phi_r0": "radius where the potential is phi0 (default 1)"},
         "summary": "h'(r) = a - b (1+r)^(-k), h(0) = 1",
-        "conditions": "strict convexity; bounded-derivative family for alpha <= k",
+        "conditions": "q falls from k b - (a-b)^2 at r = 0 towards -a^2; strict "
+                      "convexity for rho >= -q; bounded-derivative family for alpha <= k",
     },
     "power": {
         "params": {"p": "exponent >= 1"},
         "summary": "h(r) = r^p",
-        "conditions": "weak convexity; strict only where rho >= p r^(2p-2); h' unbounded for p > 1",
+        "conditions": "q = -p r^(2p-2); weak convexity; strict only for p > 1 and "
+                      "rho >= p r^(2p-2); h' unbounded for p > 1",
     },
 }
 
@@ -471,6 +476,28 @@ def _hp(spec, r):
         return p * r ** (p - 1.0)
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
     return a - b * (1.0 + r) ** (-k)
+
+
+def q(spec, r, h):
+    """h h'' - h'^2 at radii r inside the domain, where h = h(r).
+
+    Each preset states it in a form that does not cancel: -1 on the flat
+    presets and hyperbolic, -p r^(2p-2) on power, 3m/h - 1 on
+    schwarzschild3 (h'^2 = 1 - 2m/h).  On saturating h' and h h'' stay
+    bounded, so the product form loses nothing.  q does not increase on
+    any preset: its slope h h''' - h' h'' is 0, -2p (p-1) r^(2p-3),
+    -3m h'/h^2, and negative on saturating, where h''' < 0.
+    """
+    pid = spec.preset_id
+    if _flat(spec) or pid == "hyperbolic":
+        return np.full(np.shape(h), -1.0)
+    if pid == "power":
+        p = spec.params["p"]
+        return -p * r ** (2.0 * p - 2.0)
+    if pid == "schwarzschild3":
+        return 3.0 * spec.params["m"] / h - 1.0
+    _, hp, hpp = _warp_at_r(spec, r)
+    return h * hpp - hp ** 2
 
 
 def radial_potential(spec, r):
@@ -748,6 +775,7 @@ def r_at_h(spec, h_target):
         h, hp, _ = (float(v) for v in eval_warp(spec, r))
 
 
+@dataclass
 class ConditionReport:
     """Which convexity/boundedness conditions a warp satisfies on an interval.
 
@@ -756,93 +784,53 @@ class ConditionReport:
     c1_weak : h' > 0 and h'' >= 0
     c1_strict : h' > 0, h'' > 0 and h h'' - h'^2 + rho >= 0
     c5_bounded : C >= h' > 0 and C >= h^(1+alpha) h'' >= 0 for the supplied C, alpha
+
+    ``witnesses`` maps each flag that fails to its most violating radius.
     """
 
-    def __init__(self, c1_weak, c1_strict, c5_bounded, witnesses, interval, rho, C, alpha):
-        self.c1_weak = c1_weak
-        self.c1_strict = c1_strict
-        self.c5_bounded = c5_bounded
-        self.witnesses = witnesses
-        self.interval = interval
-        self.rho = rho
-        self.C = C
-        self.alpha = alpha
-
-    def as_dict(self):
-        return {
-            "c1_weak": self.c1_weak,
-            "c1_strict": self.c1_strict,
-            "c5_bounded": self.c5_bounded,
-            "witnesses": self.witnesses,
-            "interval": list(self.interval),
-            "rho": self.rho,
-            "C": self.C,
-            "alpha": self.alpha,
-        }
-
-    def __repr__(self):
-        return (f"ConditionReport(c1_weak={self.c1_weak}, c1_strict={self.c1_strict}, "
-                f"c5_bounded={self.c5_bounded})")
+    c1_weak: bool
+    c1_strict: bool
+    c5_bounded: bool
+    witnesses: dict
 
 
-# strict sign tolerance: quantities produced by Newton solves wobble at the
-# rounding floor, honest zeros (h''=0 for euclidean) must stay non-strict
-_SIGN_TOL = 1e-13
+def check_conditions(spec, interval, rho, C=math.inf, alpha=1.0):
+    """The condition flags on a radius interval.
 
-
-def check_conditions(spec, interval, rho, C=math.inf, alpha=1.0, samples=10000):
-    """Dense-sample the condition flags on a radius interval.
-
-    The infimum-style flags are decided on >= ``samples`` points plus the
-    interval endpoints; witnesses record the most violating radius for each
-    flag that fails.
+    The c1 flags follow from preset facts.  h' > 0 is the domain rule and
+    every preset has h'' >= 0, so c1_weak holds on every interval.  h'' > 0
+    everywhere except on the flat presets, and q = h h'' - h'^2 does not
+    increase, so c1_strict is decided at the top of the interval.
+    h^(1+alpha) h'' is not monotone for every alpha, so c5_bounded is
+    decided on 10000 evenly spaced radii, the endpoints included.
     """
     r_lo, r_hi = float(interval[0]), float(interval[1])
     if not (r_hi > r_lo):
         raise ValueError(f"empty interval [{r_lo}, {r_hi}]")
     lo, hi = spec.r_domain
     r_lo = max(r_lo, lo + (r_hi - r_lo) * 1e-12 + 1e-300)
-    r = np.linspace(r_lo, min(r_hi, hi * (1 - 1e-12)), samples)
+    r = np.linspace(r_lo, min(r_hi, hi * (1 - 1e-12)), 10000)
     h, hp, hpp = eval_warp(spec, r)
-    scale = float(np.max(np.abs(hp))) + 1.0
-
     witnesses = {}
-
-    def worst(flag, values, ok):
-        # values < 0 are violations; record argmin when any
-        if ok:
-            return True
-        witnesses[flag] = float(r[int(np.argmin(values))])
-        return False
-
-    pos_hp = hp - _SIGN_TOL * scale
-    weak_v = np.minimum(pos_hp, hpp + _SIGN_TOL * scale)
-    c1_weak = worst("c1_weak", weak_v, bool(np.all(weak_v > 0.0)))
-
-    strict_quad = h * hpp - hp ** 2 + rho
-    strict_v = np.minimum(np.minimum(pos_hp, hpp - _SIGN_TOL * scale),
-                          strict_quad + _SIGN_TOL * scale * scale)
-    c1_strict = worst("c1_strict", strict_v, bool(np.all(strict_v > 0.0)))
-
-    bounded_hpp = h ** (1.0 + alpha) * hpp
-    c5_v = np.minimum(np.minimum(pos_hp, C - hp),
-                      np.minimum(hpp + _SIGN_TOL * scale, C - bounded_hpp))
-    c5_bounded = worst("c5_bounded", c5_v, bool(np.all(c5_v > 0.0)))
-
-    return ConditionReport(c1_weak, c1_strict, c5_bounded, witnesses,
-                           (r_lo, r_hi), rho, C, alpha)
+    flat = _flat(spec)
+    c1_strict = not flat and bool(q(spec, r[-1:], h[-1:])[0] + rho >= 0.0)
+    if not c1_strict:
+        witnesses["c1_strict"] = float(r[0] if flat else r[-1])
+    with np.errstate(over="ignore"):     # inf exceeds every finite C
+        c5_v = np.maximum(hp, h ** (1.0 + alpha) * hpp)
+    c5_bounded = bool(np.all(c5_v <= C))
+    if not c5_bounded:
+        witnesses["c5_bounded"] = float(r[int(np.argmax(c5_v))])
+    return ConditionReport(True, c1_strict, c5_bounded, witnesses)
 
 
-def infimum_h0(spec, interval, samples=10000):
-    """inf of h''(r)/h(r) over a radius interval, the least of ``samples``
-    evenly spaced values.
+def infimum_h0(spec, interval):
+    """inf of h''(r)/h(r) over a radius interval.
 
     On every preset h''/h does not increase (0, 1, p (p-1)/r^2, m/h^3 and
     k b (1+r)^(-k-1)/h), so this is its value at the top of the interval.
     """
-    r_lo, r_hi = float(interval[0]), float(interval[1])
-    lo, hi = spec.r_domain
-    r_lo = max(r_lo, lo + 1e-12)
-    r_hi = min(r_hi, hi * (1 - 1e-12)) if not math.isinf(hi) else r_hi
-    h, _, hpp = eval_warp(spec, np.linspace(r_lo, r_hi, samples))
-    return float(np.min(hpp / h))
+    r_hi = min(float(interval[1]), spec.r_domain[1] * (1 - 1e-12))
+    # a one-element array takes the ufunc loops of the dense samples it replaces
+    h, _, hpp = eval_warp(spec, np.array([r_hi]))
+    return float(hpp[0] / h[0])

@@ -227,6 +227,18 @@ class TestRunCommand:
         assert [c["check_id"] for c in report["checks"]] == [
             "growth_and_support", "A_bounded"]
 
+    def test_report_flags_are_json_booleans(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, POINT_RUN)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert '"pass": true' in text and '"c1_weak": true' in text
+        report = json.loads(text)
+        growth = report["checks"][0]
+        assert growth["pass"] is True
+        assert growth["hypothesis_status"] == {
+            "c1_weak": True, "c1_strict": False, "omega_bracket": True}
+
     def test_meta_records_run_counts(self, tmp_path):
         cfg = write_cfg(tmp_path, """\
             warp.preset = euclidean

@@ -249,6 +249,15 @@ class TestAmbientRicci:
         np.testing.assert_allclose(s.Kh[moving], 0.0, atol=1e-10)
         np.testing.assert_allclose(s.Kh[~moving], -1.0, atol=1e-12)
 
+    def test_schwarzschild_curvature_term_on_slices(self):
+        # (n-2) (h h'' - h'^2) with n = 3 and h'^2 = 1 - 2m/h: 3m/h - 1,
+        # plus a restricted base Ricci term that is 0 where D phi = 0
+        w = make_warp("schwarzschild3", m=0.5)
+        for base in (make_base("point", 2), make_base("axisphere", 8)):
+            for target in (1.6, 2.0, 5.0, 50.0, 500.0):
+                s = snapshot(slice_state(base, w, r_at_h(w, target)))
+                np.testing.assert_array_equal(s.Kh, 1.5 / s.h - 1.0)
+
 
 class TestEmbeddingOracle:
     def test_slice_agreement(self):

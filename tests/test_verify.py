@@ -5,13 +5,14 @@ point base where every bound is an equality), then discrete behavior:
 residual refinement ratios, inapplicability routing, report serialization.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from imcflow.flow import FlowConfig, run
+from imcflow.flow import TRACE_COLUMNS, FlowConfig, run
 from imcflow.geometry import GraphState, snapshot
 from imcflow.manifold import make_base
 from imcflow.verify import (CheckReport, DEFAULT_C_RES, check_A_bounded,
@@ -59,6 +60,16 @@ def circle_round():
     return run(GraphState(base, w, radial_potential(w, r), 0.0),
                FlowConfig(t_end=8.0, integrator="rk4", safety=0.5,
                           record_every=0.05, snapshot_every=0.5))
+
+
+@pytest.fixture(scope="module")
+def circle_slight():
+    base = make_base("circle", 16)
+    w = make_warp("euclidean")
+    r = 1.0 + 0.01 * np.cos(base.theta)
+    return run(GraphState(base, w, radial_potential(w, r), 0.0),
+               FlowConfig(t_end=8.0, safety=0.5, record_every=0.1,
+                          snapshot_every=0.5))
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +165,13 @@ class TestFitDecayRate:
     def test_all_below_eps_is_exact_decay(self):
         assert fit_decay_rate([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]) == math.inf
 
+    def test_non_finite_value_is_nan(self):
+        # an all-NaN series once read as "identically below eps": rate inf
+        t = [0.0, 1.0, 2.0, 3.0]
+        assert math.isnan(fit_decay_rate(t, [np.nan] * 4))
+        for bad in (np.nan, np.inf):
+            assert math.isnan(fit_decay_rate(t, [1.0, 0.5, bad, 0.1]))
+
     def test_too_few_points_is_nan(self):
         assert math.isnan(fit_decay_rate([0.0, 1.0], [1.0, 0.5]))
         assert math.isnan(
@@ -205,6 +223,19 @@ class TestAsymptotics:
         assert rep.details["beta_predicted"] == 0.0
         assert abs(rep.details["gamma_Hh"]) < 1e-15
         assert rep.passed is True
+
+    def test_non_finite_series_is_inapplicable(self, circle_slight):
+        assert check_asymptotics(circle_slight, "expect_roundness",
+                                 tol_osc=1.0).passed is True
+        cols = dict(circle_slight.columns)
+        for k in ("max_grad_phi", "max_hess_phi"):
+            cols[k] = np.full_like(cols[k], np.nan)
+        tr = dataclasses.replace(circle_slight, columns=cols)
+        for mode in ("expect_roundness", "expect_obstruction"):
+            rep = check_asymptotics(tr, mode, tol_osc=1.0)
+            assert rep.passed is None and math.isnan(rep.margin)
+            assert rep.details["non_finite"] == ["grad_phi", "hess_phi"]
+            assert "non-finite values in grad_phi, hess_phi; nothing fitted" in rep.notes
 
     def test_short_trace_raises(self, euclid_point):
         with pytest.raises(ValueError, match="too short"):
@@ -355,6 +386,14 @@ class TestReportSerialization:
         assert d["details"]["i"] == 3
         assert d["hypothesis_status"]["ok"] is True
 
+    def test_python_bools_stay_bools(self):
+        # bool is a subclass of int; report.json once wrote "pass": 1
+        d = CheckReport("demo", {"c1_weak": True}, True, 0.5, 0.0,
+                        {"flag": False}).as_dict()
+        assert d["pass"] is True and d["hypothesis_status"]["c1_weak"] is True
+        assert d["details"]["flag"] is False
+        assert '"pass": true' in json.dumps(d)
+
     def test_live_reports_serialize(self, euclid_point):
         reports = [
             check_growth_and_support(euclid_point),
@@ -364,3 +403,80 @@ class TestReportSerialization:
         ]
         for rep in reports:
             json.dumps(rep.as_dict())
+
+
+# What each check reads of a stored run, besides R1 and R2 from the first
+# snapshot: the trace columns by name, and the snapshot fields h, H, omega
+# and A2.  NaN planted in what a check reads must keep it from passing;
+# NaN planted elsewhere must leave its verdict and margin as they were.
+READS = {
+    "growth_and_support": {"h", "omega"},
+    "H_floor": {"min_H"},
+    "evolution_residuals": {"h", "H", "omega", "A2"},
+    "A_bounded": {"max_A"},
+    "asymptotics": {"max_grad_phi", "max_hess_phi", "osc_rescaled_h", "h", "H"},
+}
+SITES = TRACE_COLUMNS + ("h", "H", "omega", "A2")
+SHORT_CHECKS = {
+    "growth_and_support": check_growth_and_support,
+    "H_floor": check_H_floor,
+    "evolution_residuals": evolution_residuals,
+    "A_bounded": check_A_bounded,
+}
+LONG_CHECKS = {
+    "asymptotics": lambda tr: check_asymptotics(tr, "expect_roundness",
+                                                tol_osc=1.0),
+}
+
+
+def plant_nan(trace, site):
+    """A copy of trace with NaN at the middle row of a column, or at the
+    middle node of a field of the middle snapshot."""
+    if site in trace.columns:
+        col = trace.columns[site].copy()
+        col[col.size // 2] = np.nan
+        return dataclasses.replace(trace, columns={**trace.columns, site: col})
+    i = len(trace.snapshots) // 2
+    t, state, snap = trace.snapshots[i]
+    field = getattr(snap, site).copy()
+    field.flat[field.size // 2] = np.nan
+    snaps = list(trace.snapshots)
+    snaps[i] = (t, state, dataclasses.replace(snap, **{site: field}))
+    return dataclasses.replace(trace, snapshots=snaps)
+
+
+@pytest.fixture(scope="module", params=["euclidean", "schwarzschild3"])
+def short_run(request):
+    # H_floor applies on schwarzschild3 (rho = 1 on the axisphere), never
+    # on the flat warp
+    base = make_base("axisphere", 16)
+    w = make_warp(request.param)
+    r = 1.0 + 0.1 * np.cos(base.theta)
+    return run(GraphState(base, w, radial_potential(w, r), 0.0),
+               FlowConfig(t_end=0.3, snapshot_every=0.1))
+
+
+class TestNoPassOnNonFiniteData:
+    @staticmethod
+    def check_sites(trace, checks):
+        clean = {k: fn(trace) for k, fn in checks.items()}
+        for site in SITES:
+            planted = plant_nan(trace, site)
+            for k, fn in checks.items():
+                rep = fn(planted)
+                if site in READS[k]:
+                    assert rep.passed is not True, (site, k)
+                else:
+                    same = (rep.margin == clean[k].margin
+                            or math.isnan(rep.margin) and math.isnan(clean[k].margin))
+                    assert rep.passed is clean[k].passed and same, (site, k)
+        return {k: rep.passed for k, rep in clean.items()}
+
+    def test_short_run(self, short_run):
+        clean = self.check_sites(short_run, SHORT_CHECKS)
+        floor = True if short_run.warp.preset_id == "schwarzschild3" else None
+        assert clean == {"growth_and_support": True, "H_floor": floor,
+                         "evolution_residuals": True, "A_bounded": True}
+
+    def test_asymptotics(self, circle_slight):
+        assert self.check_sites(circle_slight, LONG_CHECKS) == {"asymptotics": True}

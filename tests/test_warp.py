@@ -615,6 +615,23 @@ class TestConditions:
             if rep.c1_strict:
                 assert rep.c1_weak
 
+    @pytest.mark.parametrize("r_hi", [15.7, 16.0, 100.0, 700.0])
+    def test_hyperbolic_strict_needs_rho_one(self, presets, r_hi):
+        # q = h h'' - h'^2 = -1 on the whole interval; sampled as
+        # sinh r sinh r - cosh r^2 with a tolerance growing like cosh^2 r,
+        # it read as >= 0 from r_hi = 15.66 on
+        spec = presets["hyperbolic"]
+        rep = check_conditions(spec, (0.5, r_hi), rho=0.0)
+        assert rep.c1_strict is False
+        assert rep.witnesses["c1_strict"] == r_hi
+        assert check_conditions(spec, (0.5, r_hi), rho=1.0).c1_strict is True
+
+    def test_power_weak_down_to_tiny_radii(self):
+        # h' = 3 r^2 > 0 however small r is; a sign tolerance scaled by
+        # max h' once read it as 0 near r = 1e-6
+        rep = check_conditions(make_warp("power", p=3.0), (1e-6, 5.0), rho=1.0)
+        assert rep.c1_weak is True
+
     def test_power_strict_depends_on_interval(self, presets):
         spec = presets["power"]
         # h h'' - h'^2 + rho = rho - p r^(2p-2); with p=2, rho=1: fails past r=2^(-1/2)... r > (1/2)^(1/2)
@@ -674,14 +691,18 @@ class TestRAtH:
             assert abs(r / math.sqrt(target) - 1.0) < 1e-15, target
 
 
+def top_radius(name, spec):
+    """The largest radius the preset tests probe: hyperbolic's domain ends
+    where cosh r overflows, just past 710."""
+    return 710.0 if name == "hyperbolic" else min(spec.r_domain[1] * (1.0 - 1e-12), 1e4)
+
+
 class TestInfimumH0:
     @pytest.mark.parametrize("name", sorted(H0_WARPS))
     def test_ratio_does_not_increase_so_the_top_is_the_infimum(self, name):
-        # what lets infimum_h0 take the dense samples' least value
+        # what lets infimum_h0 read h''/h at the top of the interval
         spec = H0_WARPS[name]
-        # hyperbolic's domain ends where cosh r overflows, just past 710
-        top = 710.0 if name == "hyperbolic" else min(spec.r_domain[1] * (1.0 - 1e-12), 1e4)
-        h, _, hpp = eval_warp(spec, np.geomspace(1e-6, top, 20000))
+        h, _, hpp = eval_warp(spec, np.geomspace(1e-6, top_radius(name, spec), 20000))
         assert np.all(np.diff(hpp / h) <= 0.0)
         for a, b in ((1e-3, 0.5), (0.5, 2.0), (1.0, 50.0), (3.0, 500.0)):
             h, _, hpp = eval_warp(spec, np.linspace(a, b, 10000))
@@ -700,12 +721,50 @@ class TestInfimumH0:
         # h''/h = 1 identically
         assert abs(infimum_h0(presets["hyperbolic"], (1.0, 2.0)) - 1.0) < 1e-12
 
-    def test_interior_minimum_refined(self, presets):
-        # h''/h falls on saturating, so more samples never raise the least
-        spec = presets["saturating"]
-        dense = infimum_h0(spec, (0.5, 50.0), samples=20000)
-        coarse = infimum_h0(spec, (0.5, 50.0), samples=1000)
-        assert coarse <= dense + 1e-12
+
+class TestExactConditions:
+    """The c1 flags follow from preset facts: h' > 0 (the domain rule),
+    h'' >= 0, and q = h h'' - h'^2 stated in closed form and not
+    increasing."""
+
+    @pytest.mark.parametrize("name", sorted(H0_WARPS))
+    def test_q_does_not_increase(self, name):
+        # what lets check_conditions decide c1_strict at the top
+        spec = H0_WARPS[name]
+        r = np.geomspace(1e-6, top_radius(name, spec), 20000)
+        assert np.all(np.diff(warp.q(spec, r, eval_warp(spec, r)[0])) <= 0.0)
+
+    @pytest.mark.parametrize("name", sorted(H0_WARPS))
+    def test_q_is_the_product_within_its_rounding(self, name):
+        # h h'' - h'^2 from rounded factors is off by a few eps times the
+        # size of its terms; the closed forms must sit within that
+        spec = H0_WARPS[name]
+        r = np.geomspace(1e-6, top_radius(name, spec), 2000)
+        h, hp, hpp = eval_warp(spec, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product, size = h * hpp - hp ** 2, h * hpp + hp ** 2
+        ok = np.isfinite(product)
+        assert ok.sum() > 1500
+        err = np.abs(warp.q(spec, r, h) - product)[ok]
+        assert np.all(err <= 8.0 * np.finfo(float).eps * size[ok])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(H0_WARPS)), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 10.0))
+    def test_flags_equal_a_dense_oracle(self, name, u1, u2, rho):
+        # the oracle samples h', h'' and the closed-form q with no tolerance
+        spec = H0_WARPS[name]
+        top = top_radius(name, spec)
+        r_lo, r_hi = sorted(1e-6 * (top / 1e-6) ** u for u in (u1, u2))
+        assume(r_hi > r_lo)
+        r = np.linspace(r_lo, r_hi, 20001)
+        h, hp, hpp = eval_warp(spec, r)
+        positive = bool(np.all(hp > 0.0))
+        weak = positive and bool(np.all(hpp >= 0.0))
+        strict = (positive and bool(np.all(hpp > 0.0))
+                  and bool(np.all(warp.q(spec, r, h) + rho >= 0.0)))
+        rep = check_conditions(spec, (r_lo, r_hi), rho=rho)
+        assert (rep.c1_weak, rep.c1_strict) == (weak, strict)
 
 
 def valid(r, h, hp, hpp):
