@@ -17,11 +17,11 @@ step.  A stepper only evaluates states (start, check) and bounds dt
 (cfl); a valid state leaves its rate k = 1/F for the next stage.
 _FieldStepper sends every array state through _evaluate, the one code
 that decides whether a state is valid and which event it is.
-_PointStepper takes a plain float's rate from the warp's scalar speed,
-which raises wherever a point state is invalid (warp.py states the domain
-rule and the F = d h' edge), and calls _evaluate only for event payloads:
-criterion 1's 80k speed calls must fit its 1 s gate, and one array
-evaluation on the point base costs 20-100 us.
+_PointStepper tests a plain float against the interval where a point
+state is valid (warp.py states the domain rule and the F = d h' edge),
+takes its rate from the warp's float formula and calls _evaluate only for
+event payloads: criterion 1's 80k speed calls must fit its 1 s gate, and
+one array evaluation on the point base costs 20-100 us.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError, hp_at_phi, scalar_speed
+from .warp import WarpDomainError, hp_at_phi, scalar_speed as _scalar_speed
 from .geometry import GraphState
 
 __all__ = [
@@ -150,9 +150,8 @@ def _evaluate(base, wspec, phi, t, theta_min):
     >= theta_min, which is min Theta >= theta_min because sqrt is
     correctly rounded and monotone; NaN fails every comparison.
     Otherwise the event is, in this order: non-finite phi, phi outside the
-    image of Phi (or the radius check after inversion), non-finite F,
-    F <= 0 at its smallest node, Theta below theta_min at its smallest
-    node.
+    image of Phi, non-finite F, F <= 0 at its smallest node, Theta below
+    theta_min at its smallest node.
     """
     try:
         hp = hp_at_phi(wspec, phi)
@@ -229,23 +228,22 @@ class _FieldStepper:
 
 
 class _PointStepper:
-    """A plain float, valid where the warp's scalar speed accepts it: the
-    speed raises wherever the point state is invalid, and _evaluate then
-    gives the event the field path's payload."""
+    """A plain float, valid inside the open interval the warp's scalar
+    speed comes with; outside it _evaluate gives the event the field
+    path's payload."""
 
     def __init__(self, base, wspec, config, stats):
         self.stats, self.k = stats, None
-        speed = scalar_speed(wspec, base.d)
+        speed, lo, hi = _scalar_speed(wspec, base.d)
 
         # a closure, not a method: the stages call it four times a step
         def check(phi, t):
             stats.f_evals += 1
-            try:
+            if lo < phi < hi:
                 self.k = speed(phi)
                 return None
-            except WarpDomainError:
-                return _evaluate(base, wspec, np.array([phi]), t,
-                                 config.theta_min)[1]
+            return _evaluate(base, wspec, np.array([phi]), t,
+                             config.theta_min)[1]
         self.check = check
 
     def start(self, phi):

@@ -111,6 +111,12 @@ def _base_notes(trace, notes):
                      "assertions cover the recorded times only")
 
 
+def _non_finite(a):
+    """Flat index of the first non-finite value of the array a, or None."""
+    bad = ~np.isfinite(a)
+    return int(bad.argmax()) if bad.any() else None
+
+
 def _worst(slacks):
     """(min slack, index) over a list of (slack, payload)."""
     idx = int(np.argmin([s for s, _ in slacks]))
@@ -123,7 +129,8 @@ def check_growth_and_support(trace, R1=None, R2=None, tol=None):
     R1/R2 default to the initial min/max of omega.  The h-sandwich and the
     omega upper bound need only the weak convexity conditions, which hold
     on every preset; the omega lower bound is asserted only when the strict
-    conditions hold on the radial hull of the run.
+    conditions hold on the radial hull of the run.  A non-finite h or
+    omega at any node of any snapshot fails the check.
     """
     if not trace.snapshots:
         raise ValueError("trace has no snapshots")
@@ -167,6 +174,11 @@ def check_growth_and_support(trace, R1=None, R2=None, tol=None):
         if assert_omega_lower:
             pairs.append(("omega_lower", float(np.min(snap.omega)) - lo, lo,
                           int(np.argmin(snap.omega))))
+        # h meets both bounds, but the omega lower bound may be unasserted
+        node = _non_finite(snap.omega)
+        if node is not None:
+            slacks.append((math.nan, {"quantity": "omega_finite", "t": t, "node": node,
+                                      "value": float(snap.omega.flat[node])}))
         for name, raw, scale, node in pairs:
             slacks.append((raw / scale,
                            {"quantity": name, "t": t, "node": node,
@@ -189,26 +201,36 @@ def curvature_floor(t, n, R1, R2, h0):
 def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
     """Lower bound for min H at positive record times.
 
-    Inapplicable (passed None) unless the strict convexity conditions hold
-    on h^{-1}[R1, R2 e^{T/(n-1)}].  h0 defaults to inf h''/h there.  Also
-    reports the observed min/max of H h as C1/C2 estimates.
+    Inapplicable (passed None) when R1 or R2 is not finite, supplied or
+    taken from omega at t = 0, and unless the strict convexity conditions
+    hold on h^{-1}[R1, R2 e^{T/(n-1)}].  h0 defaults to inf h''/h there.
+    A non-finite min_H at a positive record time fails the check (margin
+    NaN).  Also reports the observed min/max of H h as C1/C2 estimates.
     """
     if not trace.snapshots:
         raise ValueError("trace has no snapshots")
     n = trace.n
     snap0 = trace.snapshots[0][2]
+    given = R1, R2
     if R1 is None:
         R1 = float(np.min(snap0.omega))
     if R2 is None:
         R2 = float(np.max(snap0.omega))
+    notes = []
+    _base_notes(trace, notes)
+    bad = [f"{k} = {v} ({'from omega at t=0' if g is None else 'supplied'})"
+           for k, v, g in zip(("R1", "R2"), (R1, R2), given)
+           if not math.isfinite(v)]
+    if bad:
+        notes.append(f"{', '.join(bad)} not finite; floor not asserted")
+        return CheckReport("H_floor", {"c1_weak": None, "c1_strict": None},
+                           None, float("nan"), tol, {"R1": R1, "R2": R2}, notes)
     T = trace.t_final
     r_lo = r_at_h(trace.warp, R1)
     r_hi = r_at_h(trace.warp, R2 * math.exp(T / (n - 1)))
     cond = check_conditions(trace.warp, (r_lo, r_hi), rho=trace.base.rho)
     hyp = {"c1_weak": cond.c1_weak, "c1_strict": cond.c1_strict}
 
-    notes = []
-    _base_notes(trace, notes)
     Hh = [(float(np.min(s.H * s.h)), float(np.max(s.H * s.h)))
           for _, _, s in trace.snapshots]
     C1_obs = min(a for a, _ in Hh)
@@ -236,7 +258,8 @@ def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
     ts = trace.times[mask]
     minH = trace.columns["min_H"][mask]
     floors = curvature_floor(ts, n, R1, R2, h0)
-    slack = (minH - floors) / floors
+    # NaN where min_H is not finite; argmin returns the first NaN
+    slack = np.where(np.isfinite(minH), (minH - floors) / floors, math.nan)
     i = int(np.argmin(slack))
     details.update({
         "floor_at_T": float(curvature_floor(T, n, R1, R2, h0)),
@@ -244,6 +267,8 @@ def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
                   "value": float(minH[i]), "bound": float(floors[i])},
     })
     margin = float(slack[i])
+    if math.isnan(margin):
+        notes.append(f"min_H = {minH[i]} at t={ts[i]:.6g} is not finite")
     return CheckReport("H_floor", hyp, bool(margin >= -tol), margin, tol,
                        details, notes)
 
@@ -285,8 +310,8 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     round data, gamma ~ 1e-17) is not a failure when beta = 0.  beta and
     gamma are reported in details.  expect_obstruction: the terminal
     oscillation must stay above obstruction_floor.  A non-finite value in
-    a fitted series or in max H h leaves the check inapplicable (passed
-    None), with a note naming the series.
+    a fitted series or in H h at any node leaves the check inapplicable
+    (passed None), with a note naming the series.
     """
     if mode not in ("expect_roundness", "expect_obstruction"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -318,7 +343,9 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     st = [(t, s) for (t, _, s), w in zip(trace.snapshots, win) if w]
     shape_t = np.array([t for t, _ in st])
     shape_dev = np.array([s.shape_dev_max for _, s in st])
-    Hh = np.array([np.max(s.H * s.h) for _, _, s in trace.snapshots])
+    # NaN where H h is not finite at some node
+    Hh = np.array([np.max(p) if np.isfinite(p).all() else math.nan
+                   for p in (s.H * s.h for _, _, s in trace.snapshots)])
     Hh_max = Hh[win]
 
     check_id = "asymptotics_" + mode.removeprefix("expect_")
@@ -608,7 +635,11 @@ def evolution_residuals(trace, which=None, c_res=None):
 
 
 def check_A_bounded(trace):
-    """No blow-up trend in max |A|: last-quartile max <= 2 x trace median."""
+    """No blow-up trend in max |A|: last-quartile max <= 2 x trace median.
+
+    A non-finite max |A| at any record fails the check (margin NaN, its
+    first record the worst).
+    """
     maxA = trace.columns["max_A"]
     times = trace.times
     notes = []
@@ -619,11 +650,15 @@ def check_A_bounded(trace):
     lastq = maxA[times >= t_cut]
     lastq_max = float(np.max(lastq)) if lastq.size else sup_A
     bound = 2.0 * med
-    margin = (bound - lastq_max) / bound if bound > 0 else float("-inf")
-    i = int(np.argmax(maxA))
+    bad = _non_finite(maxA)
+    if bad is None:
+        margin = (bound - lastq_max) / bound if bound > 0 else float("-inf")
+        i = int(np.argmax(maxA))
+    else:
+        margin, i = math.nan, bad
     details = {"sup_A": sup_A, "median_A": med, "last_quartile_max": lastq_max,
                "worst": {"quantity": "max_A", "t": float(times[i]),
-                         "value": sup_A, "bound": bound}}
-    passed = bool(np.isfinite(sup_A) and lastq_max <= bound)
+                         "value": float(maxA[i]), "bound": bound}}
+    passed = bool(bad is None and lastq_max <= bound)
     return CheckReport("A_bounded", {}, passed, float(margin), 0.0,
                        details, notes)

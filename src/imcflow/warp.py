@@ -412,18 +412,30 @@ def _saturating_h(a, b, k, r):
     return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
 
 
-def _check_r_domain(spec, r):
-    lo, hi = spec.r_domain
-    rmin = r.min() if np.ndim(r) else r
-    rmax = r.max() if np.ndim(r) else r
-    # NaN fails both comparisons, infinities fail one; no separate check
-    if not (rmin > lo and rmax < hi):
-        node = None
-        if np.ndim(r):
-            node = int((~((r > lo) & (r < hi))).argmax())
-        raise WarpDomainError(
-            f"radius outside domain ({lo}, {hi}) for {spec.preset_id}: "
-            f"range [{rmin}, {rmax}]", node)
+def _checked(spec, x, domain, what):
+    """x as a float array, once min and max of x lie in the open interval
+    ``domain`` (NaN fails that too); else WarpDomainError naming the first
+    node outside.  The one domain test of radii and potentials."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = domain
+    if x.ndim:
+        if x.min() > lo and x.max() < hi:
+            return x
+    elif lo < x < hi:
+        return x
+    node = _node_outside(x, lo, hi)
+    raise WarpDomainError(
+        f"{what} {float(x.flat[node])!r} outside ({lo}, {hi}) for "
+        f"{spec.preset_id}", node if x.ndim else None)
+
+
+def _node_outside(x, lo, hi):
+    """Flat index of the first value of the array x outside (lo, hi), or
+    None: both tests are false on NaN, and the bounds shut out +-inf."""
+    ok = (x > lo) & (x < hi)
+    if ok.all():
+        return None
+    return int((~ok).argmax())
 
 
 def eval_warp(spec, r):
@@ -440,9 +452,7 @@ def eval_warp(spec, r):
     h, hp, hpp : ndarray
         Warping factor and its first two radial derivatives.
     """
-    r = np.asarray(r, dtype=float)
-    _check_r_domain(spec, r)
-    return _warp_at_r(spec, r)
+    return _warp_at_r(spec, _checked(spec, r, spec.r_domain, "radius"))
 
 
 def _warp_at_r(spec, r):
@@ -507,8 +517,7 @@ def radial_potential(spec, r):
     ln r and (r^(1-p) - 1)/(1-p)); hyperbolic uses ln tanh(r/2);
     schwarzschild3 and saturating use Phi(1) = 0 unless overridden.
     """
-    r = np.asarray(r, dtype=float)
-    _check_r_domain(spec, r)
+    r = _checked(spec, r, spec.r_domain, "radius")
     pid = spec.preset_id
     if _flat(spec):
         return np.log(r)
@@ -536,29 +545,7 @@ def phi_domain_violation(spec, phi):
     saturating, derived by ``_derive_domains`` on the others.  ``r_of_phi``
     raises exactly when this is not None, and the flow reports the node.
     """
-    phi = np.asarray(phi, dtype=float)
-    lo, hi = spec._phi_domain
-    # both tests are false on NaN; the bounds also shut out +-inf
-    ok = (phi > lo) & (phi < hi)
-    if ok.all():
-        return None
-    return int((~ok).argmax())
-
-
-def _check_phi_domain(spec, phi):
-    """Raise WarpDomainError, naming the first bad node, unless min and max
-    of phi lie in the domain (NaN fails that too)."""
-    lo, hi = spec._phi_domain
-    if np.ndim(phi):
-        if phi.min() > lo and phi.max() < hi:
-            return
-    elif lo < phi < hi:
-        return
-    phi = np.asarray(phi, dtype=float)
-    node = phi_domain_violation(spec, phi)
-    raise WarpDomainError(
-        f"potential {float(phi.flat[node])!r} outside the image of Phi "
-        f"for {spec.preset_id}", node if phi.ndim else None)
+    return _node_outside(np.asarray(phi, dtype=float), *spec._phi_domain)
 
 
 def r_of_phi(spec, phi):
@@ -568,9 +555,7 @@ def r_of_phi(spec, phi):
     outside the image of Phi (see ``phi_domain_violation``) raise
     WarpDomainError.
     """
-    phi = np.asarray(phi, dtype=float)
-    _check_phi_domain(spec, phi)
-    return _r_of_phi(spec, phi)
+    return _r_of_phi(spec, _checked(spec, phi, spec._phi_domain, "potential"))
 
 
 def _r_of_phi(spec, phi):
@@ -614,16 +599,13 @@ def _table_r(spec, phi):
 
 
 def warp_at_phi(spec, phi):
-    """Fused hot-path evaluation: phi -> (r, h, h', h'')."""
-    phi = np.asarray(phi, dtype=float)
-    _check_phi_domain(spec, phi)
-    out = _warp_at_phi(spec, phi)
-    _check_r_domain(spec, out[0])
-    return out
+    """Fused hot-path evaluation: phi -> (r, h, h', h''); the potential's
+    test covers the radius, which obeys the domain rule (``_valid``)."""
+    return _warp_at_phi(spec, _checked(spec, phi, spec._phi_domain, "potential"))
 
 
 def _warp_at_phi(spec, phi):
-    """warp_at_phi without the domain checks."""
+    """warp_at_phi without the domain check."""
     if spec.preset_id == "schwarzschild3":
         return _sw_warp(spec.params["m"], phi - spec._phi_lo)
     r = _r_of_phi(spec, phi)
@@ -642,30 +624,27 @@ def hp_at_phi(spec, phi):
     The flat presets return the float 1.0, which broadcasts like
     warp_at_phi's array of ones and gives the same products bit for bit;
     schwarzschild3 h' = tanh(v/2), with no radius.  Other presets invert
-    phi and check the radius as warp_at_phi does, then evaluate h' only.
+    phi, then evaluate h' only.
     """
+    phi = _checked(spec, phi, spec._phi_domain, "potential")
     if _flat(spec):
-        _check_phi_domain(spec, phi)
         return 1.0
     if spec.preset_id == "schwarzschild3":
-        _check_phi_domain(spec, phi)
         return _sw_hp(phi - spec._phi_lo)
-    r = r_of_phi(spec, phi)
-    _check_r_domain(spec, r)
-    return _hp(spec, r)
+    return _hp(spec, _r_of_phi(spec, phi))
 
 
 @functools.lru_cache(maxsize=16)
 def scalar_speed(spec, nm1):
-    """Float speed of round slices, ``speed(phi) = 1/(nm1 h'(r(phi)))``.
+    """Float speed of round slices, ``speed(phi) = 1/(nm1 h'(r(phi)))``,
+    and the open interval (lo, hi) where the point state is valid.
 
     On the point base the flow is the ODE d phi/dt = 1/((n-1) h'(r(phi)))
-    and array costs dominate, so each (spec, nm1) gets one float closure,
-    built once.  It raises WarpDomainError wherever the point state is
-    invalid: where ``phi_domain_violation`` flags phi (NaN and infinities
-    included), and where F = nm1 h' overflows, an upper interval since h'
-    rises with phi (on hyperbolic before cosh r does).  So the single-node
-    stepper checks a state by calling it.
+    and array costs dominate, so each (spec, nm1) gets one float formula,
+    built once, which tests nothing: the caller tests lo < phi < hi.  That
+    is the potential domain (``phi_domain_violation``), cut where F = nm1 h'
+    overflows, by bisection where h' is unbounded (hyperbolic, before cosh
+    r does, and power p > 1), an upper interval since h' rises with phi.
     Euclidean, hyperbolic and power are closed forms of the speed itself.
     schwarzschild3 reads hp_at_phi's h' = tanh(v/2) on the float: numpy's
     tanh of a float gives its array loop's bits, which math.tanh does not
@@ -681,43 +660,24 @@ def scalar_speed(spec, nm1):
     lo, hi = spec._phi_domain
     if _flat(spec):
         c = 1.0 / nm1
-
-        def speed(phi):
-            if not lo < phi < hi:
-                raise WarpDomainError(f"potential outside ({lo}, {hi})")
-            return c
-        return speed
-
-    def finite(phi):     # the search probes inside the domain only
-        return bool(np.isfinite(nm1 * hp_at_phi(spec, np.array([phi]))).all())
-    with np.errstate(over="ignore"):
-        hi = _first_outside(finite, float(np.nextafter(lo, hi)), hi)
+        return (lambda phi: c), lo, hi
+    if pid in ("hyperbolic", "power"):
+        def finite(phi):     # the search probes inside the domain only
+            return bool(np.isfinite(nm1 * hp_at_phi(spec, np.array([phi]))).all())
+        with np.errstate(over="ignore"):
+            hi = _first_outside(finite, float(np.nextafter(lo, hi)), hi)
     if pid == "hyperbolic":
         # 1/h' = 1/cosh r = (1 - e^{2 phi}) / (1 + e^{2 phi}) = -tanh(phi) for
         # phi = ln tanh(r/2); tanh does not cancel as phi -> 0-, unlike 1 - e^{2 phi}
-        def speed(phi):
-            if not lo < phi < hi:
-                raise WarpDomainError(f"potential outside ({lo}, {hi})")
-            return -math.tanh(phi) / nm1
-        return speed
+        return (lambda phi: -math.tanh(phi) / nm1), lo, hi
     if pid == "power":
         p = spec.params["p"]
         q = 1.0 - p
-
         # r^{1-p} = 1 + (1-p) phi exactly, so 1/F is affine in phi
-        def speed(phi):
-            if not lo < phi < hi:
-                raise WarpDomainError(f"potential outside ({lo}, {hi})")
-            return (1.0 + q * phi) / (nm1 * p)
-        return speed
+        return (lambda phi: (1.0 + q * phi) / (nm1 * p)), lo, hi
     if pid == "schwarzschild3":
         phi_lo = spec._phi_lo
-
-        def speed(phi):
-            if not lo < phi < hi:
-                raise WarpDomainError(f"potential outside ({lo}, {hi})")
-            return 1.0 / (nm1 * float(_sw_hp(phi - phi_lo)))
-        return speed
+        return (lambda phi: 1.0 / (nm1 * float(_sw_hp(phi - phi_lo)))), lo, hi
     inv, fwd = spec._r_of_phi_table, spec._phi_table
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
 
@@ -730,13 +690,11 @@ def scalar_speed(spec, nm1):
 
     def speed(phi):
         nonlocal last
-        if not lo < phi < hi:
-            raise WarpDomainError("potential outside tabulated image")
         last = inv.scalar_piece(last, phi)
         r = inv.scalar_at(last, phi)
         r -= (fwd.scalar_at(fwd.scalar_piece(last, r), r) - phi) * h_closed(r)
         return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
-    return speed
+    return speed, lo, hi
 
 
 def r_at_h(spec, h_target):

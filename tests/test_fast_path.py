@@ -494,29 +494,29 @@ class TestRunStats:
     ])
     def test_f_evals_are_the_evaluations_made(self, integrator, kind, pid,
                                               r0, t_end):
-        # field bases evaluate each state by _evaluate, the point base by the
-        # scalar speed (_evaluate only builds its events)
+        # field bases evaluate each state by _evaluate; the point base tests
+        # the scalar speed's interval, then evaluates a state inside it by
+        # the speed and one outside it by _evaluate (for the event)
         calls = [0]
-        if kind == "point":
-            def counted(spec, nm1):
-                speed = scalar_speed(spec, nm1)
 
-                def call(phi):
-                    calls[0] += 1
-                    return speed(phi)
-                return call
-            patch = mock.patch.object(flow_mod, "scalar_speed", counted)
-        else:
-            def counted(*args):
+        def counted_evaluate(*args):
+            calls[0] += 1
+            return evaluate(*args)
+        evaluate = flow_mod._evaluate
+
+        def counted(spec, nm1):
+            speed, lo, hi = scalar_speed(spec, nm1)
+
+            def call(phi):
                 calls[0] += 1
-                return evaluate(*args)
-            evaluate = flow_mod._evaluate
-            patch = mock.patch.object(flow_mod, "_evaluate", counted)
+                return speed(phi)
+            return call, lo, hi
         base = make_base(kind, 2 if kind == "point" else 8)
         r = r0 * (1.0 + 0.01 * np.cos(base.theta)) if kind != "point" \
             else np.array([r0])
         st0 = GraphState.from_radius(base, WARPS[pid], r)
-        with patch:
+        with mock.patch.object(flow_mod, "_evaluate", counted_evaluate), \
+                mock.patch.object(flow_mod, "_scalar_speed", counted):
             tr = run(st0, FlowConfig(t_end=t_end, integrator=integrator,
                                      dt_max=1e-2, safety=0.5))
         assert tr.completed == (pid == "euclidean")

@@ -405,18 +405,20 @@ class TestReportSerialization:
             json.dumps(rep.as_dict())
 
 
-# What each check reads of a stored run, besides R1 and R2 from the first
-# snapshot: the trace columns by name, and the snapshot fields h, H, omega
-# and A2.  NaN planted in what a check reads must keep it from passing;
-# NaN planted elsewhere must leave its verdict and margin as they were.
+# What each check reads of a stored run: the trace columns by name, the
+# snapshot fields h, H, omega and A2, and R1 and R2 from omega at t = 0
+# ("omega@0").  NaN or an infinity planted in what a check reads must keep
+# it from passing; planted elsewhere, it must leave the verdict and margin
+# as they were.
 READS = {
-    "growth_and_support": {"h", "omega"},
-    "H_floor": {"min_H"},
-    "evolution_residuals": {"h", "H", "omega", "A2"},
+    "growth_and_support": {"h", "omega", "omega@0"},
+    "H_floor": {"min_H", "omega@0"},
+    "evolution_residuals": {"h", "H", "omega", "A2", "omega@0"},
     "A_bounded": {"max_A"},
     "asymptotics": {"max_grad_phi", "max_hess_phi", "osc_rescaled_h", "h", "H"},
 }
-SITES = TRACE_COLUMNS + ("h", "H", "omega", "A2")
+SITES = TRACE_COLUMNS + ("h", "H", "omega", "A2", "omega@0")
+NON_FINITE = (math.nan, math.inf, -math.inf)
 SHORT_CHECKS = {
     "growth_and_support": check_growth_and_support,
     "H_floor": check_H_floor,
@@ -429,17 +431,20 @@ LONG_CHECKS = {
 }
 
 
-def plant_nan(trace, site):
-    """A copy of trace with NaN at the middle row of a column, or at the
-    middle node of a field of the middle snapshot."""
+def plant(trace, site, value):
+    """A copy of trace with value at the middle row of a column, at the
+    middle node of a field of the middle snapshot, or for "omega@0" at
+    node 0 of the first snapshot's omega."""
     if site in trace.columns:
         col = trace.columns[site].copy()
-        col[col.size // 2] = np.nan
+        col[col.size // 2] = value
         return dataclasses.replace(trace, columns={**trace.columns, site: col})
-    i = len(trace.snapshots) // 2
+    first = site == "omega@0"
+    i = 0 if first else len(trace.snapshots) // 2
+    site = site.split("@")[0]
     t, state, snap = trace.snapshots[i]
     field = getattr(snap, site).copy()
-    field.flat[field.size // 2] = np.nan
+    field.flat[0 if first else field.size // 2] = value
     snaps = list(trace.snapshots)
     snaps[i] = (t, state, dataclasses.replace(snap, **{site: field}))
     return dataclasses.replace(trace, snapshots=snaps)
@@ -461,15 +466,17 @@ class TestNoPassOnNonFiniteData:
     def check_sites(trace, checks):
         clean = {k: fn(trace) for k, fn in checks.items()}
         for site in SITES:
-            planted = plant_nan(trace, site)
-            for k, fn in checks.items():
-                rep = fn(planted)
-                if site in READS[k]:
-                    assert rep.passed is not True, (site, k)
-                else:
-                    same = (rep.margin == clean[k].margin
-                            or math.isnan(rep.margin) and math.isnan(clean[k].margin))
-                    assert rep.passed is clean[k].passed and same, (site, k)
+            for value in NON_FINITE:
+                planted = plant(trace, site, value)
+                for k, fn in checks.items():
+                    with np.errstate(all="ignore"):
+                        rep = fn(planted)
+                    if site in READS[k]:
+                        assert rep.passed is not True, (site, value, k)
+                    else:
+                        same = (rep.margin == clean[k].margin
+                                or math.isnan(rep.margin) and math.isnan(clean[k].margin))
+                        assert rep.passed is clean[k].passed and same, (site, value, k)
         return {k: rep.passed for k, rep in clean.items()}
 
     def test_short_run(self, short_run):

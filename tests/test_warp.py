@@ -173,9 +173,9 @@ class TestPotential:
 
 
 class TestDomains:
-    """One statement of each domain: r_of_phi, warp_at_phi, hp_at_phi and
-    the float speed raise exactly where it fails, and the error names the
-    first bad node."""
+    """One statement of each domain: r_of_phi, warp_at_phi and hp_at_phi
+    raise exactly where it fails, the error naming the first bad node, and
+    the float speed's interval shuts out exactly those values."""
 
     PROBES = [-800.0, -746.0, -1.0, -1e-300, -0.0, 0.0, 0.5, 1.0, 3.0,
               710.0, 1e6, math.nan, math.inf, -math.inf]
@@ -215,12 +215,12 @@ class TestDomains:
             bad = phi_domain_violation(spec, phi)
             exc = self.raises(r_of_phi, spec, phi)
             assert (exc is not None) == (bad is not None), v
-            speed = self.raises(scalar_speed(spec, 2), float(v))
-            # the float speed, the point base's check, also raises where
-            # F = 2 h' overflows (hyperbolic, before cosh r does)
+            _, lo, hi = scalar_speed(spec, 2)
+            # the float speed's interval, the point base's check, also ends
+            # where F = 2 h' overflows (hyperbolic, before cosh r does)
             with np.errstate(over="ignore"):
                 point_ok = bad is None and np.isfinite(2.0 * hp_at_phi(spec, phi)).all()
-            assert (speed is None) == point_ok, v
+            assert (lo < float(v) < hi) == point_ok, v
             if bad is not None:
                 assert bad == exc.node == 1
             full = self.raises(warp_at_phi, spec, phi)
@@ -246,7 +246,8 @@ class TestDomains:
         assert phi_domain_violation(spec, arr) == 0
         assert self.raises(r_of_phi, spec, arr) is not None
         assert self.raises(hp_at_phi, spec, arr) is not None
-        assert self.raises(scalar_speed(spec, 2), phi) is not None
+        _, lo, hi = scalar_speed(spec, 2)
+        assert not lo < phi < hi
 
     @pytest.mark.parametrize("pid", ["euclidean", "hyperbolic", "schwarzschild3",
                                      "saturating", "power"])
@@ -254,12 +255,76 @@ class TestDomains:
     def test_scalar_speed_rejects_non_finite(self, presets, pid, v):
         spec = presets[pid]
         assert phi_domain_violation(spec, np.array([v])) == 0
-        with pytest.raises(WarpDomainError):
-            scalar_speed(spec, 2)(v)
+        _, lo, hi = scalar_speed(spec, 2)
+        assert not lo < v < hi
 
     def test_scalar_error_has_no_node(self, presets):
         exc = self.raises(r_of_phi, presets["hyperbolic"], 0.2)
         assert exc is not None and exc.node is None
+
+
+DOMAIN_WARPS = {
+    "euclidean": make_warp("euclidean"),
+    "hyperbolic": make_warp("hyperbolic"),
+    "power p=1.01": make_warp("power", p=1.01),
+    "power p=2": make_warp("power", p=2.0),
+    "power p=3.7": make_warp("power", p=3.7),
+    "schwarzschild3 m=0.5": make_warp("schwarzschild3", m=0.5),
+    "schwarzschild3 m=2": make_warp("schwarzschild3", m=2.0),
+    "saturating k=0.5": make_warp("saturating", a=2.0, b=1.0, k=0.5),
+    "saturating k=1": make_warp("saturating", a=2.0, b=1.0, k=1.0),
+    "saturating k=2": make_warp("saturating", a=2.0, b=1.0, k=2.0),
+}
+
+
+class TestOneDomainTest:
+    """A value is tested once, where it enters: a potential inside its
+    domain inverts to a radius that obeys the domain rule, so warp_at_phi
+    and hp_at_phi test no radius; and the float speed's interval is the
+    one the overflow search of F = nm1 h' gives on every preset."""
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_WARPS))
+    def test_inside_potentials_invert_to_valid_radii(self, name):
+        # numpy's array loops take other code paths by length (vector body
+        # and remainder), so each value runs at every place of every length
+        spec = DOMAIN_WARPS[name]
+        lo, hi = spec._phi_domain
+        ends = []
+        for end, into in ((lo, hi), (hi, lo)):
+            v = float(np.nextafter(end, into))
+            for _ in range(100):
+                ends.append(v)
+                v = float(np.nextafter(v, into))
+        inner = np.random.default_rng(17).uniform(lo, hi, 100)
+        phi = np.concatenate([ends, inner[(inner > lo) & (inner < hi)]])
+        assert phi_domain_violation(spec, phi) is None
+        with np.errstate(all="ignore"):
+            for n in (1, 2, 3, 4, 7, 8, 16, 17, 64):
+                windows = np.lib.stride_tricks.sliding_window_view(phi, n)
+                for w in windows:
+                    assert _valid_at(spec, np.ascontiguousarray(w)).all(), (n, w)
+            for v in phi.tolist():
+                assert _valid_at(spec, np.float64(v)), v
+                assert _valid_at(spec, np.array(v)), v
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_WARPS))
+    @pytest.mark.parametrize("nm1", [1, 2, 3])
+    def test_speed_interval_is_the_overflow_search(self, name, nm1):
+        # the search runs only where h' is unbounded; elsewhere it finds
+        # the domain's own end, which the interval keeps without a search
+        spec = DOMAIN_WARPS[name]
+        lo, hi = spec._phi_domain
+
+        def finite(phi):
+            return bool(np.isfinite(nm1 * hp_at_phi(spec, np.array([phi]))).all())
+        with np.errstate(over="ignore"):
+            want = warp._first_outside(finite, float(np.nextafter(lo, hi)), hi)
+        _, got_lo, got_hi = scalar_speed(spec, nm1)
+        assert got_lo.hex() == lo.hex() and got_hi.hex() == want.hex()
+
+
+def _valid_at(spec, phi):
+    return warp._valid(spec, *warp._warp_at_phi(spec, phi))
 
 
 LEAN_WARPS = {
@@ -434,7 +499,7 @@ class TestOneKnotSearch:
         same_outcome(spec, phi[:phi.size // 4 * 4].reshape(4, -1)[::-1])
         for v in phi[(piece != guess) | left][:60]:
             same_outcome(spec, np.asarray(v))
-        speed = scalar_speed(spec, 2)
+        speed, _, _ = scalar_speed(spec, 2)
         ref = reference_scalar_speed(spec, 2)
         assert all(speed(v) == ref(v) for v in phi.tolist())
 
@@ -476,7 +541,7 @@ class TestOneKnotSearch:
         if phi_domain_violation(spec, phi) is not None:
             return
         same_outcome(spec, phi)
-        speed = scalar_speed(spec, 2)
+        speed, _, _ = scalar_speed(spec, 2)
         ref = reference_scalar_speed(spec, 2)
         assert all(speed(v) == ref(v) for v in phi.ravel().tolist())
 
@@ -499,10 +564,10 @@ class TestOneKnotSearch:
                                  min_size=2, max_size=12, unique=True))
         phi = [v for v in phi if lo < v < hi]
         fresh = functools.partial(warp.scalar_speed.__wrapped__, spec, 2)
-        want = {v: fresh()(v).hex() for v in phi}
+        want = {v: fresh()[0](v).hex() for v in phi}
         for order in (sorted(phi), sorted(phi, reverse=True),
                       data.draw(st.permutations(phi))):
-            speed = fresh()
+            speed = fresh()[0]
             assert {v: speed(v).hex() for v in order} == want
 
 
@@ -573,7 +638,7 @@ class TestHermiteTables:
         lo, hi = spec._phi_domain
         phi = np.random.default_rng(3).uniform(lo, hi, 20000)
         phi = phi[(phi > lo) & (phi < hi)]
-        speed = scalar_speed(spec, 2)
+        speed, _, _ = scalar_speed(spec, 2)
         got = np.array([speed(v) for v in phi.tolist()])
         want = 1.0 / (2.0 * hp_at_phi(spec, phi))
         assert np.all(abs(got - want) <= 4.0 * np.spacing(want))
