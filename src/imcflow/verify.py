@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .warp import check_conditions, infimum_h0, q, r_at_h
+from .warp import WarpDomainError, check_conditions, infimum_h0, q, r_at_h
 from .manifold import covariant_derivatives
 
 __all__ = [
@@ -202,8 +202,9 @@ def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
     """Lower bound for min H at positive record times.
 
     Inapplicable (passed None) when R1 or R2 is not finite, supplied or
-    taken from omega at t = 0, and unless the strict convexity conditions
-    hold on h^{-1}[R1, R2 e^{T/(n-1)}].  h0 defaults to inf h''/h there.
+    taken from omega at t = 0, when h takes R1 or R2 e^{T/(n-1)} at no
+    radius of the domain, and unless the strict convexity conditions hold
+    on h^{-1}[R1, R2 e^{T/(n-1)}].  h0 defaults to inf h''/h there.
     A non-finite min_H at a positive record time fails the check (margin
     NaN).  Also reports the observed min/max of H h as C1/C2 estimates.
     """
@@ -218,16 +219,24 @@ def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
         R2 = float(np.max(snap0.omega))
     notes = []
     _base_notes(trace, notes)
+
+    def inapplicable(note):
+        notes.append(f"{note}; floor not asserted")
+        return CheckReport("H_floor", {"c1_weak": None, "c1_strict": None},
+                           None, float("nan"), tol, {"R1": R1, "R2": R2}, notes)
+
     bad = [f"{k} = {v} ({'from omega at t=0' if g is None else 'supplied'})"
            for k, v, g in zip(("R1", "R2"), (R1, R2), given)
            if not math.isfinite(v)]
     if bad:
-        notes.append(f"{', '.join(bad)} not finite; floor not asserted")
-        return CheckReport("H_floor", {"c1_weak": None, "c1_strict": None},
-                           None, float("nan"), tol, {"R1": R1, "R2": R2}, notes)
+        return inapplicable(f"{', '.join(bad)} not finite")
     T = trace.t_final
-    r_lo = r_at_h(trace.warp, R1)
-    r_hi = r_at_h(trace.warp, R2 * math.exp(T / (n - 1)))
+    R2T = R2 * math.exp(T / (n - 1))
+    try:
+        r_lo, r_hi = r_at_h(trace.warp, R1), r_at_h(trace.warp, R2T)
+    except WarpDomainError as exc:
+        return inapplicable(f"R1 = {R1} or R2 e^{{T/(n-1)}} = {R2T} outside "
+                            f"the range of h ({exc})")
     cond = check_conditions(trace.warp, (r_lo, r_hi), rho=trace.base.rho)
     hyp = {"c1_weak": cond.c1_weak, "c1_strict": cond.c1_strict}
 
@@ -465,7 +474,8 @@ def _rhs_u(trace, snap):
     gHu = _grad_contract_1d(base, snap, snap.H, u)
     return (lap / snap.H ** 2 - 2.0 / u * gu2 / snap.H ** 2
             - 2.0 * gHu / snap.H ** 3
-            - (n - 1) * snap.hpp / snap.h * u ** 3 * snap.omega ** 2)
+            # u^3 omega^2 = u / H^2, finite where omega^2 overflows
+            - (n - 1) * snap.hpp / snap.h * u / snap.H ** 2)
 
 
 def _rhs_H(trace, snap):
@@ -638,7 +648,7 @@ def check_A_bounded(trace):
     """No blow-up trend in max |A|: last-quartile max <= 2 x trace median.
 
     A non-finite max |A| at any record fails the check (margin NaN, its
-    first record the worst).
+    first record the worst), and so does a zero median (margin -inf).
     """
     maxA = trace.columns["max_A"]
     times = trace.times
@@ -659,6 +669,5 @@ def check_A_bounded(trace):
     details = {"sup_A": sup_A, "median_A": med, "last_quartile_max": lastq_max,
                "worst": {"quantity": "max_A", "t": float(times[i]),
                          "value": float(maxA[i]), "bound": bound}}
-    passed = bool(bad is None and lastq_max <= bound)
-    return CheckReport("A_bounded", {}, passed, float(margin), 0.0,
-                       details, notes)
+    return CheckReport("A_bounded", {}, bool(margin >= 0.0), float(margin),
+                       0.0, details, notes)

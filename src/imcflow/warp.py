@@ -71,9 +71,8 @@ class _CubicTable:
     no linear system ties the pieces together.  Evaluation is searchsorted
     plus Horner on our own arrays, since a generic piecewise-polynomial
     call carries enough per-call overhead to dominate the single-node flow.
-    Column i of ``rows`` holds what piece i needs: the knot above it (+inf
-    for the last piece), its left knot, then its four coefficients, highest
-    power first, so one take gathers a piece.
+    Column i of ``rows`` holds what piece i needs: its left knot, then its
+    four coefficients, highest power first, so one take gathers a piece.
     """
 
     def __init__(self, x, y, dydx):
@@ -81,13 +80,11 @@ class _CubicTable:
         secant = np.diff(y) / dx
         d0, d1 = dydx[:-1], dydx[1:]
         self.x = x
-        hi = x[1:].copy()
-        hi[-1] = math.inf
         # in t = xq - x[i]: y0 + d0 t + (3 s - 2 d0 - d1) t^2 / dx
         # + (d0 + d1 - 2 s) t^3 / dx^2, s the secant slope
-        self.rows = np.vstack([hi, x[:-1], (d0 + d1 - 2.0 * secant) / dx ** 2,
+        self.rows = np.vstack([x[:-1], (d0 + d1 - 2.0 * secant) / dx ** 2,
                                (3.0 * secant - 2.0 * d0 - d1) / dx, d0, y[:-1]])
-        self.c = self.rows[2:]  # (4, len(x) - 1)
+        self.c = self.rows[1:]  # (4, len(x) - 1)
         self._last_seg = self.c.shape[1] - 1
         # plain-float copies for the scalar path (single-node flows)
         self._xl = self.x.tolist()
@@ -103,41 +100,18 @@ class _CubicTable:
         return np.minimum(np.maximum(idx, 0), self._last_seg)
 
     def at(self, idx, xq):
-        """The cubic of piece idx, evaluated at xq."""
-        return self.horner(self.rows.take(idx, axis=1), xq)
-
-    @staticmethod
-    def horner(cols, xq):
-        """The gathered pieces' cubics at xq: ((c0 t + c1) t + c2) t + c3,
+        """The cubic of piece idx at xq: ((c0 t + c1) t + c2) t + c3,
         t = xq - left knot, in place after the first product (the same
         roundings without the temporaries)."""
-        t = xq - cols[1]
-        out = cols[2] * t
+        cols = self.rows.take(idx, axis=1)
+        t = xq - cols[0]
+        out = cols[1] * t
+        out += cols[2]
+        out *= t
         out += cols[3]
         out *= t
         out += cols[4]
-        out *= t
-        out += cols[5]
         return out
-
-    def gather(self, guess, xq):
-        """Columns of the piece each xq falls in, as segment picks it.
-
-        ``guess`` is trusted where its piece holds xq and only the other
-        points are searched.  The test is segment's rule, x[i] < xq <=
-        x[i+1] with no upper bound on the last piece, except that points at
-        or below the first knot (outside every domain), NaN included, are
-        searched rather than accepted.
-        """
-        cols = self.rows.take(guess, axis=1)
-        ok = (cols[1] < xq) & (xq <= cols[0])
-        if ok.all():
-            return cols
-        if cols.ndim == 1:
-            return self.rows.take(self.segment(xq), axis=1)
-        miss = ~ok
-        cols[:, miss] = self.rows.take(self.segment(xq[miss]), axis=1)
-        return cols
 
     def scalar_segment(self, xq):
         """segment for one float xq."""
@@ -406,9 +380,11 @@ def _derive_domains(spec, phi_good, r_good=None, phi_bad=math.inf):
                             _first_outside(valid_phi, phi_good, phi_bad))
 
 
-def _saturating_h(a, b, k, r):
+def _saturating_h(a, b, k, r, log1p=np.log1p):
+    """h of saturating; the float speed passes math.log1p, whose bits can
+    differ from numpy's in the last place."""
     if k == 1.0:
-        return 1.0 + a * r - b * np.log1p(r)
+        return 1.0 + a * r - b * log1p(r)
     return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
 
 
@@ -581,21 +557,11 @@ def _r_of_phi(spec, phi):
 
 def _table_r(spec, phi):
     """r(phi) of saturating: the inverse table's cubic, then one Newton step
-    against the forward table, dPhi/dr = 1/h.
-
-    The inverse table's knots are the potentials of the forward knots, so
-    the inverse piece of phi is nearly always the forward piece of r; it is
-    the guess, verified, and only the points it misses are searched.  phi
-    must lie in the potential domain.
-    """
-    inv = spec._r_of_phi_table
-    # phi lies strictly between the first and last knot, so the search
-    # lands on a piece without segment's clamp
-    idx = inv.x.searchsorted(phi) - 1
-    r = inv.at(idx, phi)
-    fwd = spec._phi_table
+    against the forward table, dPhi/dr = 1/h.  Each table call searches
+    its own knots; phi must lie in the potential domain."""
+    r = spec._r_of_phi_table(phi)
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-    return r - (fwd.horner(fwd.gather(idx, r), r) - phi) * _saturating_h(a, b, k, r)
+    return r - (spec._phi_table(r) - phi) * _saturating_h(a, b, k, r)
 
 
 def warp_at_phi(spec, phi):
@@ -648,13 +614,12 @@ def scalar_speed(spec, nm1):
     Euclidean, hyperbolic and power are closed forms of the speed itself.
     schwarzschild3 reads hp_at_phi's h' = tanh(v/2) on the float: numpy's
     tanh of a float gives its array loop's bits, which math.tanh does not
-    always.  saturating takes the steps of hp_at_phi on plain floats, with
-    bisect on float lists in place of searchsorted; the previous call's
+    always.  saturating takes the steps of hp_at_phi on plain floats:
+    bisect on float lists in place of searchsorted, and math.log1p in h,
+    which can differ from numpy's in the last bit.  The previous call's
     inverse piece is the verified guess of this call's, and the inverse
     piece that of the forward one, so no value depends on the order of
-    calls.  The Newton step uses a float copy
-    of h (math.log1p and float powers), which can differ from
-    ``_saturating_h`` in the last bit.
+    calls.
     """
     pid = spec.preset_id
     lo, hi = spec._phi_domain
@@ -680,19 +645,14 @@ def scalar_speed(spec, nm1):
         return (lambda phi: 1.0 / (nm1 * float(_sw_hp(phi - phi_lo)))), lo, hi
     inv, fwd = spec._r_of_phi_table, spec._phi_table
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-
-    def h_closed(r):
-        if k == 1.0:
-            return 1.0 + a * r - b * math.log1p(r)
-        return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
-
+    h, log1p = _saturating_h, math.log1p     # locals on the per-stage path
     last = 0    # piece of the previous call, a guess that scalar_piece verifies
 
     def speed(phi):
         nonlocal last
         last = inv.scalar_piece(last, phi)
         r = inv.scalar_at(last, phi)
-        r -= (fwd.scalar_at(fwd.scalar_piece(last, r), r) - phi) * h_closed(r)
+        r -= (fwd.scalar_at(fwd.scalar_piece(last, r), r) - phi) * h(a, b, k, r, log1p)
         return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
     return speed, lo, hi
 
@@ -714,14 +674,14 @@ def r_at_h(spec, h_target):
     if h_lo >= h_target:
         if abs(h_lo - h_target) / max(h_target, 1.0) < 1e-9:
             return lo
-        raise WarpDomainError(f"h >= {h_target} on the whole domain")
+        raise WarpDomainError(f"h >= {h_lo} > {h_target} on the whole domain")
     r = min(1.0, top)
     while True:
         h, hp, _ = (float(v) for v in eval_warp(spec, r))
         if h >= h_target:
             break
         if r == top:
-            raise WarpDomainError(f"h reaches {h_target} only beyond r = {top}")
+            raise WarpDomainError(f"h <= {h} < {h_target} up to r = {top}")
         r = min(2.0 * r, top)
     while True:
         r_next = r - (h - h_target) / hp

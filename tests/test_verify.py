@@ -156,6 +156,24 @@ class TestHFloor:
         assert rep.details["C1_obs"] <= rep.details["C2_obs"]
         assert rep.details["worst"]["value"] >= rep.details["worst"]["bound"]
 
+    @pytest.mark.parametrize("short_run", ["schwarzschild3"], indirect=True)
+    @pytest.mark.parametrize("R1", [0.5, 0.0, -1.0])
+    def test_R1_below_h_on_the_whole_domain_is_inapplicable(self, short_run, R1):
+        # h >= 3m = 1.5 on schwarzschild3 m = 0.5, so no radius has h = R1
+        rep = check_H_floor(short_run, R1=R1)
+        assert rep.passed is None and math.isnan(rep.margin)
+        assert rep.hypothesis_status == {"c1_weak": None, "c1_strict": None}
+        note = rep.notes[-1]
+        assert f"R1 = {R1}" in note and "h >= 1.5" in note, note
+
+    @pytest.mark.parametrize("short_run", ["schwarzschild3"], indirect=True)
+    def test_R2_beyond_the_top_of_the_domain_is_inapplicable(self, short_run):
+        # R2 e^{T/(n-1)} above h at r_max = 2000
+        rep = check_H_floor(short_run, R2=1e4)
+        assert rep.passed is None and math.isnan(rep.margin)
+        note = rep.notes[-1]
+        assert "outside the range of h" in note and "up to r = 1999.99" in note, note
+
 
 class TestFitDecayRate:
     def test_recovers_exact_exponential(self):
@@ -349,6 +367,20 @@ class TestEvolutionResiduals:
         with pytest.raises(ValueError, match="unknown identity"):
             evolution_residuals(euclid_point, which=("bogus",))
 
+    def test_u_eq_finite_where_omega_squared_overflows(self):
+        # hyperbolic point from r0 = 705: h = sinh r ~ 1e306, so omega^2
+        # overflows while u = 1/(H omega) underflows to 0; u^3 omega^2 was
+        # 0 * inf = NaN, u / H^2 is the same quantity and stays finite
+        tr = point_trace("hyperbolic", 705.0, 0.3, snapshot_every=0.1)
+        with np.errstate(all="ignore"):
+            assert np.isinf(tr.snapshots[1][2].omega ** 2).all()
+            per = evolution_residuals(tr).details["per_identity"]
+        assert 0.0 <= per["u_eq"]["max_residual"] < 1e-300
+        small = evolution_residuals(point_trace("hyperbolic", 2.0, 0.3,
+                                                snapshot_every=0.1))
+        assert small.passed is True
+        assert small.details["per_identity"]["u_eq"]["max_residual"] < 1e-4
+
 
 class TestABounded:
     def test_decaying_run_passes(self, euclid_point):
@@ -363,6 +395,14 @@ class TestABounded:
         rep = check_A_bounded(tr)
         assert rep.passed is False
         assert rep.margin < 0.0
+
+    @pytest.mark.parametrize("short_run", ["schwarzschild3"], indirect=True)
+    def test_zero_median_fails(self, short_run):
+        # bound = 2 median = 0 gives margin -inf, although lastq_max <= bound
+        zeros = np.zeros_like(short_run.columns["max_A"])
+        tr = dataclasses.replace(short_run, columns={**short_run.columns, "max_A": zeros})
+        rep = check_A_bounded(tr)
+        assert rep.passed is False and rep.margin == -math.inf
 
 
 class TestReportSerialization:
