@@ -16,7 +16,11 @@ records and the events of every base, and _step is the one Euler/RK4
 step.  A stepper only evaluates states (start, check) and bounds dt
 (cfl); a valid state leaves its rate k = 1/F for the next stage.
 _FieldStepper sends every array state through _evaluate, the one code
-that decides whether a state is valid and which event it is.
+that decides whether a state is valid and which event it is.  It resolves
+the base's speed kernel, the warp's h' and its potential domain once per
+run (_Dispatch), and the stencil and the speed kernel write each stage's
+fields into the next set of a ring of geometry.StageBuffers allocated
+for the run; records copy phi and snapshots evaluate into new arrays.
 _PointStepper tests a plain float against the interval where a point
 state is valid (warp.py states the domain rule and the F = d h' edge),
 takes its rate from the warp's float formula and calls _evaluate only for
@@ -26,13 +30,14 @@ one array evaluation on the point base costs 20-100 us.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as _geom
-from .warp import WarpDomainError, hp_at_phi, scalar_speed as _scalar_speed
+from .warp import field_hp, phi_domain_violation, scalar_speed as _scalar_speed
 from .geometry import GraphState
 
 __all__ = [
@@ -141,31 +146,51 @@ class _RunStats:
                 "dt_limiter": dict(self.limiter)}
 
 
-def _evaluate(base, wspec, phi, t, theta_min):
+# the reductions themselves, without the Python wrappers of ndarray.min
+# and np.max, which cost as much again on a stage's arrays
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
+class _Dispatch:
+    """A base and a warp with what _evaluate looks up resolved once:
+    geometry.speed_kernel of the base, and warp.field_hp of the warp (h'
+    and the open interval (lo, hi) of valid potentials)."""
+
+    __slots__ = ("base", "wspec", "speed", "hp", "lo", "hi")
+
+    def __init__(self, base, wspec):
+        self.base, self.wspec = base, wspec
+        self.speed = _geom.speed_kernel(base)
+        self.hp, self.lo, self.hi = field_hp(wspec)
+
+
+def _evaluate(dispatch, phi, t, theta_min, out=None):
     """((F, 1/F, Theta^2, diffs), None) of a valid state, else (None, event).
 
-    h' comes from the warp's own domain check, F, Theta^2 and diffs (the
-    base's differences of phi) from geometry.speed.  A state is valid when F > 0
-    and 1/F > 0 everywhere (F positive and finite) and sqrt(min Theta^2)
-    >= theta_min, which is min Theta >= theta_min because sqrt is
-    correctly rounded and monotone; NaN fails every comparison.
-    Otherwise the event is, in this order: non-finite phi, phi outside the
-    image of Phi, non-finite F, F <= 0 at its smallest node, Theta below
-    theta_min at its smallest node.
+    phi is a float array on dispatch's base.  It lies in the potential
+    domain when lo < min phi and max phi < hi; h' then comes from the
+    warp, F, Theta^2 and diffs (the base's differences of phi) from the
+    speed kernel.  out is a geometry.StageBuffers set, which the fields of
+    a valid state are arrays of, or None for new arrays; the bits agree.
+    A state is valid when F > 0 and 1/F > 0 everywhere (F positive and
+    finite) and sqrt(min Theta^2) >= theta_min, which is min Theta >=
+    theta_min because sqrt is correctly rounded and monotone; NaN fails
+    every comparison.  Otherwise the event is, in this order: non-finite
+    phi, phi outside the image of Phi, non-finite F, F <= 0 at its
+    smallest node, Theta below theta_min at its smallest node.
     """
-    try:
-        hp = hp_at_phi(wspec, phi)
-    except WarpDomainError as exc:
-        # the domain check fails on non-finite phi too; those come first
+    if not (_min(phi, None) > dispatch.lo and _max(phi, None) < dispatch.hi):
+        # the domain test fails on non-finite phi too; those come first
         bad = ~np.isfinite(phi)
         if bad.any():
             node = int(bad.argmax())
             return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
-        return None, FlowEvent("domain", t, exc.node, float(phi.flat[exc.node]))
-    F, theta2, _, diffs = _geom.speed(base, phi, hp)
-    k = 1.0 / F
-    if (F.min() > 0.0 and k.min() > 0.0
-            and math.sqrt(theta2.min()) >= theta_min):
+        node = phi_domain_violation(dispatch.wspec, phi)
+        return None, FlowEvent("domain", t, node, float(phi.flat[node]))
+    F, theta2, _, diffs = dispatch.speed(phi, dispatch.hp(phi), out)
+    k = np.divide(1.0, F, out=None if out is None else out.k)
+    if (_min(F, None) > 0.0 and _min(k, None) > 0.0
+            and math.sqrt(_min(theta2, None)) >= theta_min):
         return (F, k, theta2, diffs), None
     bad = ~np.isfinite(F)
     if bad.any():
@@ -196,18 +221,34 @@ def _cfl_dt(base, F, theta2, diffs, safety):
     else:
         # st = I - Theta^2 Dphi Dphi^T keeps a unit eigenvalue transverse to Dphi
         D = theta2 / F2
-    dmax = float(np.max(D))
+    dmax = float(_max(D, None))
     if dmax <= 0.0:
         return math.inf
     return safety * base.dx_min ** 2 / (2.0 * base.d * dmax)
 
 
 class _FieldStepper:
-    """The arrays of a field base, each state through _evaluate."""
+    """The arrays of a field base, each state through _evaluate.
+
+    Each check writes the next StageBuffers set of a ring allocated once
+    per run, and the run's dispatch is resolved once (_Dispatch).  A set
+    holds a state's fields until the ring comes round to it again, so the
+    ring has as many sets as _step keeps alive at a check: for RK4 the
+    rates k1..k4, while the last stage is checked; the state the step
+    lands on is formed from them before its check takes k1's set, and its
+    fields are what cfl reads and its rate is the next step's k1.  Euler
+    forms the new state from k1 alone, so one set.  Nothing else keeps a
+    set's arrays: the run stores copies of phi and snapshot evaluates its
+    own.
+    """
 
     def __init__(self, base, wspec, config, stats):
-        self.base, self.wspec, self.config, self.stats = base, wspec, config, stats
+        self.base, self.config, self.stats = base, config, stats
         self.k = self.fields = None     # set by check
+        self._dispatch = _Dispatch(base, wspec)
+        n_sets = 1 if config.integrator == "euler" else 4
+        self._sets = itertools.cycle([_geom.stage_buffers(base)
+                                      for _ in range(n_sets)])
 
     def start(self, phi):
         """(state, event|None) of the initial potential array."""
@@ -216,8 +257,8 @@ class _FieldStepper:
     def check(self, phi, t):
         """Event of a state, else None and its rate k = 1/F."""
         self.stats.f_evals += 1
-        self.fields, ev = _evaluate(self.base, self.wspec, phi, t,
-                                    self.config.theta_min)
+        self.fields, ev = _evaluate(self._dispatch, phi, t,
+                                    self.config.theta_min, next(self._sets))
         if ev is None:
             self.k = self.fields[1]
         return ev
@@ -235,6 +276,7 @@ class _PointStepper:
     def __init__(self, base, wspec, config, stats):
         self.stats, self.k = stats, None
         speed, lo, hi = _scalar_speed(wspec, base.d)
+        dispatch = _Dispatch(base, wspec)
 
         # a closure, not a method: the stages call it four times a step
         def check(phi, t):
@@ -242,7 +284,7 @@ class _PointStepper:
             if lo < phi < hi:
                 self.k = speed(phi)
                 return None
-            return _evaluate(base, wspec, np.array([phi]), t,
+            return _evaluate(dispatch, np.array([phi]), t,
                              config.theta_min)[1]
         self.check = check
 
@@ -257,7 +299,9 @@ class _PointStepper:
 def _step(stepper, phi, t, dt, t_new, euler):
     """One Euler or RK4 step from a checked state, landing at t_new:
     (new state, its event|None), or (offending stage, event).  The stages
-    are unrolled, as a loop slows the point runs."""
+    are unrolled, as a loop slows the point runs.  The new state is formed
+    before it is checked, so its check may reuse the first rate's arrays
+    (_FieldStepper's ring of buffer sets counts on this)."""
     k1 = stepper.k
     check = stepper.check
     if euler:

@@ -18,6 +18,7 @@ Ric = Ric_N - (h h'' + (n-2) h'^2) sigma - (n-1) (h''/h) dr^2.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy as np
 from . import warp as _warp
 
 __all__ = [
-    "GraphState", "GeometrySnapshot", "snapshot", "speed", "shape_operator",
+    "GraphState", "GeometrySnapshot", "snapshot", "speed", "speed_kernel",
+    "StageBuffers", "stage_buffers", "shape_operator",
     "induced_metric", "ambient_ricci", "embedding_oracle_H",
     "OracleUnsupportedError",
 ]
@@ -63,8 +65,8 @@ class GraphState:
 def _light_fields(state):
     """r, h, h', h'', Theta, Theta^2, dphi2, F and the grad/hess/sinv arrays.
 
-    What snapshot extends (induced_metric reads it too);
-    the time stepper calls speed alone.  Exploits the diagonal sigma.
+    What snapshot extends (induced_metric reads it too); the time
+    stepper calls the speed kernel alone.  Exploits the diagonal sigma.
     Returns a dict so the full snapshot can extend it without recomputing.
     """
     base = state.base
@@ -75,23 +77,52 @@ def _light_fields(state):
                 dphi2=dphi2, F=F, grad=grad, hess=hess, sinv=base.sigma_inv_diag())
 
 
-def speed(base, phi, hp):
+def speed(base, phi, hp, out=None):
     """(F, Theta^2, |D phi|^2, differences of phi) of a state, from phi and h'.
 
-    The one F formula of every base: the time stepper calls it for every
-    stage and _light_fields (so snapshot) for every recorded state.  The
-    point base has no derivatives (F = d h', Theta = 1, no differences);
-    the field bases take their kernel.
+    The one F formula of every base: speed_kernel(base) with its
+    constants bound.  The time stepper builds that kernel once per run and
+    calls it for every stage with a StageBuffers set; _light_fields (so
+    snapshot) calls speed for every recorded state with out=None, which
+    gives new arrays.
+    """
+    return speed_kernel(base)(phi, hp, out)
+
+
+# One set of arrays a stage evaluation writes in place of allocating: the
+# base's stencil_buffers(), then arrays of the grid shape.  k holds 1/F for
+# the time stepper; the kernels also use it, F and scratch for their
+# intermediate terms before those hold their own values.
+StageBuffers = namedtuple("StageBuffers", "stencil dphi2 theta2 F k scratch")
+
+
+def stage_buffers(base):
+    """A new StageBuffers set for the speed kernel of a field base."""
+    return StageBuffers(base.stencil_buffers(),
+                        *(np.empty(base.shape) for _ in range(5)))
+
+
+def speed_kernel(base):
+    """The speed kernel of a base: kernel(phi, hp, out=None) gives what
+    speed gives, out a StageBuffers set or None.
+
+    With a set every array the kernel returns is one of the set's, written
+    in place by the operations, in the order, of the allocating path; the
+    bits agree.  The point base has no derivatives (F = d h', Theta = 1,
+    no differences) and takes no set; the field bases bind their constants.
     """
     if base.kind == "torus2":
-        return _speed_2d(base, phi, hp)
+        return _kernel_2d(base)
     if base.dc:
-        return _speed_1d(base, phi, hp)
-    one = np.ones(base.shape)
-    return one * (base.d * hp), one, np.zeros(base.shape), ()
+        return _kernel_1d(base)
+
+    def point(phi, hp, out=None):
+        one = np.ones(base.shape)
+        return one * (base.d * hp), one, np.zeros(base.shape), ()
+    return point
 
 
-def _speed_1d(base, phi, hp):
+def _kernel_1d(base):
     """The speed kernel of the circle and the axisphere.
 
     Only theta-derivatives exist here, so the contractions of the generic
@@ -101,35 +132,67 @@ def _speed_1d(base, phi, hp):
     operations run in the order of numpy's einsum over the full gradient
     and Hessian arrays, so F and Theta^2 agree with it bit for bit.
     """
-    diffs = g, d2 = base.differences(phi)
-    dphi2 = g * g
-    theta2 = 1.0 / (1.0 + dphi2)
-    if base.kind == "axisphere":
-        S = d2 + base.sin_inv2 * (base.sincos * g)
-    else:
-        S = d2
-    S = S - theta2 * (dphi2 * d2)
-    F = theta2 * (base.d * hp - S)
-    return F, theta2, dphi2, diffs
+    differences, d = base.differences, base.d
+    axisphere = base.kind == "axisphere"
+    sin_inv2, sincos = (base.sin_inv2, base.sincos) if axisphere else (None, None)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+
+    def kernel(phi, hp, out=None):
+        stencil, dphi2, theta2, F, _, S = out or (None,) * 6
+        diffs = g, d2 = differences(phi, stencil)
+        dphi2 = mul(g, g, out=dphi2)
+        theta2 = add(1.0, dphi2, out=theta2)
+        div(1.0, theta2, out=theta2)
+        if axisphere:
+            S = mul(sincos, g, out=S)
+            mul(sin_inv2, S, out=S)
+            add(d2, S, out=S)
+            # theta2 (dphi2 d2) in F's array, which is written last
+            curv = mul(dphi2, d2, out=F)
+            mul(theta2, curv, out=curv)
+            sub(S, curv, out=S)
+        else:
+            S = mul(dphi2, d2, out=S)
+            mul(theta2, S, out=S)
+            sub(d2, S, out=S)
+        sub(d * hp, S, out=S)
+        return mul(theta2, S, out=F), theta2, dphi2, diffs
+    return kernel
 
 
-def _speed_2d(base, phi, hp):
+def _kernel_2d(base):
     """The speed kernel of the flat torus.
 
     sigma is the identity, so
     st^ij phi_ij = phi_00 + phi_11 - Theta^2 phi^i phi^j phi_ij, with the
     four products summed in einsum's (i, j) order; the two mixed ones are
-    equal (float * commutes), so one is formed and added twice.
+    equal (float * commutes), so one is formed and added twice.  With a
+    set, phi_0^2 and its sum sit in F's array, phi_1^2 in k's and the mixed
+    product in scratch until st^ij phi_ij takes it.
     """
-    diffs = g0, g1, h00, h11, h01 = base.differences(phi)
-    g00, g11 = g0 * g0, g1 * g1
-    dphi2 = g00 + g11
-    theta2 = 1.0 / (1.0 + dphi2)
-    mixed = g0 * g1 * h01
-    S = h00 + h11
-    S = S - theta2 * (g00 * h00 + mixed + mixed + g11 * h11)
-    F = theta2 * (base.d * hp - S)
-    return F, theta2, dphi2, diffs
+    differences, d = base.differences, base.d
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+
+    def kernel(phi, hp, out=None):
+        stencil, dphi2, theta2, F, k, S = out or (None,) * 6
+        diffs = g0, g1, h00, h11, h01 = differences(phi, stencil)
+        g00 = mul(g0, g0, out=F)
+        g11 = mul(g1, g1, out=k)
+        dphi2 = add(g00, g11, out=dphi2)
+        theta2 = add(1.0, dphi2, out=theta2)
+        div(1.0, theta2, out=theta2)
+        mixed = mul(g0, g1, out=S)
+        mul(mixed, h01, out=mixed)
+        total = mul(g00, h00, out=g00)
+        add(total, mixed, out=total)
+        add(total, mixed, out=total)
+        add(total, mul(g11, h11, out=g11), out=total)
+        mul(theta2, total, out=total)
+        S = add(h00, h11, out=S)
+        sub(S, total, out=S)
+        sub(d * hp, S, out=S)
+        return mul(theta2, S, out=F), theta2, dphi2, diffs
+    return kernel
 
 
 @dataclass

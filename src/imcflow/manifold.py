@@ -17,11 +17,17 @@ axisphere dc = 2 but axisymmetric fields carry only theta-components in the
 gradient; the azimuthal Hessian entry sin(theta) cos(theta) f_theta comes
 from the Christoffel term and survives in traces.
 
-Each base has one finite-difference stencil, differences(f): the central
-first and second differences of f from one ghost-padded copy (a tuple,
-empty on the point base).  assemble(diffs) lays them out as the covariant
-(grad, hess) arrays; covariant_derivatives is the two composed, and the
-speed kernels of geometry read the differences directly.
+Each base has one finite-difference stencil, differences(f, out=None):
+the central first and second differences of f from one ghost-padded copy
+(a tuple, empty on the point base).  The copy is one gather of f through
+the base's pad index, which states its boundary rule: periodic on the
+circle and the torus, even reflection across the poles on the axisphere.
+With out=None every array is new; out, a tuple from stencil_buffers(),
+holds the padded copy and the differences, and the stencil writes them
+in place with the same operations in the same order, so the bits agree.
+assemble(diffs) lays the differences out as the covariant (grad, hess)
+arrays; covariant_derivatives is the two composed, and the speed kernels
+of geometry read the differences directly.
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ class BaseManifold:
             raise ValueError(f"field shape {f.shape} does not match {self.kind} grid {self.shape}")
         return f
 
-    # subclasses: differences (the one stencil), assemble, integrate,
-    # sigma_diag, sigma_inv_diag, ricci_dphi
+    # subclasses: differences (the one stencil), stencil_buffers, assemble,
+    # integrate, sigma_diag, sigma_inv_diag, ricci_dphi
 
     def __repr__(self):
         return f"{type(self).__name__}(resolution={getattr(self, 'resolution', 1)})"
@@ -79,7 +85,10 @@ class PointBase(BaseManifold):
         self._grad0 = np.zeros((0, 1))
         self._hess0 = np.zeros((0, 0, 1))
 
-    def differences(self, f):
+    def differences(self, f, out=None):
+        return ()
+
+    def stencil_buffers(self):
         return ()
 
     def assemble(self, diffs):
@@ -118,11 +127,14 @@ class CircleBase(BaseManifold):
         self.dx_min = self.dtheta
         self._two_dx = 2.0 * self.dtheta
         self._dx2 = self.dtheta ** 2
+        self._pad = np.concatenate(([M - 1], np.arange(M), [0]))   # periodic
 
-    def differences(self, f):
+    def differences(self, f, out=None):
         """(f_theta, f_thetatheta) from one periodically padded copy of f."""
-        return _central_differences(np.concatenate((f[-1:], f, f[:1])), f,
-                                    self._two_dx, self._dx2)
+        return _central_differences(f, self._pad, self._two_dx, self._dx2, out)
+
+    def stencil_buffers(self):
+        return _stencil_buffers_1d(self.resolution)
 
     def assemble(self, diffs):
         g, d2 = diffs
@@ -141,14 +153,29 @@ class CircleBase(BaseManifold):
         return np.zeros(self.shape)
 
 
-def _central_differences(fp, f, two_dx, dx2):
-    """First and second central differences of f from its ghost-padded copy fp.
+def _central_differences(f, pad, two_dx, dx2, out=None):
+    """First and second central differences of f from its copy padded by
+    the gather index pad; out is (padded copy, first, second) or None.
 
     The neighbours are summed first, so reflecting f reflects the second
     difference bitwise (float + is commutative, the mixed order is not).
+    2 f lives in the first difference's array until that is formed.  pad
+    lies in range for an f of the base's shape, so the gather skips the
+    bounds check ("clip"), which costs as much again as the copy.
     """
+    fp, g, d2 = out or (None, None, None)
+    fp = f.take(pad, None, fp, "clip")
     up, down = fp[2:], fp[:-2]
-    return (up - down) / two_dx, (up + down - 2.0 * f) / dx2
+    d2 = np.add(up, down, out=d2)
+    d2 -= np.multiply(2.0, f, out=g)
+    d2 /= dx2
+    g = np.subtract(up, down, out=g)
+    g /= two_dx
+    return g, d2
+
+
+def _stencil_buffers_1d(M):
+    return np.empty(M + 2), np.empty(M), np.empty(M)
 
 
 class AxisphereBase(BaseManifold):
@@ -185,17 +212,20 @@ class AxisphereBase(BaseManifold):
         self.cot = self.cos / self.sin
         self.dx_min = self.dtheta
         self._weights = 2.0 * np.pi * self.sin * self.dtheta
-        # constants of the stencil and the speed kernel (geometry._speed_1d)
+        # constants of the stencil and the speed kernel (geometry._kernel_1d)
         self.sincos = self.sin * self.cos
         self.sin_inv2 = self.sin ** (-2.0)
         self._two_dx = 2.0 * self.dtheta
         self._dx2 = self.dtheta ** 2
+        self._pad = np.concatenate(([0], np.arange(M), [M - 1]))   # even
 
-    def differences(self, f):
+    def differences(self, f, out=None):
         """(f_theta, f_thetatheta) from one copy of f padded across both
         poles by even reflection."""
-        return _central_differences(np.concatenate((f[:1], f, f[-1:])), f,
-                                    self._two_dx, self._dx2)
+        return _central_differences(f, self._pad, self._two_dx, self._dx2, out)
+
+    def stencil_buffers(self):
+        return _stencil_buffers_1d(self.resolution)
 
     def assemble(self, diffs):
         g, d2 = diffs
@@ -242,26 +272,44 @@ class Torus2Base(BaseManifold):
         self.dx = 2.0 * np.pi / M
         self.x = np.arange(M) * self.dx
         self.dx_min = self.dx
-        # constants of the stencil
+        # constants of the stencil; the pad index gathers the flat f,
+        # periodic in both directions
         self._two_dx = 2.0 * self.dx
         self._dx2 = self.dx ** 2
+        ring = np.concatenate(([M - 1], np.arange(M), [0]))
+        self._pad = ring[:, None] * M + ring[None, :]
 
-    def differences(self, f):
+    def differences(self, f, out=None):
         """(f_0, f_1, f_00, f_11, f_01) from one periodically padded copy of f.
 
         The first differences along axis 0 are taken on the axis-1-padded
         rows, so f_01 is their difference along axis 1: the axis-1
-        difference of f_0, bit for bit.
+        difference of f_0, bit for bit.  out is (padded copy, padded f_0,
+        f_1, f_00, f_11, f_01) or None; 2 f is formed once, in f_01's array.
         """
-        fp = np.concatenate((f[-1:], f, f[:1]))
-        fp = np.concatenate((fp[:, -1:], fp, fp[:, :1]), axis=1)
+        fp, g0p, g1, f00, f11, f01 = out or (None,) * 6
+        fp = f.take(self._pad, None, fp, "clip")
         two_dx, dx2 = self._two_dx, self._dx2
-        g0p = (fp[2:] - fp[:-2]) / two_dx
+        g0p = np.subtract(fp[2:], fp[:-2], out=g0p)
+        g0p /= two_dx
         up, down = fp[1:-1, 2:], fp[1:-1, :-2]
-        f00 = (fp[2:, 1:-1] + fp[:-2, 1:-1] - 2.0 * f) / dx2
-        f11 = (up + down - 2.0 * f) / dx2
-        f01 = (g0p[:, 2:] - g0p[:, :-2]) / two_dx
-        return g0p[:, 1:-1], (up - down) / two_dx, f00, f11, f01
+        two_f = np.multiply(2.0, f, out=f01)
+        f00 = np.add(fp[2:, 1:-1], fp[:-2, 1:-1], out=f00)
+        f00 -= two_f
+        f00 /= dx2
+        f11 = np.add(up, down, out=f11)
+        f11 -= two_f
+        f11 /= dx2
+        g1 = np.subtract(up, down, out=g1)
+        g1 /= two_dx
+        f01 = np.subtract(g0p[:, 2:], g0p[:, :-2], out=f01)
+        f01 /= two_dx
+        return g0p[:, 1:-1], g1, f00, f11, f01
+
+    def stencil_buffers(self):
+        M = self.resolution
+        return ((np.empty((M + 2, M + 2)), np.empty((M, M + 2)))
+                + tuple(np.empty((M, M)) for _ in range(4)))
 
     def assemble(self, diffs):
         g0, g1, h00, h11, h01 = diffs

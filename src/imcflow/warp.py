@@ -36,6 +36,7 @@ __all__ = [
     "r_of_phi",
     "warp_at_phi",
     "hp_at_phi",
+    "field_hp",
     "scalar_speed",
     "phi_domain_violation",
     "r_at_h",
@@ -49,6 +50,9 @@ __all__ = [
 # and math.exp underflow to 0; above, they overflow
 _EXP_LO, _EXP_HI = -745.1332191019412, 709.7827128933841
 _FLOAT_MAX = float(np.finfo(float).max)
+# the reductions themselves, without the Python wrappers of ndarray.min
+# and ndarray.max
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 class WarpDomainError(ValueError):
@@ -395,7 +399,7 @@ def _checked(spec, x, domain, what):
     x = np.asarray(x, dtype=float)
     lo, hi = domain
     if x.ndim:
-        if x.min() > lo and x.max() < hi:
+        if _min(x, None) > lo and _max(x, None) < hi:
             return x
     elif lo < x < hi:
         return x
@@ -592,12 +596,21 @@ def hp_at_phi(spec, phi):
     schwarzschild3 h' = tanh(v/2), with no radius.  Other presets invert
     phi, then evaluate h' only.
     """
-    phi = _checked(spec, phi, spec._phi_domain, "potential")
+    return field_hp(spec)[0](_checked(spec, phi, spec._phi_domain, "potential"))
+
+
+def field_hp(spec):
+    """hp_at_phi with the preset resolved once: (hp, lo, hi), where hp
+    gives h' of potentials inside the open interval (lo, hi) and tests
+    nothing.  The caller tests lo < min and max < hi, as ``_checked`` does;
+    the time stepper resolves this once per run."""
+    lo, hi = spec._phi_domain
     if _flat(spec):
-        return 1.0
+        return (lambda phi: 1.0), lo, hi
     if spec.preset_id == "schwarzschild3":
-        return _sw_hp(phi - spec._phi_lo)
-    return _hp(spec, _r_of_phi(spec, phi))
+        phi_lo = spec._phi_lo
+        return (lambda phi: _sw_hp(phi - phi_lo)), lo, hi
+    return (lambda phi: _hp(spec, _r_of_phi(spec, phi))), lo, hi
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,10 +3,13 @@
 differences and assemble must give the np.roll stencils' gradient and
 Hessian bit for bit, geometry.speed the generic einsum formula's F and
 Theta^2, flow._evaluate the verdict, event and fields of a reference built
-from warp_at_phi and that formula, and a run must not change by one bit
-when the reference takes _evaluate's place.
+from warp_at_phi and that formula, with a StageBuffers set and without,
+and a run must not change by one bit when the reference takes _evaluate's
+place.
 """
 
+import functools
+import hashlib
 import math
 from unittest import mock
 
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from imcflow import flow as flow_mod
 from imcflow.flow import FlowConfig, FlowEvent, run
-from imcflow.geometry import GraphState, _light_fields, speed
+from imcflow.geometry import GraphState, _light_fields, speed, stage_buffers
 from imcflow.manifold import covariant_derivatives, make_base
 from imcflow.warp import (WarpDomainError, make_warp, radial_potential,
                           scalar_speed, warp_at_phi)
@@ -209,13 +212,14 @@ def wave(base, l):
     return np.cos(l * base.theta)
 
 
-def reference_evaluate(base, w, phi, t, theta_min):
+def reference_evaluate(dispatch, phi, t, theta_min, out=None):
     """flow._evaluate from the full warp evaluation and the einsum formula.
 
     The event rules, in their order: non-finite phi, the warp's domain,
     non-finite F, F <= 0, Theta < theta_min, each at its first or
-    smallest node.
+    smallest node.  Every array is new; out is not used.
     """
+    base, w = dispatch.base, dispatch.wspec
     finite = np.isfinite(phi)
     if not finite.all():
         node = int((~finite).argmax())
@@ -240,18 +244,34 @@ def reference_evaluate(base, w, phi, t, theta_min):
     return (F, 1.0 / F, ref["theta2"], _diffs(base, ref["grad"], ref["hess"])), None
 
 
+def nan_buffers(base):
+    """A StageBuffers set whose every array holds NaN, so a value the
+    kernel reads before it writes it shows."""
+    out = stage_buffers(base)
+    for a in out.stencil + out[1:]:
+        a.fill(math.nan)
+    return out
+
+
 def probe_agrees(base, w, phi, theta_min):
-    """_evaluate must give the reference's event, or its fields bit for bit."""
-    fields, ev = flow_mod._evaluate(base, w, phi, 0.0, theta_min)
-    ref_fields, ref_ev = reference_evaluate(base, w, phi, 0.0, theta_min)
-    assert repr(ev) == repr(ref_ev)
-    if ev is None:
-        # F, 1/F, Theta^2, then each difference
-        for mine, theirs in zip(fields[:3] + fields[3],
-                                ref_fields[:3] + ref_fields[3], strict=True):
-            assert same_bits(mine, theirs)
-    else:
-        assert fields is None
+    """_evaluate must give the reference's event, or its fields bit for bit,
+    with new arrays and, on a field base, with a StageBuffers set, whose F
+    and 1/F arrays it then returns."""
+    dispatch = flow_mod._Dispatch(base, w)
+    ref_fields, ref_ev = reference_evaluate(dispatch, phi, 0.0, theta_min)
+    outs = [None, nan_buffers(base)] if base.dc else [None]
+    for out in outs:
+        fields, ev = flow_mod._evaluate(dispatch, phi, 0.0, theta_min, out)
+        assert repr(ev) == repr(ref_ev)
+        if ev is None:
+            # F, 1/F, Theta^2, then each difference
+            for mine, theirs in zip(fields[:3] + fields[3],
+                                    ref_fields[:3] + ref_fields[3], strict=True):
+                assert same_bits(mine, theirs)
+            if out is not None:
+                assert fields[0] is out.F and fields[1] is out.k
+        else:
+            assert fields is None
     return ev is None, ev
 
 
@@ -279,7 +299,8 @@ class TestFastAccept:
             phi.flat[node] = data.draw(st.sampled_from(
                 [math.nan, math.inf, -math.inf]))
         with np.errstate(all="ignore"):
-            _, ev = reference_evaluate(base, w, phi, 0.0, 0.0)
+            _, ev = reference_evaluate(flow_mod._Dispatch(base, w), phi,
+                                       0.0, 0.0)
             graph = ev is None or ev.kind == "loss_of_mean_convexity"
             theta_min = data.draw(st.sampled_from([0.0, 1e-3, 0.5]))
             if graph and data.draw(st.booleans()):
@@ -300,6 +321,14 @@ class TestFastAccept:
         assert probe_agrees(base, w, phi, tmin) == (True, None)
         accepted, ev = probe_agrees(base, w, phi, np.nextafter(tmin, 1.0))
         assert not accepted and ev.kind == "angle_degeneracy"
+
+    @pytest.mark.parametrize("pid", sorted(WARPS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_valid_state_of_every_preset(self, kind, pid):
+        # probe_agrees runs the kernel with a buffer set and without
+        base = make_base(kind, 32)
+        phi = CENTRE[pid] + np.log(1.0 + 0.3 * wave(base, 1))
+        assert probe_agrees(base, WARPS[pid], phi, 1e-3) == (True, None)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_loss_of_mean_convexity_falls_back(self, kind):
@@ -401,6 +430,23 @@ def saturating_state():
                       radial_potential(w, 1.0 + 0.3 * np.cos(base.theta)))
 
 
+def unstable_state():
+    # a period-4 ripple, which safety 6 (beyond RK4's stable range) grows
+    # until F <= 0 at a stage of a later step
+    base = make_base("axisphere", 64)
+    w = WARPS["euclidean"]
+    ripple = np.cos(0.5 * np.pi * np.arange(64))
+    return GraphState.from_radius(
+        base, w, 1.0 + 0.1 * np.cos(base.theta) + 1e-4 * ripple)
+
+
+def curved_state(kind, pid):
+    base = make_base(kind, 48)
+    w = WARPS[pid]
+    return GraphState.from_radius(
+        base, w, 1.0 + 0.1 * np.cos(base.theta) + 0.05 * np.sin(2 * base.theta))
+
+
 def domain_exit_state():
     base = make_base("axisphere", 8)
     w = WARPS["saturating"]
@@ -424,7 +470,35 @@ CASES = {
     "saturating_axisphere": (saturating_state, FlowConfig(
         t_end=0.3, integrator="rk4", safety=0.5, dt_max=1e-3,
         record_every=0.1, snapshot_every=0.1)),
+    "midrun_loss_of_mean_convexity": (unstable_state, FlowConfig(
+        t_end=0.2, safety=6.0, dt_max=1.0, record_every=0.01,
+        snapshot_every=0.01)),
+    "torus_euler": (torus_tabulated_state, FlowConfig(
+        t_end=0.05, integrator="euler", safety=0.5, dt_max=1e-3,
+        record_every=0.02, snapshot_every=0.05)),
 }
+CASES.update({
+    f"{pid}_{kind}": (functools.partial(curved_state, kind, pid), FlowConfig(
+        t_end=0.2, safety=0.5, dt_max=1e-2, record_every=0.05,
+        snapshot_every=0.1))
+    for kind in ("circle", "axisphere") for pid in ("hyperbolic", "schwarzschild3")})
+
+
+def trace_arrays(trace):
+    """Every array a trace stores: times, columns, each snapshot's phi and
+    geometry fields."""
+    arrays = [trace.times, *trace.columns.values()]
+    for _, st, snap in trace.snapshots:
+        arrays.append(st.phi)
+        arrays += [v for v in vars(snap).values() if isinstance(v, np.ndarray)]
+    return arrays
+
+
+def trace_digest(trace):
+    h = hashlib.sha256()
+    for a in trace_arrays(trace):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest() + repr(trace.terminal) + repr(trace.stats)
 
 
 class TestTraceIdentity:
@@ -435,6 +509,29 @@ class TestTraceIdentity:
         monkeypatch.setattr(flow_mod, "_evaluate", reference_evaluate)
         reference = run(make_state(), cfg)
         assert_same_trace(lean, reference)
+        if case == "midrun_loss_of_mean_convexity":
+            # the offending stage is stored as the last snapshot, and that
+            # snapshot re-verifies the event
+            ev = lean.terminal
+            assert ev.kind == "loss_of_mean_convexity" and ev.t > 0.0
+            # the ring of buffer sets has come round more than once
+            assert lean.stats["steps"] >= 2
+            t_s, _, snap = lean.snapshots[-1]
+            assert t_s == ev.t == lean.times[-1]
+            assert ev.value == float(np.min(snap.F)) <= 0.0
+
+    def test_second_run_leaves_the_first_trace(self):
+        # the buffer sets belong to a run, not to the base both runs share
+        make_state, cfg = CASES["circle"]
+        state = make_state()
+        first = run(state, cfg)
+        digest = trace_digest(first)
+        second = run(GraphState(state.base, state.warp, state.phi + 0.01), cfg)
+        assert trace_digest(first) == digest
+        assert trace_digest(second) != digest
+        for a in trace_arrays(first):
+            for b in trace_arrays(second):
+                assert not np.shares_memory(a, b)
 
 
 class TestRunStats:
