@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as _geom
-from .warp import field_hp, phi_domain_violation, scalar_speed as _scalar_speed
-from .geometry import GraphState
+from .warp import (_max, _min, field_hp, phi_domain_violation,
+                   scalar_speed as _scalar_speed)
+from .geometry import _ONE, GraphState
 
 __all__ = [
     "FlowConfig", "FlowEvent", "FlowTrace", "stable_dt", "run", "TRACE_COLUMNS",
@@ -146,11 +147,6 @@ class _RunStats:
                 "dt_limiter": dict(self.limiter)}
 
 
-# the reductions themselves, without the Python wrappers of ndarray.min
-# and np.max, which cost as much again on a stage's arrays
-_min, _max = np.minimum.reduce, np.maximum.reduce
-
-
 class _Dispatch:
     """A base and a warp with what _evaluate looks up resolved once:
     geometry.speed_kernel of the base, and warp.field_hp of the warp (h'
@@ -174,12 +170,14 @@ def _evaluate(dispatch, phi, t, theta_min, out=None):
     a valid state are arrays of, or None for new arrays; the bits agree.
     A state is valid when F > 0 and 1/F > 0 everywhere (F positive and
     finite) and sqrt(min Theta^2) >= theta_min, which is min Theta >=
-    theta_min because sqrt is correctly rounded and monotone; NaN fails
-    every comparison.  Otherwise the event is, in this order: non-finite
-    phi, phi outside the image of Phi, non-finite F, F <= 0 at its
-    smallest node, Theta below theta_min at its smallest node.
+    theta_min because sqrt is correctly rounded and monotone; each extreme
+    is read at its argmin or argmax (warp._min): the first NaN, which fails
+    every comparison, or of a 0.0/-0.0 tie the first, which changes no
+    test.  Otherwise the event is, in this order: non-finite phi, phi
+    outside the image of Phi, non-finite F, F <= 0 at its smallest node,
+    Theta below theta_min at its smallest node.
     """
-    if not (_min(phi, None) > dispatch.lo and _max(phi, None) < dispatch.hi):
+    if not (_min(phi) > dispatch.lo and _max(phi) < dispatch.hi):
         # the domain test fails on non-finite phi too; those come first
         bad = ~np.isfinite(phi)
         if bad.any():
@@ -188,9 +186,9 @@ def _evaluate(dispatch, phi, t, theta_min, out=None):
         node = phi_domain_violation(dispatch.wspec, phi)
         return None, FlowEvent("domain", t, node, float(phi.flat[node]))
     F, theta2, _, diffs = dispatch.speed(phi, dispatch.hp(phi), out)
-    k = np.divide(1.0, F, out=None if out is None else out.k)
-    if (_min(F, None) > 0.0 and _min(k, None) > 0.0
-            and math.sqrt(_min(theta2, None)) >= theta_min):
+    k = np.divide(_ONE, F, out=None if out is None else out.k)
+    if (_min(F) > 0.0 and _min(k) > 0.0
+            and math.sqrt(_min(theta2)) >= theta_min):
         return (F, k, theta2, diffs), None
     bad = ~np.isfinite(F)
     if bad.any():
@@ -221,7 +219,7 @@ def _cfl_dt(base, F, theta2, diffs, safety):
     else:
         # st = I - Theta^2 Dphi Dphi^T keeps a unit eigenvalue transverse to Dphi
         D = theta2 / F2
-    dmax = float(_max(D, None))
+    dmax = _max(D)
     if dmax <= 0.0:
         return math.inf
     return safety * base.dx_min ** 2 / (2.0 * base.d * dmax)

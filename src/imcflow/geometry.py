@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import warp as _warp
+from .manifold import _constant
 
 __all__ = [
     "GraphState", "GeometrySnapshot", "snapshot", "speed", "speed_kernel",
@@ -89,6 +90,9 @@ def speed(base, phi, hp, out=None):
     return speed_kernel(base)(phi, hp, out)
 
 
+# 1.0 of the kernels and flow._evaluate, as a 0-d operand
+_ONE = _constant(1.0)
+
 # One set of arrays a stage evaluation writes in place of allocating: the
 # base's stencil_buffers(), then arrays of the grid shape.  k holds 1/F for
 # the time stepper; the kernels also use it, F and scratch for their
@@ -135,14 +139,14 @@ def _kernel_1d(base):
     differences, d = base.differences, base.d
     axisphere = base.kind == "axisphere"
     sin_inv2, sincos = (base.sin_inv2, base.sincos) if axisphere else (None, None)
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    mul, add, sub, div, one = np.multiply, np.add, np.subtract, np.divide, _ONE
 
     def kernel(phi, hp, out=None):
         stencil, dphi2, theta2, F, _, S = out or (None,) * 6
         diffs = g, d2 = differences(phi, stencil)
         dphi2 = mul(g, g, out=dphi2)
-        theta2 = add(1.0, dphi2, out=theta2)
-        div(1.0, theta2, out=theta2)
+        theta2 = add(one, dphi2, out=theta2)
+        div(one, theta2, out=theta2)
         if axisphere:
             S = mul(sincos, g, out=S)
             mul(sin_inv2, S, out=S)
@@ -171,7 +175,7 @@ def _kernel_2d(base):
     product in scratch until st^ij phi_ij takes it.
     """
     differences, d = base.differences, base.d
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    mul, add, sub, div, one = np.multiply, np.add, np.subtract, np.divide, _ONE
 
     def kernel(phi, hp, out=None):
         stencil, dphi2, theta2, F, k, S = out or (None,) * 6
@@ -179,8 +183,8 @@ def _kernel_2d(base):
         g00 = mul(g0, g0, out=F)
         g11 = mul(g1, g1, out=k)
         dphi2 = add(g00, g11, out=dphi2)
-        theta2 = add(1.0, dphi2, out=theta2)
-        div(1.0, theta2, out=theta2)
+        theta2 = add(one, dphi2, out=theta2)
+        div(one, theta2, out=theta2)
         mixed = mul(g0, g1, out=S)
         mul(mixed, h01, out=mixed)
         total = mul(g00, h00, out=g00)

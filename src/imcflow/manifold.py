@@ -41,6 +41,17 @@ __all__ = [
 ]
 
 
+def _constant(x):
+    """x as a read-only 0-d float64 array: an operand that runs the float
+    x's loop, bit for bit, without converting x on every call."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_TWO = _constant(2.0)
+
+
 class UnsupportedBaseError(ValueError):
     """Operation not defined for this base kind."""
 
@@ -125,8 +136,8 @@ class CircleBase(BaseManifold):
         self.dtheta = 2.0 * np.pi / M
         self.theta = np.arange(M) * self.dtheta
         self.dx_min = self.dtheta
-        self._two_dx = 2.0 * self.dtheta
-        self._dx2 = self.dtheta ** 2
+        self._two_dx = _constant(2.0 * self.dtheta)
+        self._dx2 = _constant(self.dtheta ** 2)
         self._pad = np.concatenate(([M - 1], np.arange(M), [0]))   # periodic
 
     def differences(self, f, out=None):
@@ -167,7 +178,7 @@ def _central_differences(f, pad, two_dx, dx2, out=None):
     fp = f.take(pad, None, fp, "clip")
     up, down = fp[2:], fp[:-2]
     d2 = np.add(up, down, out=d2)
-    d2 -= np.multiply(2.0, f, out=g)
+    d2 -= np.multiply(_TWO, f, out=g)
     d2 /= dx2
     g = np.subtract(up, down, out=g)
     g /= two_dx
@@ -215,8 +226,8 @@ class AxisphereBase(BaseManifold):
         # constants of the stencil and the speed kernel (geometry._kernel_1d)
         self.sincos = self.sin * self.cos
         self.sin_inv2 = self.sin ** (-2.0)
-        self._two_dx = 2.0 * self.dtheta
-        self._dx2 = self.dtheta ** 2
+        self._two_dx = _constant(2.0 * self.dtheta)
+        self._dx2 = _constant(self.dtheta ** 2)
         self._pad = np.concatenate(([0], np.arange(M), [M - 1]))   # even
 
     def differences(self, f, out=None):
@@ -274,8 +285,8 @@ class Torus2Base(BaseManifold):
         self.dx_min = self.dx
         # constants of the stencil; the pad index gathers the flat f,
         # periodic in both directions
-        self._two_dx = 2.0 * self.dx
-        self._dx2 = self.dx ** 2
+        self._two_dx = _constant(2.0 * self.dx)
+        self._dx2 = _constant(self.dx ** 2)
         ring = np.concatenate(([M - 1], np.arange(M), [0]))
         self._pad = ring[:, None] * M + ring[None, :]
 
@@ -293,7 +304,7 @@ class Torus2Base(BaseManifold):
         g0p = np.subtract(fp[2:], fp[:-2], out=g0p)
         g0p /= two_dx
         up, down = fp[1:-1, 2:], fp[1:-1, :-2]
-        two_f = np.multiply(2.0, f, out=f01)
+        two_f = np.multiply(_TWO, f, out=f01)
         f00 = np.add(fp[2:, 1:-1], fp[:-2, 1:-1], out=f00)
         f00 -= two_f
         f00 /= dx2

@@ -184,6 +184,15 @@ class TestConfigErrorsExitThree:
         assert message in capsys.readouterr().err
         assert read_bytes_map(out) == before
 
+    def test_override_of_a_check_not_requested(self, tmp_path, capsys):
+        # an override is tested whether or not its check is requested
+        cfg = write_cfg(tmp_path, POINT_RUN + "check.evolution_residuals.c_res = 2\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "'c_res' of check evolution_residuals takes no single float" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_output_dir_anywhere(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_RUN)
         assert main(["run", "--config", cfg]) == 3
@@ -417,6 +426,69 @@ class TestPresets:
         assert done.returncode == 0, done.stderr
         assert main(["presets"]) == 0
         assert done.stdout == capsys.readouterr().out
+
+
+# the curvature floor applies to schwarzschild3 and passes on this run
+FLOOR_RUN = """\
+warp.preset = schwarzschild3
+base.kind = axisphere
+base.resolution = 16
+initial.r0 = 1.0
+initial.modes = 1:0.1
+flow.t_end = 0.1
+flow.snapshot_every = 0.05
+checks = H_floor
+"""
+
+
+class TestCurvatureFloorFromTheModule:
+    """python -m imcflow in a fresh interpreter, as a user runs it: the
+    H_floor verdicts that reach report.json."""
+
+    def imcflow(self, tmp_path, *args):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-m", "imcflow", *args],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode
+
+    def floor(self, tmp_path, text, *command):
+        """Exit code of run (or another command) and the H_floor entry of
+        the report it writes."""
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        code = self.imcflow(tmp_path, *(command or ("run",)), "--config", cfg,
+                            "--out", str(out))
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        return code, report["checks"][0]
+
+    def test_hyperbolic_circle_is_inapplicable(self, tmp_path):
+        # rho = 0 and h h'' - h'^2 = -1: the strict conditions fail
+        code, check = self.floor(tmp_path, FLOOR_RUN.replace(
+            "schwarzschild3", "hyperbolic").replace(
+            "axisphere", "circle").replace("initial.r0 = 1.0", "initial.r0 = 20"))
+        assert code == 0
+        assert check["pass"] is None
+        assert check["hypothesis_status"]["c1_strict"] is False
+
+    def test_schwarzschild3_passes(self, tmp_path):
+        code, check = self.floor(tmp_path, FLOOR_RUN)
+        assert code == 0 and check["pass"] is True
+
+    def test_infinite_min_H_in_the_trace_does_not_pass(self, tmp_path):
+        assert self.floor(tmp_path, FLOOR_RUN)[1]["pass"] is True
+        trace = tmp_path / "out" / "trace.csv"
+        rows = [r.split(",") for r in trace.read_text(encoding="utf-8").splitlines()]
+        rows[2][rows[0].index("min_H")] = "inf"
+        trace.write_text("\n".join(",".join(r) for r in rows) + "\n",
+                         encoding="utf-8")
+        code, check = self.floor(tmp_path, FLOOR_RUN, "check")
+        assert code == 1 and check["pass"] is not True
+
+    def test_R1_below_h_on_the_whole_domain_is_inapplicable(self, tmp_path):
+        # h >= 3m = 1.5 everywhere, so no radius has h = R1 = 0.5
+        code, check = self.floor(tmp_path, FLOOR_RUN + "check.H_floor.R1 = 0.5\n")
+        assert code == 0 and check["pass"] is None
 
 
 SCIPY_USED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")

@@ -4,8 +4,10 @@ differences and assemble must give the np.roll stencils' gradient and
 Hessian bit for bit, geometry.speed the generic einsum formula's F and
 Theta^2, flow._evaluate the verdict, event and fields of a reference built
 from warp_at_phi and that formula, with a StageBuffers set and without,
-and a run must not change by one bit when the reference takes _evaluate's
-place.
+flow._cfl_dt the step size of a plain np.max reference, and a run must
+not change by one bit when the references take their places.  The
+extremes these read by index (warp._min, warp._max) give the reductions'
+verdicts on planted NaN, +-inf and signed-zero ties.
 """
 
 import functools
@@ -17,12 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imcflow import flow as flow_mod
+from imcflow import flow as flow_mod, warp as warp_mod
 from imcflow.flow import FlowConfig, FlowEvent, run
 from imcflow.geometry import GraphState, _light_fields, speed, stage_buffers
 from imcflow.manifold import covariant_derivatives, make_base
-from imcflow.warp import (WarpDomainError, make_warp, radial_potential,
-                          scalar_speed, warp_at_phi)
+from imcflow.warp import (WarpDomainError, eval_warp, hp_at_phi, make_warp,
+                          radial_potential, scalar_speed, warp_at_phi)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -244,6 +246,20 @@ def reference_evaluate(dispatch, phi, t, theta_min, out=None):
     return (F, 1.0 / F, ref["theta2"], _diffs(base, ref["grad"], ref["hess"])), None
 
 
+def reference_cfl_dt(base, F, theta2, diffs, safety):
+    """flow._cfl_dt with new arrays and np.max, and the same sqrt round
+    trip of Theta^2: the bitwise reference for the step size."""
+    theta2 = np.sqrt(theta2) ** 2
+    if base.kind == "circle":
+        D = theta2 * (1.0 - theta2 * diffs[0] ** 2) / F ** 2
+    else:
+        D = theta2 / F ** 2
+    dmax = float(np.max(D))
+    if dmax <= 0.0:
+        return math.inf
+    return safety * base.dx_min ** 2 / (2.0 * base.d * dmax)
+
+
 def nan_buffers(base):
     """A StageBuffers set whose every array holds NaN, so a value the
     kernel reads before it writes it shows."""
@@ -386,6 +402,245 @@ class TestFastAccept:
                     probe_agrees(base, w, phi, 1e-3)
 
 
+def by_reduction(module):
+    """module's _min and _max as np.minimum.reduce and np.maximum.reduce,
+    the reductions that the reads by index replace."""
+    return mock.patch.multiple(
+        module, _min=lambda x: np.minimum.reduce(x, None),
+        _max=lambda x: np.maximum.reduce(x, None))
+
+
+def outcome(f, *args):
+    """f(*args), or the type, message and node of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "node", None)
+
+
+def same(a, b):
+    """Equal bit for bit, through tuples, arrays, floats and events."""
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(map(same, a, b)))
+    if isinstance(a, (np.ndarray, float)):
+        return isinstance(b, (np.ndarray, float)) and same_bits(a, b)
+    if isinstance(a, FlowEvent):
+        return repr(a) == repr(b)
+    return a == b
+
+
+def plants(a):
+    """What to plant into the array a, each a list of (flat node, value):
+    NaN at a node after its minimum, +inf, -inf, and 0.0 and -0.0 at two
+    nodes, either way round."""
+    low, last, mid = int(a.argmin()), a.size - 1, a.size // 2 + 1
+    assert low < last
+    return ([(last, math.nan)], [(mid, math.inf)], [(mid, -math.inf)],
+            [(1, 0.0), (last - 1, -0.0)], [(1, -0.0), (last - 1, 0.0)])
+
+
+def planted(a, plant):
+    a = np.array(a, dtype=float)
+    for node, value in plant:
+        a.flat[node] = value
+    return a
+
+
+def planting_dispatch(base, w, name, plant):
+    """A _Dispatch whose speed kernel plants into its F or Theta^2."""
+    dispatch = flow_mod._Dispatch(base, w)
+    speed_kernel = dispatch.speed
+
+    def planting(phi, hp, out=None):
+        F, theta2, dphi2, diffs = speed_kernel(phi, hp, out)
+        for node, value in plant:
+            {"F": F, "theta2": theta2}[name].flat[node] = value
+        return F, theta2, dphi2, diffs
+    dispatch.speed = planting
+    return dispatch
+
+
+# the axisphere's 1D arrays, and the torus's 2D ones, read by flat index
+PLANT_BASES = [("axisphere", 16), ("torus2", 6)]
+
+
+class TestReductionsByIndex:
+    """warp._min and warp._max read an extreme at its argmin or argmax in
+    place of np.minimum.reduce and np.maximum.reduce.  At every site they
+    feed, a planted NaN, +-inf or 0.0/-0.0 tie gives what the reductions
+    give: the same verdict, event kind, node and value, and the same bits
+    of every returned field."""
+
+    @SETTINGS
+    @given(st.data())
+    def test_extremes_compare_as_the_reductions(self, data):
+        shape = data.draw(st.sampled_from([(1,), (2,), (9,), (3, 4)]))
+        values = st.floats() | st.sampled_from(
+            [0.0, -0.0, math.inf, -math.inf, math.nan])
+        size = math.prod(shape)
+        x = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        x = x.reshape(shape)
+        for read, reduce, arg in ((warp_mod._min, np.minimum.reduce, x.argmin),
+                                  (warp_mod._max, np.maximum.reduce, x.argmax)):
+            mine, theirs = read(x), float(reduce(x, None))
+            assert type(mine) is float
+            if math.isnan(theirs):
+                # argmin and argmax stop at the first NaN
+                assert math.isnan(mine)
+                assert arg() == int(np.isnan(x).argmax())
+            else:
+                # equal; the same bits unless 0.0 and -0.0 tie
+                assert mine == theirs
+                assert theirs == 0.0 or same_bits(mine, theirs)
+
+    def agree(self, dispatch, phi, theta_min):
+        """_evaluate by index and by reduction, with new arrays and with
+        a fresh StageBuffers set each, give the same."""
+        base = dispatch.base
+        with np.errstate(all="ignore"):
+            for fresh in (lambda: None, lambda: nan_buffers(base)):
+                mine = outcome(flow_mod._evaluate, dispatch, phi, 0.0,
+                               theta_min, fresh())
+                with by_reduction(flow_mod):
+                    theirs = outcome(flow_mod._evaluate, dispatch, phi, 0.0,
+                                     theta_min, fresh())
+                assert same(mine, theirs), (mine, theirs)
+        return mine
+
+    @pytest.mark.parametrize("pid", sorted(WARPS))
+    @pytest.mark.parametrize("kind,M", PLANT_BASES)
+    def test_evaluate_phi_domain_test(self, kind, M, pid):
+        base, w = make_base(kind, M), WARPS[pid]
+        dispatch = flow_mod._Dispatch(base, w)
+        # >= 1e-2 and smallest inside the grid: the planted 0.0 and -0.0
+        # are the minimum of bump and the maximum of -bump
+        bump = 1e-2 * (2.0 + wave(base, 2))
+        for phi in (CENTRE[pid] + bump, bump, -bump):
+            for plant in plants(phi):
+                bad = planted(phi, plant)
+                self.agree(dispatch, bad, 1e-3)
+                with np.errstate(all="ignore"):
+                    probe_agrees(base, w, bad, 1e-3)
+
+    @pytest.mark.parametrize("theta_min", [0.0, 1e-3])
+    @pytest.mark.parametrize("name", ["F", "theta2"])
+    @pytest.mark.parametrize("kind,M", PLANT_BASES)
+    def test_evaluate_field_tests(self, kind, M, name, theta_min):
+        # F's test, and Theta^2's: F > 0 and 0 < Theta^2 <= 1 elsewhere,
+        # so a planted -inf or 0.0/-0.0 tie is the array's minimum
+        base, w = make_base(kind, M), WARPS["euclidean"]
+        phi = 0.1 * wave(base, 2)
+        F, theta2 = speed(base, phi, 1.0)[:2]
+        assert F.min() > 0.0
+        kinds = set()
+        for plant in plants({"F": F, "theta2": theta2}[name]):
+            dispatch = planting_dispatch(base, w, name, plant)
+            got = self.agree(dispatch, phi, theta_min)
+            if len(got) == 3:       # raised: (type, message, node)
+                kinds.add(got[0])
+            else:                   # (fields, event or None)
+                kinds.add(got[1] and got[1].kind)
+        if name == "F":
+            assert kinds == {"numeric", "loss_of_mean_convexity"}
+        else:
+            # +inf is no minimum; Theta = +-0 passes theta_min = 0; sqrt
+            # of -inf raises alike (no state has Theta^2 < 0)
+            assert kinds == {"angle_degeneracy", None, ValueError}
+
+    @pytest.mark.parametrize("kind,M", PLANT_BASES)
+    def test_evaluate_reciprocal_test(self, kind, M):
+        # 1/F is tested only after min F > 0, so its only value <= 0 is
+        # the 0.0 of an infinite F; NaN and -inf in F fail F's test first
+        base, w = make_base(kind, M), WARPS["euclidean"]
+        phi = 0.1 * wave(base, 2)
+        last = base.n_nodes - 1
+        for plant in ([(last, math.inf)], [(1, math.inf), (last, math.inf)]):
+            dispatch = planting_dispatch(base, w, "F", plant)
+            fields, ev = self.agree(dispatch, phi, 1e-3)
+            assert (ev.kind, ev.node, ev.value) == ("numeric", plant[0][0],
+                                                    math.inf)
+
+    @pytest.mark.parametrize("name", ["F", "theta2"])
+    @pytest.mark.parametrize("kind,M", PLANT_BASES + [("circle", 16)])
+    def test_cfl_dt(self, kind, M, name):
+        # a NaN bound is NaN alike, but its sign bit is not pinned: the
+        # read by index gives the NaN as stored (sqrt(-inf) is -NaN here),
+        # np.maximum.reduce a positive one; run and stable_dt take dt_max
+        # on either, since NaN < dt_max is false
+        base = make_base(kind, M)
+        phi = 0.1 * wave(base, 2)
+        F, theta2, _, diffs = speed(base, phi, 1.0)
+        for plant in plants({"F": F, "theta2": theta2}[name]):
+            args = {"F": F, "theta2": theta2}
+            args[name] = planted(args[name], plant)
+            args = (base, args["F"], args["theta2"], diffs, 0.5)
+            with np.errstate(all="ignore"):
+                mine = flow_mod._cfl_dt(*args)
+                with by_reduction(flow_mod):
+                    theirs = flow_mod._cfl_dt(*args)
+                for other in (theirs, reference_cfl_dt(*args)):
+                    assert (same(mine, other) if not math.isnan(mine)
+                            else math.isnan(other))
+
+    def test_cfl_dt_signed_zero_tie(self):
+        # only the circle's D = Theta^2 st / F^2 can be -0.0: st < 0 where
+        # Theta^2 phi_theta^2 > 1, and the quotient underflows; D = 0.0
+        # where Theta^2 = 0, so max D is a 0.0/-0.0 tie and nothing binds
+        base = make_base("circle", 8)
+        F, theta2, g = np.ones(8), np.zeros(8), np.zeros(8)
+        F[3], theta2[3], g[3] = 1e150, 1e-200, 1e101
+        args = (base, F, theta2, (g, np.zeros(8)), 0.5)
+        with np.errstate(all="ignore"):
+            D = np.sqrt(theta2) ** 2
+            D = D * (1.0 - D * g ** 2) / F ** 2
+            assert same_bits(D[3], -0.0) and same_bits(D[2], 0.0)
+            assert flow_mod._cfl_dt(*args) == math.inf
+            with by_reduction(flow_mod):
+                assert flow_mod._cfl_dt(*args) == math.inf
+            assert reference_cfl_dt(*args) == math.inf
+
+    @pytest.mark.parametrize("pid", ["euclidean", "saturating"])
+    @pytest.mark.parametrize("kind,M", PLANT_BASES)
+    def test_warp_checked(self, kind, M, pid):
+        # radii, whose domain starts at 0.0, where the tie decides nothing,
+        # and potentials
+        base, w = make_base(kind, M), WARPS[pid]
+        r = 1.0 + 0.1 * wave(base, 2)
+        phi = radial_potential(w, r)
+        for f, x, (lo, hi) in ((eval_warp, r, w.r_domain),
+                               (warp_at_phi, phi, w._phi_domain),
+                               (hp_at_phi, phi, w._phi_domain)):
+            for plant in plants(x):
+                bad = planted(x, plant)
+                with np.errstate(all="ignore"):
+                    mine = outcome(f, w, bad)
+                    with by_reduction(warp_mod):
+                        theirs = outcome(f, w, bad)
+                assert same(mine, theirs), (f.__name__, mine, theirs)
+                outside = sorted(n for n, v in plant if not lo < v < hi)
+                if outside:
+                    assert mine[0] is WarpDomainError
+                    assert mine[2] == outside[0]
+                else:
+                    assert not (isinstance(mine, tuple) and mine[0] is WarpDomainError)
+
+
+class TestCflDt:
+    @SETTINGS
+    @given(fields(), hps, st.floats(0.01, 6.0), st.data())
+    def test_matches_reference_bitwise(self, field, hp, safety, data):
+        # the step size, so the dt column, from the one bound formula
+        base, phi = field
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+            hp = hp * (1.0 + 0.1 * rng.random(base.shape))
+        with np.errstate(all="ignore"):
+            F, theta2, _, diffs = speed(base, phi, hp)
+            mine = flow_mod._cfl_dt(base, F, theta2, diffs, safety)
+            assert same(mine, reference_cfl_dt(base, F, theta2, diffs, safety))
+
+
 def assert_same_trace(a, b):
     assert same_bits(a.times, b.times)
     assert a.columns.keys() == b.columns.keys()
@@ -507,6 +762,7 @@ class TestTraceIdentity:
         make_state, cfg = CASES[case]
         lean = run(make_state(), cfg)
         monkeypatch.setattr(flow_mod, "_evaluate", reference_evaluate)
+        monkeypatch.setattr(flow_mod, "_cfl_dt", reference_cfl_dt)
         reference = run(make_state(), cfg)
         assert_same_trace(lean, reference)
         if case == "midrun_loss_of_mean_convexity":

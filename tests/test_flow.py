@@ -453,7 +453,8 @@ def past_edge(w, upper, x):
 class TestEventKeepsState:
     """A bad node planted into a valid state ends the run at that node, and
     a domain or numeric event leaves the last valid state as the last
-    snapshot (ROADMAP item 4)."""
+    snapshot: the offending state is no graph, so the trace keeps the
+    last state that re-verifies as valid (finite, in the domain, F > 0)."""
 
     @pytest.mark.parametrize("pid", sorted(PLANT_WARPS))
     @pytest.mark.parametrize("kind", ["point", "axisphere", "torus2"])
