@@ -4,8 +4,8 @@ F = H h Theta is the speed weight of the potential formulation; it stays
 positive exactly while the hypersurface is mean-convex, so F <= 0 anywhere
 terminates the run as an event rather than an error.  Step sizes follow a
 parabolic CFL bound built from the principal symbol Theta^2 st / F^2 of the
-quasilinear operator; on the degenerate point base the equation is an ODE
-and dt_max applies directly.
+quasilinear operator, one term per direction of the grid; on the
+degenerate point base the equation is an ODE and dt_max applies directly.
 
 Diagnostics are recorded on a fixed cadence and full field snapshots on a
 (usually coarser) second cadence; steps are clipped to land exactly on both
@@ -206,11 +206,11 @@ def _evaluate(dispatch, phi, t, theta_min, out=None):
 def _cfl_dt(base, F, theta2, diffs, safety):
     """Parabolic CFL bound of a field base, inf when it does not bind (D <= 0).
 
-    Theta^2 goes through sqrt and is squared again.  The round trip only
-    keeps the dt sequence, and so every stored trace hash, unchanged: the
-    bound from Theta^2 itself differs in the last bit on some steps.
+    safety dx^2 / (2 g max D) over the g = len(base.shape) directions of
+    the grid.  The axisphere's grid is theta alone: its azimuth enters
+    through cot(theta) phi_theta, and cot(theta_j) <= 2/dtheta on the
+    cell-centred grid keeps that within one direction's bound.
     """
-    theta2 = np.sqrt(theta2) ** 2
     F2 = F ** 2
     if base.kind == "circle":
         # one direction only: the lone eigenvalue of st is 1 - Theta^2 phi_theta^2
@@ -222,7 +222,7 @@ def _cfl_dt(base, F, theta2, diffs, safety):
     dmax = _max(D)
     if dmax <= 0.0:
         return math.inf
-    return safety * base.dx_min ** 2 / (2.0 * base.d * dmax)
+    return safety * base.dx_min ** 2 / (2.0 * len(base.shape) * dmax)
 
 
 class _FieldStepper:
@@ -413,7 +413,6 @@ def run(initial, config):
         next_rec = k_rec * rec_every
         next_snap = k_snap * snap_every
         target = min(next_rec, next_snap, t_end)
-        slack = 1e-15 * max(1.0, target)
         while t < t_stop:
             cfl = cfl_of()
             capped = cfl < dt_max
@@ -421,7 +420,7 @@ def run(initial, config):
             left = target - t
             if left < dt:
                 dt = left
-            landed = dt >= left - slack
+            landed = dt >= left - tol
             if landed:
                 dt = left
             limiter = ("landing" if landed

@@ -171,13 +171,13 @@ class TestScalarSpeed:
 class TestStableDt:
     def test_axisphere_slice_reference_value(self):
         # slice r=2 euclidean: Theta=1, F=2, top eigenvalue 1/F^2 = 0.25;
-        # dt = 0.5 (pi/100)^2 / (2*2*0.25)
+        # one grid direction (theta), so dt = 0.5 (pi/100)^2 / (2*1*0.25)
         base = make_base("axisphere", 100)
         st = GraphState.from_radius(base, make_warp("euclidean"), np.full(100, 2.0))
         dt = stable_dt(st, FlowConfig(t_end=1.0, safety=0.5, dt_max=1.0))
-        want = 0.5 * (math.pi / 100) ** 2 / (2 * 2 * 0.25)
+        want = 0.5 * (math.pi / 100) ** 2 / (2 * 1 * 0.25)
         assert abs(dt - want) / want < 1e-12
-        assert abs(dt - 4.9348e-4) < 1e-8
+        assert abs(dt - 9.8696e-4) < 1e-8
 
     def test_refinement_quarters_dt(self):
         w = make_warp("euclidean")
@@ -194,12 +194,46 @@ class TestStableDt:
         assert abs(dt_at(100, True) / dt_at(200, True) - 4.0) < 1e-3
 
     def test_circle_slice_reference_value(self):
-        # d=1 and the lone eigenvalue is Theta^4/F^2 = 1 on the slice r=2
+        # one grid direction and the lone eigenvalue is Theta^4/F^2 = 1 on
+        # the slice r=2
         base = make_base("circle", 100)
         st = GraphState.from_radius(base, make_warp("euclidean"), np.full(100, 2.0))
         dt = stable_dt(st, FlowConfig(t_end=1.0, safety=0.5, dt_max=1.0))
         want = 0.5 * (2 * math.pi / 100) ** 2 / (2 * 1 * 1.0)
         assert abs(dt - want) / want < 1e-12
+
+    @pytest.mark.parametrize("pid", ["euclidean", "hyperbolic", "saturating"])
+    @pytest.mark.parametrize("kind,M", [("circle", 64), ("axisphere", 64),
+                                        ("torus2", 16)])
+    def test_bound_is_a_sharp_stability_bound(self, kind, M, pid):
+        # rho, the spectral radius of the Jacobian of 1/F (central
+        # differences in phi) on a mild state; Gershgorin on the stencil
+        # gives rho <= 4 g max D / dx^2 for g grid directions, so
+        # dt rho <= 2 safety, and the bound is sharp when dt rho >= safety
+        base, w = make_base(kind, M), make_warp(pid)
+        if kind == "torus2":
+            x, y = base.x[:, None], base.x[None, :]
+            r = 1.0 + 0.2 * np.cos(x) + 0.1 * np.cos(y)
+        else:
+            r = 1.0 + 0.3 * np.cos(base.theta)
+        st = GraphState.from_radius(base, w, r)
+        cfg = FlowConfig(t_end=1.0, safety=0.5, dt_max=1.0)
+        dt = stable_dt(st, cfg)
+        dispatch = flow_mod._Dispatch(base, w)
+
+        def rate(phi):
+            fields, ev = flow_mod._evaluate(dispatch, phi, 0.0, cfg.theta_min)
+            assert ev is None
+            return fields[1].ravel()
+        eps, n = 1e-6, st.phi.size
+        jac = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = eps
+            e = e.reshape(base.shape)
+            jac[:, j] = (rate(st.phi + e) - rate(st.phi - e)) / (2.0 * eps)
+        rho = float(np.max(np.abs(np.linalg.eigvals(jac))))
+        assert cfg.safety <= dt * rho <= 2.0 * cfg.safety
 
     def test_dt_max_binds(self):
         base = make_base("axisphere", 100)
@@ -262,12 +296,25 @@ class TestCadence:
                  FlowConfig(t_end=5.0, integrator="rk4", dt_max=1e-3,
                             record_every=0.1, snapshot_every=1.0))
         assert tr.stats == {
-            "steps": 5030, "f_evals": 20121,
-            "min_dt": 1.0658141036401503e-14, "max_dt": 0.0010000000000000009,
-            "dt_limiter": {"cfl": 0, "landing": 50, "dt_max": 4980}}
+            "steps": 5000, "f_evals": 20001,
+            "min_dt": 0.0009999999999665832, "max_dt": 0.001000000000010992,
+            "dt_limiter": {"cfl": 0, "landing": 50, "dt_max": 4950}}
         assert len(tr.times) == 51
         assert tr.snapshot_times().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert float(tr.snapshots[-1][1].phi[0]) == 2.5
+
+    def test_axisphere_run_stepping_is_pinned(self):
+        # a CFL-bound euclidean axisphere run; phi is a polynomial in theta,
+        # so past the base's sin and cos tables every dt is + - * / and sqrt
+        base = make_base("axisphere", 64)
+        phi = 0.02 * base.theta ** 2 * (math.pi - base.theta) ** 2
+        tr = run(GraphState(base, make_warp("euclidean"), phi),
+                 FlowConfig(t_end=0.1, dt_max=1e-2, safety=0.5,
+                            record_every=0.05, snapshot_every=0.1))
+        assert tr.stats == {
+            "steps": 79, "f_evals": 317,
+            "min_dt": 0.0006518234840452233, "max_dt": 0.0014571015583686455,
+            "dt_limiter": {"cfl": 77, "landing": 2, "dt_max": 0}}
 
     def test_trace_contract(self):
         tr = self.make_trace(0.3)
