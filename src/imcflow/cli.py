@@ -252,6 +252,10 @@ def write_outputs(trace, outdir, config_echo):
 
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
+    # the directory holds this run's files alone: load_trace would read an
+    # earlier run's snapshots as this run's, and its report would outlive it
+    for stale in [*snapdir.glob("t=*.csv"), outdir / "report.json"]:
+        stale.unlink(missing_ok=True)
     base = trace.base
     if base.kind in ("circle", "axisphere"):
         coord_name, coords = "theta", base.theta

@@ -4,7 +4,10 @@ Each check consumes a FlowTrace and returns a CheckReport with a signed
 margin: the check passes iff margin >= -tolerance.  Reports distinguish
 fail (claim violated on data where its hypotheses hold) from inapplicable
 (hypotheses unmet; passed is None), and carry enough detail to re-evaluate
-the worst case from the stored trace.
+the worst case from the stored trace.  Outside the family with Euclidean
+asymptotics (c5_bounded false) a roundness failure stays a fail, with a
+note: a run that does not round off, like the hyperbolic obstruction, must
+fail the expectation its mode states, not pass it as inapplicable.
 
 Residual checks of the evolution identities use centered differences of
 snapshot pairs for the time derivative, so they exercise the public trace
@@ -94,12 +97,8 @@ def _default_tol(base):
 
 
 def _radial_hull(trace):
-    r_lo = min(float(np.min(s.r)) for _, _, s in trace.snapshots)
-    r_hi = max(float(np.max(s.r)) for _, _, s in trace.snapshots)
-    if r_hi <= r_lo:
-        pad = max(1e-9, 1e-9 * abs(r_lo))
-        r_lo, r_hi = r_lo - min(pad, r_lo * 0.5), r_hi + pad
-    return r_lo, r_hi
+    rs = [s.r for _, _, s in trace.snapshots]
+    return min(float(np.min(r)) for r in rs), max(float(np.max(r)) for r in rs)
 
 
 def _base_notes(trace, notes):
@@ -335,11 +334,14 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     lo, hi = fit_window
 
     n = trace.n
-    cond = check_conditions(trace.warp, _radial_hull(trace),
-                            rho=trace.base.rho)
-    hyp = {"c1_weak": cond.c1_weak, "c1_strict": cond.c1_strict}
+    cond = check_conditions(trace.warp, _radial_hull(trace), rho=trace.base.rho)
+    hyp = {"c1_weak": cond.c1_weak, "c1_strict": cond.c1_strict,
+           "c5_bounded": cond.c5_bounded}
     notes = []
     _base_notes(trace, notes)
+    if not cond.c5_bounded:
+        notes.append("c5_bounded false: the warp lies outside the family "
+                     "with Euclidean asymptotics; roundness is not predicted")
 
     tmask = (trace.times >= lo - 1e-9) & (trace.times <= hi + 1e-9)
     ts = trace.times[tmask]

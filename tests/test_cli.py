@@ -318,6 +318,30 @@ class TestRunCommand:
         for name in files_a:
             assert files_a[name] == files_b[name], name
 
+    def test_rerun_into_a_used_directory_leaves_only_its_own_files(self, tmp_path):
+        # an earlier run's snapshots at t=0.1 and t=0.3 once stayed beside
+        # the rerun's, and load_trace read all five; its report stayed too
+        run_cfg = """\
+            warp.preset = euclidean
+            base.kind = axisphere
+            base.resolution = 16
+            initial.r0 = 1.0
+            initial.modes = 1:0.3
+            flow.t_end = 0.3
+            flow.safety = 0.5
+            """
+        first = write_cfg(tmp_path, run_cfg + "flow.snapshot_every = 0.1\n"
+                          "checks = A_bounded\n", name="first.cfg")
+        second = write_cfg(tmp_path, run_cfg + "flow.snapshot_every = 0.15\n",
+                           name="second.cfg")
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(["run", "--config", first, "--out", str(used)]) == 0
+        assert (used / "report.json").is_file()
+        assert main(["run", "--config", second, "--out", str(used)]) == 0
+        assert main(["run", "--config", second, "--out", str(fresh)]) == 0
+        assert read_bytes_map(used) == read_bytes_map(fresh)
+        assert [t for t, _, _ in load_trace(used).snapshots] == [0.0, 0.15, 0.3]
+
 
 class TestCheckCommand:
     def test_round_trip_on_stored_trace(self, tmp_path):

@@ -14,7 +14,7 @@ from imcflow.flow import (
     run,
     stable_dt,
 )
-from imcflow.geometry import GraphState, _light_fields
+from imcflow.geometry import GraphState, _light_fields, snapshot
 from imcflow.manifold import make_base
 from imcflow.warp import (hp_at_phi, make_warp, phi_domain_violation, r_at_h,
                           radial_potential, scalar_speed)
@@ -627,6 +627,40 @@ class TestSymmetryAndMonotonicity:
         assert len(tr.snapshots) >= 2, tr.terminal
         for (_, s0, _), (_, s1, _) in zip(tr.snapshots, tr.snapshots[1:]):
             assert np.all(s1.phi >= s0.phi)
+
+    def test_mean_convex_states_flow_on_and_stay_mean_convex(self):
+        # the paper's first claim: with h' > 0 and h'' >= 0, as on every
+        # preset, a starshaped mean-convex surface flows for all time and
+        # stays mean convex.  Every seeded draw with min H(0) > 0 counts;
+        # a failing one is a finding, never filtered out
+        rng = np.random.default_rng(1609)
+        convex, failed = 0, []
+        for _ in range(40):
+            kind = str(rng.choice(["circle", "axisphere", "torus2"]))
+            pid = str(rng.choice(sorted(PLANT_WARPS)))
+            w, r0 = PLANT_WARPS[pid]
+            base = make_base(kind, 12 if kind == "torus2" else 32)
+            r = np.ones(base.shape)
+            for _ in range(3):
+                p, q = rng.integers(1, 4), rng.integers(0, 3)
+                a, phase = rng.uniform(-0.15, 0.15), rng.uniform(0.0, 2.0 * math.pi)
+                if kind == "torus2":
+                    angle = p * base.x[:, None] + q * base.x[None, :] + phase
+                elif kind == "circle":
+                    angle = p * base.theta + phase
+                else:
+                    angle = p * base.theta   # even across the poles
+                r = r + a * np.cos(angle)
+            state = GraphState.from_radius(base, w, r0 * r)
+            if not float(np.min(snapshot(state).H)) > 0.0:
+                continue
+            convex += 1
+            tr = run(state, FlowConfig(t_end=4.0, integrator="rk4", safety=0.5,
+                                       dt_max=1e-2))
+            if not (tr.completed and np.all(tr.columns["min_H"] > 0.0)):
+                failed.append((kind, pid, tr.terminal))
+        assert not failed
+        assert convex >= 30   # the draws are mostly mean convex: 34 of 40
 
     def test_record_times_strictly_increase(self):
         tr = run(point_state(make_warp("hyperbolic"), 1.0),

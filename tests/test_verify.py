@@ -215,6 +215,21 @@ class TestAsymptotics:
         assert rep.passed is False
         assert rep.margin < 0.0
 
+    @pytest.mark.parametrize("mode", ["expect_roundness", "expect_obstruction"])
+    def test_hyperbolic_run_lies_outside_the_bounded_family(
+            self, circle_obstructed, mode):
+        # h' = cosh r is unbounded: the roundness failure stays a fail, and
+        # a note says the hypothesis of the asymptotics is not met
+        rep = check_asymptotics(circle_obstructed, mode)
+        assert rep.hypothesis_status["c5_bounded"] is False
+        assert sum("c5_bounded false" in note and "roundness is not predicted"
+                   in note for note in rep.notes) == 1
+
+    def test_euclidean_run_lies_inside_the_bounded_family(self, circle_round):
+        rep = check_asymptotics(circle_round, "expect_roundness")
+        assert rep.hypothesis_status["c5_bounded"] is True
+        assert not any("c5_bounded" in note for note in rep.notes)
+
     def test_roundness_fails_when_H_h_grows(self):
         # point base in hyperbolic space: H h = (n-1) cosh r grows like
         # e^{t/2}, so C2 is no time-uniform constant; every rate is exact

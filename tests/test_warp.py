@@ -644,7 +644,7 @@ class TestHermiteTables:
 
 class TestConditions:
     def test_euclidean_flags(self, presets):
-        rep = check_conditions(presets["euclidean"], (0.5, 10.0), rho=1.0, C=10.0)
+        rep = check_conditions(presets["euclidean"], (0.5, 10.0), rho=1.0)
         assert rep.c1_weak is True
         assert rep.c1_strict is False   # h'' = 0 is not strict
         assert rep.c5_bounded is True
@@ -652,29 +652,29 @@ class TestConditions:
     def test_schwarzschild_strict(self, presets):
         spec = presets["schwarzschild3"]
         lo, hi = r_at_h(spec, 1.5001), r_at_h(spec, 10.0)
-        rep = check_conditions(spec, (lo, hi), rho=1.0, C=10.0)
+        rep = check_conditions(spec, (lo, hi), rho=1.0)
         # h h'' - h'^2 + rho = 3m/h > 0 here
         assert rep.c1_weak and rep.c1_strict and rep.c5_bounded
 
     def test_hyperbolic_unbounded_witness(self, presets):
         # h h'' - h'^2 = -1 exactly, so strict needs rho >= 1
-        rep = check_conditions(presets["hyperbolic"], (1.0, 5.0), rho=1.0, C=10.0)
+        rep = check_conditions(presets["hyperbolic"], (1.0, 5.0), rho=1.0)
         assert rep.c1_weak and rep.c1_strict
         assert rep.c5_bounded is False
-        # cosh exceeds 10 shortly after r = 3, worst at the right edge
+        # h' = cosh r is unbounded, and grows towards the right edge
         assert rep.witnesses["c5_bounded"] > 4.5
 
     def test_saturating_alpha_sensitivity(self, presets):
         spec = presets["saturating"]
-        # k=1: h^2 h'' = (1 + 2r - ln(1+r))^2/(1+r)^2, increasing to 4
-        ok = check_conditions(spec, (0.1, 500.0), rho=0.0, C=5.0, alpha=1.0)
+        # k=1: h^2 h'' = (1 + 2r - ln(1+r))^2/(1+r)^2, bounded by 4
+        ok = check_conditions(spec, (0.1, 500.0), rho=0.0, alpha=1.0)
         assert ok.c5_bounded is True
-        bad = check_conditions(spec, (0.1, 500.0), rho=0.0, C=5.0, alpha=2.0)
+        bad = check_conditions(spec, (0.1, 500.0), rho=0.0, alpha=2.0)
         assert bad.c5_bounded is False  # h^(1+2) h'' grows linearly
 
     def test_strict_implies_weak(self, presets):
         for spec in presets.values():
-            rep = check_conditions(spec, (0.8, 4.0), rho=1.0, C=100.0)
+            rep = check_conditions(spec, (0.8, 4.0), rho=1.0)
             if rep.c1_strict:
                 assert rep.c1_weak
 
@@ -828,6 +828,61 @@ class TestExactConditions:
                   and bool(np.all(warp.q(spec, r, h) + rho >= 0.0)))
         rep = check_conditions(spec, (r_lo, r_hi), rho=rho)
         assert (rep.c1_weak, rep.c1_strict) == (weak, strict)
+
+
+# the largest alpha of each preset's bounded family, as the presets state
+# it: every alpha where h'' = 0, none where h' is unbounded
+ALPHA_MAX = {"euclidean": math.inf, "power_1": math.inf,
+             "hyperbolic": -math.inf, "power_2": -math.inf, "power_3.7": -math.inf,
+             "schwarzschild3": 1.0, "saturating_0.5": 0.5, "saturating_1": 1.0,
+             "saturating_2": 2.0}
+# over the top decade the bounded functions' log-log slopes stay below
+# 0.014 (saturating's product at alpha = k = 0.5, which approaches its
+# limit a^1.5 k b from below); the unbounded ones climb at 0.49 or more
+SLOPE_TOL = 0.05
+
+
+def loglog_slope(r, log_f):
+    """Least-squares slope of ln f against ln r; 0 where f = 0 (h'' = 0)."""
+    if np.all(log_f == -math.inf):
+        return 0.0
+    return float(np.polyfit(np.log(r), log_f, 1)[0])
+
+
+class TestBoundedFamily:
+    """c5_bounded is decided from each preset's family; the oracle samples
+    h' and h^(1+alpha) h'' densely over the top decade of the domain."""
+
+    @pytest.mark.parametrize("name", sorted(H0_WARPS))
+    def test_flag_equals_the_slopes_of_a_dense_sample(self, name):
+        spec = H0_WARPS[name]
+        top = top_radius(name, spec)
+        r = np.geomspace(top / 10.0, top, 2001)
+        h, hp, hpp = eval_warp(spec, r)
+        a_max = ALPHA_MAX[name]
+        alphas = ([a_max - 0.5, a_max, a_max + 0.5] if math.isfinite(a_max)
+                  else [0.5, 1.0, 2.0])
+        for alpha in alphas:
+            # the product in logs, which stays finite where it would overflow
+            with np.errstate(divide="ignore"):
+                log_product = (1.0 + alpha) * np.log(h) + np.log(hpp)
+            slopes = loglog_slope(r, np.log(hp)), loglog_slope(r, log_product)
+            bounded = max(slopes) <= SLOPE_TOL
+            rep = check_conditions(spec, (top / 10.0, top), rho=0.0, alpha=alpha)
+            assert rep.c5_bounded is bounded, (alpha, slopes)
+            assert rep.witnesses.get("c5_bounded") == (None if bounded else top)
+            # the slopes sit far from the tolerance on either side
+            assert min(abs(s - SLOPE_TOL) for s in slopes) > 0.02, (alpha, slopes)
+
+    def test_a_single_radius_is_an_interval_and_a_reversed_one_is_not(self, presets):
+        # a point run's radial hull is one radius, which once needed a pad
+        bounded = {"euclidean": True, "hyperbolic": False, "schwarzschild3": True,
+                   "saturating": True, "power": False}
+        for name, spec in presets.items():
+            assert check_conditions(spec, (1.5, 1.5), rho=1.0).c5_bounded is bounded[name]
+        for bad in ((2.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="interval"):
+                check_conditions(presets["euclidean"], bad, rho=1.0)
 
 
 def valid(r, h, hp, hpp):
