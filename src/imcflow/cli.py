@@ -338,12 +338,20 @@ def load_trace(outdir):
 # checks
 
 def run_checks(trace, check_ids, overrides):
-    """Reports of the checks, each with its converted overrides."""
+    """Reports of the checks, each with its converted overrides.  A check
+    that cannot evaluate this trace (too short, too few snapshots, ended
+    by an event) raises ValueError; it is reported inapplicable, with the
+    error text as its note."""
     reports = []
     for cid in _known_ids(list(check_ids)):
         fn, args = _CHECKS[cid]
-        reports.append(getattr(_verify, fn)(trace, *args,
-                                            **overrides.get(cid, {})))
+        try:
+            report = getattr(_verify, fn)(trace, *args,
+                                          **overrides.get(cid, {}))
+        except ValueError as exc:
+            report = _verify.CheckReport(cid, {}, None, float("nan"),
+                                         float("nan"), notes=[str(exc)])
+        reports.append(report)
     return reports
 
 

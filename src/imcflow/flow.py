@@ -12,9 +12,9 @@ Diagnostics are recorded on a fixed cadence and full field snapshots on a
 grids, which keeps runs bit-reproducible for a given configuration.
 
 One driver, run, owns the cadence, the landing, the dt limiter, the
-records and the events of every base, and _step is the one Euler/RK4
-step.  A stepper only evaluates states (start, check) and bounds dt
-(cfl); a valid state leaves its rate k = 1/F for the next stage.
+records and the events of every base, and _step is the one RK4 step.
+A stepper only evaluates states (start, check) and bounds dt (cfl); a
+valid state leaves its rate k = 1/F for the next stage.
 _FieldStepper sends every array state through _evaluate, the one code
 that decides whether a state is valid and which event it is.  It resolves
 the base's speed kernel, the warp's h' and its potential domain once per
@@ -52,7 +52,7 @@ TRACE_COLUMNS = ("dt", "min_H", "max_H", "min_omega", "max_omega",
 @dataclass
 class FlowConfig:
     t_end: float
-    integrator: str = "rk4"          # "euler" | "rk4"
+    integrator: str = "rk4"          # "rk4" only
     safety: float = 0.25
     dt_max: float = 1e-3
     snapshot_every: float = 1.0
@@ -60,7 +60,7 @@ class FlowConfig:
     theta_min: float = 1e-3
 
     def __post_init__(self):
-        if self.integrator not in ("euler", "rk4"):
+        if self.integrator != "rk4":
             raise ValueError(f"unknown integrator {self.integrator!r}")
         for name in ("t_end", "safety", "dt_max", "snapshot_every", "record_every"):
             if not getattr(self, name) > 0.0:      # also true on NaN
@@ -231,22 +231,20 @@ class _FieldStepper:
     Each check writes the next StageBuffers set of a ring allocated once
     per run, and the run's dispatch is resolved once (_Dispatch).  A set
     holds a state's fields until the ring comes round to it again, so the
-    ring has as many sets as _step keeps alive at a check: for RK4 the
-    rates k1..k4, while the last stage is checked; the state the step
-    lands on is formed from them before its check takes k1's set, and its
-    fields are what cfl reads and its rate is the next step's k1.  Euler
-    forms the new state from k1 alone, so one set.  Nothing else keeps a
-    set's arrays: the run stores copies of phi and snapshot evaluates its
-    own.
+    ring has as many sets as _step keeps alive at a check: the rates
+    k1..k4, while the last stage is checked; the state the step lands on
+    is formed from them before its check takes k1's set, and its fields
+    are what cfl reads and its rate is the next step's k1.  Nothing else
+    keeps a set's arrays: the run stores copies of phi and snapshot
+    evaluates its own.
     """
 
     def __init__(self, base, wspec, config, stats):
         self.base, self.config, self.stats = base, config, stats
         self.k = self.fields = None     # set by check
         self._dispatch = _Dispatch(base, wspec)
-        n_sets = 1 if config.integrator == "euler" else 4
         self._sets = itertools.cycle([_geom.stage_buffers(base)
-                                      for _ in range(n_sets)])
+                                      for _ in range(4)])
 
     def start(self, phi):
         """(state, event|None) of the initial potential array."""
@@ -294,17 +292,14 @@ class _PointStepper:
         return math.inf
 
 
-def _step(stepper, phi, t, dt, t_new, euler):
-    """One Euler or RK4 step from a checked state, landing at t_new:
+def _step(stepper, phi, t, dt, t_new):
+    """One RK4 step from a checked state, landing at t_new:
     (new state, its event|None), or (offending stage, event).  The stages
     are unrolled, as a loop slows the point runs.  The new state is formed
     before it is checked, so its check may reuse the first rate's arrays
     (_FieldStepper's ring of buffer sets counts on this)."""
     k1 = stepper.k
     check = stepper.check
-    if euler:
-        new = phi + dt * k1
-        return new, check(new, t_new)
     h = 0.5 * dt
     stage = phi + h * k1
     ev = check(stage, t + h)
@@ -391,7 +386,6 @@ def run(initial, config):
                          snapshots=snaps, terminal=terminal,
                          stats=stats.as_dict())
 
-    euler = config.integrator == "euler"
     phi, event = stepper.start(np.array(initial.phi, dtype=float))
     bad, t, dt = phi, 0.0, 0.0
     if event is None:
@@ -427,7 +421,7 @@ def run(initial, config):
                        else "cfl" if capped else "dt_max")
 
             t_new = target if landed else t + dt
-            new, event = _step(stepper, phi, t, dt, t_new, euler)
+            new, event = _step(stepper, phi, t, dt, t_new)
             if event is not None:
                 bad = new       # phi, t stay the last valid state
                 break
@@ -451,10 +445,8 @@ def run(initial, config):
     stats.step(run_dt, run_lim, run_n)
 
     if event is None:
-        # accumulated steps can drift inside the exit band without landing
-        # on t_end; store the terminal row and snapshot if they are missing
-        record(t_end, phi, dt, abs(times[-1] - t_end) > tol,
-               abs(snaps[-1][0] - t_end) > tol)
+        # a step that does not land ends below t_stop, so the last step
+        # landed on t_end and stored its row and snapshot (or t_end <= tol)
         return finish("completed")
     # graph-valid violations keep the offending state; otherwise fall back
     # to the last valid one (phi at t; there is none before the first

@@ -65,8 +65,8 @@ class BaseManifold:
             raise ValueError(f"field shape {f.shape} does not match {self.kind} grid {self.shape}")
         return f
 
-    # subclasses: differences (the one stencil), stencil_buffers, assemble,
-    # integrate, sigma_diag, sigma_inv_diag, ricci_dphi
+    # subclasses: differences (the one stencil), assemble, integrate,
+    # sigma_diag, sigma_inv_diag, ricci_dphi; field bases: stencil_buffers
 
     def __repr__(self):
         return f"{type(self).__name__}(resolution={getattr(self, 'resolution', 1)})"
@@ -97,9 +97,6 @@ class PointBase(BaseManifold):
         self._hess0 = np.zeros((0, 0, 1))
 
     def differences(self, f, out=None):
-        return ()
-
-    def stencil_buffers(self):
         return ()
 
     def assemble(self, diffs):

@@ -15,9 +15,10 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from imcflow.cli import (CHECK_IDS, ConfigError, load_trace, main,
-                         parse_config, run_checks)
-from imcflow.flow import TRACE_COLUMNS
+from imcflow.cli import (CHECK_IDS, ConfigError, build_setup, load_trace,
+                         main, parse_config, run_checks)
+from imcflow.flow import TRACE_COLUMNS, run
+from imcflow.geometry import GraphState
 from imcflow.verify import DEFAULT_C_RES
 from imcflow.warp import eval_warp, infimum_h0, make_warp, r_at_h
 
@@ -375,6 +376,35 @@ class TestCheckCommand:
         assert len(tr.snapshots) == 4
         assert tr.times[-1] == 0.3
 
+    def test_round_trip_of_an_event_run(self, tmp_path):
+        # the run loses mean convexity at t = 0.11736 (node 62) after 13
+        # snapshots; A_bounded then fails on what the trace kept
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, """\
+            warp.preset = euclidean
+            base.kind = axisphere
+            base.resolution = 64
+            initial.r0 = 1.0
+            initial.modes = 1:0.1
+            flow.t_end = 0.2
+            flow.safety = 3
+            flow.dt_max = 1
+            flow.record_every = 0.01
+            flow.snapshot_every = 0.01
+            checks = growth_and_support, H_floor, A_bounded
+            """)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        wspec, base, phi0, fc, _, _ = build_setup(parse_config(cfg))
+        trace = run(GraphState(base, wspec, phi0, 0.0), fc)
+        ev = trace.terminal
+        assert (ev.kind, ev.node) == ("loss_of_mean_convexity", 62)
+        assert ev.t == pytest.approx(0.11736, abs=1e-5)
+        assert len(trace.snapshots) == 13
+        first = (out / "report.json").read_bytes()
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+        assert (out / "report.json").read_bytes() == first
+        assert load_trace(out).terminal == ev
+
     def test_missing_trace_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "checks = A_bounded\n", name="check.cfg")
         assert main(["check", "--config", cfg,
@@ -387,6 +417,52 @@ class TestCheckCommand:
               "--out", str(out)])
         empty = write_cfg(tmp_path, "# nothing here\n", name="empty.cfg")
         assert main(["check", "--config", empty, "--out", str(out)]) == 3
+
+
+class TestUnevaluableChecks:
+    """A check that cannot evaluate its trace is inapplicable: the command
+    writes report.json and exits as the run and the other checks say."""
+
+    def inapplicable(self, out, cid):
+        report = json.loads((out / "report.json").read_text())
+        rep = next(c for c in report["checks"] if c["check_id"] == cid)
+        assert rep["pass"] is None
+        return rep["notes"]
+
+    def test_short_trace_for_asymptotics(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, """\
+            warp.preset = euclidean
+            base.kind = axisphere
+            base.resolution = 16
+            initial.r0 = 1.0
+            initial.modes = 1:0.1
+            flow.t_end = 0.2
+            checks = asymptotics_roundness
+            """)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert self.inapplicable(out, "asymptotics_roundness") == [
+            "trace too short for asymptotics (t_end=0.2 < 8)"]
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_event_at_the_start_leaves_too_few_snapshots(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, """\
+            warp.preset = euclidean
+            base.kind = circle
+            base.resolution = 32
+            initial.r0 = 1.0
+            initial.modes = 2:0.6
+            flow.t_end = 1.0
+            checks = growth_and_support, evolution_residuals
+            """)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["terminal"]["kind"] == "loss_of_mean_convexity"
+        assert meta["terminal"]["t"] == 0.0
+        notes = self.inapplicable(out, "evolution_residuals")
+        assert "need at least 3 snapshots" in notes[0]
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
 
 
 class TestSweepCommand:

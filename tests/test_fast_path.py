@@ -713,8 +713,8 @@ CASES = {
         t_end=0.25, integrator="rk4", safety=0.5, dt_max=1e-3,
         snapshot_every=0.1, record_every=0.1)),
     "circle": (circle_state, FlowConfig(t_end=1.0, safety=0.5, dt_max=5e-3)),
-    "circle_euler": (circle_state, FlowConfig(
-        t_end=0.3, integrator="euler", safety=0.25, dt_max=5e-3)),
+    "circle_quarter_safety": (circle_state, FlowConfig(
+        t_end=0.3, safety=0.25, dt_max=5e-3)),
     "domain_exit": (domain_exit_state, FlowConfig(
         t_end=3.0, dt_max=1e-2, safety=0.5)),
     "torus_tabulated": (torus_tabulated_state, FlowConfig(
@@ -726,9 +726,9 @@ CASES = {
     "midrun_loss_of_mean_convexity": (unstable_state, FlowConfig(
         t_end=0.2, safety=3.0, dt_max=1.0, record_every=0.01,
         snapshot_every=0.01)),
-    "torus_euler": (torus_tabulated_state, FlowConfig(
-        t_end=0.05, integrator="euler", safety=0.5, dt_max=1e-3,
-        record_every=0.02, snapshot_every=0.05)),
+    "torus_fine_records": (torus_tabulated_state, FlowConfig(
+        t_end=0.05, safety=0.5, dt_max=1e-3, record_every=0.02,
+        snapshot_every=0.05)),
 }
 CASES.update({
     f"{pid}_{kind}": (functools.partial(curved_state, kind, pid), FlowConfig(
@@ -823,7 +823,6 @@ class TestRunStats:
         # the initial state, the states of each completed step, then those of
         # the step that left the domain (RK4: its last stage)
         ("rk4", 1 + 4 * 138 + 3),
-        ("euler", 1 + 138 + 1),
     ])
     def test_point_domain_exit_counts(self, integrator, f_evals):
         w = WARPS["saturating"]
@@ -836,7 +835,7 @@ class TestRunStats:
         assert s["steps"] == 138 and s["f_evals"] == f_evals
         assert sum(s["dt_limiter"].values()) == 138
 
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("integrator", ["rk4"])
     @pytest.mark.parametrize("kind,pid,r0,t_end", [
         ("point", "euclidean", 1.0, 0.3),
         ("point", "saturating", 5000.0, 3.0),      # leaves the domain

@@ -38,6 +38,8 @@ class TestFlowConfig:
     def test_rejects_unknown_integrator(self):
         with pytest.raises(ValueError, match="integrator"):
             FlowConfig(t_end=1.0, integrator="rk45")
+        with pytest.raises(ValueError, match="unknown integrator 'euler'"):
+            FlowConfig(t_end=1.0, integrator="euler")
 
     @pytest.mark.parametrize("field", ["t_end", "safety", "dt_max",
                                        "snapshot_every", "record_every"])
@@ -96,19 +98,15 @@ class TestPointExactness:
 
 
 class TestTemporalOrder:
-    def test_euler_first_order_rk4_much_better(self):
-        # hyperbolic speed is nonlinear in phi, so integrator order shows
+    def test_rk4_is_fourth_order(self):
+        # hyperbolic speed is nonlinear in phi, so the integrator's order
+        # shows: halving dt divides the drift by 2^4 (16.12 from 0.05 to
+        # 0.025, 16.06 from 0.025 to 0.0125)
         w = make_warp("hyperbolic")
-        errs = {}
-        for dt in (2e-3, 1e-3):
-            tr = run(point_state(w, 1.0),
-                     FlowConfig(t_end=2.0, integrator="euler", dt_max=dt))
-            errs[dt] = drift(tr)
-        ratio = errs[2e-3] / errs[1e-3]
-        assert 1.7 < ratio < 2.3
-        tr4 = run(point_state(w, 1.0), FlowConfig(t_end=2.0, dt_max=1e-3))
-        assert drift(tr4) < 1e-11
-        assert errs[1e-3] > 1e-6
+        errs = [drift(run(point_state(w, 1.0),
+                          FlowConfig(t_end=2.0, dt_max=dt)))
+                for dt in (0.05, 0.025)]
+        assert 15.0 < errs[0] / errs[1] < 17.0
 
 
 class TestScalarSpeed:
@@ -390,7 +388,7 @@ class TestEvents:
         _, _, snap = tr.snapshots[-1]
         assert np.isfinite(snap.F).all()
 
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("integrator", ["rk4"])
     def test_overflow_edge_ends_point_and_field_runs_alike(self, integrator):
         # r = e^phi overflows above phi = 709.78, which a flow from r = 1e308
         # reaches at t ~ 1.2; the point base once stepped past it and then
@@ -411,7 +409,7 @@ class TestEvents:
             assert repr(point.terminal) == repr(field.terminal)
             assert point.t_final == field.t_final == point.snapshots[-1][0]
 
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("integrator", ["rk4"])
     def test_cosh_overflow_ends_point_and_field_runs_alike(self, integrator):
         # h' = cosh r overflows at r = 710.48, which a hyperbolic flow of
         # curves (n = 2, dr/dt ~ 1) from r = 705 reaches at t ~ 5.5.  The
@@ -432,7 +430,7 @@ class TestEvents:
         for tr in traces:
             assert np.isfinite(tr.snapshots[-1][2].F).all()
 
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("integrator", ["rk4"])
     def test_F_overflow_ends_point_and_field_runs_alike(self, integrator):
         # n = 3: F = 2 cosh r overflows at r = 709.78, before h' = cosh r
         # does (710.48), which surfaces from r = 705 (dr/dt ~ 1/2) reach at
@@ -506,10 +504,9 @@ class TestEventKeepsState:
     @pytest.mark.parametrize("pid", sorted(PLANT_WARPS))
     @pytest.mark.parametrize("kind", ["point", "axisphere", "torus2"])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(integrator=st.sampled_from(["rk4", "euler"]),
-           bad=st.sampled_from(sorted(NONFINITE) + ["upper", "lower"]),
+    @given(bad=st.sampled_from(sorted(NONFINITE) + ["upper", "lower"]),
            x=st.floats(0.1, 10.0), at_step=st.integers(0, 30), data=st.data())
-    def test_planted_node(self, kind, pid, integrator, bad, x, at_step, data):
+    def test_planted_node(self, kind, pid, bad, x, at_step, data):
         w, r0 = PLANT_WARPS[pid]
         if kind == "point":
             base = make_base("point", 2)
@@ -523,8 +520,8 @@ class TestEventKeepsState:
         value = NONFINITE[bad] if bad in NONFINITE \
             else past_edge(w, bad == "upper", x)
         expected = "numeric" if bad in NONFINITE else "domain"
-        cfg = FlowConfig(t_end=0.05, integrator=integrator, safety=0.5,
-                         dt_max=1e-3, record_every=0.01, snapshot_every=0.02)
+        cfg = FlowConfig(t_end=0.05, safety=0.5, dt_max=1e-3,
+                         record_every=0.01, snapshot_every=0.02)
 
         def planted(phi):
             phi = np.array(phi, dtype=float, ndmin=1)
@@ -534,14 +531,14 @@ class TestEventKeepsState:
         phi0 = radial_potential(w, r)
         step, seen = flow_mod._step, {}
 
-        def step_planting(stepper, phi, t, dt, t_new, euler):
+        def step_planting(stepper, phi, t, dt, t_new):
             # plant into the state a step starts from, after its check
             seen["n"] = seen.get("n", 0) + 1
             if seen["n"] == at_step:
                 seen["t"], seen["phi"] = t, np.array(phi, ndmin=1)
                 phi = planted(phi)
                 phi = float(phi[0]) if kind == "point" else phi
-            return step(stepper, phi, t, dt, t_new, euler)
+            return step(stepper, phi, t, dt, t_new)
 
         with np.errstate(all="ignore"), \
                 mock.patch.object(flow_mod, "_step", step_planting):
@@ -563,6 +560,58 @@ class TestEventKeepsState:
         assert np.isfinite(state.phi).all()
         assert phi_domain_violation(w, state.phi) is None
         assert np.isfinite(snap.F).all() and float(snap.F.min()) > 0.0
+
+
+class TestStageEvent:
+    """An event at an RK4 stage ends the run at that stage.  The second
+    check of a step is of phi + (dt/2) k2 at t + dt/2; the trace keeps that
+    stage when it is a graph (F <= 0) and the step's start otherwise."""
+
+    @pytest.mark.parametrize("kind", ["loss_of_mean_convexity", "domain"])
+    def test_event_at_the_second_check_of_a_step(self, kind):
+        base = make_base("axisphere", 16)
+        w = make_warp("euclidean")
+        cfg = FlowConfig(t_end=0.05, safety=0.5, dt_max=1e-3,
+                         record_every=0.01, snapshot_every=0.02)
+        at_step, node = 15, 3
+        # call 1 checks the initial state, then each step makes four
+        at_call = 4 * (at_step - 1) + 3
+        evaluate, step = flow_mod._evaluate, flow_mod._step
+        calls, steps, seen = [0], [], {}
+
+        def stepping(stepper, phi, t, dt, t_new):
+            steps.append((t, dt, np.array(phi)))
+            return step(stepper, phi, t, dt, t_new)
+
+        def evaluating(dispatch, phi, t, theta_min, out=None):
+            calls[0] += 1
+            if calls[0] == at_call:
+                seen["phi"], seen["t"] = np.array(phi), t
+                return None, flow_mod.FlowEvent(kind, t, node, -1.0)
+            return evaluate(dispatch, phi, t, theta_min, out)
+
+        state = GraphState.from_radius(base, w, 1.0 + 0.1 * np.cos(base.theta))
+        with mock.patch.object(flow_mod, "_step", stepping), \
+                mock.patch.object(flow_mod, "_evaluate", evaluating):
+            tr = run(state, cfg)
+        ev = tr.terminal
+        assert len(steps) == at_step and calls[0] == at_call
+        assert (ev.kind, ev.node) == (kind, node)
+        assert tr.stats["f_evals"] == at_call
+        t0, dt, phi0 = steps[-1]
+        h = 0.5 * dt
+        assert ev.t == seen["t"] == t0 + h
+        dispatch = flow_mod._Dispatch(base, w)
+        k1 = evaluate(dispatch, phi0, t0, cfg.theta_min)[0][1]
+        k2 = evaluate(dispatch, phi0 + h * k1, t0 + h, cfg.theta_min)[0][1]
+        assert np.array_equal(seen["phi"], phi0 + h * k2)
+        t_s, last, _ = tr.snapshots[-1]
+        if kind == "loss_of_mean_convexity":
+            assert t_s == tr.times[-1] == ev.t
+            assert np.array_equal(last.phi, seen["phi"])
+        else:
+            assert t_s == tr.times[-1] == t0
+            assert np.array_equal(last.phi, phi0)
 
 
 class TestSymmetryAndMonotonicity:
@@ -602,14 +651,13 @@ class TestSymmetryAndMonotonicity:
     @pytest.mark.parametrize("kind", ["circle", "axisphere", "torus2"])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(pid=st.sampled_from(sorted(PLANT_WARPS)),
-           integrator=st.sampled_from(["rk4", "euler"]),
            modes=st.lists(st.tuples(st.integers(1, 2), st.integers(0, 2),
                                     st.floats(-0.05, 0.05), st.floats(0.0, 6.3)),
                           min_size=1, max_size=3))
     def test_expansion_is_nodewise_monotone_on_random_states(
-            self, kind, pid, integrator, modes):
+            self, kind, pid, modes):
         # every accepted stage has k = 1/F > 0, so no node's potential
-        # falls between snapshots, whatever the warp, state or integrator
+        # falls between snapshots, whatever the warp or state
         w, r0 = PLANT_WARPS[pid]
         base = make_base(kind, 6 if kind == "torus2" else 16)
         r = np.ones(base.shape)
@@ -622,8 +670,8 @@ class TestSymmetryAndMonotonicity:
                 angle = p * base.theta   # even across the poles
             r = r + a * np.cos(angle)
         tr = run(GraphState.from_radius(base, w, r0 * r),
-                 FlowConfig(t_end=0.05, integrator=integrator, safety=0.5,
-                            dt_max=1e-3, record_every=0.01, snapshot_every=0.01))
+                 FlowConfig(t_end=0.05, safety=0.5, dt_max=1e-3,
+                            record_every=0.01, snapshot_every=0.01))
         assert len(tr.snapshots) >= 2, tr.terminal
         for (_, s0, _), (_, s1, _) in zip(tr.snapshots, tr.snapshots[1:]):
             assert np.all(s1.phi >= s0.phi)

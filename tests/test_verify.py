@@ -312,6 +312,23 @@ class TestEvolutionResiduals:
             ratio = coarse[w]["max_residual"] / fine[w]["max_residual"]
             assert ratio >= 2.0, (w, ratio)
 
+    @pytest.mark.parametrize("M", [100, 200])
+    def test_circle_runs_pass_default_envelopes(self, M):
+        # the circle's flux-form induced Laplacian; each measured residual
+        # is at most 6 % of its threshold c_res (dt_snap + dx^2)
+        base = make_base("circle", M)
+        w = make_warp("euclidean")
+        r = 1.0 + 0.1 * np.cos(base.theta)
+        tr = run(GraphState(base, w, radial_potential(w, r), 0.0),
+                 FlowConfig(t_end=0.5, safety=0.5, dt_max=1e-3,
+                            snapshot_every=0.0125, record_every=0.0125))
+        rep = evolution_residuals(tr)
+        per = rep.details["per_identity"]
+        assert sorted(per) == ["H_eq", "omega_eq", "tw_eq", "u_eq"]
+        for w_id, info in per.items():
+            assert info["max_residual"] <= info["threshold"], w_id
+        assert rep.passed is True
+
     def test_torus2_supports_only_tw(self):
         base = make_base("torus2", 16)
         w = make_warp("euclidean")
