@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .warp import PRESETS, make_warp, radial_potential
+from .warp import PRESETS, WarpDomainError, make_warp, radial_potential
 from .manifold import make_base
 from .geometry import GraphState, snapshot
 from .flow import FlowConfig, FlowTrace, FlowEvent, run, TRACE_COLUMNS
@@ -212,7 +212,10 @@ def build_setup(cfg):
             r = np.full(base.shape, r0)
             for l, a in modes:
                 r = r + a * np.cos(l * theta)
-        phi0 = radial_potential(wspec, r)
+        try:
+            phi0 = radial_potential(wspec, r)
+        except WarpDomainError as exc:
+            raise ConfigError(str(exc), field="initial.r0")
 
     # only the flow.* keys the config sets; FlowConfig holds the defaults
     flow_kw = {}
@@ -305,7 +308,8 @@ def load_trace(outdir):
 
     rows = trace_path.read_text(encoding="utf-8").strip().splitlines()
     header = rows[0].split(",")
-    data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
+    data = np.array([[float(x) for x in r.split(",")]
+                     for r in rows[1:]]).reshape(-1, len(header))
     times = data[:, 0]
     columns = {name: data[:, j] for j, name in enumerate(header) if j > 0}
 

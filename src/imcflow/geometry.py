@@ -27,7 +27,7 @@ from . import warp as _warp
 from .manifold import _constant
 
 __all__ = [
-    "GraphState", "GeometrySnapshot", "snapshot", "speed", "speed_kernel",
+    "GraphState", "GeometrySnapshot", "snapshot", "speed_kernel",
     "StageBuffers", "stage_buffers", "shape_operator",
     "induced_metric", "ambient_ricci", "embedding_oracle_H",
     "OracleUnsupportedError",
@@ -72,22 +72,10 @@ def _light_fields(state):
     """
     base = state.base
     r, h, hp, hpp = _warp.warp_at_phi(state.warp, state.phi)
-    F, theta2, dphi2, diffs = speed(base, state.phi, hp)
+    F, theta2, dphi2, diffs = speed_kernel(base)(state.phi, hp)
     grad, hess = base.assemble(diffs)
     return dict(r=r, h=h, hp=hp, hpp=hpp, theta=np.sqrt(theta2), theta2=theta2,
                 dphi2=dphi2, F=F, grad=grad, hess=hess, sinv=base.sigma_inv_diag())
-
-
-def speed(base, phi, hp, out=None):
-    """(F, Theta^2, |D phi|^2, differences of phi) of a state, from phi and h'.
-
-    The one F formula of every base: speed_kernel(base) with its
-    constants bound.  The time stepper builds that kernel once per run and
-    calls it for every stage with a StageBuffers set; _light_fields (so
-    snapshot) calls speed for every recorded state with out=None, which
-    gives new arrays.
-    """
-    return speed_kernel(base)(phi, hp, out)
 
 
 # 1.0 of the kernels and flow._evaluate, as a 0-d operand
@@ -107,13 +95,18 @@ def stage_buffers(base):
 
 
 def speed_kernel(base):
-    """The speed kernel of a base: kernel(phi, hp, out=None) gives what
-    speed gives, out a StageBuffers set or None.
+    """The speed kernel of a base: kernel(phi, hp, out=None) gives
+    (F, Theta^2, |D phi|^2, differences of phi) of a state from phi and h',
+    out a StageBuffers set or None.
 
-    With a set every array the kernel returns is one of the set's, written
-    in place by the operations, in the order, of the allocating path; the
-    bits agree.  The point base has no derivatives (F = d h', Theta = 1,
-    no differences) and takes no set; the field bases bind their constants.
+    The one F formula of every base, with the base's constants bound.  The
+    time stepper builds the kernel once per run and calls it for every
+    stage with a StageBuffers set; _light_fields (so snapshot) builds it
+    for every recorded state and calls it with out=None, which gives new
+    arrays.  With a set every array the kernel returns is one of the set's,
+    written in place by the operations, in the order, of the allocating
+    path; the bits agree.  The point base has no derivatives (F = d h',
+    Theta = 1, no differences) and takes no set.
     """
     if base.kind == "torus2":
         return _kernel_2d(base)

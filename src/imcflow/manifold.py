@@ -21,13 +21,15 @@ Each base has one finite-difference stencil, differences(f, out=None):
 the central first and second differences of f from one ghost-padded copy
 (a tuple, empty on the point base).  The copy is one gather of f through
 the base's pad index, which states its boundary rule: periodic on the
-circle and the torus, even reflection across the poles on the axisphere.
+circle and the torus, even reflection across the poles on the axisphere;
+the circle and the axisphere share one theta grid, _ThetaGrid.
 With out=None every array is new; out, a tuple from stencil_buffers(),
 holds the padded copy and the differences, and the stencil writes them
 in place with the same operations in the same order, so the bits agree.
 assemble(diffs) lays the differences out as the covariant (grad, hess)
 arrays; covariant_derivatives is the two composed, and the speed kernels
-of geometry read the differences directly.
+of geometry read the differences directly.  The base metric sigma is
+flat, BaseManifold's default, on every base but the axisphere.
 """
 
 from __future__ import annotations
@@ -65,8 +67,18 @@ class BaseManifold:
             raise ValueError(f"field shape {f.shape} does not match {self.kind} grid {self.shape}")
         return f
 
-    # subclasses: differences (the one stencil), assemble, integrate,
-    # sigma_diag, sigma_inv_diag, ricci_dphi; field bases: stencil_buffers
+    # subclasses: differences (the one stencil), assemble, integrate; field
+    # bases: stencil_buffers.  The metric: sigma and its inverse as (dc, *grid)
+    # diagonals, Ric_N(D phi, D phi) from the gradient; flat unless overridden
+
+    def sigma_diag(self):
+        return np.ones((self.dc,) + self.shape)
+
+    def sigma_inv_diag(self):
+        return np.ones((self.dc,) + self.shape)
+
+    def ricci_dphi(self, grad):
+        return np.zeros(self.shape)
 
     def __repr__(self):
         return f"{type(self).__name__}(resolution={getattr(self, 'resolution', 1)})"
@@ -105,44 +117,61 @@ class PointBase(BaseManifold):
     def integrate(self, f):
         return float(self.check_field(f)[0])
 
-    def sigma_diag(self):
-        return self._grad0
 
-    def sigma_inv_diag(self):
-        return self._grad0
+class _ThetaGrid(BaseManifold):
+    """M >= 4 nodes theta_j = (j + offset) span/M in one angle, with one
+    ghost node past each end: the opposite end's node when periodic, the
+    end node itself (even reflection) otherwise."""
 
-    def ricci_dphi(self, grad):
-        return np.zeros(self.shape)
-
-
-class CircleBase(BaseManifold):
-    """S^1 with the unit round metric on a uniform periodic grid."""
-
-    kind = "circle"
-
-    def __init__(self, resolution, rho=0.0):
+    def __init__(self, resolution, rho, span, offset, periodic):
         M = int(resolution)
         if M < 4:
-            raise ValueError(f"circle needs >= 4 nodes, got {M}")
+            raise ValueError(f"{self.kind} needs >= 4 nodes, got {M}")
         self.resolution = M
-        self.d = 1
         self.rho = float(rho)
         self.shape = (M,)
         self.n_nodes = M
-        self.dc = 1
-        self.dtheta = 2.0 * np.pi / M
-        self.theta = np.arange(M) * self.dtheta
+        self.dtheta = span / M
+        self.theta = (np.arange(M) + offset) * self.dtheta
         self.dx_min = self.dtheta
         self._two_dx = _constant(2.0 * self.dtheta)
         self._dx2 = _constant(self.dtheta ** 2)
-        self._pad = np.concatenate(([M - 1], np.arange(M), [0]))   # periodic
+        lo, hi = (M - 1, 0) if periodic else (0, M - 1)
+        self._pad = np.concatenate(([lo], np.arange(M), [hi]))
 
     def differences(self, f, out=None):
-        """(f_theta, f_thetatheta) from one periodically padded copy of f."""
-        return _central_differences(f, self._pad, self._two_dx, self._dx2, out)
+        """(f_theta, f_thetatheta) from one ghost-padded copy of f; out is
+        (padded copy, first, second) or None.
+
+        The neighbours are summed first, so reflecting f reflects the second
+        difference bitwise (float + is commutative, the mixed order is not).
+        2 f lives in the first difference's array until that is formed.  pad
+        lies in range for an f of the base's shape, so the gather skips the
+        bounds check ("clip"), which costs as much again as the copy.
+        """
+        fp, g, d2 = out or (None, None, None)
+        fp = f.take(self._pad, None, fp, "clip")
+        up, down = fp[2:], fp[:-2]
+        d2 = np.add(up, down, out=d2)
+        d2 -= np.multiply(_TWO, f, out=g)
+        d2 /= self._dx2
+        g = np.subtract(up, down, out=g)
+        g /= self._two_dx
+        return g, d2
 
     def stencil_buffers(self):
-        return _stencil_buffers_1d(self.resolution)
+        M = self.resolution
+        return np.empty(M + 2), np.empty(M), np.empty(M)
+
+
+class CircleBase(_ThetaGrid):
+    """S^1 with the unit round metric on a uniform periodic grid."""
+
+    kind = "circle"
+    d = dc = 1
+
+    def __init__(self, resolution, rho=0.0):
+        super().__init__(resolution, rho, 2.0 * np.pi, 0, periodic=True)
 
     def assemble(self, diffs):
         g, d2 = diffs
@@ -151,42 +180,8 @@ class CircleBase(BaseManifold):
     def integrate(self, f):
         return float(np.sum(self.check_field(f)) * self.dtheta)
 
-    def sigma_diag(self):
-        return np.ones((1, self.resolution))
 
-    def sigma_inv_diag(self):
-        return np.ones((1, self.resolution))
-
-    def ricci_dphi(self, grad):
-        return np.zeros(self.shape)
-
-
-def _central_differences(f, pad, two_dx, dx2, out=None):
-    """First and second central differences of f from its copy padded by
-    the gather index pad; out is (padded copy, first, second) or None.
-
-    The neighbours are summed first, so reflecting f reflects the second
-    difference bitwise (float + is commutative, the mixed order is not).
-    2 f lives in the first difference's array until that is formed.  pad
-    lies in range for an f of the base's shape, so the gather skips the
-    bounds check ("clip"), which costs as much again as the copy.
-    """
-    fp, g, d2 = out or (None, None, None)
-    fp = f.take(pad, None, fp, "clip")
-    up, down = fp[2:], fp[:-2]
-    d2 = np.add(up, down, out=d2)
-    d2 -= np.multiply(_TWO, f, out=g)
-    d2 /= dx2
-    g = np.subtract(up, down, out=g)
-    g /= two_dx
-    return g, d2
-
-
-def _stencil_buffers_1d(M):
-    return np.empty(M + 2), np.empty(M), np.empty(M)
-
-
-class AxisphereBase(BaseManifold):
+class AxisphereBase(_ThetaGrid):
     """Unit S^2, axisymmetric fields only, cell-centered in the polar angle.
 
     Nodes sit at theta_j = (j + 1/2) pi / M so neither pole is a grid point;
@@ -195,19 +190,11 @@ class AxisphereBase(BaseManifold):
     """
 
     kind = "axisphere"
+    d = dc = 2
 
     def __init__(self, resolution, rho=1.0):
-        M = int(resolution)
-        if M < 4:
-            raise ValueError(f"axisphere needs >= 4 nodes, got {M}")
-        self.resolution = M
-        self.d = 2
-        self.rho = float(rho)
-        self.shape = (M,)
-        self.n_nodes = M
-        self.dc = 2
-        self.dtheta = np.pi / M
-        self.theta = (np.arange(M) + 0.5) * self.dtheta
+        super().__init__(resolution, rho, np.pi, 0.5, periodic=False)
+        M = self.resolution
         # build the trig tables mirror-symmetric about the equator; evaluating
         # sin/cos independently at theta and pi - theta differs by 1 ulp and
         # would break exact reflection equivariance of the stencils
@@ -218,22 +205,10 @@ class AxisphereBase(BaseManifold):
             half[-1] = 0.0   # middle node sits exactly on the equator
         self.cos = np.concatenate([half, -half[:M // 2][::-1]])
         self.cot = self.cos / self.sin
-        self.dx_min = self.dtheta
         self._weights = 2.0 * np.pi * self.sin * self.dtheta
-        # constants of the stencil and the speed kernel (geometry._kernel_1d)
+        # constants of the speed kernel (geometry._kernel_1d)
         self.sincos = self.sin * self.cos
         self.sin_inv2 = self.sin ** (-2.0)
-        self._two_dx = _constant(2.0 * self.dtheta)
-        self._dx2 = _constant(self.dtheta ** 2)
-        self._pad = np.concatenate(([0], np.arange(M), [M - 1]))   # even
-
-    def differences(self, f, out=None):
-        """(f_theta, f_thetatheta) from one copy of f padded across both
-        poles by even reflection."""
-        return _central_differences(f, self._pad, self._two_dx, self._dx2, out)
-
-    def stencil_buffers(self):
-        return _stencil_buffers_1d(self.resolution)
 
     def assemble(self, diffs):
         g, d2 = diffs
@@ -328,15 +303,6 @@ class Torus2Base(BaseManifold):
 
     def integrate(self, f):
         return float(np.sum(self.check_field(f)) * self.dx ** 2)
-
-    def sigma_diag(self):
-        return np.ones((2,) + self.shape)
-
-    def sigma_inv_diag(self):
-        return np.ones((2,) + self.shape)
-
-    def ricci_dphi(self, grad):
-        return np.zeros(self.shape)
 
 
 def make_base(kind, resolution=1, **kw):

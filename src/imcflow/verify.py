@@ -650,9 +650,12 @@ def check_A_bounded(trace):
     """No blow-up trend in max |A|: last-quartile max <= 2 x trace median.
 
     A non-finite max |A| at any record fails the check (margin NaN, its
-    first record the worst), and so does a zero median (margin -inf).
+    first record the worst), and so does a zero median (margin -inf).  A
+    trace with no records raises ValueError.
     """
     maxA = trace.columns["max_A"]
+    if not maxA.size:
+        raise ValueError("trace has no records")
     times = trace.times
     notes = []
     _base_notes(trace, notes)

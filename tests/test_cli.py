@@ -198,6 +198,57 @@ class TestConfigErrorsExitThree:
         cfg = write_cfg(tmp_path, POINT_RUN)
         assert main(["run", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("warp.preset = euclidean\n", "", "field 'warp.preset'): missing required key"),
+        ("checks =", "check.H_floor = 1\nchecks =", "expected check.<id>.<param>"),
+        ("base.kind = point", "base.kind = circle\nbase.resolution = 2",
+         "circle needs >= 4 nodes, got 2"),
+        ("initial.r0 = 1.0\n", "", "need initial.r0 or initial.phi"),
+    ])
+    def test_setup_errors(self, tmp_path, capsys, old, new, message):
+        cfg = write_cfg(tmp_path, POINT_RUN.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_config(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path / "o")]) == 3
+        assert "--config is required" in capsys.readouterr().err
+
+    def test_empty_sweep_axis(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, POINT_RUN + "sweep.flow.t_end = ,\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert "empty sweep axis" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, r0, domain", [
+        ("euclidean", "-1", "(0.0, inf)"),
+        ("schwarzschild3", "3000", "(0.0, 2000.0)"),
+    ])
+    def test_initial_radius_outside_the_domain(self, tmp_path, capsys,
+                                               preset, r0, domain):
+        # the domain error once ended in a traceback (exit 1) after the run
+        # directory was made
+        cfg = write_cfg(tmp_path, POINT_RUN.replace(
+            "euclidean", preset).replace("initial.r0 = 1.0", f"initial.r0 = {r0}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "field 'initial.r0'" in err and domain in err
+        assert not out.exists()
+
+    def test_sweep_point_outside_the_domain(self, tmp_path, capsys):
+        # the domain error once stopped the sweep at its first bad point
+        cfg = write_cfg(tmp_path, POINT_RUN.replace(
+            "initial.r0 = 1.0", "sweep.initial.r0 = -1, 1.0"))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert "radius -1.0 outside (0.0, inf)" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["initial.r0=1.0"]
+        assert (out / "initial.r0=1.0" / "report.json").is_file()
+
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 3
         assert "usage" in capsys.readouterr().err
@@ -463,6 +514,27 @@ class TestUnevaluableChecks:
         notes = self.inapplicable(out, "evolution_residuals")
         assert "need at least 3 snapshots" in notes[0]
         assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_trace_with_no_records(self, tmp_path):
+        # phi = 0.5 lies outside hyperbolic's potentials (ln tanh(r/2) < 0):
+        # a domain event at t = 0 leaves trace.csv with only its header,
+        # which load_trace once failed to read
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, """\
+            warp.preset = hyperbolic
+            base.kind = point
+            initial.phi = 0.5
+            flow.t_end = 1.0
+            checks = growth_and_support, H_floor, evolution_residuals, A_bounded
+            """)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert (out / "trace.csv").read_text().count("\n") == 1
+        assert self.inapplicable(out, "A_bounded") == ["trace has no records"]
+        first = (out / "report.json").read_bytes()
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == first
+        report = json.loads(first)
+        assert all(c["pass"] is None for c in report["checks"])
 
 
 class TestSweepCommand:

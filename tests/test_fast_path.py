@@ -1,7 +1,7 @@
-"""The lean stage path: the stencil, geometry.speed, _evaluate, the counts.
+"""The lean stage path: the stencil, the speed kernel, _evaluate, the counts.
 
 differences and assemble must give the np.roll stencils' gradient and
-Hessian bit for bit, geometry.speed the generic einsum formula's F and
+Hessian bit for bit, geometry.speed_kernel the generic einsum formula's F and
 Theta^2, flow._evaluate the verdict, event and fields of a reference built
 from warp_at_phi and that formula, with a StageBuffers set and without,
 flow._cfl_dt the step size of a plain np.max reference, and a run must
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from imcflow import flow as flow_mod, warp as warp_mod
 from imcflow.flow import FlowConfig, FlowEvent, run
-from imcflow.geometry import GraphState, _light_fields, speed, stage_buffers
+from imcflow.geometry import GraphState, _light_fields, speed_kernel, stage_buffers
 from imcflow.manifold import covariant_derivatives, make_base
 from imcflow.warp import (WarpDomainError, eval_warp, hp_at_phi, make_warp,
                           radial_potential, scalar_speed, warp_at_phi)
@@ -92,7 +92,7 @@ def _einsum_fields(base, phi, hp):
     """Theta, dphi2 and F through the full stencils and einsum.
 
     The generic formula for any base with a diagonal metric, from the
-    np.roll stencils; the bitwise reference for geometry.speed.
+    np.roll stencils; the bitwise reference for geometry.speed_kernel.
     """
     nm1 = base.d
     grad, hess = _roll_stencils(base, phi)
@@ -112,8 +112,8 @@ FIELD_KEYS = ("F", "theta", "theta2", "dphi2", "grad", "hess", "sinv")
 
 
 def _speed_fields(base, phi, hp):
-    """geometry.speed and base.assemble, keyed like _einsum_fields."""
-    F, theta2, dphi2, diffs = speed(base, phi, hp)
+    """geometry.speed_kernel and base.assemble, keyed like _einsum_fields."""
+    F, theta2, dphi2, diffs = speed_kernel(base)(phi, hp)
     grad, hess = base.assemble(diffs)
     return dict(theta=np.sqrt(theta2), theta2=theta2, dphi2=dphi2, F=F,
                 grad=grad, hess=hess, sinv=base.sigma_inv_diag())
@@ -530,7 +530,7 @@ class TestReductionsByIndex:
         # so a planted -inf or 0.0/-0.0 tie is the array's minimum
         base, w = make_base(kind, M), WARPS["euclidean"]
         phi = 0.1 * wave(base, 2)
-        F, theta2 = speed(base, phi, 1.0)[:2]
+        F, theta2 = speed_kernel(base)(phi, 1.0)[:2]
         assert F.min() > 0.0
         kinds = set()
         for plant in plants({"F": F, "theta2": theta2}[name]):
@@ -569,7 +569,7 @@ class TestReductionsByIndex:
         # on either, since NaN < dt_max is false
         base = make_base(kind, M)
         phi = 0.1 * wave(base, 2)
-        F, theta2, _, diffs = speed(base, phi, 1.0)
+        F, theta2, _, diffs = speed_kernel(base)(phi, 1.0)
         for plant in plants({"F": F, "theta2": theta2}[name]):
             args = {"F": F, "theta2": theta2}
             args[name] = planted(args[name], plant)
@@ -634,7 +634,7 @@ class TestCflDt:
             rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
             hp = hp * (1.0 + 0.1 * rng.random(base.shape))
         with np.errstate(all="ignore"):
-            F, theta2, _, diffs = speed(base, phi, hp)
+            F, theta2, _, diffs = speed_kernel(base)(phi, hp)
             mine = flow_mod._cfl_dt(base, F, theta2, diffs, safety)
             assert same(mine, reference_cfl_dt(base, F, theta2, diffs, safety))
 

@@ -157,6 +157,14 @@ class TestHFloor:
         assert rep.details["worst"]["value"] >= rep.details["worst"]["bound"]
 
     @pytest.mark.parametrize("short_run", ["schwarzschild3"], indirect=True)
+    @pytest.mark.parametrize("h0", [0.0, -1.0])
+    def test_nonpositive_h0_makes_the_floor_vacuous(self, short_run, h0):
+        rep = check_H_floor(short_run, h0=h0)
+        assert rep.passed is True and rep.margin == math.inf
+        assert rep.details["h0"] == h0 and rep.details["floor_at_T"] == 0.0
+        assert rep.notes[-1] == "h0 = 0 makes the floor vacuous on this horizon"
+
+    @pytest.mark.parametrize("short_run", ["schwarzschild3"], indirect=True)
     @pytest.mark.parametrize("R1", [0.5, 0.0, -1.0])
     def test_R1_below_h_on_the_whole_domain_is_inapplicable(self, short_run, R1):
         # h >= 3m = 1.5 on schwarzschild3 m = 0.5, so no radius has h = R1
@@ -270,6 +278,18 @@ class TestAsymptotics:
             assert rep.details["non_finite"] == ["grad_phi", "hess_phi"]
             assert "non-finite values in grad_phi, hess_phi; nothing fitted" in rep.notes
 
+    def test_fewer_than_three_snapshots_in_the_window(self, circle_slight):
+        # the last snapshot alone: the decay rates of the record columns are
+        # fitted, the shape deviation and the growth of max H h are not
+        rep = check_asymptotics(circle_slight, "expect_roundness", tol_osc=1.0,
+                                fit_window=(7.6, 8.0))
+        rates = rep.details["rates"]
+        assert math.isnan(rates["shape_dev"]) and math.isnan(rep.details["gamma_Hh"])
+        assert all(rates[k] > 0.0 for k in ("grad_phi", "hess_phi", "osc"))
+        assert any(n.startswith("fewer than 3 snapshots in the fit window")
+                   for n in rep.notes)
+        assert rep.passed is True
+
     def test_short_trace_raises(self, euclid_point):
         with pytest.raises(ValueError, match="too short"):
             check_asymptotics(euclid_point, "expect_roundness")
@@ -347,6 +367,11 @@ class TestEvolutionResiduals:
             assert per[w_id] == {"status": "inapplicable"}
         assert "max_residual" in per["tw_eq"]
         assert any("unsupported" in note for note in rep4.notes)
+        # no supported identity requested: nothing to judge
+        rep2 = evolution_residuals(tr, which=("omega_eq", "H_eq"))
+        assert rep2.passed is None and math.isnan(rep2.margin)
+        assert rep2.details["per_identity"] == {
+            w_id: {"status": "inapplicable"} for w_id in ("omega_eq", "H_eq")}
 
     def test_u_eq_inapplicable_where_H_is_not_positive(self):
         tr = wavy_axisphere_trace(16, 0.05, t_end=0.1)
@@ -393,6 +418,13 @@ class TestEvolutionResiduals:
         tr = point_trace("euclidean", 1.0, 0.5,
                          record_every=0.5, snapshot_every=0.5)
         with pytest.raises(ValueError, match="3 snapshots"):
+            evolution_residuals(tr)
+
+    def test_needs_an_equally_spaced_triple(self, euclid_point):
+        # snapshots at t = 0, 0.5, 1.5: the two spacings differ
+        snaps = [euclid_point.snapshots[i] for i in (0, 1, 3)]
+        tr = dataclasses.replace(euclid_point, snapshots=snaps)
+        with pytest.raises(ValueError, match="no equally spaced snapshot triples"):
             evolution_residuals(tr)
 
     def test_unknown_identity_raises(self, euclid_point):
