@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .warp import PRESETS, WarpDomainError, make_warp, radial_potential
+from .warp import PRESETS, WarpDomainError, make_warp, phi_domain_violation, radial_potential
 from .manifold import make_base
 from .geometry import GraphState, snapshot
 from .flow import FlowConfig, FlowTrace, FlowEvent, run, TRACE_COLUMNS
@@ -216,6 +216,11 @@ def build_setup(cfg):
             phi0 = radial_potential(wspec, r)
         except WarpDomainError as exc:
             raise ConfigError(str(exc), field="initial.r0")
+    node = phi_domain_violation(wspec, phi0)
+    if node is not None:    # a start the flow would end at t = 0
+        raise ConfigError(f"potential {float(phi0.flat[node])!r} at node {node} outside "
+                          f"the domain of {preset}",
+                          field="initial.r0" if phi_lit is None else "initial.phi")
 
     # only the flow.* keys the config sets; FlowConfig holds the defaults
     flow_kw = {}

@@ -586,7 +586,7 @@ def evolution_residuals(trace, which=None, c_res=None):
             triples.append((i, 0.5 * (d1 + d2)))
     if not triples:
         raise ValueError("no equally spaced snapshot triples in trace")
-    dt_snap = float(np.median([d for _, d in triples]))
+    dt_snap = _median([d for _, d in triples])
     dx = 0.0 if trace.base.dc == 0 else trace.base.dx_min
 
     hyp = {"base": trace.base.kind, "identities": list(requested)}
@@ -646,6 +646,15 @@ def evolution_residuals(trace, which=None, c_res=None):
                        0.0, details, notes)
 
 
+def _median(x):
+    """np.median's bits (NaN if x holds one) without its import of numpy.ma."""
+    x = np.sort(np.asarray(x, dtype=float), axis=None)   # NaN sorts last
+    if math.isnan(x[-1]):
+        return math.nan
+    m = x.size // 2
+    return float(x[m] if x.size % 2 else (x[m - 1] + x[m]) / 2.0)
+
+
 def check_A_bounded(trace):
     """No blow-up trend in max |A|: last-quartile max <= 2 x trace median.
 
@@ -660,7 +669,7 @@ def check_A_bounded(trace):
     notes = []
     _base_notes(trace, notes)
     sup_A = float(np.max(maxA))
-    med = float(np.median(maxA))
+    med = _median(maxA)
     t_cut = times[0] + 0.75 * (times[-1] - times[0])
     lastq = maxA[times >= t_cut]
     lastq_max = float(np.max(lastq)) if lastq.size else sup_A

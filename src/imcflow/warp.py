@@ -7,12 +7,12 @@ dr^2 + h(r)^2 sigma.  Everything downstream needs fast pointwise access to
     Phi(r) = int dr / h(r),
 
 whose inverse converts the evolving graph variable phi back to a radius.
-Presets cover the closed-form model geometries.  schwarzschild3 is closed
-form in the potential itself: with h = 2m cosh^2(v/2), h' = tanh(v/2) and
-Phi = v + const, so the stage path needs no radius.  Only saturating, whose
-potential is a quadrature, is tabulated once at construction: Phi at 4096
-knots by Gauss-Legendre quadrature, then Phi(r) and its inverse r(Phi) as
-cubic Hermite pieces with the exact slopes 1/h and h.
+Presets cover the closed-form model geometries.  hyperbolic, power and
+schwarzschild3 have h' in closed form in the potential (-1/tanh(phi),
+p / (1 + (1-p) phi), tanh(v/2) with h = 2m cosh^2(v/2) and Phi = v + c),
+so their stage path needs no radius.  Only saturating's potential is a
+quadrature, tabulated once: Phi at 4096 knots by Gauss-Legendre, then Phi(r)
+and r(Phi) as quintic Hermite pieces with exact first and second derivatives.
 
 Every preset, its tables and ``r_at_h`` (a Newton solve) need numpy alone.
 """
@@ -76,32 +76,35 @@ class WarpDomainError(ValueError):
         self.node = node
 
 
-class _CubicTable:
-    """Piecewise cubic Hermite table with a cheap vectorized evaluator.
+class _HermiteTable:
+    """Piecewise quintic Hermite table with a cheap vectorized evaluator.
 
-    Piece i is the cubic that takes the values y and the slopes dydx given
-    at its two knots; with exact slopes it is accurate to fourth order, and
+    Piece i is the quintic that takes the values y, slopes dy and second
+    derivatives d2y given at its two knots: sixth order with exact ones, and
     no linear system ties the pieces together.  Evaluation is searchsorted
-    plus Horner on our own arrays, since a generic piecewise-polynomial
-    call carries enough per-call overhead to dominate the single-node flow.
-    Column i of ``rows`` holds what piece i needs: its left knot, then its
-    four coefficients, highest power first, so one take gathers a piece.
+    plus Horner on our own arrays, since a generic piecewise-polynomial call
+    carries enough per-call overhead to dominate the single-node flow.
+    Column i of ``rows`` holds piece i's left knot, then its six
+    coefficients, highest power first, so one take gathers a piece.
     """
 
-    def __init__(self, x, y, dydx):
+    def __init__(self, x, y, dy, d2y):
         dx = np.diff(x)
-        secant = np.diff(y) / dx
-        d0, d1 = dydx[:-1], dydx[1:]
-        self.x = x
-        # in t = xq - x[i]: y0 + d0 t + (3 s - 2 d0 - d1) t^2 / dx
-        # + (d0 + d1 - 2 s) t^3 / dx^2, s the secant slope
-        self.rows = np.vstack([x[:-1], (d0 + d1 - 2.0 * secant) / dx ** 2,
-                               (3.0 * secant - 2.0 * d0 - d1) / dx, d0, y[:-1]])
-        self.c = self.rows[1:]  # (4, len(x) - 1)
-        self._last_seg = self.c.shape[1] - 1
-        # plain-float copies for the scalar path (single-node flows)
-        self._xl = self.x.tolist()
-        self._cl = self.c.tolist()
+        s = np.diff(y) / dx
+        d0, d1, e0, e1 = dy[:-1], dy[1:], d2y[:-1], d2y[1:]
+        # in t = xq - x[i]: y0 + d0 t + e0 t^2 / 2 and the t^3, t^4, t^5
+        # terms that meet y, dy and d2y at the right knot, s the secant slope
+        c5 = (6.0 * s - 3.0 * (d0 + d1)) / dx ** 4 + 0.5 * (e1 - e0) / dx ** 3
+        c4 = (8.0 * d0 + 7.0 * d1 - 15.0 * s) / dx ** 3 + (1.5 * e0 - e1) / dx ** 2
+        c3 = (10.0 * s - 6.0 * d0 - 4.0 * d1) / dx ** 2 + (0.5 * e1 - 1.5 * e0) / dx
+        self.x, self.rows = x, np.vstack([x[:-1], c5, c4, c3, 0.5 * e0, d0, y[:-1]])
+        self._last_seg = len(x) - 2
+
+    @functools.cached_property
+    def _scalar(self):
+        """The knots and each piece's coefficients as plain floats for the
+        scalar path (single-node flows), made on its first call."""
+        return self.x.tolist(), self.rows[1:].T.tolist()
 
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
@@ -113,22 +116,21 @@ class _CubicTable:
         return np.minimum(np.maximum(idx, 0), self._last_seg)
 
     def at(self, idx, xq):
-        """The cubic of piece idx at xq: ((c0 t + c1) t + c2) t + c3,
-        t = xq - left knot, in place after the first product (the same
-        roundings without the temporaries)."""
+        """The quintic of piece idx at xq by Horner's rule in t = xq - left
+        knot, in place after the first product (the same roundings without
+        the temporaries)."""
         cols = self.rows.take(idx, axis=1)
         t = xq - cols[0]
         out = cols[1] * t
-        out += cols[2]
-        out *= t
-        out += cols[3]
-        out *= t
-        out += cols[4]
+        for c in cols[2:6]:
+            out += c
+            out *= t
+        out += cols[6]
         return out
 
     def scalar_segment(self, xq):
         """segment for one float xq."""
-        i = bisect.bisect_left(self._xl, xq) - 1
+        i = bisect.bisect_left(self._scalar[0], xq) - 1
         if i < 0:
             return 0
         return self._last_seg if i > self._last_seg else i
@@ -140,16 +142,17 @@ class _CubicTable:
         x[i] < xq <= x[i+1], with no lower bound on the first piece and no
         upper bound on the last.
         """
-        x = self._xl
+        x = self._scalar[0]
         if (i == 0 or x[i] < xq) and (i == self._last_seg or xq <= x[i + 1]):
             return i
         return self.scalar_segment(xq)
 
     def scalar_at(self, i, xq):
-        """The cubic of piece i, evaluated at the float xq."""
-        t = xq - self._xl[i]
-        c = self._cl
-        return ((c[0][i] * t + c[1][i]) * t + c[2][i]) * t + c[3][i]
+        """The quintic of piece i, evaluated at the float xq as ``at`` does."""
+        x, pieces = self._scalar
+        c5, c4, c3, c2, c1, c0 = pieces[i]
+        t = xq - x[i]
+        return ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
 
 
 class WarpSpec:
@@ -256,29 +259,30 @@ def _sw_w_of_r(m, r):
     return w
 
 
-def _build_tables(spec, h_closed):
-    """Tabulate Phi = int dr / h on a geometric grid, and its inverse, as
-    cubic Hermite tables with the exact slopes Phi' = 1/h and r' = h."""
+def _build_tables(spec):
+    """Tabulate saturating's Phi = int dr / h on a geometric grid, and its
+    inverse, as quintic Hermite tables with the exact derivatives
+    Phi' = 1/h, Phi'' = -h'/h^2 and r' = h, r'' = h h'."""
     from numpy.polynomial.legendre import leggauss
     r_lo, r_max = spec.r_domain
+    a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
     # 4096 nodes: 0 at the left edge, then geometric spacing, which clusters
     # them where Phi bends fastest
     nodes = np.concatenate(([0.0], np.geomspace(r_max * 1e-7, r_max, 4095)))
     # 8-point Gauss-Legendre on every interval between nodes, summed up
     g, wg = leggauss(8)
     mid, half = 0.5 * (nodes[1:] + nodes[:-1]), 0.5 * np.diff(nodes)
-    steps = half * (1.0 / h_closed(mid[:, None] + half[:, None] * g) @ wg)
+    steps = half * (1.0 / _saturating_h(a, b, k, mid[:, None] + half[:, None] * g) @ wg)
     phi_vals = np.concatenate(([0.0], np.cumsum(steps)))
-    h_nodes = h_closed(nodes)
+    h, hp = _saturating_h(a, b, k, nodes), _hp(spec, nodes)
     # shift so Phi(phi_r0) = phi0
     phi_r0 = spec.params.get("phi_r0", r_lo + 1.0)
     phi0 = spec.params.get("phi0", 0.0)
     # anchor through the table itself, so Phi(phi_r0) = phi0 on the table
-    probe = _CubicTable(nodes, phi_vals, 1.0 / h_nodes)
-    shift = float(probe(phi_r0))
+    shift = float(_HermiteTable(nodes, phi_vals, 1.0 / h, -hp / h ** 2)(phi_r0))
     phi_vals = phi_vals - shift + phi0
-    spec._phi_table = _CubicTable(nodes, phi_vals, 1.0 / h_nodes)
-    spec._r_of_phi_table = _CubicTable(phi_vals, nodes, h_nodes)
+    spec._phi_table = _HermiteTable(nodes, phi_vals, 1.0 / h, -hp / h ** 2)
+    spec._r_of_phi_table = _HermiteTable(phi_vals, nodes, h, h * hp)
     spec._phi_domain = (float(phi_vals[0]), float(phi_vals[-1]))
 
 
@@ -298,10 +302,11 @@ def make_warp(preset_id, **params):
     if preset_id == "euclidean":
         return WarpSpec("euclidean", params, (0.0, math.inf))
     if preset_id == "hyperbolic":
-        # r ~ 2 e^phi as phi -> -inf; r -> inf as phi -> 0-, but cosh r
-        # overflows first, at r = 710.48 (phi = -5.6e-309)
+        # r ~ 2 e^phi > 0 down to e^phi's underflow; cosh r overflows at
+        # r = acosh(FLOAT_MAX), and h' = -1/tanh(phi) at phi = -1/FLOAT_MAX
         spec = WarpSpec("hyperbolic", params, (0.0, math.inf))
-        _derive_domains(spec, -1.0, r_good=1.0)
+        _derive_domains(spec, -1.0, r_good=1.0, r_near=(0.0, math.acosh(_FLOAT_MAX)),
+                        phi_near=(_EXP_LO, -1.0 / _FLOAT_MAX))
         return spec
     if preset_id == "power":
         p = float(params.get("p", 1.0))
@@ -313,8 +318,13 @@ def make_warp(preset_id, **params):
             # r = b^(1/(1-p)), b = 1 + (1-p) phi, rises with phi up to the
             # pole b = 0, past which pow can be positive again (p = 1.5)
             q = 1.0 - p
-            pole = _first_outside(lambda phi: 1.0 + q * phi > 0.0, 0.0, math.inf)
-            _derive_domains(spec, 0.0, r_good=1.0, phi_bad=pole)
+            pole = _first_outside(lambda phi: 1.0 + q * phi > 0.0, 0.0, math.inf, 1.0 / -q)
+            # h = r^p underflows below r = 2^(-1075/p) and overflows above
+            # FLOAT_MAX^(1/p); for p < 2 h'' overflows below about FLOAT_MAX^(1/(p-2))
+            r_lo = max(2.0 ** (-1075.0 / p), _FLOAT_MAX ** (1.0 / (p - 2.0)) if p < 2.0 else 0.0)
+            phi_lo = (math.exp(min(q * math.log(r_lo), 709.0)) - 1.0) / q
+            _derive_domains(spec, 0.0, r_good=1.0, phi_bad=pole,
+                            r_near=(r_lo, _FLOAT_MAX ** (1.0 / p)), phi_near=(phi_lo, pole))
         return spec
     if preset_id == "schwarzschild3":
         m = float(params.get("m", 0.5))
@@ -336,15 +346,17 @@ def make_warp(preset_id, **params):
     r_max = float(params.get("r_max", 1e4))
     params = dict(params, a=a, b=b, k=k, r_max=r_max)
     spec = WarpSpec("saturating", params, (0.0, r_max))
-    _build_tables(spec, h_closed=lambda r: _saturating_h(a, b, k, r))
+    _build_tables(spec)
     return spec
 
 
-def _first_outside(inside, good, bad):
+def _first_outside(inside, good, bad, near=None):
     """The first float x from ``good`` towards ``bad`` on which
     ``inside(x)`` fails, for a test that holds on good and, once it fails,
     fails all the way to bad: bisection on integer keys that order like the
-    floats (-0.0 and 0.0 share 0)."""
+    floats (-0.0 and 0.0 share 0), between the 2^16 floats round an
+    estimate ``near`` of x when the test holds on the first and fails on
+    the last of them, which gives the same x."""
     def key(x):
         u = int(np.array(x, dtype=float).view(np.uint64))
         return u if u < 1 << 63 else (1 << 63) - u
@@ -354,6 +366,11 @@ def _first_outside(inside, good, bad):
         return float(np.array(u, dtype=np.uint64).view(float))
 
     g, b = key(good), key(bad)
+    if near is not None:
+        w = 1 << 15 if b > g else -1 << 15
+        n0, n1 = (sorted((g, key(near) + d, b))[1] for d in (-w, w))
+        if inside(value(n0)) and not inside(value(n1)):
+            g, b = n0, n1
     while abs(b - g) > 1:
         m = (g + b) // 2
         if inside(value(m)):
@@ -373,12 +390,13 @@ def _valid(spec, r, h, hp, hpp):
             & (abs(hpp) < math.inf))
 
 
-def _derive_domains(spec, phi_good, r_good=None, phi_bad=math.inf):
+def _derive_domains(spec, phi_good, r_good=None, phi_bad=math.inf,
+                    r_near=(None, None), phi_near=(None, None)):
     """Set the potential domain (and from ``r_good`` the radius domain) to
     where the domain rule holds, searching from these valid values towards
-    -inf and ``phi_bad`` (0 and inf).  numpy's array loops and the C
-    functions of its scalars can differ in the last bit, so both a
-    one-element array and a numpy scalar must pass."""
+    -inf and ``phi_bad`` (0 and inf), near any estimates of the (lower,
+    upper) ends.  numpy's array loops and its scalars' C functions can
+    differ in the last bit, so a one-element array and a scalar must pass."""
     def inside(values):
         return lambda x: all(bool(_valid(spec, *values(v)))
                              for v in (np.array([x]), np.float64(x)))
@@ -386,18 +404,16 @@ def _derive_domains(spec, phi_good, r_good=None, phi_bad=math.inf):
     with np.errstate(all="ignore"):
         if r_good is not None:
             valid_r = inside(lambda r: (r,) + _warp_at_r(spec, r))
-            spec.r_domain = (_first_outside(valid_r, r_good, 0.0),
-                             _first_outside(valid_r, r_good, math.inf))
+            spec.r_domain = tuple(_first_outside(valid_r, r_good, end, near)
+                                  for end, near in zip((0.0, math.inf), r_near))
         valid_phi = inside(lambda phi: _warp_at_phi(spec, phi))
-        spec._phi_domain = (_first_outside(valid_phi, phi_good, -math.inf),
-                            _first_outside(valid_phi, phi_good, phi_bad))
+        spec._phi_domain = tuple(_first_outside(valid_phi, phi_good, end, near)
+                                 for end, near in zip((-math.inf, phi_bad), phi_near))
 
 
-def _saturating_h(a, b, k, r, log1p=np.log1p):
-    """h of saturating; the float speed passes math.log1p, whose bits can
-    differ from numpy's in the last place."""
+def _saturating_h(a, b, k, r):
     if k == 1.0:
-        return 1.0 + a * r - b * log1p(r)
+        return 1.0 + a * r - b * np.log1p(r)
     return 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
 
 
@@ -565,16 +581,8 @@ def _r_of_phi(spec, phi):
         return (1.0 + (1.0 - p) * phi) ** (1.0 / (1.0 - p))
     if pid == "schwarzschild3":
         return _sw_r(spec.params["m"], phi - spec._phi_lo)
-    return _table_r(spec, phi)
-
-
-def _table_r(spec, phi):
-    """r(phi) of saturating: the inverse table's cubic, then one Newton step
-    against the forward table, dPhi/dr = 1/h.  Each table call searches
-    its own knots; phi must lie in the potential domain."""
-    r = spec._r_of_phi_table(phi)
-    a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-    return r - (spec._phi_table(r) - phi) * _saturating_h(a, b, k, r)
+    # saturating: one knot search and one Horner pass of the inverse table
+    return spec._r_of_phi_table(phi)
 
 
 def warp_at_phi(spec, phi):
@@ -584,11 +592,14 @@ def warp_at_phi(spec, phi):
 
 
 def _warp_at_phi(spec, phi):
-    """warp_at_phi without the domain check."""
+    """warp_at_phi without the domain check; h' is field_hp's."""
     if spec.preset_id == "schwarzschild3":
         return _sw_warp(spec.params["m"], phi - spec._phi_lo)
     r = _r_of_phi(spec, phi)
-    return (r,) + _warp_at_r(spec, r)
+    h, hp, hpp = _warp_at_r(spec, r)
+    if spec.preset_id in ("hyperbolic", "power") and not _flat(spec):
+        hp = field_hp(spec)[0](phi)
+    return r, h, hp, hpp
 
 
 def _flat(spec):
@@ -602,8 +613,8 @@ def hp_at_phi(spec, phi):
 
     The flat presets return the float 1.0, which broadcasts like
     warp_at_phi's array of ones and gives the same products bit for bit;
-    schwarzschild3 h' = tanh(v/2), with no radius.  Other presets invert
-    phi, then evaluate h' only.
+    hyperbolic, power and schwarzschild3 take h' in closed form in phi,
+    with no radius.  saturating inverts phi, then evaluates h' only.
     """
     return field_hp(spec)[0](_checked(spec, phi, spec._phi_domain, "potential"))
 
@@ -619,7 +630,14 @@ def field_hp(spec):
     if spec.preset_id == "schwarzschild3":
         phi_lo = spec._phi_lo
         return (lambda phi: _sw_hp(phi - phi_lo)), lo, hi
-    return (lambda phi: _hp(spec, _r_of_phi(spec, phi))), lo, hi
+    if spec.preset_id == "hyperbolic":
+        # cosh r = (1 + T^2) / (1 - T^2) = -1/tanh(phi) for phi = ln T, T = tanh(r/2)
+        return (lambda phi: -1.0 / np.tanh(phi)), lo, hi
+    if spec.preset_id == "power":
+        # r^(1-p) = 1 + (1-p) phi, and h' = p r^(p-1)
+        p, q = spec.params["p"], 1.0 - spec.params["p"]
+        return (lambda phi: p / (1.0 + q * phi)), lo, hi
+    return (lambda phi: _hp(spec, spec._r_of_phi_table(phi))), lo, hi
 
 
 @functools.lru_cache(maxsize=16)
@@ -631,17 +649,15 @@ def scalar_speed(spec, nm1):
     and array costs dominate, so each (spec, nm1) gets one float formula,
     built once, which tests nothing: the caller tests lo < phi < hi.  That
     is the potential domain (``phi_domain_violation``), cut where F = nm1 h'
-    overflows, by bisection where h' is unbounded (hyperbolic, before cosh
-    r does, and power p > 1), an upper interval since h' rises with phi.
-    Euclidean, hyperbolic and power are closed forms of the speed itself.
-    schwarzschild3 reads hp_at_phi's h' = tanh(v/2) on the float: numpy's
-    tanh of a float gives its array loop's bits, which math.tanh does not
-    always.  saturating takes the steps of hp_at_phi on plain floats:
-    bisect on float lists in place of searchsorted, and math.log1p in h,
-    which can differ from numpy's in the last bit.  The previous call's
-    inverse piece is the verified guess of this call's, and the inverse
-    piece that of the forward one, so no value depends on the order of
-    calls.
+    overflows, by bisection where h' is unbounded (hyperbolic and power
+    p > 1), an upper interval since h' rises with phi.  Every preset takes
+    the steps of field_hp and of the point base's 1/F, 1/(nm1 h'), on plain
+    floats.  hyperbolic calls math.tanh, whose bits can differ from numpy's
+    in the last place; schwarzschild3 calls numpy's tanh on the float,
+    which gives its array loop's bits.  saturating makes one knot search
+    (bisect on float lists in place of searchsorted) and one Horner pass;
+    the previous call's piece is the verified guess of this call's, so no
+    value depends on the order of calls.
     """
     pid = spec.preset_id
     lo, hi = spec._phi_domain
@@ -654,28 +670,21 @@ def scalar_speed(spec, nm1):
         with np.errstate(over="ignore"):
             hi = _first_outside(finite, float(np.nextafter(lo, hi)), hi)
     if pid == "hyperbolic":
-        # 1/h' = 1/cosh r = (1 - e^{2 phi}) / (1 + e^{2 phi}) = -tanh(phi) for
-        # phi = ln tanh(r/2); tanh does not cancel as phi -> 0-, unlike 1 - e^{2 phi}
-        return (lambda phi: -math.tanh(phi) / nm1), lo, hi
+        return (lambda phi: 1.0 / (nm1 * (-1.0 / math.tanh(phi)))), lo, hi
     if pid == "power":
-        p = spec.params["p"]
-        q = 1.0 - p
-        # r^{1-p} = 1 + (1-p) phi exactly, so 1/F is affine in phi
-        return (lambda phi: (1.0 + q * phi) / (nm1 * p)), lo, hi
+        p, q = spec.params["p"], 1.0 - spec.params["p"]
+        return (lambda phi: 1.0 / (nm1 * (p / (1.0 + q * phi)))), lo, hi
     if pid == "schwarzschild3":
         phi_lo = spec._phi_lo
         return (lambda phi: 1.0 / (nm1 * float(_sw_hp(phi - phi_lo)))), lo, hi
-    inv, fwd = spec._r_of_phi_table, spec._phi_table
+    inv = spec._r_of_phi_table
     a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-    h, log1p = _saturating_h, math.log1p     # locals on the per-stage path
     last = 0    # piece of the previous call, a guess that scalar_piece verifies
 
     def speed(phi):
         nonlocal last
         last = inv.scalar_piece(last, phi)
-        r = inv.scalar_at(last, phi)
-        r -= (fwd.scalar_at(fwd.scalar_piece(last, r), r) - phi) * h(a, b, k, r, log1p)
-        return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
+        return 1.0 / (nm1 * (a - b * (1.0 + inv.scalar_at(last, phi)) ** (-k)))
     return speed, lo, hi
 
 

@@ -239,6 +239,33 @@ class TestConfigErrorsExitThree:
         assert "field 'initial.r0'" in err and domain in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset, start", [
+        ("hyperbolic", "initial.phi = 0.5"),       # potentials ln tanh(r/2) < 0
+        ("power", "initial.phi = 1.0\nwarp.p = 2.0"),  # the pole 1 + (1-p) phi = 0
+        # a valid radius whose potential 1 - 1/r rounds onto the pole
+        ("power", "initial.r0 = 1e17\nwarp.p = 2.0"),
+    ])
+    def test_initial_potential_outside_the_domain(self, tmp_path, capsys, preset, start):
+        # an initial.phi outside the domain once ran, exited 2 and wrote a
+        # trace.csv with only its header
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("euclidean", preset).replace(
+            "initial.r0 = 1.0", start))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        field = start.split(" ")[0]
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_potential_outside_the_domain(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("euclidean", "hyperbolic").replace(
+            "initial.r0 = 1.0", "sweep.initial.phi = 0.5, -1.0"))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert "potential 0.5 at node 0 outside the domain of hyperbolic" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["initial.phi=-1.0"]
+        assert (out / "initial.phi=-1.0" / "report.json").is_file()
+
     def test_sweep_point_outside_the_domain(self, tmp_path, capsys):
         # the domain error once stopped the sweep at its first bad point
         cfg = write_cfg(tmp_path, POINT_RUN.replace(
@@ -516,18 +543,19 @@ class TestUnevaluableChecks:
         assert main(["check", "--config", cfg, "--out", str(out)]) == 0
 
     def test_trace_with_no_records(self, tmp_path):
-        # phi = 0.5 lies outside hyperbolic's potentials (ln tanh(r/2) < 0):
-        # a domain event at t = 0 leaves trace.csv with only its header,
-        # which load_trace once failed to read
+        # phi = -1e-308 lies inside hyperbolic's potentials, but F = 2 h' =
+        # -2/tanh(phi) overflows: a numeric event at t = 0 leaves trace.csv
+        # with only its header, which load_trace once failed to read
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, """\
             warp.preset = hyperbolic
             base.kind = point
-            initial.phi = 0.5
+            initial.phi = -1e-308
             flow.t_end = 1.0
             checks = growth_and_support, H_floor, evolution_residuals, A_bounded
             """)
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert (out / "trace.csv").read_text().count("\n") == 1
         assert self.inapplicable(out, "A_bounded") == ["trace has no records"]
         first = (out / "report.json").read_bytes()
@@ -728,6 +756,20 @@ print(sorted(m for m, module in sys.modules.items()
 """
 
 
+RUN_AND_CHECK_WITHOUT_NUMPY_MA = f"""\
+import sys
+from pathlib import Path
+from imcflow import cli
+cfg = Path(sys.argv[1]) / "run.cfg"
+cfg.write_text({FIELD_RUN.replace("growth_and_support, evolution_residuals",
+                                  "growth_and_support, H_floor, evolution_residuals, A_bounded")!r})
+out = str(Path(sys.argv[1]) / "out")
+assert cli.main(["run", "--config", str(cfg), "--out", out]) == 0
+assert cli.main(["check", "--config", str(cfg), "--out", out]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
 class TestColdStart:
     """Fresh interpreters, since this one has loaded scipy already."""
 
@@ -748,6 +790,14 @@ class TestColdStart:
         assert self.python(WITHOUT_SCIPY, str(tmp_path)).strip() == "[]"
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [c["check_id"] for c in report["checks"]] == ["H_floor"]
+
+    def test_run_and_check_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.median imports numpy.ma on its first call (about 14 ms and
+        # 2 MB); the checks take their medians by sorting
+        assert self.python(RUN_AND_CHECK_WITHOUT_NUMPY_MA, str(tmp_path)).strip() == "False"
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [c["check_id"] for c in report["checks"]] == [
+            "growth_and_support", "H_floor", "evolution_residuals", "A_bounded"]
 
     def test_tables_and_root_finders_work_from_a_cold_start(self):
         # the same values as in this interpreter, where scipy is loaded

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imcflow.flow import TRACE_COLUMNS, FlowConfig, run
 from imcflow.geometry import GraphState, snapshot
@@ -18,7 +19,7 @@ from imcflow.manifold import make_base
 from imcflow.verify import (CheckReport, DEFAULT_C_RES, check_A_bounded,
                             check_asymptotics, check_growth_and_support,
                             check_H_floor, curvature_floor,
-                            evolution_residuals, fit_decay_rate)
+                            evolution_residuals, fit_decay_rate, _median)
 from imcflow.warp import make_warp, radial_potential
 
 POINT = make_base("point", 2)   # surfaces in a 3-dimensional ambient
@@ -467,6 +468,34 @@ class TestABounded:
         tr = dataclasses.replace(short_run, columns={**short_run.columns, "max_A": zeros})
         rep = check_A_bounded(tr)
         assert rep.passed is False and rep.margin == -math.inf
+
+
+class TestMedian:
+    """verify._median gives np.median's bits without importing numpy.ma."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([1.0, 2.5, 0.0]),
+                    min_size=1, max_size=41),
+           st.lists(st.integers(0, 40), max_size=3))
+    def test_bits_of_np_median(self, xs, nan_at):
+        # odd and even lengths, repeated values, and NaN at a few places;
+        # only the sign of a zero median from a tie of 0.0 and -0.0 may
+        # differ, as np.median's partition and a sort order the tie apart
+        x = np.array(xs)
+        x[[i for i in nan_at if i < x.size]] = math.nan
+        want, got = float(np.median(x)), _median(list(x))
+        if math.isnan(want):
+            assert math.isnan(got)
+        elif want == 0.0:
+            assert got == 0.0
+        else:
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("x", [[math.inf], [1.0, math.inf], [-math.inf, 2.0, math.inf],
+                                   [math.nan], [3.0, math.nan, 1.0, 2.0]])
+    def test_infinities_and_nan(self, x):
+        want = float(np.median(np.array(x)))
+        assert _median(x) == want or math.isnan(_median(x)) and math.isnan(want)
 
 
 class TestReportSerialization:

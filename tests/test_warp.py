@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from imcflow import warp
+from imcflow import flow, warp
+from imcflow.manifold import make_base
 from imcflow.warp import (
     WarpDomainError,
     check_conditions,
@@ -323,6 +324,81 @@ class TestOneDomainTest:
         assert got_lo.hex() == lo.hex() and got_hi.hex() == want.hex()
 
 
+BRACKETED = [("hyperbolic", {}), ("power", {"p": 1.01}), ("power", {"p": 1.25}),
+             ("power", {"p": 1.5}), ("power", {"p": 2.0}), ("power", {"p": 3.7}),
+             ("power", {"p": 12.0})]
+
+
+class TestBracketedSearch:
+    """make_warp starts each domain search at an end known in closed form;
+    the edges are those of the search over the whole range."""
+
+    @pytest.mark.parametrize("pid, params", BRACKETED)
+    def test_edges_equal_the_unbracketed_search(self, pid, params):
+        spec = make_warp(pid, **params)
+        full = warp.WarpSpec(pid, spec.params, (0.0, math.inf))
+        if pid == "hyperbolic":
+            warp._derive_domains(full, -1.0, r_good=1.0)
+        else:
+            q = 1.0 - spec.params["p"]
+            pole = warp._first_outside(lambda phi: 1.0 + q * phi > 0.0, 0.0, math.inf)
+            assert pole.hex() == warp._first_outside(
+                lambda phi: 1.0 + q * phi > 0.0, 0.0, math.inf, 1.0 / -q).hex()
+            warp._derive_domains(full, 0.0, r_good=1.0, phi_bad=pole)
+        got = [v.hex() for v in spec.r_domain + spec._phi_domain]
+        assert got == [v.hex() for v in full.r_domain + full._phi_domain]
+
+    @pytest.mark.parametrize("pid, params", [("hyperbolic", {}), ("power", {"p": 3.7})])
+    def test_estimates_bracket_every_edge(self, pid, params, monkeypatch):
+        # four searches of 2 + 16 probes, each a one-element array and a
+        # scalar, where the whole range takes about 62 probes a search
+        calls = []
+        valid = warp._valid
+        monkeypatch.setattr(warp, "_valid", lambda *a: calls.append(1) or valid(*a))
+        make_warp(pid, **params)
+        assert len(calls) <= 4 * 2 * 18
+
+
+class TestClosedFormSlope:
+    """h' in closed form in phi on hyperbolic and power, as field_hp,
+    warp_at_phi and the float speed read it."""
+
+    @pytest.mark.parametrize("nm1", [1, 2])
+    @pytest.mark.parametrize("name", ["hyperbolic", "power p=2", "power p=3.7"])
+    def test_point_and_field_inverse_speeds(self, name, nm1):
+        # the point base's float 1/F = 1/(nm1 h') against the field path's
+        # on a one-node base: bit for bit on power; on hyperbolic exactly
+        # where math.tanh and numpy's tanh agree, else within 2 ulp
+        spec = ROUND_TRIP_WARPS[name]
+        speed, lo, hi = scalar_speed(spec, nm1)
+        rng = np.random.default_rng(5)
+        phi = np.concatenate([-(10.0 ** rng.uniform(-300, 1, 1000)),
+                              rng.uniform(-20.0, 1.0, 1000)])
+        phi = phi[(phi > lo) & (phi < hi)]
+        dispatch = flow._Dispatch(make_base("point", d=nm1), spec)
+        got = np.array([speed(v) for v in phi.tolist()])
+        want = np.array([flow._evaluate(dispatch, np.array([v]), 0.0, 0.0)[0][1][0]
+                         for v in phi.tolist()])
+        same = got == want
+        if spec.preset_id == "power":
+            assert same.all()
+        else:
+            tanh_agrees = np.array([math.tanh(v) == np.tanh(v) for v in phi.tolist()])
+            assert same[tanh_agrees].all()
+            assert np.all(abs(got - want) <= 2.0 * np.spacing(want))
+
+    @pytest.mark.parametrize("name", ["hyperbolic", "power p=2", "power p=3.7"])
+    def test_closed_form_slope_against_the_radius(self, name):
+        # h' in phi (-1/tanh(phi), p / (1 + (1-p) phi)) against h' of the
+        # inverted radius (cosh r, p r^(p-1)), on radii 1e-3 to 30; cosh r
+        # carries the radius's rounding, about eps r relative
+        spec = ROUND_TRIP_WARPS[name]
+        r = np.geomspace(1e-3, 30.0, 2000)
+        phi = radial_potential(spec, r)
+        want = eval_warp(spec, r_of_phi(spec, phi))[1]
+        assert np.all(abs(hp_at_phi(spec, phi) - want) <= 4.0 * EPS * (1.0 + r) * want)
+
+
 def _valid_at(spec, phi):
     return warp._valid(spec, *warp._warp_at_phi(spec, phi))
 
@@ -388,9 +464,9 @@ class TestRoundTripProperty:
         assert abs(back - phi) <= 16.0 * EPS * (abs(phi) + r / h), (phi, r, back)
 
 
-# The tabulated inversion with a searchsorted per table evaluation (two
-# bisects on the scalar path).  It is the array path's algorithm itself, and
-# the bitwise reference for the float path's reuse of the last piece.
+# The tabulated inversion: one searchsorted (one bisect on the scalar path)
+# and the quintic's Horner pass.  It is the array path's algorithm itself,
+# and the bitwise reference for the float path's reuse of the last piece.
 
 def _ref_segment(table, xq):
     idx = table.x.searchsorted(xq) - 1
@@ -399,8 +475,8 @@ def _ref_segment(table, xq):
 
 def _ref_at(table, idx, xq):
     t = xq - table.x.take(idx)
-    c0, c1, c2, c3 = table.c.take(idx, axis=1)
-    return ((c0 * t + c1) * t + c2) * t + c3
+    c5, c4, c3, c2, c1, c0 = table.rows[1:].take(idx, axis=1)
+    return ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
 
 
 def _ref_saturating(spec, r):
@@ -413,10 +489,8 @@ def _ref_saturating(spec, r):
 
 
 def reference_r_of_phi(spec, phi):
-    inv, fwd = spec._r_of_phi_table, spec._phi_table
-    r = _ref_at(inv, _ref_segment(inv, phi), phi)
-    idx = _ref_segment(fwd, r)
-    return r - (_ref_at(fwd, idx, r) - phi) * _ref_saturating(spec, r)[0]
+    inv = spec._r_of_phi_table
+    return _ref_at(inv, _ref_segment(inv, phi), phi)
 
 
 def reference_warp_at_phi(spec, phi):
@@ -429,24 +503,15 @@ def reference_warp_at_phi(spec, phi):
 
 
 def reference_scalar_speed(spec, nm1):
-    lists = [(t.x.tolist(), t.c.tolist()) for t in
-             (spec._r_of_phi_table, spec._phi_table)]
-
-    def scalar(table, xq):
-        x, c = lists[table]
-        i = min(max(bisect.bisect_left(x, xq) - 1, 0), len(x) - 2)
-        t = xq - x[i]
-        return ((c[0][i] * t + c[1][i]) * t + c[2][i]) * t + c[3][i]
-
+    x = spec._r_of_phi_table.x.tolist()
+    c = spec._r_of_phi_table.rows[1:].tolist()
     a, b, k = (spec.params[key] for key in ("a", "b", "k"))
 
     def speed(phi):
-        r = scalar(0, phi)
-        if k == 1.0:
-            h = 1.0 + a * r - b * math.log1p(r)
-        else:
-            h = 1.0 + a * r + b / (k - 1.0) * ((1.0 + r) ** (1.0 - k) - 1.0)
-        r -= (scalar(1, r) - phi) * h
+        i = min(max(bisect.bisect_left(x, phi) - 1, 0), len(x) - 2)
+        t = phi - x[i]
+        r = ((((c[0][i] * t + c[1][i]) * t + c[2][i]) * t + c[3][i]) * t
+             + c[4][i]) * t + c[5][i]
         return 1.0 / (nm1 * (a - b * (1.0 + r) ** (-k)))
     return speed
 
@@ -480,7 +545,7 @@ def same_outcome(spec, phi):
 
 
 class TestOneKnotSearch:
-    """The tabulated inversion gives the two-search reference bit for bit:
+    """The tabulated inversion gives the one-search reference bit for bit:
     the array path is that algorithm, and the float speed's guessed pieces
     are verified."""
 
@@ -488,17 +553,12 @@ class TestOneKnotSearch:
     def test_knots_and_neighbours(self, name):
         spec = TABLE_WARPS[name]
         phi = knot_potentials(spec)
-        inv, fwd = spec._r_of_phi_table, spec._phi_table
-        # the set reaches both fallbacks: the inverse piece is not the
-        # forward piece of r, and the Newton step leaves r's piece
-        guess = _ref_segment(inv, phi)
-        r = _ref_at(inv, guess, phi)
-        piece = _ref_segment(fwd, r)
-        left = _ref_segment(fwd, reference_r_of_phi(spec, phi)) != piece
-        assert (piece != guess).sum() > 100 and left.sum() > 10
+        # the set reaches every piece, from both of its knots
+        assert np.unique(_ref_segment(spec._r_of_phi_table, phi)).size \
+            == spec._r_of_phi_table.x.size - 1
         same_outcome(spec, phi)
         same_outcome(spec, phi[:phi.size // 4 * 4].reshape(4, -1)[::-1])
-        for v in phi[(piece != guess) | left][:60]:
+        for v in phi[::phi.size // 60]:
             same_outcome(spec, np.asarray(v))
         speed, _, _ = scalar_speed(spec, 2)
         ref = reference_scalar_speed(spec, 2)
@@ -570,32 +630,46 @@ class TestOneKnotSearch:
 
 
 class TestHermiteTables:
-    """saturating's tables: cubic Hermite pieces through the quadrature
-    values of Phi with the exact slopes, built with numpy alone."""
+    """saturating's tables: quintic Hermite pieces through the quadrature
+    values of Phi with the exact first and second derivatives, built with
+    numpy alone."""
 
     @pytest.mark.parametrize("name", sorted(TABLE_WARPS))
     def test_pieces_reproduce_knot_values_and_slopes(self, name):
-        # the forward table takes Phi with slope 1/h at the radius knots, the
-        # inverse one takes r with slope h at the potential knots; the left
-        # value and slope are the constant and linear coefficients, the
-        # right ones hold to the rounding of the few operations that give
-        # the coefficients, measured on the size of each term
+        # the forward table takes Phi, Phi' = 1/h and Phi'' = -h'/h^2 at the
+        # radius knots, the inverse one r, r' = h and r'' = h h' at the
+        # potential knots.  At the left knot these are the constant, linear
+        # and (halved) quadratic coefficients.  At the right knot they hold
+        # to the rounding of the coefficients: each sums 62 multiples of
+        # dy/dx^(n-1) and d2y/dx^(n-2) at most, and the j-th derivative of
+        # t^n at t = dx multiplies by n!/(n-j)! <= 20, hence 2^(6+2j) units
+        # of the slopes' and second derivatives' size there (plus y's)
         spec = TABLE_WARPS[name]
         fwd, inv = spec._phi_table, spec._r_of_phi_table
         a, b, k = (spec.params[key] for key in ("a", "b", "k"))
         h = warp._saturating_h(a, b, k, fwd.x)
+        hp = a - b * (1.0 + fwd.x) ** (-k)
         eps = np.finfo(float).eps
-        for table, y, slope in ((fwd, inv.x, 1.0 / h), (inv, fwd.x, h)):
-            x, (c0, c1, c2, c3) = table.x, table.c
+        n = np.arange(5, -1, -1)[:, None]     # the powers of t in rows[1:]
+        for table, y, dy, d2y in ((fwd, inv.x, 1.0 / h, -hp / h ** 2),
+                                  (inv, fwd.x, h, h * hp)):
+            x, c = table.x, table.rows[1:]
             dx = np.diff(x)
             pieces = np.arange(len(dx))
             assert table.at(pieces, x[:-1]).tobytes() == y[:-1].tobytes()
-            assert c2.tobytes() == slope[:-1].tobytes()
-            size = abs(c0) * dx ** 3 + abs(c1) * dx ** 2 + abs(c2) * dx + abs(c3)
-            assert np.all(abs(table.at(pieces, x[1:]) - y[1:]) <= 4.0 * eps * size)
-            end_slope = (3.0 * c0 * dx + 2.0 * c1) * dx + c2
-            size = 3.0 * abs(c0) * dx ** 2 + 2.0 * abs(c1) * dx + abs(c2)
-            assert np.all(abs(end_slope - slope[1:]) <= 16.0 * eps * size)
+            assert c[4].tobytes() == dy[:-1].tobytes()
+            assert c[3].tobytes() == (0.5 * d2y[:-1]).tobytes()
+            value = table.at(pieces, x[1:])
+            slope = (n[:5] * c[:5] * dx ** (n[:5] - 1)).sum(axis=0)
+            curvature = (n[:4] * (n[:4] - 1) * c[:4] * dx ** (n[:4] - 2)).sum(axis=0)
+            size_d = abs(dy[:-1]) + abs(dy[1:])
+            size_d2 = abs(d2y[:-1]) + abs(d2y[1:])
+            for j, (got, want) in enumerate(((value, y[1:]), (slope, dy[1:]),
+                                             (curvature, d2y[1:]))):
+                size = size_d * dx ** (1 - j) + size_d2 * dx ** (2 - j)
+                if j == 0:
+                    size = size + abs(y[:-1]) + abs(y[1:])
+                assert np.all(abs(got - want) <= 2.0 ** (6 + 2 * j) * eps * size), j
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_potential_against_quadrature(self, k):
@@ -613,6 +687,23 @@ class TestHermiteTables:
                 for lo, hi in zip(edges[:-1], edges[1:]))
             assert abs(float(radial_potential(spec, r)) - ref) < 1e-11, r
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_radius_against_quadrature(self, k):
+        # the inverse of the quadrature potential above, the radius error
+        # measured in potential, dr / h, to the same 1e-11
+        spec = make_warp("saturating", a=2.0, b=1.0, k=k)
+
+        def inv_h(s):
+            return 1.0 / float(warp._saturating_h(2.0, 1.0, k, s))
+
+        for r in np.geomspace(1e-3, 9e3, 41):
+            edges = np.geomspace(min(r, 1.0), max(r, 1.0), 41)
+            phi = math.copysign(1.0, r - 1.0) * sum(
+                quad(inv_h, lo, hi, epsabs=1e-14, epsrel=1e-14)[0]
+                for lo, hi in zip(edges[:-1], edges[1:]))
+            got = float(r_of_phi(spec, phi))
+            assert abs(got - r) * inv_h(r) < 1e-11, r
+
     def test_built_without_scipy(self):
         # k != 1 takes the power form of h, which the cold-start runs in
         # test_cli (k = 1, the log1p form) do not
@@ -628,10 +719,10 @@ class TestHermiteTables:
 
     @pytest.mark.parametrize("name", sorted(TABLE_WARPS))
     def test_float_speed_within_four_ulp_of_the_array_path(self, name):
-        # the float speed computes h with math.log1p and float powers, the
-        # array path with numpy's ufuncs; numpy scalar calls on the point
-        # path would cost more than one formula earns.  Of these 20000
-        # potentials 3 differ at k = 1 and 69 at k = 2, by at most 2 ulp
+        # the float speed computes h' with a float power, the array path
+        # with numpy's; numpy scalar calls on the point path would cost
+        # more than one formula earns.  Of these 20000 potentials 2 differ
+        # at k = 1 and 47 at k = 2, by at most 2 ulp
         spec = TABLE_WARPS[name]
         lo, hi = spec._phi_domain
         phi = np.random.default_rng(3).uniform(lo, hi, 20000)
