@@ -138,7 +138,7 @@ def _parse_ids(s, known=CHECK_IDS, what="check id"):
 # takes one float, and None marks the ones that take no single value
 _OVERRIDE_CONV = {
     "which": lambda s: _parse_ids(s, tuple(_verify.DEFAULT_C_RES), "identity"),
-    "c_res": None, "fit_window": None}
+    "fit_window": None}
 
 
 def _extract_checks(cfg):
@@ -478,86 +478,6 @@ def cmd_presets():
 
 
 # ---------------------------------------------------------------------------
-# fixture seeding
-
-def seed_fixtures(outdir):
-    """Regenerate fixtures/calibration.json via the residual refinement study.
-
-    Four axisphere runs of the reference euclidean perturbation spanning a
-    2x2 grid in (resolution, snapshot spacing).  For each identity the study
-    records the envelope coefficient c = max_residual / (dt_snap + dx_min^2)
-    at every grid point plus the refinement ratio between the coarsest and
-    finest corners, then checks the frozen DEFAULT_C_RES values keep at
-    least 1.5x headroom over the worst measured coefficient.
-    """
-    from .verify import evolution_residuals, DEFAULT_C_RES
-
-    def study(M, dt_snap):
-        base = make_base("axisphere", M)
-        wspec = make_warp("euclidean")
-        r = 1.0 + 0.3 * np.cos(base.theta)
-        phi = radial_potential(wspec, r)
-        fc = FlowConfig(t_end=0.5, integrator="rk4", dt_max=1e-3,
-                        safety=0.5, snapshot_every=dt_snap,
-                        record_every=dt_snap)
-        return run(GraphState(base, wspec, phi, 0.0), fc)
-
-    grid = [(100, 0.05), (100, 0.0125), (200, 0.05), (200, 0.0125)]
-    ids = tuple(DEFAULT_C_RES)
-    points = {}
-    for M, dt_snap in grid:
-        trace = study(M, dt_snap)
-        rep = evolution_residuals(trace, which=ids,
-                                  c_res={k: np.inf for k in ids})
-        delta = dt_snap + trace.base.dx_min ** 2
-        points[(M, dt_snap)] = {
-            w: rep.details["per_identity"][w]["max_residual"] / delta
-            for w in ids}
-
-    calib = {}
-    ok = True
-    for w in ids:
-        worst = max(c[w] for c in points.values())
-        ratio = points[(100, 0.05)][w] / points[(200, 0.0125)][w]
-        frozen = DEFAULT_C_RES[w]
-        margin = frozen / worst
-        ok = ok and margin >= 1.5
-        calib[w] = {
-            "coefficients": {f"M={M},dt={dt}": c[w]
-                             for (M, dt), c in points.items()},
-            "worst_coefficient": worst,
-            "refinement_ratio": ratio,
-            "frozen_c_res": frozen,
-            "margin": margin,
-        }
-        print(f"{w}: worst c = {worst:.4g}, frozen = {frozen}, "
-              f"margin = {margin:.2f}, coarse/fine ratio = {ratio:.2f}")
-
-    doc = {
-        "tol_osc": 1e-3,
-        "obstruction_floor": 1e-2,
-        "c_res": dict(DEFAULT_C_RES),
-        "calibration": {
-            "setup": {"base": "axisphere", "warp": "euclidean",
-                      "initial_r": "1 + 0.3 cos(theta)", "t_end": 0.5,
-                      "integrator": "rk4", "safety": 0.5, "dt_max": 1e-3},
-            "grid": [{"M": M, "dt_snap": dt} for M, dt in grid],
-            "identities": calib,
-        },
-    }
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "calibration.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-    print(f"wrote {path}")
-    if not ok:
-        print("warning: frozen c_res below 1.5x headroom, recalibrate")
-        return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -568,13 +488,9 @@ def main(argv=None):
     parser.add_argument("--config", help="path to config file")
     parser.add_argument("--out", help="output (run/sweep) or trace (check) directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel sweep runs")
-    parser.add_argument("--seed-fixtures", action="store_true",
-                        help="regenerate fixtures/calibration.json and exit")
     args = parser.parse_args(argv)
 
     try:
-        if args.seed_fixtures:
-            return seed_fixtures(args.out or "fixtures")
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 3

@@ -386,73 +386,78 @@ def run(initial, config):
                          snapshots=snaps, terminal=terminal,
                          stats=stats.as_dict())
 
-    phi, event = stepper.start(np.array(initial.phi, dtype=float))
-    bad, t, dt = phi, 0.0, 0.0
-    if event is None:
-        record(t, phi, dt)
-    t_end, dt_max = config.t_end, config.dt_max
-    rec_every, snap_every = config.record_every, config.snapshot_every
-    tol = 1e-12 * max(1.0, t_end)
-    t_stop = t_end - tol
-    cfl_of = stepper.cfl
-    k_rec, k_snap = 1, 1
-    # completed steps go to stats in runs of equal (dt, limiter): a stats
-    # call per step would cost the point runs several percent
-    run_dt, run_lim, run_n = 0.0, "dt_max", 0
+    # an overflow to inf or NaN ends the run with the event the stepper's
+    # checks name, so numpy's warning (an error under -W error) adds
+    # nothing; one errstate per run, as entering one costs about a tenth of
+    # a stage
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi, event = stepper.start(np.array(initial.phi, dtype=float))
+        bad, t, dt = phi, 0.0, 0.0
+        if event is None:
+            record(t, phi, dt)
+        t_end, dt_max = config.t_end, config.dt_max
+        rec_every, snap_every = config.record_every, config.snapshot_every
+        tol = 1e-12 * max(1.0, t_end)
+        t_stop = t_end - tol
+        cfl_of = stepper.cfl
+        k_rec, k_snap = 1, 1
+        # completed steps go to stats in runs of equal (dt, limiter): a stats
+        # call per step would cost the point runs several percent
+        run_dt, run_lim, run_n = 0.0, "dt_max", 0
 
-    # one pass per cadence target, which only moves when a step lands on
-    # it; the conditional expressions are min's, which keeps its first
-    # argument on a tie (and on NaN)
-    while event is None and t < t_stop:
-        next_rec = k_rec * rec_every
-        next_snap = k_snap * snap_every
-        target = min(next_rec, next_snap, t_end)
-        while t < t_stop:
-            cfl = cfl_of()
-            capped = cfl < dt_max
-            dt = cfl if capped else dt_max
-            left = target - t
-            if left < dt:
-                dt = left
-            landed = dt >= left - tol
-            if landed:
-                dt = left
-            limiter = ("landing" if landed
-                       else "cfl" if capped else "dt_max")
+        # one pass per cadence target, which only moves when a step lands on
+        # it; the conditional expressions are min's, which keeps its first
+        # argument on a tie (and on NaN)
+        while event is None and t < t_stop:
+            next_rec = k_rec * rec_every
+            next_snap = k_snap * snap_every
+            target = min(next_rec, next_snap, t_end)
+            while t < t_stop:
+                cfl = cfl_of()
+                capped = cfl < dt_max
+                dt = cfl if capped else dt_max
+                left = target - t
+                if left < dt:
+                    dt = left
+                landed = dt >= left - tol
+                if landed:
+                    dt = left
+                limiter = ("landing" if landed
+                           else "cfl" if capped else "dt_max")
 
-            t_new = target if landed else t + dt
-            new, event = _step(stepper, phi, t, dt, t_new)
-            if event is not None:
-                bad = new       # phi, t stay the last valid state
-                break
-            phi, t = new, t_new
+                t_new = target if landed else t + dt
+                new, event = _step(stepper, phi, t, dt, t_new)
+                if event is not None:
+                    bad = new       # phi, t stay the last valid state
+                    break
+                phi, t = new, t_new
 
-            if dt == run_dt and limiter == run_lim:
-                run_n += 1
-            else:
-                stats.step(run_dt, run_lim, run_n)
-                run_dt, run_lim, run_n = dt, limiter, 1
-            if landed:
-                final = t >= t_stop
-                at_rec = abs(t - next_rec) <= tol or final
-                at_snap = abs(t - next_snap) <= tol or final
-                record(t, phi, dt, at_rec, at_snap)
-                while k_rec * rec_every <= t + tol:
-                    k_rec += 1
-                while k_snap * snap_every <= t + tol:
-                    k_snap += 1
-                break
-    stats.step(run_dt, run_lim, run_n)
+                if dt == run_dt and limiter == run_lim:
+                    run_n += 1
+                else:
+                    stats.step(run_dt, run_lim, run_n)
+                    run_dt, run_lim, run_n = dt, limiter, 1
+                if landed:
+                    final = t >= t_stop
+                    at_rec = abs(t - next_rec) <= tol or final
+                    at_snap = abs(t - next_snap) <= tol or final
+                    record(t, phi, dt, at_rec, at_snap)
+                    while k_rec * rec_every <= t + tol:
+                        k_rec += 1
+                    while k_snap * snap_every <= t + tol:
+                        k_snap += 1
+                    break
+        stats.step(run_dt, run_lim, run_n)
 
-    if event is None:
-        # a step that does not land ends below t_stop, so the last step
-        # landed on t_end and stored its row and snapshot (or t_end <= tol)
-        return finish("completed")
-    # graph-valid violations keep the offending state; otherwise fall back
-    # to the last valid one (phi at t; there is none before the first
-    # record) unless it is already stored
-    if event.kind in ("loss_of_mean_convexity", "angle_degeneracy"):
-        record(event.t, bad, dt)
-    elif times:
-        record(t, phi, dt, times[-1] != t, snaps[-1][0] != t)
-    return finish(event)
+        if event is None:
+            # a step that does not land ends below t_stop, so the last step
+            # landed on t_end and stored its row and snapshot (or t_end <= tol)
+            return finish("completed")
+        # graph-valid violations keep the offending state; otherwise fall back
+        # to the last valid one (phi at t; there is none before the first
+        # record) unless it is already stored
+        if event.kind in ("loss_of_mean_convexity", "angle_degeneracy"):
+            record(event.t, bad, dt)
+        elif times:
+            record(t, phi, dt, times[-1] != t, snaps[-1][0] != t)
+        return finish(event)

@@ -14,9 +14,8 @@ snapshot pairs for the time derivative, so they exercise the public trace
 format rather than integrator internals.  Identities stated along the
 normal flow are brought into the stored fixed-coordinate gauge by
 subtracting the tangential transport (Theta^2/F) phi^k d_k.  Pass
-thresholds are c_res * (dt_snap + dx^2) with c_res calibrated once by the
-refinement study in fixtures/calibration.json (regenerated via the CLI
---seed-fixtures).
+thresholds are c_res * (dt_snap + dx^2), with DEFAULT_C_RES calibrated by a
+refinement study that the test suite reruns (tests/test_acceptance.py).
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ __all__ = [
 
 # Residual envelope constants, one per identity: max residual must stay
 # below c_res * (snapshot spacing + dx_min^2).  Calibrated with >= 1.5x
-# headroom from the axisphere study recorded in fixtures/calibration.json.
+# headroom on an axisphere refinement study, whose coefficients
+# test_residual_envelopes_keep_headroom pins.
 # The u and H constants are set by the first snapshot triple, where high
 # time derivatives of the discrete fields are still relaxing; away from
 # t=0 those residuals run two orders of magnitude smaller.
@@ -553,16 +553,16 @@ _IDENTITIES = {
 }
 
 
-def evolution_residuals(trace, which=None, c_res=None):
+def evolution_residuals(trace, which=None):
     """Max |centered time difference - identity RHS| over snapshot triples.
 
-    Passes when every selected identity stays below c_res * (dt_snap + dx^2),
-    with dt_snap the snapshot spacing.  A non-finite residual ends its
-    identity's scan: the identity fails with that value, its time and
-    node, and the check's margin is -inf.  The material identities need the
-    1d-reduced induced operators, so they are unsupported on torus2 and
-    reported inapplicable if requested there; so is an identity whose field
-    is non-finite in a snapshot triple.
+    Passes when every selected identity stays below DEFAULT_C_RES *
+    (dt_snap + dx^2), with dt_snap the snapshot spacing.  A non-finite
+    residual ends its identity's scan: the identity fails with that value,
+    its time and node, and the check's margin is -inf.  The material
+    identities need the 1d-reduced induced operators, so they are
+    unsupported on torus2 and reported inapplicable if requested there; so
+    is an identity whose field is non-finite in a snapshot triple.
     """
     supported = tuple(w for w, (_, _, material, _) in _IDENTITIES.items()
                       if not material or trace.base.kind != "torus2")
@@ -570,8 +570,6 @@ def evolution_residuals(trace, which=None, c_res=None):
     for w in requested:
         if w not in _IDENTITIES:
             raise ValueError(f"unknown identity {w!r}")
-    if c_res is None:
-        c_res = DEFAULT_C_RES
 
     notes = []
     _base_notes(trace, notes)
@@ -624,19 +622,15 @@ def evolution_residuals(trace, which=None, c_res=None):
             notes.append(f"{w}: {undefined}")
             continue
         any_applicable = True
-        threshold = c_res[w] * (dt_snap + dx ** 2)
+        threshold = DEFAULT_C_RES[w] * (dt_snap + dx ** 2)
         finite = math.isfinite(worst[0])
         ok = finite and worst[0] <= threshold
         all_pass = all_pass and ok
-        if not finite:
-            margins.append(-math.inf)
-        elif math.isfinite(threshold):
-            margins.append((threshold - worst[0]) / threshold)
-        else:
-            margins.append(float("inf"))
+        margins.append((threshold - worst[0]) / threshold if finite
+                       else -math.inf)
         details["per_identity"][w] = {
             "max_residual": worst[0], "t": worst[1], "node": worst[2],
-            "threshold": threshold, "c_res": c_res[w],
+            "threshold": threshold, "c_res": DEFAULT_C_RES[w],
         }
     if not any_applicable:
         return CheckReport("evolution_residuals", hyp, None, float("nan"),

@@ -333,10 +333,12 @@ def make_warp(preset_id, **params):
         r_max = float(params.get("r_max", 2000.0))
         params = dict(params, m=m, r_max=r_max)
         spec = WarpSpec("schwarzschild3", params, (0.0, r_max))
-        # Phi(phi_r0) = phi0
-        spec._phi_lo = (params.get("phi0", 0.0)
-                        - float(_sw_w_of_r(m, params.get("phi_r0", 1.0))))
-        _derive_domains(spec, spec._phi_lo + float(_sw_w_of_r(m, 0.5 * r_max)))
+        # Phi(phi_r0) = phi0; r runs from 0 at phi_lo to r_max at
+        # phi_lo + w(r_max)
+        phi_lo = spec._phi_lo = (params.get("phi0", 0.0)
+                                 - float(_sw_w_of_r(m, params.get("phi_r0", 1.0))))
+        _derive_domains(spec, phi_lo + float(_sw_w_of_r(m, 0.5 * r_max)),
+                        phi_near=(phi_lo, phi_lo + float(_sw_w_of_r(m, r_max))))
         return spec
     a = float(params.get("a", 2.0))
     b = float(params.get("b", 1.0))

@@ -402,8 +402,7 @@ class TestEvents:
             traces = []
             for base in (POINT, make_base("axisphere", 8)):
                 state = GraphState.from_radius(base, w, np.full(base.shape, r0))
-                with np.errstate(all="ignore"):
-                    traces.append(run(state, cfg))
+                traces.append(run(state, cfg))
             point, field = traces
             assert point.terminal.kind == "domain"
             assert repr(point.terminal) == repr(field.terminal)
@@ -421,8 +420,7 @@ class TestEvents:
         traces = []
         for base in (make_base("point", d=1), make_base("circle", 8)):
             state = GraphState.from_radius(base, w, np.full(base.shape, 705.0))
-            with np.errstate(all="ignore"):
-                traces.append(run(state, cfg))
+            traces.append(run(state, cfg))
         point, field = traces
         assert point.terminal.kind == field.terminal.kind == "domain"
         assert point.terminal.t == field.terminal.t
@@ -440,8 +438,7 @@ class TestEvents:
         traces = []
         for base in (POINT, make_base("axisphere", 8)):
             state = GraphState.from_radius(base, w, np.full(base.shape, 705.0))
-            with np.errstate(all="ignore"):
-                traces.append(run(state, cfg))
+            traces.append(run(state, cfg))
         point, field = traces
         assert point.terminal.kind == field.terminal.kind == "numeric"
         assert point.terminal.t == field.terminal.t
@@ -450,14 +447,25 @@ class TestEvents:
         for tr in traces:
             assert np.isfinite(tr.snapshots[-1][2].F).all()
 
+    @pytest.mark.parametrize("base", [POINT, make_base("axisphere", 8)],
+                             ids=["point", "axisphere"])
+    def test_F_overflow_at_the_start_is_a_numeric_event(self, base):
+        # phi = -1e-308 lies inside hyperbolic's potentials, but F = 2 h' =
+        # -2/tanh(phi) overflows; numpy's overflow warning, an error under
+        # -W error, once escaped run before the event was recorded
+        w = make_warp("hyperbolic")
+        tr = run(GraphState(base, w, np.full(base.shape, -1e-308)),
+                 FlowConfig(t_end=1.0))
+        assert (tr.terminal.kind, tr.terminal.t) == ("numeric", 0.0)
+        assert len(tr.times) == 0 and tr.snapshots == []
+
     def test_radius_domain_event_names_the_offending_node(self):
         # phi = 710 inverts to r = e^710 = inf; the radius check names node 9
         base = make_base("axisphere", 16)
         phi = np.zeros(16)
         phi[9] = 710.0
-        with np.errstate(over="ignore"):
-            tr = run(GraphState(base, make_warp("euclidean"), phi),
-                     FlowConfig(t_end=1.0))
+        tr = run(GraphState(base, make_warp("euclidean"), phi),
+                 FlowConfig(t_end=1.0))
         ev = tr.terminal
         assert (ev.kind, ev.t, ev.node, ev.value) == ("domain", 0.0, 9, 710.0)
         assert tr.snapshots == []

@@ -326,7 +326,9 @@ class TestOneDomainTest:
 
 BRACKETED = [("hyperbolic", {}), ("power", {"p": 1.01}), ("power", {"p": 1.25}),
              ("power", {"p": 1.5}), ("power", {"p": 2.0}), ("power", {"p": 3.7}),
-             ("power", {"p": 12.0})]
+             ("power", {"p": 12.0}), ("schwarzschild3", {"m": 0.5}),
+             ("schwarzschild3", {"m": 2.0}), ("schwarzschild3", {"r_max": 10.0}),
+             ("schwarzschild3", {"phi0": 3.0, "phi_r0": 5.0})]
 
 
 class TestBracketedSearch:
@@ -336,9 +338,13 @@ class TestBracketedSearch:
     @pytest.mark.parametrize("pid, params", BRACKETED)
     def test_edges_equal_the_unbracketed_search(self, pid, params):
         spec = make_warp(pid, **params)
-        full = warp.WarpSpec(pid, spec.params, (0.0, math.inf))
+        full = warp.WarpSpec(pid, spec.params, (0.0, spec.params.get("r_max", math.inf)))
         if pid == "hyperbolic":
             warp._derive_domains(full, -1.0, r_good=1.0)
+        elif pid == "schwarzschild3":
+            full._phi_lo = spec._phi_lo
+            w_mid = warp._sw_w_of_r(spec.params["m"], 0.5 * spec.params["r_max"])
+            warp._derive_domains(full, spec._phi_lo + float(w_mid))
         else:
             q = 1.0 - spec.params["p"]
             pole = warp._first_outside(lambda phi: 1.0 + q * phi > 0.0, 0.0, math.inf)
@@ -348,15 +354,17 @@ class TestBracketedSearch:
         got = [v.hex() for v in spec.r_domain + spec._phi_domain]
         assert got == [v.hex() for v in full.r_domain + full._phi_domain]
 
-    @pytest.mark.parametrize("pid, params", [("hyperbolic", {}), ("power", {"p": 3.7})])
+    @pytest.mark.parametrize("pid, params", [("hyperbolic", {}), ("power", {"p": 3.7}),
+                                             ("schwarzschild3", {})])
     def test_estimates_bracket_every_edge(self, pid, params, monkeypatch):
-        # four searches of 2 + 16 probes, each a one-element array and a
-        # scalar, where the whole range takes about 62 probes a search
+        # four searches (two on schwarzschild3, which has no radius search)
+        # of 2 + 16 probes, each a one-element array and a scalar, where the
+        # whole range takes about 62 probes a search
         calls = []
         valid = warp._valid
         monkeypatch.setattr(warp, "_valid", lambda *a: calls.append(1) or valid(*a))
         make_warp(pid, **params)
-        assert len(calls) <= 4 * 2 * 18
+        assert len(calls) <= (2 if pid == "schwarzschild3" else 4) * 2 * 18
 
 
 class TestClosedFormSlope:
