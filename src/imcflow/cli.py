@@ -245,18 +245,29 @@ def build_setup(cfg):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(x):
-    return FMT % float(x)
+def _write_csv(path, names, cols):
+    """A header of names, then one line per row of the 1D arrays cols,
+    formatted by one FMT % tuple over their float lists."""
+    fmt = ",".join([FMT] * len(cols))
+    rows = zip(*(c.tolist() for c in cols))
+    path.write_text("\n".join([",".join(names), *(fmt % r for r in rows)]) + "\n",
+                    encoding="utf-8")
+
+
+def _read_csv(path):
+    """(column names, rows as a 2D float array) of a file _write_csv
+    wrote, its values parsed by one np.array call."""
+    head, _, body = path.read_text(encoding="utf-8").strip().partition("\n")
+    names = head.split(",")
+    values = body.replace("\n", ",").split(",") if body else []
+    return names, np.array(values, dtype=float).reshape(-1, len(names))
 
 
 def write_outputs(trace, outdir, config_echo):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = ["t," + ",".join(TRACE_COLUMNS)]
-    for i, t in enumerate(trace.times):
-        row = [_fmt(t)] + [_fmt(trace.columns[c][i]) for c in TRACE_COLUMNS]
-        lines.append(",".join(row))
-    (outdir / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(outdir / "trace.csv", ("t",) + TRACE_COLUMNS,
+               [trace.times] + [trace.columns[c] for c in TRACE_COLUMNS])
 
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
@@ -270,13 +281,10 @@ def write_outputs(trace, outdir, config_echo):
     else:
         coord_name, coords = "index", np.arange(base.n_nodes)
     for t, state, snap in trace.snapshots:
-        cols = [coords, snap.r.ravel(), state.phi.ravel(),
-                snap.theta.ravel(), snap.H.ravel(), snap.omega.ravel()]
-        rows = [f"{coord_name},r,phi,Theta,H,omega"]
-        for vals in zip(*cols):
-            rows.append(",".join(_fmt(v) for v in vals))
-        (snapdir / f"t={float(t)!r}.csv").write_text("\n".join(rows) + "\n",
-                                                     encoding="utf-8")
+        _write_csv(snapdir / f"t={float(t)!r}.csv",
+                   (coord_name, "r", "phi", "Theta", "H", "omega"),
+                   [coords, snap.r.ravel(), state.phi.ravel(),
+                    snap.theta.ravel(), snap.H.ravel(), snap.omega.ravel()])
 
     terminal = ({"status": "completed"} if trace.completed
                 else {"status": "event", **trace.terminal.as_dict()})
@@ -311,10 +319,7 @@ def load_trace(outdir):
     cfg = {k: (v, None) for k, v in meta["config"].items()}
     wspec, base, _, fc, _, _ = build_setup(cfg)
 
-    rows = trace_path.read_text(encoding="utf-8").strip().splitlines()
-    header = rows[0].split(",")
-    data = np.array([[float(x) for x in r.split(",")]
-                     for r in rows[1:]]).reshape(-1, len(header))
+    header, data = _read_csv(trace_path)
     times = data[:, 0]
     columns = {name: data[:, j] for j, name in enumerate(header) if j > 0}
 
@@ -325,10 +330,7 @@ def load_trace(outdir):
                          key=lambda p: float(p.stem[2:]))
         for p in entries:
             t = float(p.stem[2:])
-            lines = p.read_text(encoding="utf-8").strip().splitlines()
-            names = lines[0].split(",")
-            vals = np.array([[float(x) for x in ln.split(",")]
-                             for ln in lines[1:]])
+            names, vals = _read_csv(p)
             phi = vals[:, names.index("phi")].reshape(base.shape)
             state = GraphState(base, wspec, phi, t)
             snaps.append((t, state, snapshot(state)))

@@ -13,8 +13,10 @@ grids, which keeps runs bit-reproducible for a given configuration.
 
 One driver, run, owns the cadence, the landing, the dt limiter, the
 records and the events of every base, and _step is the one RK4 step.
-A stepper only evaluates states (start, check) and bounds dt (cfl); a
-valid state leaves its rate k = 1/F for the next stage.
+A stepper only evaluates states (start, check) and bounds dt (cfl);
+check returns the rate k = 1/F of a valid state, else None with the
+event in the stepper's event, and _step stores the rate of the state it
+lands on in the stepper's k, the next step's first rate.
 _FieldStepper sends every array state through _evaluate, the one code
 that decides whether a state is valid and which event it is.  It resolves
 the base's speed kernel, the warp's h' and its potential domain once per
@@ -241,23 +243,23 @@ class _FieldStepper:
 
     def __init__(self, base, wspec, config, stats):
         self.base, self.config, self.stats = base, config, stats
-        self.k = self.fields = None     # set by check
+        self.k = self.fields = self.event = None
         self._dispatch = _Dispatch(base, wspec)
         self._sets = itertools.cycle([_geom.stage_buffers(base)
                                       for _ in range(4)])
 
     def start(self, phi):
         """(state, event|None) of the initial potential array."""
-        return phi, self.check(phi, 0.0)
+        self.k = self.check(phi, 0.0)
+        return phi, self.event
 
     def check(self, phi, t):
-        """Event of a state, else None and its rate k = 1/F."""
+        """The rate k = 1/F of a valid state, else None and its event."""
         self.stats.f_evals += 1
-        self.fields, ev = _evaluate(self._dispatch, phi, t,
-                                    self.config.theta_min, next(self._sets))
-        if ev is None:
-            self.k = self.fields[1]
-        return ev
+        self.fields, self.event = _evaluate(self._dispatch, phi, t,
+                                            self.config.theta_min,
+                                            next(self._sets))
+        return None if self.fields is None else self.fields[1]
 
     def cfl(self):
         F, _, theta2, diffs = self.fields
@@ -270,7 +272,7 @@ class _PointStepper:
     path's payload."""
 
     def __init__(self, base, wspec, config, stats):
-        self.stats, self.k = stats, None
+        self.stats, self.k, self.event = stats, None, None
         speed, lo, hi = _scalar_speed(wspec, base.d)
         dispatch = _Dispatch(base, wspec)
 
@@ -278,15 +280,16 @@ class _PointStepper:
         def check(phi, t):
             stats.f_evals += 1
             if lo < phi < hi:
-                self.k = speed(phi)
-                return None
-            return _evaluate(dispatch, np.array([phi]), t,
-                             config.theta_min)[1]
+                return speed(phi)
+            self.event = _evaluate(dispatch, np.array([phi]), t,
+                                   config.theta_min)[1]
+            return None
         self.check = check
 
     def start(self, phi):
         x = float(phi[0])
-        return x, self.check(x, 0.0)
+        self.k = self.check(x, 0.0)
+        return x, self.event
 
     def cfl(self):
         return math.inf
@@ -297,26 +300,26 @@ def _step(stepper, phi, t, dt, t_new):
     (new state, its event|None), or (offending stage, event).  The stages
     are unrolled, as a loop slows the point runs.  The new state is formed
     before it is checked, so its check may reuse the first rate's arrays
-    (_FieldStepper's ring of buffer sets counts on this)."""
-    k1 = stepper.k
+    (_FieldStepper's ring of buffer sets counts on this).  stepper.event is
+    None until a check fails, and a failed check ends the run."""
     check = stepper.check
+    k1 = stepper.k
     h = 0.5 * dt
     stage = phi + h * k1
-    ev = check(stage, t + h)
-    if ev is not None:
-        return stage, ev
-    k2 = stepper.k
+    k2 = check(stage, t + h)
+    if k2 is None:
+        return stage, stepper.event
     stage = phi + h * k2
-    ev = check(stage, t + h)
-    if ev is not None:
-        return stage, ev
-    k3 = stepper.k
+    k3 = check(stage, t + h)
+    if k3 is None:
+        return stage, stepper.event
     stage = phi + dt * k3
-    ev = check(stage, t + dt)
-    if ev is not None:
-        return stage, ev
-    new = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + stepper.k)
-    return new, check(new, t_new)
+    k4 = check(stage, t + dt)
+    if k4 is None:
+        return stage, stepper.event
+    new = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stepper.k = check(new, t_new)
+    return new, stepper.event
 
 
 def _stepper(base, wspec, config):
@@ -340,10 +343,10 @@ def stable_dt(state, config):
 def _diag_row(snap, dt_used):
     return {
         "dt": dt_used,
-        "min_H": float(np.min(snap.H)),
-        "max_H": float(np.max(snap.H)),
-        "min_omega": float(np.min(snap.omega)),
-        "max_omega": float(np.max(snap.omega)),
+        "min_H": _min(snap.H),
+        "max_H": _max(snap.H),
+        "min_omega": _min(snap.omega),
+        "max_omega": _max(snap.omega),
         "max_grad_phi": snap.grad_norm_max,
         "max_hess_phi": snap.hess_abs_max,
         "max_A": snap.A_max,

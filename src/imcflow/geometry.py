@@ -18,6 +18,7 @@ Ric = Ric_N - (h h'' + (n-2) h'^2) sigma - (n-1) (h''/h) dr^2.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import warp as _warp
 from .manifold import _constant
+from .warp import _max, _min
 
 __all__ = [
     "GraphState", "GeometrySnapshot", "snapshot", "speed_kernel",
@@ -217,22 +219,26 @@ class GeometrySnapshot:
     ric_vv: np.ndarray
     ric_rr: np.ndarray
 
+    # extremes read by index (warp._min, warp._max): np.min's and np.max's
+    # values, the first NaN included, and of a 0.0/-0.0 tie the first;
+    # math.sqrt rounds as np.sqrt does, and the maxima it takes are >= 0
+    # (|A|^2 is a sum of squared principal curvatures)
     @property
     def grad_norm_max(self):
-        return float(np.sqrt(np.max(self.dphi2)))
+        return math.sqrt(_max(self.dphi2))
 
     @property
     def hess_abs_max(self):
-        return float(np.max(np.abs(self.hess))) if self.hess.size else 0.0
+        return _max(np.abs(self.hess)) if self.hess.size else 0.0
 
     @property
     def A_max(self):
-        return float(np.sqrt(np.max(self.A2)))
+        return math.sqrt(_max(self.A2))
 
     @property
     def osc_rescaled_h(self):
         scale = np.exp(-self.t / (self.n - 1))
-        return float(scale * (np.max(self.h) - np.min(self.h)))
+        return float(scale * (_max(self.h) - _min(self.h)))
 
     @property
     def shape_dev_max(self):

@@ -18,14 +18,16 @@ gradient; the azimuthal Hessian entry sin(theta) cos(theta) f_theta comes
 from the Christoffel term and survives in traces.
 
 Each base has one finite-difference stencil, differences(f, out=None):
-the central first and second differences of f from one ghost-padded copy
-(a tuple, empty on the point base).  The copy is one gather of f through
-the base's pad index, which states its boundary rule: periodic on the
-circle and the torus, even reflection across the poles on the axisphere;
-the circle and the axisphere share one theta grid, _ThetaGrid.
-With out=None every array is new; out, a tuple from stencil_buffers(),
-holds the padded copy and the differences, and the stencil writes them
-in place with the same operations in the same order, so the bits agree.
+the central first and second differences of f (a tuple, empty on the
+point base) from one gather of f through an index that states the
+base's boundary rule.  On the circle and the axisphere it is a
+ghost-padded copy, periodic on the circle and by even reflection across
+the poles on the axisphere, which share one theta grid, _ThetaGrid; on
+the torus it is the block of f's four periodic neighbours, so both axes'
+differences are one ufunc call each.  With out=None every array is new;
+out, a tuple from stencil_buffers(), holds the gathered values and the
+differences, and the stencil writes them in place with the same
+operations in the same order, so the bits agree.
 assemble(diffs) lays the differences out as the covariant (grad, hess)
 arrays; covariant_derivatives is the two composed, and the speed kernels
 of geometry read the differences directly.  The base metric sigma is
@@ -255,44 +257,45 @@ class Torus2Base(BaseManifold):
         self.dx = 2.0 * np.pi / M
         self.x = np.arange(M) * self.dx
         self.dx_min = self.dx
-        # constants of the stencil; the pad index gathers the flat f,
-        # periodic in both directions
+        # constants of the stencil; the neighbour index gathers the flat f
+        # at (i+1, j), (i, j+1), (i-1, j), (i, j-1), periodic in both
+        # directions, its rows 1 and 3 at j+1 and j-1
         self._two_dx = _constant(2.0 * self.dx)
         self._dx2 = _constant(self.dx ** 2)
-        ring = np.concatenate(([M - 1], np.arange(M), [0]))
-        self._pad = ring[:, None] * M + ring[None, :]
+        i, j = np.indices(self.shape)
+        self._nb = np.stack([(i + 1) % M * M + j, i * M + (j + 1) % M,
+                             (i - 1) % M * M + j, i * M + (j - 1) % M])
+        self._j_nb = self._nb[1::2].copy()
 
     def differences(self, f, out=None):
-        """(f_0, f_1, f_00, f_11, f_01) from one periodically padded copy of f.
+        """(f_0, f_1, f_00, f_11, f_01) from one periodic gather of f's
+        four neighbours.
 
-        The first differences along axis 0 are taken on the axis-1-padded
-        rows, so f_01 is their difference along axis 1: the axis-1
-        difference of f_0, bit for bit.  out is (padded copy, padded f_0,
-        f_1, f_00, f_11, f_01) or None; 2 f is formed once, in f_01's array.
+        The neighbours along both axes sit in one (4, M, M) block, so the
+        first differences along both axes are one subtract and the second
+        ones one add, each term in the order of the two one-axis formulas.
+        f_01 is the axis-1 difference of f_0, from a second gather, of f_0
+        at j+1 and j-1.  out is (neighbours, (f_0, f_1), (f_00, f_11),
+        f_0's neighbours, f_01) or None; 2 f is formed once, in f_01's
+        array.
         """
-        fp, g0p, g1, f00, f11, f01 = out or (None,) * 6
-        fp = f.take(self._pad, None, fp, "clip")
-        two_dx, dx2 = self._two_dx, self._dx2
-        g0p = np.subtract(fp[2:], fp[:-2], out=g0p)
-        g0p /= two_dx
-        up, down = fp[1:-1, 2:], fp[1:-1, :-2]
+        nb, g, f2, g0nb, f01 = out or (None,) * 5
+        nb = f.take(self._nb, None, nb, "clip")
+        two_dx = self._two_dx
+        g = np.subtract(nb[:2], nb[2:], out=g)
+        g /= two_dx
         two_f = np.multiply(_TWO, f, out=f01)
-        f00 = np.add(fp[2:, 1:-1], fp[:-2, 1:-1], out=f00)
-        f00 -= two_f
-        f00 /= dx2
-        f11 = np.add(up, down, out=f11)
-        f11 -= two_f
-        f11 /= dx2
-        g1 = np.subtract(up, down, out=g1)
-        g1 /= two_dx
-        f01 = np.subtract(g0p[:, 2:], g0p[:, :-2], out=f01)
+        f2 = np.add(nb[:2], nb[2:], out=f2)
+        f2 -= two_f
+        f2 /= self._dx2
+        g0nb = g[0].take(self._j_nb, None, g0nb, "clip")
+        f01 = np.subtract(g0nb[0], g0nb[1], out=f01)
         f01 /= two_dx
-        return g0p[:, 1:-1], g1, f00, f11, f01
+        return g[0], g[1], f2[0], f2[1], f01
 
     def stencil_buffers(self):
         M = self.resolution
-        return ((np.empty((M + 2, M + 2)), np.empty((M, M + 2)))
-                + tuple(np.empty((M, M)) for _ in range(4)))
+        return tuple(np.empty((k, M, M)) for k in (4, 2, 2, 2)) + (np.empty((M, M)),)
 
     def assemble(self, diffs):
         g0, g1, h00, h11, h01 = diffs

@@ -100,12 +100,6 @@ class _HermiteTable:
         self.x, self.rows = x, np.vstack([x[:-1], c5, c4, c3, 0.5 * e0, d0, y[:-1]])
         self._last_seg = len(x) - 2
 
-    @functools.cached_property
-    def _scalar(self):
-        """The knots and each piece's coefficients as plain floats for the
-        scalar path (single-node flows), made on its first call."""
-        return self.x.tolist(), self.rows[1:].T.tolist()
-
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
         return self.at(self.segment(xq), xq)
@@ -127,32 +121,6 @@ class _HermiteTable:
             out *= t
         out += cols[6]
         return out
-
-    def scalar_segment(self, xq):
-        """segment for one float xq."""
-        i = bisect.bisect_left(self._scalar[0], xq) - 1
-        if i < 0:
-            return 0
-        return self._last_seg if i > self._last_seg else i
-
-    def scalar_piece(self, i, xq):
-        """scalar_segment(xq), searching only when the guess i is not it.
-
-        The test is segment's own decision: piece i holds xq when
-        x[i] < xq <= x[i+1], with no lower bound on the first piece and no
-        upper bound on the last.
-        """
-        x = self._scalar[0]
-        if (i == 0 or x[i] < xq) and (i == self._last_seg or xq <= x[i + 1]):
-            return i
-        return self.scalar_segment(xq)
-
-    def scalar_at(self, i, xq):
-        """The quintic of piece i, evaluated at the float xq as ``at`` does."""
-        x, pieces = self._scalar
-        c5, c4, c3, c2, c1, c0 = pieces[i]
-        t = xq - x[i]
-        return ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
 
 
 class WarpSpec:
@@ -656,10 +624,13 @@ def scalar_speed(spec, nm1):
     the steps of field_hp and of the point base's 1/F, 1/(nm1 h'), on plain
     floats.  hyperbolic calls math.tanh, whose bits can differ from numpy's
     in the last place; schwarzschild3 calls numpy's tanh on the float,
-    which gives its array loop's bits.  saturating makes one knot search
-    (bisect on float lists in place of searchsorted) and one Horner pass;
-    the previous call's piece is the verified guess of this call's, so no
-    value depends on the order of calls.
+    which gives its array loop's bits.  saturating's closure holds the
+    inverse table's knots and piece coefficients as float lists and makes
+    segment's search and at's Horner pass inline: the piece of the previous
+    call is this call's guess, kept when segment's own rule holds it
+    (x[i] < phi <= x[i+1], with no lower bound on the first piece and no
+    upper bound on the last), else bisect finds it, so no value depends on
+    the order of calls.
     """
     pid = spec.preset_id
     lo, hi = spec._phi_domain
@@ -677,16 +648,23 @@ def scalar_speed(spec, nm1):
         p, q = spec.params["p"], 1.0 - spec.params["p"]
         return (lambda phi: 1.0 / (nm1 * (p / (1.0 + q * phi)))), lo, hi
     if pid == "schwarzschild3":
-        phi_lo = spec._phi_lo
-        return (lambda phi: 1.0 / (nm1 * float(_sw_hp(phi - phi_lo)))), lo, hi
-    inv = spec._r_of_phi_table
-    a, b, k = spec.params["a"], spec.params["b"], spec.params["k"]
-    last = 0    # piece of the previous call, a guess that scalar_piece verifies
+        # _sw_hp(phi - phi_lo), its operations in its order
+        tanh, v0, phi_lo = np.tanh, _SW_V0, spec._phi_lo
+        return (lambda phi: 1.0 / (nm1 * float(tanh(0.5 * (v0 + (phi - phi_lo)))))), lo, hi
+    table = spec._r_of_phi_table
+    x, pieces, top = table.x.tolist(), table.rows[1:].T.tolist(), table._last_seg
+    a, b, mk = spec.params["a"], spec.params["b"], -spec.params["k"]
+    i = 0
 
     def speed(phi):
-        nonlocal last
-        last = inv.scalar_piece(last, phi)
-        return 1.0 / (nm1 * (a - b * (1.0 + inv.scalar_at(last, phi)) ** (-k)))
+        nonlocal i
+        if not ((i == 0 or x[i] < phi) and (i == top or phi <= x[i + 1])):
+            i = bisect.bisect_left(x, phi) - 1
+            i = 0 if i < 0 else top if i > top else i
+        c5, c4, c3, c2, c1, c0 = pieces[i]
+        t = phi - x[i]
+        r = ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
+        return 1.0 / (nm1 * (a - b * (1.0 + r) ** mk))
     return speed, lo, hi
 
 

@@ -6,6 +6,7 @@ run/check round-trip through the on-disk formats.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from imcflow.cli import (CHECK_IDS, ConfigError, build_setup, load_trace,
-                         main, parse_config, run_checks)
+                         main, parse_config, run_checks, write_outputs)
 from imcflow.flow import TRACE_COLUMNS, run
 from imcflow.geometry import GraphState
 from imcflow.warp import eval_warp, infimum_h0, make_warp, r_at_h
@@ -482,6 +483,32 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg, "--out", str(out)]) == 1
         assert (out / "report.json").read_bytes() == first
         assert load_trace(out).terminal == ev
+
+    def test_trace_values_round_trip_bit_for_bit(self, tmp_path):
+        # each row of trace.csv is one %-format, and load_trace parses the
+        # file with one np.array call: signed zero, the smallest subnormal,
+        # the largest float and the non-finite values come back unchanged
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, POINT_RUN),
+                     "--out", str(out)]) == 0
+        trace = load_trace(out)
+        special = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
+                   math.nan]
+        names = ("t",) + TRACE_COLUMNS
+        cols = {name: np.array([special[(i + j) % len(special)]
+                                for i in range(len(special))])
+                for j, name in enumerate(names)}
+        trace.times = cols["t"]
+        trace.columns = {name: cols[name] for name in TRACE_COLUMNS}
+        config_echo = json.loads((out / "meta.json").read_text())["config"]
+        write_outputs(trace, tmp_path / "again", config_echo)
+        loaded = load_trace(tmp_path / "again")
+        assert loaded.times.tobytes() == cols["t"].tobytes()
+        for name in TRACE_COLUMNS:
+            assert loaded.columns[name].tobytes() == cols[name].tobytes(), name
+        for (t0, s0, _), (t1, s1, _) in zip(trace.snapshots, loaded.snapshots,
+                                            strict=True):
+            assert t0 == t1 and s0.phi.tobytes() == s1.phi.tobytes()
 
     def test_missing_trace_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "checks = A_bounded\n", name="check.cfg")

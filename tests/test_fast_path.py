@@ -6,10 +6,12 @@ Theta^2, flow._evaluate the verdict, event and fields of a reference built
 from warp_at_phi and that formula, with a StageBuffers set and without,
 flow._cfl_dt the step size of a plain np.max reference, and a run must
 not change by one bit when the references take their places.  The
-extremes these read by index (warp._min, warp._max) give the reductions'
-verdicts on planted NaN, +-inf and signed-zero ties.
+extremes these and flow._diag_row read by index (warp._min, warp._max)
+give the reductions' verdicts and values on planted NaN, +-inf and
+signed-zero ties.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -21,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from imcflow import flow as flow_mod, warp as warp_mod
 from imcflow.flow import FlowConfig, FlowEvent, run
-from imcflow.geometry import GraphState, _light_fields, speed_kernel, stage_buffers
+from imcflow.geometry import (GraphState, _light_fields, snapshot, speed_kernel,
+                              stage_buffers)
 from imcflow.manifold import covariant_derivatives, make_base
 from imcflow.warp import (WarpDomainError, eval_warp, hp_at_phi, make_warp,
                           radial_potential, scalar_speed, warp_at_phi)
@@ -429,6 +432,22 @@ def same(a, b):
     return a == b
 
 
+def reduction_row(snap, dt):
+    """flow._diag_row with the extremes by np.min, np.max and np.sqrt."""
+    scale = np.exp(-snap.t / (snap.n - 1))
+    return {
+        "dt": dt,
+        "min_H": float(np.min(snap.H)),
+        "max_H": float(np.max(snap.H)),
+        "min_omega": float(np.min(snap.omega)),
+        "max_omega": float(np.max(snap.omega)),
+        "max_grad_phi": float(np.sqrt(np.max(snap.dphi2))),
+        "max_hess_phi": float(np.max(np.abs(snap.hess))) if snap.hess.size else 0.0,
+        "max_A": float(np.sqrt(np.max(snap.A2))),
+        "osc_rescaled_h": float(scale * (np.max(snap.h) - np.min(snap.h))),
+    }
+
+
 def plants(a):
     """What to plant into the array a, each a list of (flat node, value):
     NaN at a node after its minimum, +inf, -inf, and 0.0 and -0.0 at two
@@ -597,6 +616,36 @@ class TestReductionsByIndex:
             with by_reduction(flow_mod):
                 assert flow_mod._cfl_dt(*args) == math.inf
             assert reference_cfl_dt(*args) == math.inf
+
+    @pytest.mark.parametrize("kind,M", [("point", 1)] + PLANT_BASES)
+    def test_diag_row_gives_the_reductions_values(self, kind, M):
+        # a recorded row and the snapshot extremes it reads, on a snapshot
+        # and with each array it reads planted; the point base's one-node
+        # arrays take a NaN only
+        base, w = make_base(kind, M), WARPS["saturating"]
+        phi = np.full(base.shape, CENTRE["saturating"])
+        if base.dc:
+            phi += 0.1 * wave(base, 2)
+        snap = snapshot(GraphState(base, w, phi, 0.7))
+        cases = [snap]
+        for name in ("H", "omega", "dphi2", "hess", "A2", "h"):
+            arr = getattr(snap, name)
+            if arr.size:
+                for plant in [[(arr.size - 1, math.nan)],
+                              *(plants(arr) if arr.size > 1 else ())]:
+                    cases.append(dataclasses.replace(snap, **{name: planted(arr, plant)}))
+        for s in cases:
+            mine, theirs = flow_mod._diag_row(s, 1e-3), reduction_row(s, 1e-3)
+            assert mine.keys() == theirs.keys()
+            for key, want in theirs.items():
+                got = mine[key]
+                assert type(got) is float, key
+                if math.isnan(want):
+                    assert math.isnan(got), key
+                else:
+                    # the same bits unless 0.0 and -0.0 tie
+                    assert got == want, key
+                    assert want == 0.0 or same_bits(got, want), key
 
     @pytest.mark.parametrize("pid", ["euclidean", "saturating"])
     @pytest.mark.parametrize("kind,M", PLANT_BASES)

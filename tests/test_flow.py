@@ -147,9 +147,10 @@ class TestScalarSpeed:
         assert phi_domain_violation(w, np.array([phi])) is None
         stepper = flow_mod._PointStepper(POINT, w, FlowConfig(t_end=1.0),
                                          flow_mod._RunStats())
-        assert stepper.check(phi, 0.0) is None
-        assert stepper.k == scalar_speed(w, POINT.d)[0](phi) > 0.0
-        assert stepper.check(math.nextafter(phi, 1.0), 0.0).kind == "domain"
+        assert stepper.check(phi, 0.0) == scalar_speed(w, POINT.d)[0](phi) > 0.0
+        assert stepper.event is None
+        assert stepper.check(math.nextafter(phi, 1.0), 0.0) is None
+        assert stepper.event.kind == "domain"
         assert stepper.stats.f_evals == 2
 
     def test_domain_edges_raise(self):

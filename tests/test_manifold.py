@@ -203,6 +203,47 @@ def same_bits(a, b):
 values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0])
 
 
+def strided_torus_differences(base, f):
+    """Torus2Base.differences by strided views of one padded copy: the
+    first differences along axis 0 on the axis-1-padded rows, f_01 their
+    axis-1 difference.  The bitwise reference of the neighbour gather."""
+    M = base.resolution
+    ring = np.concatenate(([M - 1], np.arange(M), [0]))
+    fp = f.take(ring[:, None] * M + ring[None, :])
+    two_dx, dx2 = 2.0 * base.dx, base.dx ** 2
+    g0p = (fp[2:] - fp[:-2]) / two_dx
+    up, down = fp[1:-1, 2:], fp[1:-1, :-2]
+    two_f = 2.0 * f
+    f00 = (fp[2:, 1:-1] + fp[:-2, 1:-1] - two_f) / dx2
+    f11 = (up + down - two_f) / dx2
+    g1 = (up - down) / two_dx
+    f01 = (g0p[:, 2:] - g0p[:, :-2]) / two_dx
+    return g0p[:, 1:-1], g1, f00, f11, f01
+
+
+class TestTorusNeighbourGather:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 24), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(0, 575), values | st.sampled_from(
+               [np.inf, -np.inf, np.nan, 5e-324])), max_size=6))
+    def test_differences_match_the_strided_stencil_bitwise(self, M, seed, plant):
+        # random normal values of any scale, with planted signed zeros,
+        # subnormals and non-finite values
+        b = make_base("torus2", M)
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(b.shape) * 10.0 ** rng.integers(-3, 4)
+        for node, v in plant:
+            f.flat[node % f.size] = v
+        out = tuple(np.full_like(a, np.nan) for a in b.stencil_buffers())
+        with np.errstate(all="ignore"):
+            want = strided_torus_differences(b, f)
+            for got in (b.differences(f), b.differences(f, out)):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert same_bits(g, w)
+                    assert g.flags.c_contiguous
+
+
 class TestAxisphereReflection:
     """theta -> pi - theta maps node j to M-1-j on the cell-centred grid."""
 

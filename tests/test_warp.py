@@ -574,25 +574,31 @@ class TestOneKnotSearch:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(TABLE_WARPS)), st.data())
-    def test_any_guess_gives_the_searched_piece(self, name, data):
-        # near a knot the neighbouring cubics agree to the bit, so the runs
-        # above cannot see an unverified guess; the pieces themselves can
+    def test_any_call_order_gives_a_fresh_closures_bits(self, name, data):
+        # the float speed guesses each call's inverse piece from the last
+        # call's, and a fresh closure, whose guess is the first piece,
+        # searches: a guess it keeps gives the searched piece's bits.  The
+        # calls walk the table by a neighbouring piece or a jump anywhere,
+        # each inside its piece or a few floats from its left knot
         spec = TABLE_WARPS[name]
-        table = spec._phi_table
-        last = len(table.x) - 2
-        knot = st.integers(0, last + 1).map(lambda i: float(table.x[i]))
-        near = st.tuples(knot, st.integers(-3, 3)).map(
-            lambda p: float(p[0] + p[1] * np.spacing(p[0])))
-        xq = data.draw(st.lists(near | st.floats(-10.0, 3e3) | st.sampled_from(
-            [math.nan, math.inf, -math.inf]), min_size=1, max_size=30))
-        # guesses around the right piece (a knot's two sides) or anywhere
-        off = data.draw(st.lists(st.integers(-1, 1) | st.integers(-5000, 5000),
-                                 min_size=len(xq), max_size=len(xq)))
-        xq = np.array(xq)
-        piece = table.segment(xq)
-        guess = np.clip(piece + np.array(off), 0, last)
-        for i, x in zip(guess.tolist(), xq.tolist()):
-            assert table.scalar_piece(i, x) == table.scalar_segment(x)
+        x = spec._r_of_phi_table.x
+        top = len(x) - 2
+        lo, hi = spec._phi_domain
+        piece = data.draw(st.integers(0, top))
+        moves = data.draw(st.lists(st.tuples(
+            st.integers(-2, 2) | st.integers(-top, top),
+            st.floats(0.0, 1.0) | st.integers(-3, 3)), min_size=1, max_size=30))
+        fresh = functools.partial(warp.scalar_speed.__wrapped__, spec, 2)
+        speed = fresh()[0]
+        for step, where in moves:
+            piece = min(max(piece + step, 0), top)
+            left = float(x[piece])
+            if isinstance(where, int):
+                v = left + where * float(np.spacing(left))
+            else:
+                v = left + where * (float(x[piece + 1]) - left)
+            if lo < v < hi:
+                assert speed(v).hex() == fresh()[0](v).hex()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(TABLE_WARPS)),
