@@ -14,7 +14,7 @@ from imcflow.geometry import GraphState
 from imcflow.manifold import make_base
 from imcflow.warp import make_warp, radial_potential
 
-base = make_base("point", 2)        # surfaces in a 3-dimensional ambient
+base = make_base("point", d=2)        # surfaces in a 3-dimensional ambient
 warps = [
     make_warp("euclidean"),
     make_warp("hyperbolic"),

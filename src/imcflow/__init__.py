@@ -21,15 +21,14 @@ from .warp import (
 )
 from .manifold import (
     BaseManifold, PointBase, CircleBase, AxisphereBase, Torus2Base,
-    UnsupportedBaseError, make_base, covariant_derivatives,
-    commuting_residual, integrate,
+    make_base, covariant_derivatives,
 )
 from .geometry import (
-    GraphState, GeometrySnapshot, snapshot, shape_operator, induced_metric,
-    ambient_ricci, embedding_oracle_H, OracleUnsupportedError,
+    GraphState, GeometrySnapshot, snapshot, induced_metric,
+    embedding_oracle_H, OracleUnsupportedError,
 )
 from .flow import (
-    FlowConfig, FlowEvent, FlowTrace, stable_dt, run,
+    FlowConfig, FlowEvent, FlowTrace, run,
 )
 from .verify import (
     CheckReport, check_growth_and_support, check_H_floor, check_asymptotics,

@@ -179,7 +179,7 @@ def build_setup(cfg):
         raise ConfigError(str(exc), field="warp.*")
 
     kind = _take(cfg, "base.kind", str, required=True)
-    resolution = _take(cfg, "base.resolution", int, default=1)
+    resolution = _take(cfg, "base.resolution", int)
     rho = _take(cfg, "base.rho", float)
     kw = {} if rho is None else {"rho": rho}
     dim = _take(cfg, "base.d", int)
@@ -191,6 +191,10 @@ def build_setup(cfg):
         raise ConfigError(str(exc), field="base.kind")
 
     phi_lit = _take(cfg, "initial.phi", _parse_floats)
+    for key in ("initial.r0", "initial.modes"):
+        if phi_lit is not None and key in cfg:
+            raise ConfigError("ignored beside initial.phi, which sets the whole start",
+                              line=cfg[key][1], field=key)
     r0 = _take(cfg, "initial.r0", float)
     modes = _take(cfg, "initial.modes", _parse_modes, default=[])
     if phi_lit is not None:

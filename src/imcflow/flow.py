@@ -44,7 +44,7 @@ from .warp import (_max, _min, field_hp, phi_domain_violation,
 from .geometry import _ONE, GraphState
 
 __all__ = [
-    "FlowConfig", "FlowEvent", "FlowTrace", "stable_dt", "run", "TRACE_COLUMNS",
+    "FlowConfig", "FlowEvent", "FlowTrace", "run", "TRACE_COLUMNS",
 ]
 
 TRACE_COLUMNS = ("dt", "min_H", "max_H", "min_omega", "max_omega",
@@ -106,9 +106,6 @@ class FlowTrace:
     @property
     def t_final(self):
         return float(self.times[-1]) if len(self.times) else 0.0
-
-    def snapshot_times(self):
-        return np.array([t for t, _, _ in self.snapshots])
 
 
 class _RunStats:
@@ -327,19 +324,6 @@ def _stepper(base, wspec, config):
     return cls(base, wspec, config, _RunStats())
 
 
-def stable_dt(state, config):
-    """Step bound for the current state: dt_max or the parabolic CFL bound.
-
-    Raises ValueError when the state has an event (no valid step starts
-    there).
-    """
-    stepper = _stepper(state.base, state.warp, config)
-    _, event = stepper.start(np.array(state.phi, dtype=float))
-    if event is not None:
-        raise ValueError(f"no step from this state: {event}")
-    return min(config.dt_max, stepper.cfl())
-
-
 def _diag_row(snap, dt_used):
     return {
         "dt": dt_used,
@@ -420,8 +404,6 @@ def run(initial, config):
                 capped = cfl < dt_max
                 dt = cfl if capped else dt_max
                 left = target - t
-                if left < dt:
-                    dt = left
                 landed = dt >= left - tol
                 if landed:
                     dt = left

@@ -30,8 +30,7 @@ from .warp import _max, _min
 
 __all__ = [
     "GraphState", "GeometrySnapshot", "snapshot", "speed_kernel",
-    "StageBuffers", "stage_buffers", "shape_operator",
-    "induced_metric", "ambient_ricci", "embedding_oracle_H",
+    "StageBuffers", "stage_buffers", "induced_metric", "embedding_oracle_H",
     "OracleUnsupportedError",
 ]
 
@@ -317,12 +316,6 @@ def _shape_from_fields(base, lf):
     return shape, A2
 
 
-def shape_operator(state):
-    """Shape operator (mixed indices) and its squared norm |A|^2."""
-    snap = snapshot(state)
-    return snap.shape, snap.A2
-
-
 def induced_metric(state):
     """Induced metric and inverse as (dc, dc, *grid) component arrays."""
     base = state.base
@@ -340,12 +333,6 @@ def induced_metric(state):
         g[i, i] += h ** 2 * sdiag[i]
         ginv[i, i] += sinv[i] / h ** 2
     return g, ginv
-
-
-def ambient_ricci(state):
-    """(Ric(v, v), Ric(dr, dr)) along the graph, unit arguments."""
-    snap = snapshot(state)
-    return snap.ric_vv, snap.ric_rr
 
 
 def embedding_oracle_H(state):

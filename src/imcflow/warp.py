@@ -35,7 +35,6 @@ __all__ = [
     "radial_potential",
     "r_of_phi",
     "warp_at_phi",
-    "hp_at_phi",
     "field_hp",
     "scalar_speed",
     "phi_domain_violation",
@@ -578,22 +577,16 @@ def _flat(spec):
         spec.preset_id == "power" and spec.params["p"] == 1.0)
 
 
-def hp_at_phi(spec, phi):
-    """h'(r(phi)) alone, raising WarpDomainError exactly where warp_at_phi does.
-
-    The flat presets return the float 1.0, which broadcasts like
-    warp_at_phi's array of ones and gives the same products bit for bit;
-    hyperbolic, power and schwarzschild3 take h' in closed form in phi,
-    with no radius.  saturating inverts phi, then evaluates h' only.
-    """
-    return field_hp(spec)[0](_checked(spec, phi, spec._phi_domain, "potential"))
-
-
 def field_hp(spec):
-    """hp_at_phi with the preset resolved once: (hp, lo, hi), where hp
+    """h'(r(phi)) with the preset resolved once: (hp, lo, hi), where hp
     gives h' of potentials inside the open interval (lo, hi) and tests
     nothing.  The caller tests lo < min and max < hi, as ``_checked`` does;
-    the time stepper resolves this once per run."""
+    the time stepper resolves this once per run, and ``warp_at_phi(spec,
+    phi)[2]`` is the same h', bit for bit, behind that test.  The flat
+    presets return the float 1.0, which broadcasts like warp_at_phi's array
+    of ones and gives the same products bit for bit; hyperbolic, power and
+    schwarzschild3 take h' in closed form in phi, with no radius.
+    saturating inverts phi, then evaluates h' only."""
     lo, hi = spec._phi_domain
     if _flat(spec):
         return (lambda phi: 1.0), lo, hi
@@ -638,8 +631,10 @@ def scalar_speed(spec, nm1):
         c = 1.0 / nm1
         return (lambda phi: c), lo, hi
     if pid in ("hyperbolic", "power"):
+        hp = field_hp(spec)[0]
+
         def finite(phi):     # the search probes inside the domain only
-            return bool(np.isfinite(nm1 * hp_at_phi(spec, np.array([phi]))).all())
+            return bool(np.isfinite(nm1 * hp(np.array([phi]))).all())
         with np.errstate(over="ignore"):
             hi = _first_outside(finite, float(np.nextafter(lo, hi)), hi)
     if pid == "hyperbolic":

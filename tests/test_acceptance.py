@@ -20,12 +20,13 @@ import pytest
 from imcflow.cli import main as cli_main
 from imcflow.flow import FlowConfig, run
 from imcflow.geometry import GraphState, embedding_oracle_H, induced_metric, snapshot
-from imcflow.manifold import commuting_residual, make_base
+from imcflow.manifold import make_base
 from imcflow.verify import (DEFAULT_C_RES, check_asymptotics, check_H_floor,
                             curvature_floor, evolution_residuals, fit_decay_rate)
 from imcflow.warp import make_warp, radial_potential
+from probes import commuting_residual
 
-POINT = make_base("point", 2)   # surfaces in a 3-dimensional ambient
+POINT = make_base("point", d=2)   # surfaces in a 3-dimensional ambient
 
 
 def verdict(name, ok, detail):

@@ -205,12 +205,39 @@ class TestConfigErrorsExitThree:
         ("base.kind = point", "base.kind = circle\nbase.resolution = 2",
          "circle needs >= 4 nodes, got 2"),
         ("initial.r0 = 1.0\n", "", "need initial.r0 or initial.phi"),
+        ("base.kind = point", "base.kind = point\nbase.resolution = 3",
+         "point base takes no resolution, got 3"),
+        ("base.kind = point", "base.kind = circle", "circle needs a resolution"),
     ])
     def test_setup_errors(self, tmp_path, capsys, old, new, message):
         cfg = write_cfg(tmp_path, POINT_RUN.replace(old, new))
         out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, start, ignored", [
+        ("point", "initial.phi = 0.0\ninitial.r0 = 1.0", "initial.r0"),
+        ("circle\nbase.resolution = 4",
+         "initial.phi = 0, 0, 0, 0\ninitial.modes = 1:0.1", "initial.modes"),
+    ])
+    def test_initial_phi_beside_a_key_it_overrides(self, tmp_path, capsys,
+                                                   kind, start, ignored):
+        # initial.phi sets the whole start, so the other key would do nothing
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("point", kind).replace(
+            "initial.r0 = 1.0", start))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"field '{ignored}'" in err and "ignored beside initial.phi" in err
+        assert not out.exists()
+
+    def test_sweep_of_initial_phi_beside_initial_r0(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, POINT_RUN + "sweep.initial.phi = 0.0, 0.5\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("field 'initial.r0'): ignored beside initial.phi") == 2
         assert not out.exists()
 
     def test_no_config(self, tmp_path, capsys):

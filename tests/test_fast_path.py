@@ -26,8 +26,8 @@ from imcflow.flow import FlowConfig, FlowEvent, run
 from imcflow.geometry import (GraphState, _light_fields, snapshot, speed_kernel,
                               stage_buffers)
 from imcflow.manifold import covariant_derivatives, make_base
-from imcflow.warp import (WarpDomainError, eval_warp, hp_at_phi, make_warp,
-                          radial_potential, scalar_speed, warp_at_phi)
+from imcflow.warp import (WarpDomainError, eval_warp, make_warp, radial_potential,
+                          scalar_speed, warp_at_phi)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -393,7 +393,7 @@ class TestFastAccept:
     @pytest.mark.parametrize("pid", sorted(WARPS))
     def test_point_base_matches_reference(self, pid):
         # the scalar stepper's initial state and event payloads
-        base = make_base("point", 2)
+        base = make_base("point", d=2)
         w = WARPS[pid]
         phi = np.array([CENTRE[pid]])
         assert probe_agrees(base, w, phi, 1e-3) == (True, None)
@@ -584,7 +584,7 @@ class TestReductionsByIndex:
     def test_cfl_dt(self, kind, M, name):
         # a NaN bound is NaN alike, but its sign bit is not pinned: the
         # read by index gives the NaN as stored (sqrt(-inf) is -NaN here),
-        # np.maximum.reduce a positive one; run and stable_dt take dt_max
+        # np.maximum.reduce a positive one; run takes dt_max
         # on either, since NaN < dt_max is false
         base = make_base(kind, M)
         phi = 0.1 * wave(base, 2)
@@ -622,7 +622,9 @@ class TestReductionsByIndex:
         # a recorded row and the snapshot extremes it reads, on a snapshot
         # and with each array it reads planted; the point base's one-node
         # arrays take a NaN only
-        base, w = make_base(kind, M), WARPS["saturating"]
+        # the point base's one node takes no resolution
+        base = make_base(kind) if kind == "point" else make_base(kind, M)
+        w = WARPS["saturating"]
         phi = np.full(base.shape, CENTRE["saturating"])
         if base.dc:
             phi += 0.1 * wave(base, 2)
@@ -656,8 +658,7 @@ class TestReductionsByIndex:
         r = 1.0 + 0.1 * wave(base, 2)
         phi = radial_potential(w, r)
         for f, x, (lo, hi) in ((eval_warp, r, w.r_domain),
-                               (warp_at_phi, phi, w._phi_domain),
-                               (hp_at_phi, phi, w._phi_domain)):
+                               (warp_at_phi, phi, w._phi_domain)):
             for plant in plants(x):
                 bad = planted(x, plant)
                 with np.errstate(all="ignore"):
@@ -854,7 +855,7 @@ class TestRunStats:
 
     def test_point_run_counts(self):
         w = WARPS["euclidean"]
-        tr = run(GraphState(make_base("point", 2), w, np.array([0.0])),
+        tr = run(GraphState(make_base("point", d=2), w, np.array([0.0])),
                  FlowConfig(t_end=0.3, dt_max=1e-3))
         s = tr.stats
         assert s["steps"] == 300 and s["f_evals"] == 1 + 4 * 300
@@ -863,7 +864,7 @@ class TestRunStats:
 
     def test_event_before_first_step(self):
         w = WARPS["hyperbolic"]
-        tr = run(GraphState(make_base("point", 2), w, np.array([0.5])),
+        tr = run(GraphState(make_base("point", d=2), w, np.array([0.5])),
                  FlowConfig(t_end=1.0))
         assert tr.stats["steps"] == 0
         assert tr.stats["min_dt"] is None and tr.stats["max_dt"] is None
@@ -876,7 +877,7 @@ class TestRunStats:
     def test_point_domain_exit_counts(self, integrator, f_evals):
         w = WARPS["saturating"]
         phi0 = radial_potential(w, np.array([5000.0]))
-        tr = run(GraphState(make_base("point", 2), w, phi0),
+        tr = run(GraphState(make_base("point", d=2), w, phi0),
                  FlowConfig(t_end=3.0, integrator=integrator, dt_max=1e-2))
         assert tr.terminal.kind == "domain"
         assert math.isclose(tr.terminal.t, 1.39, abs_tol=1e-12)
@@ -910,7 +911,7 @@ class TestRunStats:
                 calls[0] += 1
                 return speed(phi)
             return call, lo, hi
-        base = make_base(kind, 2 if kind == "point" else 8)
+        base = make_base("point", d=2) if kind == "point" else make_base(kind, 8)
         r = r0 * (1.0 + 0.01 * np.cos(base.theta)) if kind != "point" \
             else np.array([r0])
         st0 = GraphState.from_radius(base, WARPS[pid], r)

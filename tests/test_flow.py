@@ -12,14 +12,14 @@ from imcflow.flow import (
     TRACE_COLUMNS,
     FlowConfig,
     run,
-    stable_dt,
 )
 from imcflow.geometry import GraphState, _light_fields, snapshot
 from imcflow.manifold import make_base
-from imcflow.warp import (hp_at_phi, make_warp, phi_domain_violation, r_at_h,
-                          radial_potential, scalar_speed)
+from imcflow.warp import (field_hp, make_warp, phi_domain_violation, r_at_h,
+                          radial_potential, scalar_speed, warp_at_phi)
+from probes import stable_dt
 
-POINT = make_base("point", 2)  # surfaces in a 3-dimensional ambient
+POINT = make_base("point", d=2)  # surfaces in a 3-dimensional ambient
 
 
 def point_state(wspec, r0):
@@ -128,11 +128,11 @@ class TestScalarSpeed:
             want = 1.0 / float(lf["F"][0])
             assert abs(speed(phi) - want) / want < 1e-9
         if pid == "schwarzschild3":
-            # the float path is hp_at_phi step for step: equal bits
+            # the float path is field_hp step for step: equal bits
             lo, hi = w._phi_domain
             phis = np.random.default_rng(5).uniform(lo, hi, 2000)
             phis = np.concatenate([phi_grid, phis[(phis > lo) & (phis < hi)]])
-            hp = hp_at_phi(w, phis)
+            hp = field_hp(w)[0](phis)
             assert all(speed(v) == 1.0 / (POINT.d * h)
                        for v, h in zip(phis.tolist(), hp.tolist()))
 
@@ -162,7 +162,7 @@ class TestScalarSpeed:
         # 1 - e^{2 phi} once cancelled: 2.4 % off at r = 37, 0 from r = 38
         w = make_warp("hyperbolic")
         phi = radial_potential(w, np.array([r]))
-        want = 1.0 / (2.0 * float(hp_at_phi(w, phi)[0]))
+        want = 1.0 / (2.0 * float(warp_at_phi(w, phi)[2][0]))
         got = scalar_speed(w, 2)[0](float(phi[0]))
         assert abs(got - want) <= 2.0 * np.finfo(float).eps * want
 
@@ -272,21 +272,22 @@ class TestCadence:
         tr = self.make_trace(0.35)
         np.testing.assert_allclose(tr.times, [0.0, 0.1, 0.2, 0.3, 0.35],
                                    atol=1e-12)
-        np.testing.assert_allclose(tr.snapshot_times(), [0.0, 0.2, 0.35],
+        np.testing.assert_allclose([t for t, _, _ in tr.snapshots], [0.0, 0.2, 0.35],
                                    atol=1e-12)
 
     def test_ongrid_t_end_not_duplicated(self):
         tr = self.make_trace(0.4)
         np.testing.assert_allclose(tr.times, [0.0, 0.1, 0.2, 0.3, 0.4],
                                    atol=1e-12)
-        np.testing.assert_allclose(tr.snapshot_times(), [0.0, 0.2, 0.4],
+        np.testing.assert_allclose([t for t, _, _ in tr.snapshots], [0.0, 0.2, 0.4],
                                    atol=1e-12)
         assert np.all(np.diff(tr.times) > 0)
 
     def test_coarse_cadence_keeps_endpoints(self):
         tr = self.make_trace(0.05, record_every=1.0, snapshot_every=1.0)
         np.testing.assert_allclose(tr.times, [0.0, 0.05], atol=1e-15)
-        np.testing.assert_allclose(tr.snapshot_times(), [0.0, 0.05], atol=1e-15)
+        np.testing.assert_allclose([t for t, _, _ in tr.snapshots], [0.0, 0.05],
+                                   atol=1e-15)
 
     def test_point_run_stepping_is_pinned(self):
         # criterion 1's euclidean run: the speed is the constant 1/2, so every
@@ -299,7 +300,7 @@ class TestCadence:
             "min_dt": 0.0009999999999665832, "max_dt": 0.001000000000010992,
             "dt_limiter": {"cfl": 0, "landing": 50, "dt_max": 4950}}
         assert len(tr.times) == 51
-        assert tr.snapshot_times().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [t for t, _, _ in tr.snapshots] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert float(tr.snapshots[-1][1].phi[0]) == 2.5
 
     def test_axisphere_run_stepping_is_pinned(self):
@@ -518,7 +519,7 @@ class TestEventKeepsState:
     def test_planted_node(self, kind, pid, bad, x, at_step, data):
         w, r0 = PLANT_WARPS[pid]
         if kind == "point":
-            base = make_base("point", 2)
+            base = make_base("point", d=2)
             r = np.full(base.shape, r0)
         else:
             base = make_base(kind, 16 if kind == "axisphere" else 6)

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from imcflow.geometry import (
     GraphState,
     OracleUnsupportedError,
-    ambient_ricci,
     embedding_oracle_H,
     induced_metric,
-    shape_operator,
     snapshot,
 )
 from imcflow.manifold import make_base
@@ -162,11 +160,11 @@ class TestShapeOperator:
         d = 0.3
         r = d * base.cos + np.sqrt(4.0 - d ** 2 * base.sin ** 2)
         st = GraphState.from_radius(base, make_warp("euclidean"), r)
-        sh, A2 = shape_operator(st)
-        assert np.max(np.abs(sh[0, 0] - 0.5)) < 1e-3
-        assert np.max(np.abs(sh[1, 1] - 0.5)) < 1e-3
-        assert np.max(np.abs(sh[0, 1])) == 0.0
-        np.testing.assert_allclose(A2, 0.5, atol=1e-3)
+        s = snapshot(st)
+        assert np.max(np.abs(s.shape[0, 0] - 0.5)) < 1e-3
+        assert np.max(np.abs(s.shape[1, 1] - 0.5)) < 1e-3
+        assert np.max(np.abs(s.shape[0, 1])) == 0.0
+        np.testing.assert_allclose(s.A2, 0.5, atol=1e-3)
 
     def test_umbilic_deviation_measure(self):
         base = make_base("axisphere", 100)
@@ -207,18 +205,18 @@ class TestAmbientRicci:
         for kind, res in (("circle", 64), ("axisphere", 64)):
             base = make_base(kind, res)
             st = wavy_state(base, make_warp("euclidean"), amp=0.3, mode=2)
-            rvv, rrr = ambient_ricci(st)
-            assert np.max(np.abs(rvv)) < 1e-14
-            assert np.max(np.abs(rrr)) < 1e-14
+            s = snapshot(st)
+            assert np.max(np.abs(s.ric_vv)) < 1e-14
+            assert np.max(np.abs(s.ric_rr)) < 1e-14
 
     def test_hyperbolic_is_einstein(self):
         # sinh warp over the unit sphere is H^3: Ric = -2 g for any direction,
         # so ric_vv = ric_rr = -2 on every state, wavy or not
         base = make_base("axisphere", 64)
         st = wavy_state(base, make_warp("hyperbolic"), amp=0.3)
-        rvv, rrr = ambient_ricci(st)
-        np.testing.assert_allclose(rvv, -2.0, atol=1e-12)
-        np.testing.assert_allclose(rrr, -2.0, atol=1e-12)
+        s = snapshot(st)
+        np.testing.assert_allclose(s.ric_vv, -2.0, atol=1e-12)
+        np.testing.assert_allclose(s.ric_rr, -2.0, atol=1e-12)
 
     def test_cone_over_torus_not_flat(self):
         # euclidean warp over the flat torus is a cone: Ric(v,v) < 0 off slices
@@ -226,20 +224,18 @@ class TestAmbientRicci:
         X, Y = np.meshgrid(base.x, base.x, indexing="ij")
         st = GraphState.from_radius(base, make_warp("euclidean"),
                                     2.0 + 0.2 * np.cos(X))
-        rvv, _ = ambient_ricci(st)
-        assert np.min(rvv) < -1e-4
-        # and exactly zero where the graph is radial (D phi = 0)
         s = snapshot(st)
+        assert np.min(s.ric_vv) < -1e-4
+        # and exactly zero where the graph is radial (D phi = 0)
         flat_nodes = s.dphi2 == 0.0
-        assert np.max(np.abs(rvv[flat_nodes])) == 0.0
+        assert np.max(np.abs(s.ric_vv[flat_nodes])) == 0.0
 
     def test_schwarzschild_ricci_values(self):
         w = make_warp("schwarzschild3", m=0.5)
         base = make_base("axisphere", 32)
         st = slice_state(base, w, r_at_h(w, 2.0))
-        _, rrr = ambient_ricci(st)
         # -(n-1) h''/h with h'' = m/h^2 at h = 2
-        np.testing.assert_allclose(rrr, -0.125, rtol=1e-9)
+        np.testing.assert_allclose(snapshot(st).ric_rr, -0.125, rtol=1e-9)
 
     def test_restricted_curvature_term(self):
         # euclidean over axisphere: (n-2)(h h'' - h'^2) + Ric_N(v_N,v_N) = -1 + 1
@@ -253,7 +249,7 @@ class TestAmbientRicci:
         # (n-2) (h h'' - h'^2) with n = 3 and h'^2 = 1 - 2m/h: 3m/h - 1,
         # plus a restricted base Ricci term that is 0 where D phi = 0
         w = make_warp("schwarzschild3", m=0.5)
-        for base in (make_base("point", 2), make_base("axisphere", 8)):
+        for base in (make_base("point", d=2), make_base("axisphere", 8)):
             for target in (1.6, 2.0, 5.0, 50.0, 500.0):
                 s = snapshot(slice_state(base, w, r_at_h(w, target)))
                 np.testing.assert_array_equal(s.Kh, 1.5 / s.h - 1.0)

@@ -9,12 +9,10 @@ from imcflow.manifold import (
     CircleBase,
     PointBase,
     Torus2Base,
-    UnsupportedBaseError,
-    commuting_residual,
     covariant_derivatives,
-    integrate,
     make_base,
 )
+from probes import UnsupportedBaseError, commuting_residual
 
 
 class TestMakeBase:
@@ -32,6 +30,17 @@ class TestMakeBase:
         for kind in ("circle", "axisphere", "torus2"):
             with pytest.raises(ValueError):
                 make_base(kind, 3)
+
+    def test_point_takes_no_resolution(self):
+        for resolution in (1, 2, 3):
+            with pytest.raises(ValueError, match="point base takes no resolution"):
+                make_base("point", resolution)
+        assert make_base("point", None, d=3).d == 3
+
+    def test_field_base_needs_a_resolution(self):
+        for kind in ("circle", "axisphere", "torus2"):
+            with pytest.raises(ValueError, match=f"{kind} needs a resolution"):
+                make_base(kind)
 
     def test_point_needs_positive_d(self):
         with pytest.raises(ValueError):
@@ -65,27 +74,27 @@ class TestMakeBase:
 class TestQuadrature:
     def test_circle_volume_exact(self):
         b = make_base("circle", 17)
-        vol = integrate(b, np.ones(b.shape))
+        vol = b.integrate(np.ones(b.shape))
         assert abs(vol - 2.0 * np.pi) < 1e-12
 
     def test_axisphere_area(self):
         b = make_base("axisphere", 2000)
-        vol = integrate(b, np.ones(b.shape))
+        vol = b.integrate(np.ones(b.shape))
         assert abs(vol - 4.0 * np.pi) / (4.0 * np.pi) < 1e-6
 
     def test_axisphere_cos_squared(self):
         b = make_base("axisphere", 2000)
-        val = integrate(b, np.cos(b.theta) ** 2)
+        val = b.integrate(np.cos(b.theta) ** 2)
         assert abs(val - 4.0 * np.pi / 3.0) / (4.0 * np.pi / 3.0) < 1e-6
 
     def test_torus_volume(self):
         b = make_base("torus2", 12)
-        vol = integrate(b, np.ones(b.shape))
+        vol = b.integrate(np.ones(b.shape))
         assert abs(vol - 4.0 * np.pi ** 2) < 1e-12
 
     def test_point_integrate_is_value(self):
         b = make_base("point")
-        assert integrate(b, np.array([3.5])) == 3.5
+        assert b.integrate(np.array([3.5])) == 3.5
 
 
 class TestStencilAccuracy:

@@ -22,7 +22,7 @@ from imcflow.verify import (CheckReport, DEFAULT_C_RES, check_A_bounded,
                             evolution_residuals, fit_decay_rate, _median)
 from imcflow.warp import make_warp, radial_potential
 
-POINT = make_base("point", 2)   # surfaces in a 3-dimensional ambient
+POINT = make_base("point", d=2)   # surfaces in a 3-dimensional ambient
 
 
 def point_trace(wname, r0, t_end, **kw):

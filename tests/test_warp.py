@@ -20,8 +20,8 @@ from imcflow.warp import (
     WarpDomainError,
     check_conditions,
     eval_warp,
+    field_hp,
     infimum_h0,
-    hp_at_phi,
     make_warp,
     phi_domain_violation,
     r_at_h,
@@ -174,9 +174,9 @@ class TestPotential:
 
 
 class TestDomains:
-    """One statement of each domain: r_of_phi, warp_at_phi and hp_at_phi
-    raise exactly where it fails, the error naming the first bad node, and
-    the float speed's interval shuts out exactly those values."""
+    """One statement of each domain: r_of_phi and warp_at_phi raise
+    exactly where it fails, the error naming the first bad node, and the
+    float speed's interval shuts out exactly those values."""
 
     PROBES = [-800.0, -746.0, -1.0, -1e-300, -0.0, 0.0, 0.5, 1.0, 3.0,
               710.0, 1e6, math.nan, math.inf, -math.inf]
@@ -220,21 +220,20 @@ class TestDomains:
             # the float speed's interval, the point base's check, also ends
             # where F = 2 h' overflows (hyperbolic, before cosh r does)
             with np.errstate(over="ignore"):
-                point_ok = bad is None and np.isfinite(2.0 * hp_at_phi(spec, phi)).all()
+                point_ok = bad is None and np.isfinite(2.0 * field_hp(spec)[0](phi)).all()
             assert (lo < float(v) < hi) == point_ok, v
             if bad is not None:
                 assert bad == exc.node == 1
             full = self.raises(warp_at_phi, spec, phi)
-            lean = self.raises(hp_at_phi, spec, phi)
-            assert (full is None) == (lean is None) == (bad is None), v
+            assert (full is None) == (bad is None), v
             if full is None:
                 hp = warp_at_phi(spec, phi)[2]
                 # the domain ends before h' overflows (cosh r on hyperbolic)
                 assert np.isfinite(hp).all(), v
-                assert np.array_equal(np.broadcast_to(hp_at_phi(spec, phi),
+                assert np.array_equal(np.broadcast_to(field_hp(spec)[0](phi),
                                                       hp.shape), hp)
             else:
-                assert full.node == lean.node == 1
+                assert full.node == 1
 
     @pytest.mark.parametrize("p,phi", [(1.5, 8.0), (1.5, 99.9999), (1.25, 8.0),
                                        (1.01, 99.9999), (1.01, -1e6), (3.7, -1e308)])
@@ -246,7 +245,7 @@ class TestDomains:
         arr = np.array([phi])
         assert phi_domain_violation(spec, arr) == 0
         assert self.raises(r_of_phi, spec, arr) is not None
-        assert self.raises(hp_at_phi, spec, arr) is not None
+        assert self.raises(warp_at_phi, spec, arr) is not None
         _, lo, hi = scalar_speed(spec, 2)
         assert not lo < phi < hi
 
@@ -281,7 +280,7 @@ DOMAIN_WARPS = {
 class TestOneDomainTest:
     """A value is tested once, where it enters: a potential inside its
     domain inverts to a radius that obeys the domain rule, so warp_at_phi
-    and hp_at_phi test no radius; and the float speed's interval is the
+    and field_hp test no radius; and the float speed's interval is the
     one the overflow search of F = nm1 h' gives on every preset."""
 
     @pytest.mark.parametrize("name", sorted(DOMAIN_WARPS))
@@ -317,7 +316,7 @@ class TestOneDomainTest:
         lo, hi = spec._phi_domain
 
         def finite(phi):
-            return bool(np.isfinite(nm1 * hp_at_phi(spec, np.array([phi]))).all())
+            return bool(np.isfinite(nm1 * field_hp(spec)[0](np.array([phi]))).all())
         with np.errstate(over="ignore"):
             want = warp._first_outside(finite, float(np.nextafter(lo, hi)), hi)
         _, got_lo, got_hi = scalar_speed(spec, nm1)
@@ -404,7 +403,7 @@ class TestClosedFormSlope:
         r = np.geomspace(1e-3, 30.0, 2000)
         phi = radial_potential(spec, r)
         want = eval_warp(spec, r_of_phi(spec, phi))[1]
-        assert np.all(abs(hp_at_phi(spec, phi) - want) <= 4.0 * EPS * (1.0 + r) * want)
+        assert np.all(abs(field_hp(spec)[0](phi) - want) <= 4.0 * EPS * (1.0 + r) * want)
 
 
 def _valid_at(spec, phi):
@@ -428,7 +427,7 @@ class TestLeanSlope:
     @given(st.sampled_from(sorted(LEAN_WARPS)),
            st.lists(st.floats(-3.0, 1.5), min_size=1, max_size=40),
            st.booleans())
-    def test_hp_at_phi_matches_warp_at_phi_bitwise(self, name, logr, square):
+    def test_field_hp_matches_warp_at_phi_bitwise(self, name, logr, square):
         # radii from 1e-3 to 10^1.5, inside every preset's domain and below
         # the hyperbolic potential's rounding to 0, as a row or a 2D grid
         spec = LEAN_WARPS[name]
@@ -437,7 +436,7 @@ class TestLeanSlope:
             r = np.outer(r, r[::-1]) ** 0.5
         phi = radial_potential(spec, r)
         ref = warp_at_phi(spec, phi)[2]
-        hp = hp_at_phi(spec, phi)
+        hp = field_hp(spec)[0](phi)
         assert np.broadcast_to(hp, ref.shape).tobytes() == ref.tobytes()
 
 
@@ -537,19 +536,18 @@ def knot_potentials(spec):
 
 
 def same_outcome(spec, phi):
-    """r_of_phi, warp_at_phi and hp_at_phi give the reference's bits or
-    raise at the reference's node."""
+    """r_of_phi, warp_at_phi and field_hp give the reference's bits, or
+    warp_at_phi raises at the reference's node."""
     assert reference_r_of_phi(spec, phi).tobytes() == r_of_phi(spec, phi).tobytes()
     ref = reference_warp_at_phi(spec, phi)
     if isinstance(ref, int):
-        for fn in (warp_at_phi, hp_at_phi):
-            with pytest.raises(WarpDomainError) as exc:
-                fn(spec, phi)
-            assert exc.value.node == (ref if phi.ndim else None)
+        with pytest.raises(WarpDomainError) as exc:
+            warp_at_phi(spec, phi)
+        assert exc.value.node == (ref if phi.ndim else None)
         return
     for want, got in zip(ref, warp_at_phi(spec, phi)):
         assert want.tobytes() == got.tobytes()
-    assert hp_at_phi(spec, phi).tobytes() == ref[2].tobytes()
+    assert field_hp(spec)[0](phi).tobytes() == ref[2].tobytes()
 
 
 class TestOneKnotSearch:
@@ -743,7 +741,7 @@ class TestHermiteTables:
         phi = phi[(phi > lo) & (phi < hi)]
         speed, _, _ = scalar_speed(spec, 2)
         got = np.array([speed(v) for v in phi.tolist()])
-        want = 1.0 / (2.0 * hp_at_phi(spec, phi))
+        want = 1.0 / (2.0 * field_hp(spec)[0](phi))
         assert np.all(abs(got - want) <= 4.0 * np.spacing(want))
 
 
