@@ -162,6 +162,17 @@ def _extract_checks(cfg):
     return checks, overrides
 
 
+def _base_key(kind, resolution, exc):
+    """The config key a make_base error is about.  make_base tests the kind,
+    then the resolution; then the base tests d, where a TypeError is a d
+    given to a base whose dimension is fixed."""
+    if kind not in ("point", "circle", "axisphere", "torus2"):
+        return "base.kind"
+    if kind == "point":
+        return "base.d" if resolution is None else "base.resolution"
+    return "base.d" if isinstance(exc, TypeError) else "base.resolution"
+
+
 def build_setup(cfg):
     """Consume config entries into (warp, base, phi0, FlowConfig, checks)."""
     cfg = dict(cfg)
@@ -188,7 +199,7 @@ def build_setup(cfg):
     try:
         base = make_base(kind, resolution, **kw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field="base.kind")
+        raise ConfigError(str(exc), field=_base_key(kind, resolution, exc))
 
     phi_lit = _take(cfg, "initial.phi", _parse_floats)
     for key in ("initial.r0", "initial.modes"):

@@ -16,7 +16,9 @@ records and the events of every base, and _step is the one RK4 step.
 A stepper only evaluates states (start, check) and bounds dt (cfl);
 check returns the rate k = 1/F of a valid state, else None with the
 event in the stepper's event, and _step stores the rate of the state it
-lands on in the stepper's k, the next step's first rate.
+lands on in the stepper's k, the next step's first rate.  No check
+counts itself: run counts the initial state and the completed steps'
+checks, _step those of a step that fails (_RunStats).
 _FieldStepper sends every array state through _evaluate, the one code
 that decides whether a state is valid and which event it is.  It resolves
 the base's speed kernel, the warp's h' and its potential domain once per
@@ -114,7 +116,10 @@ class _RunStats:
     f_evals counts the states evaluated, one per start or check call of
     the stepper: the initial state, each RK4 stage and each step result,
     the state that ended the run included.  On field bases each is an
-    _evaluate call, on the point base a call of the scalar speed.  The dt
+    _evaluate call, on the point base a call of the scalar speed.  No
+    check counts itself: run adds the initial state, step the _CHECKS
+    evaluations of each completed step (one call per run of equal steps),
+    and _step the k checks of a step whose k-th check failed.  The dt
     limiter is "landing" when a step was clipped onto a record, snapshot
     or end time, else "cfl" when the parabolic bound was below dt_max,
     else "dt_max".
@@ -132,6 +137,7 @@ class _RunStats:
         if n == 0:
             return
         self.steps += n
+        self.f_evals += _CHECKS * n
         self.limiter[limiter] += n
         if dt < self.min_dt:
             self.min_dt = dt
@@ -252,7 +258,6 @@ class _FieldStepper:
 
     def check(self, phi, t):
         """The rate k = 1/F of a valid state, else None and its event."""
-        self.stats.f_evals += 1
         self.fields, self.event = _evaluate(self._dispatch, phi, t,
                                             self.config.theta_min,
                                             next(self._sets))
@@ -275,7 +280,6 @@ class _PointStepper:
 
         # a closure, not a method: the stages call it four times a step
         def check(phi, t):
-            stats.f_evals += 1
             if lo < phi < hi:
                 return speed(phi)
             self.event = _evaluate(dispatch, np.array([phi]), t,
@@ -292,30 +296,40 @@ class _PointStepper:
         return math.inf
 
 
+# the checks of one RK4 step: three stages and the state it lands on
+_CHECKS = 4
+
+
 def _step(stepper, phi, t, dt, t_new):
     """One RK4 step from a checked state, landing at t_new:
     (new state, its event|None), or (offending stage, event).  The stages
     are unrolled, as a loop slows the point runs.  The new state is formed
     before it is checked, so its check may reuse the first rate's arrays
     (_FieldStepper's ring of buffer sets counts on this).  stepper.event is
-    None until a check fails, and a failed check ends the run."""
+    None until a check fails, and a failed check ends the run; a failed
+    k-th check adds k to the run's f_evals (_RunStats)."""
     check = stepper.check
     k1 = stepper.k
     h = 0.5 * dt
     stage = phi + h * k1
     k2 = check(stage, t + h)
     if k2 is None:
+        stepper.stats.f_evals += 1
         return stage, stepper.event
     stage = phi + h * k2
     k3 = check(stage, t + h)
     if k3 is None:
+        stepper.stats.f_evals += 2
         return stage, stepper.event
     stage = phi + dt * k3
     k4 = check(stage, t + dt)
     if k4 is None:
+        stepper.stats.f_evals += 3
         return stage, stepper.event
     new = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    stepper.k = check(new, t_new)
+    stepper.k = k = check(new, t_new)
+    if k is None:
+        stepper.stats.f_evals += _CHECKS
     return new, stepper.event
 
 
@@ -379,6 +393,7 @@ def run(initial, config):
     # a stage
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         phi, event = stepper.start(np.array(initial.phi, dtype=float))
+        stats.f_evals += 1
         bad, t, dt = phi, 0.0, 0.0
         if event is None:
             record(t, phi, dt)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -195,10 +196,19 @@ def _kernel_2d(base):
 
 @dataclass
 class GeometrySnapshot:
-    """All pointwise geometric fields of a graph state at one time."""
+    """All pointwise geometric fields of a graph state at one time.
+
+    snapshot computes the fields a trace row reads (H, omega, A2 and those
+    of _light_fields) and shape; u, Kh, ric_dphi, ric_rr and ric_vv are
+    derived from them, the base and the warp on first read and then kept
+    (functools.cached_property), under the numpy error state (np.geterr)
+    of the snapshot's making, so they warn as they would have there.
+    """
 
     t: float
     n: int
+    base: object
+    warp: object
     r: np.ndarray
     h: np.ndarray
     hp: np.ndarray
@@ -210,13 +220,55 @@ class GeometrySnapshot:
     F: np.ndarray
     H: np.ndarray
     omega: np.ndarray
-    u: np.ndarray
     shape: np.ndarray
     A2: np.ndarray
-    Kh: np.ndarray
-    ric_dphi: np.ndarray
-    ric_vv: np.ndarray
-    ric_rr: np.ndarray
+    errstate: dict = field(repr=False)
+
+    @cached_property
+    def u(self):
+        """1/(H omega), NaN wherever H <= 0 rather than a signed infinity."""
+        with np.errstate(**self.errstate), \
+                np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.H > 0.0, 1.0 / (self.H * self.omega), np.nan)
+
+    @cached_property
+    def ric_dphi(self):
+        if self.base.dc == 0:
+            return np.zeros(self.base.shape)
+        with np.errstate(**self.errstate):
+            return self.base.ricci_dphi(self.grad)
+
+    @cached_property
+    def Kh(self):
+        with np.errstate(**self.errstate):
+            q = (self.n - 2) * _warp.q(self.warp, self.r, self.h)
+            if self.base.dc == 0:
+                return q
+            # direction-restricted base Ricci; zero-gradient nodes use the
+            # slice convention (radial direction degenerates, term drops)
+            dphi2, ric_dphi = self.dphi2, self.ric_dphi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ric_dir = np.where(dphi2 > 0.0, ric_dphi / np.where(dphi2 > 0.0, dphi2, 1.0), 0.0)
+            return q + ric_dir
+
+    @cached_property
+    def ric_rr(self):
+        with np.errstate(**self.errstate):
+            rr = -self.base.d * self.hpp / self.h
+            if self.base.dc == 0:
+                return rr
+            return np.broadcast_to(rr, self.base.shape).copy()
+
+    @cached_property
+    def ric_vv(self):
+        if self.base.dc == 0:
+            # round slice: the radial direction is the normal
+            return self.ric_rr.copy()
+        n, h, hp, hpp, dphi2 = self.n, self.h, self.hp, self.hpp, self.dphi2
+        with np.errstate(**self.errstate):
+            theta2 = self.theta ** 2
+            return theta2 * self.ric_rr + (theta2 / h ** 2) * (
+                self.ric_dphi - (h * hpp + (n - 2) * hp ** 2) * dphi2)
 
     # extremes read by index (warp._min, warp._max): np.min's and np.max's
     # values, the first NaN included, and of a 0.0/-0.0 tie the first;
@@ -253,48 +305,25 @@ class GeometrySnapshot:
 
 
 def snapshot(state):
-    """Compute the full GeometrySnapshot of a state.
-
-    u = 1/(H omega) is reported as NaN wherever H <= 0 rather than as a
-    signed infinity; every other field is defined unconditionally.
+    """The GeometrySnapshot of a state: its light fields, H, omega, the
+    shape operator and |A|^2 now, u, Kh and the Ricci terms on first read.
     """
     base = state.base
     lf = _light_fields(state)
-    n = state.n
-    nm1 = base.d
-    r, h, hp, hpp = lf["r"], lf["h"], lf["hp"], lf["hpp"]
-    theta, F = lf["theta"], lf["F"]
+    h, hp, theta, F = lf["h"], lf["hp"], lf["theta"], lf["F"]
     omega = h * theta
     H = F / omega
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(H > 0.0, 1.0 / (H * omega), np.nan)
-
     if base.dc == 0:
         # round slice: umbilic with principal curvature h'/h in all n-1 directions
         shape = np.zeros((0, 0, 1))
-        A2 = nm1 * (hp / h) ** 2
-        ric_dphi = np.zeros(base.shape)
-        Kh = (n - 2) * _warp.q(state.warp, r, h)
-        ric_rr = -nm1 * hpp / h
-        ric_vv = ric_rr.copy()
+        A2 = base.d * (hp / h) ** 2
     else:
         shape, A2 = _shape_from_fields(base, lf)
-        ric_dphi = base.ricci_dphi(lf["grad"])
-        dphi2 = lf["dphi2"]
-        # direction-restricted base Ricci; zero-gradient nodes use the
-        # slice convention (radial direction degenerates, term drops)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ric_dir = np.where(dphi2 > 0.0, ric_dphi / np.where(dphi2 > 0.0, dphi2, 1.0), 0.0)
-        Kh = (n - 2) * _warp.q(state.warp, r, h) + ric_dir
-        ric_rr = np.broadcast_to(-nm1 * hpp / h, base.shape).copy()
-        theta2 = theta ** 2
-        ric_vv = theta2 * ric_rr + (theta2 / h ** 2) * (
-            ric_dphi - (h * hpp + (n - 2) * hp ** 2) * dphi2)
-
     return GeometrySnapshot(
-        t=state.t, n=n, r=r, h=h, hp=hp, hpp=hpp, grad=lf["grad"], hess=lf["hess"],
-        dphi2=lf["dphi2"], theta=theta, F=F, H=H, omega=omega, u=u,
-        shape=shape, A2=A2, Kh=Kh, ric_dphi=ric_dphi, ric_vv=ric_vv, ric_rr=ric_rr)
+        t=state.t, n=state.n, base=base, warp=state.warp, r=lf["r"], h=h, hp=hp,
+        hpp=lf["hpp"], grad=lf["grad"], hess=lf["hess"], dphi2=lf["dphi2"],
+        theta=theta, F=F, H=H, omega=omega, shape=shape, A2=A2,
+        errstate=np.geterr())
 
 
 def _shape_from_fields(base, lf):

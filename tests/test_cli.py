@@ -216,6 +216,25 @@ class TestConfigErrorsExitThree:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base, key", [
+        ("point\nbase.resolution = 1", "base.resolution"),
+        ("point\nbase.d = 0\nbase.resolution = 3", "base.resolution"),
+        ("circle", "base.resolution"),
+        ("circle\nbase.resolution = 2", "base.resolution"),
+        ("torus2\nbase.resolution = 3", "base.resolution"),
+        ("point\nbase.d = 0", "base.d"),
+        ("axisphere\nbase.resolution = 8\nbase.d = 3", "base.d"),
+        ("sphere\nbase.resolution = 8", "base.kind"),
+    ])
+    def test_base_error_names_its_key(self, tmp_path, capsys, base, key):
+        # every base error once named base.kind
+        cfg = write_cfg(tmp_path, POINT_RUN.replace("base.kind = point",
+                                                    f"base.kind = {base}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert f"field '{key}')" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, start, ignored", [
         ("point", "initial.phi = 0.0\ninitial.r0 = 1.0", "initial.r0"),
         ("circle\nbase.resolution = 4",

@@ -151,7 +151,6 @@ class TestScalarSpeed:
         assert stepper.event is None
         assert stepper.check(math.nextafter(phi, 1.0), 0.0) is None
         assert stepper.event.kind == "domain"
-        assert stepper.stats.f_evals == 2
 
     def test_domain_edges_raise(self):
         _, lo, hi = scalar_speed(make_warp("hyperbolic"), 2)
@@ -573,24 +572,28 @@ class TestEventKeepsState:
 
 
 class TestStageEvent:
-    """An event at an RK4 stage ends the run at that stage.  The second
-    check of a step is of phi + (dt/2) k2 at t + dt/2; the trace keeps that
-    stage when it is a graph (F <= 0) and the step's start otherwise."""
+    """An event at an RK4 check ends the run at that check's state.  The
+    k-th check of a step from phi at t0 is of phi + (dt/2) k1 and of
+    phi + (dt/2) k2 at t0 + dt/2, of phi + dt k3 at t0 + dt, and of the
+    state the step lands on at its landing time; the trace keeps that
+    state when it is a graph (F <= 0) and the step's start otherwise, and
+    f_evals counts the k checks of the failed step."""
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["loss_of_mean_convexity", "domain"])
-    def test_event_at_the_second_check_of_a_step(self, kind):
+    def test_event_at_the_kth_check_of_a_step(self, kind, k):
         base = make_base("axisphere", 16)
         w = make_warp("euclidean")
         cfg = FlowConfig(t_end=0.05, safety=0.5, dt_max=1e-3,
                          record_every=0.01, snapshot_every=0.02)
         at_step, node = 15, 3
         # call 1 checks the initial state, then each step makes four
-        at_call = 4 * (at_step - 1) + 3
+        at_call = 4 * (at_step - 1) + 1 + k
         evaluate, step = flow_mod._evaluate, flow_mod._step
         calls, steps, seen = [0], [], {}
 
         def stepping(stepper, phi, t, dt, t_new):
-            steps.append((t, dt, np.array(phi)))
+            steps.append((t, dt, t_new, np.array(phi)))
             return step(stepper, phi, t, dt, t_new)
 
         def evaluating(dispatch, phi, t, theta_min, out=None):
@@ -608,13 +611,24 @@ class TestStageEvent:
         assert len(steps) == at_step and calls[0] == at_call
         assert (ev.kind, ev.node) == (kind, node)
         assert tr.stats["f_evals"] == at_call
-        t0, dt, phi0 = steps[-1]
+        t0, dt, t_new, phi0 = steps[-1]
         h = 0.5 * dt
-        assert ev.t == seen["t"] == t0 + h
         dispatch = flow_mod._Dispatch(base, w)
-        k1 = evaluate(dispatch, phi0, t0, cfg.theta_min)[0][1]
-        k2 = evaluate(dispatch, phi0 + h * k1, t0 + h, cfg.theta_min)[0][1]
-        assert np.array_equal(seen["phi"], phi0 + h * k2)
+
+        def rate(phi, t):
+            return evaluate(dispatch, phi, t, cfg.theta_min)[0][1]
+        k1 = rate(phi0, t0)
+        k2 = rate(phi0 + h * k1, t0 + h)
+        k3 = rate(phi0 + h * k2, t0 + h)
+        k4 = rate(phi0 + dt * k3, t0 + dt)
+        t_k, phi_k = {
+            1: (t0 + h, phi0 + h * k1),
+            2: (t0 + h, phi0 + h * k2),
+            3: (t0 + dt, phi0 + dt * k3),
+            4: (t_new, phi0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)),
+        }[k]
+        assert ev.t == seen["t"] == t_k
+        assert np.array_equal(seen["phi"], phi_k)
         t_s, last, _ = tr.snapshots[-1]
         if kind == "loss_of_mean_convexity":
             assert t_s == tr.times[-1] == ev.t

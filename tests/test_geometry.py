@@ -1,9 +1,12 @@
 """Tests for pointwise graph geometry against closed-form and embedding oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imcflow.flow import FlowConfig, run
 from imcflow.geometry import (
     GraphState,
     OracleUnsupportedError,
@@ -12,7 +15,7 @@ from imcflow.geometry import (
     snapshot,
 )
 from imcflow.manifold import make_base
-from imcflow.warp import make_warp, r_at_h
+from imcflow.warp import PRESETS, make_warp, q, r_at_h
 
 
 def slice_state(base, wspec, r0):
@@ -253,6 +256,86 @@ class TestAmbientRicci:
             for target in (1.6, 2.0, 5.0, 50.0, 500.0):
                 s = snapshot(slice_state(base, w, r_at_h(w, target)))
                 np.testing.assert_array_equal(s.Kh, 1.5 / s.h - 1.0)
+
+
+DERIVED = ("u", "Kh", "ric_dphi", "ric_rr", "ric_vv")
+
+
+def _eager_derived(state, s):
+    """u, Kh and the Ricci terms by the expressions snapshot once evaluated
+    eagerly, from the snapshot's other fields; the bitwise reference for
+    the fields it now derives on first read."""
+    base, n, nm1 = state.base, state.n, state.base.d
+    r, h, hp, hpp, theta, H, omega = s.r, s.h, s.hp, s.hpp, s.theta, s.H, s.omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(H > 0.0, 1.0 / (H * omega), np.nan)
+    if base.dc == 0:
+        ric_dphi = np.zeros(base.shape)
+        Kh = (n - 2) * q(state.warp, r, h)
+        ric_rr = -nm1 * hpp / h
+        ric_vv = ric_rr.copy()
+    else:
+        ric_dphi = base.ricci_dphi(s.grad)
+        dphi2 = s.dphi2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ric_dir = np.where(dphi2 > 0.0, ric_dphi / np.where(dphi2 > 0.0, dphi2, 1.0), 0.0)
+        Kh = (n - 2) * q(state.warp, r, h) + ric_dir
+        ric_rr = np.broadcast_to(-nm1 * hpp / h, base.shape).copy()
+        theta2 = theta ** 2
+        ric_vv = theta2 * ric_rr + (theta2 / h ** 2) * (
+            ric_dphi - (h * hpp + (n - 2) * hp ** 2) * dphi2)
+    return dict(u=u, Kh=Kh, ric_dphi=ric_dphi, ric_rr=ric_rr, ric_vv=ric_vv)
+
+
+class TestDerivedOnFirstRead:
+    """snapshot derives u, Kh and the Ricci terms when they are first read:
+    with the eager expressions' bits, never for a trace row, and under the
+    numpy error state of the snapshot's making."""
+
+    @pytest.mark.parametrize("pid", sorted(PRESETS))
+    @pytest.mark.parametrize("kind", ["point", "circle", "axisphere", "torus2"])
+    @pytest.mark.parametrize("amp", [0.0, 0.45])
+    def test_equal_to_the_eager_expressions(self, kind, pid, amp):
+        w = make_warp(pid, p=2.0) if pid == "power" else make_warp(pid)
+        if kind == "point":
+            base = make_base("point", d=2)
+            x = np.zeros(1)
+        else:
+            base = make_base(kind, 8 if kind == "torus2" else 24)
+            x = base.theta if kind != "torus2" else base.x[:, None] + base.x
+        # amp 0.45 bends three lobes until H < 0 at their troughs (u NaN)
+        # on the field bases; amp 0 is a slice, where D phi = 0
+        state = GraphState.from_radius(base, w, 0.8 * (1.0 + amp * np.cos(3 * x)))
+        s = snapshot(state)
+        ref = _eager_derived(state, s)
+        for name in DERIVED:
+            got = getattr(s, name)
+            assert got.shape == ref[name].shape, name
+            assert got.tobytes() == ref[name].tobytes(), name
+            assert np.array_equal(np.isnan(got), np.isnan(ref[name])), name
+            assert getattr(s, name) is got       # kept after the first read
+
+    def test_rows_never_read_the_derived_fields(self):
+        w = make_warp("schwarzschild3")
+        state = GraphState.from_radius(make_base("point", d=2), w, np.array([1.5]))
+        with mock.patch("imcflow.warp.q", side_effect=AssertionError("q read")):
+            tr = run(state, FlowConfig(t_end=1.0, record_every=0.1,
+                                       snapshot_every=0.25))
+            assert tr.completed and len(tr.times) == 11 and len(tr.snapshots) == 5
+            with pytest.raises(AssertionError, match="q read"):
+                tr.snapshots[-1][2].Kh
+
+    def test_read_under_the_error_state_of_the_snapshot(self):
+        # h = sinh r overflows h^2 near r = 400, and ric_vv takes 0 * inf
+        base = make_base("axisphere", 16)
+        state = GraphState.from_radius(base, make_warp("hyperbolic"),
+                                       400.0 * (1.0 + 0.01 * np.cos(base.theta)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            quiet = snapshot(state)
+        loud = snapshot(state)
+        assert np.isnan(quiet.ric_vv).all()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            loud.ric_vv
 
 
 class TestEmbeddingOracle:
