@@ -24,8 +24,8 @@ from .manifold import (
     make_base, covariant_derivatives,
 )
 from .geometry import (
-    GraphState, GeometrySnapshot, snapshot, induced_metric,
-    embedding_oracle_H, OracleUnsupportedError,
+    GraphState, GeometrySnapshot, snapshot, embedding_oracle_H,
+    OracleUnsupportedError,
 )
 from .flow import (
     FlowConfig, FlowEvent, FlowTrace, run,

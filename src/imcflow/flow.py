@@ -13,23 +13,25 @@ grids, which keeps runs bit-reproducible for a given configuration.
 
 One driver, run, owns the cadence, the landing, the dt limiter, the
 records and the events of every base, and _step is the one RK4 step.
-A stepper only evaluates states (start, check) and bounds dt (cfl);
-check returns the rate k = 1/F of a valid state, else None with the
-event in the stepper's event, and _step stores the rate of the state it
-lands on in the stepper's k, the next step's first rate.  No check
-counts itself: run counts the initial state and the completed steps'
-checks, _step those of a step that fails (_RunStats).
+A stepper only evaluates states and bounds dt (cfl): check(phi) returns
+the rate k = 1/F of a valid state, else None, and event(phi, t) the
+FlowEvent of a state check rejected, at the stage time only _step knows.
+_step stores the rate of the state it lands on in the stepper's k, the
+next step's first rate.  No check counts itself: run counts the initial
+state and the completed steps' checks, _step those of a step that fails
+(_RunStats).
 _FieldStepper sends every array state through _evaluate, the one code
-that decides whether a state is valid and which event it is.  It resolves
-the base's speed kernel, the warp's h' and its potential domain once per
-run (_Dispatch), and the stencil and the speed kernel write each stage's
-fields into the next set of a ring of geometry.StageBuffers allocated
-for the run; records copy phi and snapshots evaluate into new arrays.
-_PointStepper tests a plain float against the interval where a point
-state is valid (warp.py states the domain rule and the F = d h' edge),
-takes its rate from the warp's float formula and calls _evaluate only for
-event payloads: criterion 1's 80k speed calls must fit its 1 s gate, and
-one array evaluation on the point base costs 20-100 us.
+that decides whether a state is valid and which fault (kind, node,
+value) it has, which event reads.  It resolves the base's speed kernel,
+the warp's h' and its potential domain once per run (_Dispatch), and the
+stencil and the speed kernel write each stage's fields into the next set
+of a ring of geometry.StageBuffers allocated for the run; records copy
+phi and snapshots evaluate into new arrays.  _PointStepper's check is
+the warp's float speed, which tests the interval where a point state is
+valid itself (warp.py states the domain rule and the F = d h' edge), and
+event sends the state it rejects through _evaluate: criterion 1's 80k
+speed calls must fit its 1 s gate, and one array evaluation on the point
+base costs 20-100 us.
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ class FlowTrace:
 class _RunStats:
     """Counts of one run; machine-independent, so reruns give equal dicts.
 
-    f_evals counts the states evaluated, one per start or check call of
-    the stepper: the initial state, each RK4 stage and each step result,
-    the state that ended the run included.  On field bases each is an
-    _evaluate call, on the point base a call of the scalar speed.  No
+    f_evals counts the states evaluated, one per check call of the
+    stepper: the initial state, each RK4 stage and each step result, the
+    state that ended the run included.  On field bases each is an
+    _evaluate call, on the point base a call of the float speed, valid
+    state or not; the event of the state that ended the run adds none.  No
     check counts itself: run adds the initial state, step the _CHECKS
     evaluations of each completed step (one call per run of equal steps),
     and _step the k checks of a step whose k-th check failed.  The dt
@@ -165,8 +168,9 @@ class _Dispatch:
         self.hp, self.lo, self.hi = field_hp(wspec)
 
 
-def _evaluate(dispatch, phi, t, theta_min, out=None):
-    """((F, 1/F, Theta^2, diffs), None) of a valid state, else (None, event).
+def _evaluate(dispatch, phi, theta_min, out=None):
+    """((F, 1/F, Theta^2, diffs), None) of a valid state, else (None,
+    (kind, node, value)), the fault that makes its FlowEvent at a time.
 
     phi is a float array on dispatch's base.  It lies in the potential
     domain when lo < min phi and max phi < hi; h' then comes from the
@@ -178,7 +182,7 @@ def _evaluate(dispatch, phi, t, theta_min, out=None):
     theta_min because sqrt is correctly rounded and monotone; each extreme
     is read at its argmin or argmax (warp._min): the first NaN, which fails
     every comparison, or of a 0.0/-0.0 tie the first, which changes no
-    test.  Otherwise the event is, in this order: non-finite phi, phi
+    test.  Otherwise the fault is, in this order: non-finite phi, phi
     outside the image of Phi, non-finite F, F <= 0 at its smallest node,
     Theta below theta_min at its smallest node.
     """
@@ -187,9 +191,9 @@ def _evaluate(dispatch, phi, t, theta_min, out=None):
         bad = ~np.isfinite(phi)
         if bad.any():
             node = int(bad.argmax())
-            return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
+            return None, ("numeric", node, float(phi.flat[node]))
         node = phi_domain_violation(dispatch.wspec, phi)
-        return None, FlowEvent("domain", t, node, float(phi.flat[node]))
+        return None, ("domain", node, float(phi.flat[node]))
     F, theta2, _, diffs = dispatch.speed(phi, dispatch.hp(phi), out)
     k = np.divide(_ONE, F, out=None if out is None else out.k)
     if (_min(F) > 0.0 and _min(k) > 0.0
@@ -198,14 +202,13 @@ def _evaluate(dispatch, phi, t, theta_min, out=None):
     bad = ~np.isfinite(F)
     if bad.any():
         node = int(bad.argmax())
-        return None, FlowEvent("numeric", t, node, float(F.flat[node]))
+        return None, ("numeric", node, float(F.flat[node]))
     fmin = float(F.min())
     if fmin <= 0.0:
-        return None, FlowEvent("loss_of_mean_convexity", t, int(F.argmin()), fmin)
+        return None, ("loss_of_mean_convexity", int(F.argmin()), fmin)
     # F passed, so the angle test failed
     theta = np.sqrt(theta2)
-    return None, FlowEvent("angle_degeneracy", t, int(theta.argmin()),
-                           float(theta.min()))
+    return None, ("angle_degeneracy", int(theta.argmin()), float(theta.min()))
 
 
 def _cfl_dt(base, F, theta2, diffs, safety):
@@ -246,22 +249,27 @@ class _FieldStepper:
 
     def __init__(self, base, wspec, config, stats):
         self.base, self.config, self.stats = base, config, stats
-        self.k = self.fields = self.event = None
+        self.k = self.fields = self.fault = None
         self._dispatch = _Dispatch(base, wspec)
         self._sets = itertools.cycle([_geom.stage_buffers(base)
                                       for _ in range(4)])
 
     def start(self, phi):
         """(state, event|None) of the initial potential array."""
-        self.k = self.check(phi, 0.0)
-        return phi, self.event
+        self.k = self.check(phi)
+        return phi, None if self.k is not None else self.event(phi, 0.0)
 
-    def check(self, phi, t):
-        """The rate k = 1/F of a valid state, else None and its event."""
-        self.fields, self.event = _evaluate(self._dispatch, phi, t,
+    def check(self, phi):
+        """The rate k = 1/F of a valid state, else None; keeps its fault."""
+        self.fields, self.fault = _evaluate(self._dispatch, phi,
                                             self.config.theta_min,
                                             next(self._sets))
         return None if self.fields is None else self.fields[1]
+
+    def event(self, phi, t):
+        """The FlowEvent at t of the state the last check failed."""
+        kind, node, value = self.fault
+        return FlowEvent(kind, t, node, value)
 
     def cfl(self):
         F, _, theta2, diffs = self.fields
@@ -269,28 +277,24 @@ class _FieldStepper:
 
 
 class _PointStepper:
-    """A plain float, valid inside the open interval the warp's scalar
-    speed comes with; outside it _evaluate gives the event the field
+    """A plain float.  check is the warp's float speed, one call a stage;
+    event sends the state it rejects through _evaluate, for the field
     path's payload."""
 
     def __init__(self, base, wspec, config, stats):
-        self.stats, self.k, self.event = stats, None, None
-        speed, lo, hi = _scalar_speed(wspec, base.d)
-        dispatch = _Dispatch(base, wspec)
-
-        # a closure, not a method: the stages call it four times a step
-        def check(phi, t):
-            if lo < phi < hi:
-                return speed(phi)
-            self.event = _evaluate(dispatch, np.array([phi]), t,
-                                   config.theta_min)[1]
-            return None
-        self.check = check
+        self.stats, self.k, self.config = stats, None, config
+        self.check = _scalar_speed(wspec, base.d)[0]
+        self._dispatch = _Dispatch(base, wspec)
 
     def start(self, phi):
         x = float(phi[0])
-        self.k = self.check(x, 0.0)
-        return x, self.event
+        self.k = self.check(x)
+        return x, None if self.k is not None else self.event(x, 0.0)
+
+    def event(self, phi, t):
+        kind, node, value = _evaluate(self._dispatch, np.array([phi]),
+                                      self.config.theta_min)[1]
+        return FlowEvent(kind, t, node, value)
 
     def cfl(self):
         return math.inf
@@ -301,36 +305,37 @@ _CHECKS = 4
 
 
 def _step(stepper, phi, t, dt, t_new):
-    """One RK4 step from a checked state, landing at t_new:
-    (new state, its event|None), or (offending stage, event).  The stages
-    are unrolled, as a loop slows the point runs.  The new state is formed
-    before it is checked, so its check may reuse the first rate's arrays
-    (_FieldStepper's ring of buffer sets counts on this).  stepper.event is
-    None until a check fails, and a failed check ends the run; a failed
-    k-th check adds k to the run's f_evals (_RunStats)."""
+    """One RK4 step from a checked state, landing at t_new: (new state,
+    None), or (offending state, its event at its check's time: t + dt/2,
+    t + dt/2, t + dt or t_new).  The stages are unrolled, as a loop slows
+    the point runs.  The new state is formed before it is checked, so its
+    check may reuse the first rate's arrays (_FieldStepper's ring of buffer
+    sets counts on this).  A failed k-th check ends the run and adds k to
+    its f_evals (_RunStats)."""
     check = stepper.check
     k1 = stepper.k
     h = 0.5 * dt
     stage = phi + h * k1
-    k2 = check(stage, t + h)
+    k2 = check(stage)
     if k2 is None:
         stepper.stats.f_evals += 1
-        return stage, stepper.event
+        return stage, stepper.event(stage, t + h)
     stage = phi + h * k2
-    k3 = check(stage, t + h)
+    k3 = check(stage)
     if k3 is None:
         stepper.stats.f_evals += 2
-        return stage, stepper.event
+        return stage, stepper.event(stage, t + h)
     stage = phi + dt * k3
-    k4 = check(stage, t + dt)
+    k4 = check(stage)
     if k4 is None:
         stepper.stats.f_evals += 3
-        return stage, stepper.event
+        return stage, stepper.event(stage, t + dt)
     new = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    stepper.k = k = check(new, t_new)
+    stepper.k = k = check(new)
     if k is None:
         stepper.stats.f_evals += _CHECKS
-    return new, stepper.event
+        return new, stepper.event(new, t_new)
+    return new, None
 
 
 def _stepper(base, wspec, config):

@@ -31,7 +31,7 @@ from .warp import _max, _min
 
 __all__ = [
     "GraphState", "GeometrySnapshot", "snapshot", "speed_kernel",
-    "StageBuffers", "stage_buffers", "induced_metric", "embedding_oracle_H",
+    "StageBuffers", "stage_buffers", "embedding_oracle_H",
     "OracleUnsupportedError",
 ]
 
@@ -68,8 +68,8 @@ class GraphState:
 def _light_fields(state):
     """r, h, h', h'', Theta, Theta^2, dphi2, F and the grad/hess/sinv arrays.
 
-    What snapshot extends (induced_metric reads it too); the time
-    stepper calls the speed kernel alone.  Exploits the diagonal sigma.
+    What snapshot extends; the time stepper calls the speed kernel
+    alone.  Exploits the diagonal sigma.
     Returns a dict so the full snapshot can extend it without recomputing.
     """
     base = state.base
@@ -343,25 +343,6 @@ def _shape_from_fields(base, lf):
     # directions suppressed by axisymmetry (azimuth on the axisphere) already
     # appear as explicit diagonal entries, so the trace is complete for dc = d
     return shape, A2
-
-
-def induced_metric(state):
-    """Induced metric and inverse as (dc, dc, *grid) component arrays."""
-    base = state.base
-    lf = _light_fields(state)
-    dc = base.dc
-    h = lf["h"]
-    grad = lf["grad"]
-    sinv = lf["sinv"]
-    sdiag = base.sigma_diag()
-    theta2 = lf["theta"] ** 2
-    up = sinv * grad
-    g = h ** 2 * np.einsum("i...,j...->ij...", grad, grad)
-    ginv = -(theta2 / h ** 2) * np.einsum("i...,j...->ij...", up, up)
-    for i in range(dc):
-        g[i, i] += h ** 2 * sdiag[i]
-        ginv[i, i] += sinv[i] / h ** 2
-    return g, ginv
 
 
 def embedding_oracle_H(state):

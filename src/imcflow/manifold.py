@@ -65,11 +65,8 @@ class BaseManifold:
         return f
 
     # subclasses: differences (the one stencil), assemble, integrate; field
-    # bases: stencil_buffers.  The metric: sigma and its inverse as (dc, *grid)
-    # diagonals, Ric_N(D phi, D phi) from the gradient; flat unless overridden
-
-    def sigma_diag(self):
-        return np.ones((self.dc,) + self.shape)
+    # bases: stencil_buffers.  The metric: sigma's inverse as a (dc, *grid)
+    # diagonal, Ric_N(D phi, D phi) from the gradient; flat unless overridden
 
     def sigma_inv_diag(self):
         return np.ones((self.dc,) + self.shape)
@@ -218,11 +215,6 @@ class AxisphereBase(_ThetaGrid):
 
     def integrate(self, f):
         return float(np.sum(self.check_field(f) * self._weights))
-
-    def sigma_diag(self):
-        s = np.ones((2, self.resolution))
-        s[1] = self.sin ** 2
-        return s
 
     def sigma_inv_diag(self):
         s = np.ones((2, self.resolution))

@@ -99,6 +99,12 @@ class _HermiteTable:
         self.x, self.rows = x, np.vstack([x[:-1], c5, c4, c3, 0.5 * e0, d0, y[:-1]])
         self._last_seg = len(x) - 2
 
+    @functools.cached_property
+    def float_lists(self):
+        """The knots and each piece's coefficients as float lists, made
+        once, as each fresh float speed reads them (scalar_speed)."""
+        return self.x.tolist(), self.rows[1:].T.tolist()
+
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
         return self.at(self.segment(xq), xq)
@@ -605,31 +611,32 @@ def field_hp(spec):
 
 @functools.lru_cache(maxsize=16)
 def scalar_speed(spec, nm1):
-    """Float speed of round slices, ``speed(phi) = 1/(nm1 h'(r(phi)))``,
-    and the open interval (lo, hi) where the point state is valid.
+    """Float speed of round slices, ``speed(phi) = 1/(nm1 h'(r(phi)))``
+    for lo < phi < hi, else None, and the open interval (lo, hi) where the
+    point state is valid.
 
     On the point base the flow is the ODE d phi/dt = 1/((n-1) h'(r(phi)))
     and array costs dominate, so each (spec, nm1) gets one float formula,
-    built once, which tests nothing: the caller tests lo < phi < hi.  That
-    is the potential domain (``phi_domain_violation``), cut where F = nm1 h'
-    overflows, by bisection where h' is unbounded (hyperbolic and power
-    p > 1), an upper interval since h' rises with phi.  Every preset takes
-    the steps of field_hp and of the point base's 1/F, 1/(nm1 h'), on plain
-    floats.  hyperbolic calls math.tanh, whose bits can differ from numpy's
-    in the last place; schwarzschild3 calls numpy's tanh on the float,
-    which gives its array loop's bits.  saturating's closure holds the
-    inverse table's knots and piece coefficients as float lists and makes
-    segment's search and at's Horner pass inline: the piece of the previous
-    call is this call's guess, kept when segment's own rule holds it
-    (x[i] < phi <= x[i+1], with no lower bound on the first piece and no
-    upper bound on the last), else bisect finds it, so no value depends on
-    the order of calls.
+    built once, which is the point base's stage check: it tests the
+    interval first, which NaN and +-inf fail.  That is the potential
+    domain (``phi_domain_violation``), cut where F = nm1 h' overflows, by
+    bisection where h' is unbounded (hyperbolic and power p > 1), an upper
+    interval since h' rises with phi.  Every preset takes the steps of
+    field_hp and of the point base's 1/F, 1/(nm1 h'), on plain floats.
+    hyperbolic calls math.tanh, whose bits can differ from numpy's in the
+    last place; schwarzschild3 calls numpy's tanh on the float, which
+    gives its array loop's bits.  saturating's closure reads the inverse
+    table's float lists and makes segment's search and at's Horner pass
+    inline: the piece of the previous call is this call's guess, kept when
+    segment's own rule holds it (x[i] < phi <= x[i+1], with no lower bound
+    on the first piece and no upper bound on the last), else bisect finds
+    it, so no value depends on the order of calls.
     """
     pid = spec.preset_id
     lo, hi = spec._phi_domain
     if _flat(spec):
         c = 1.0 / nm1
-        return (lambda phi: c), lo, hi
+        return (lambda phi: c if lo < phi < hi else None), lo, hi
     if pid in ("hyperbolic", "power"):
         hp = field_hp(spec)[0]
 
@@ -638,21 +645,27 @@ def scalar_speed(spec, nm1):
         with np.errstate(over="ignore"):
             hi = _first_outside(finite, float(np.nextafter(lo, hi)), hi)
     if pid == "hyperbolic":
-        return (lambda phi: 1.0 / (nm1 * (-1.0 / math.tanh(phi)))), lo, hi
+        tanh = math.tanh
+        return (lambda phi: 1.0 / (nm1 * (-1.0 / tanh(phi)))
+                if lo < phi < hi else None), lo, hi
     if pid == "power":
         p, q = spec.params["p"], 1.0 - spec.params["p"]
-        return (lambda phi: 1.0 / (nm1 * (p / (1.0 + q * phi)))), lo, hi
+        return (lambda phi: 1.0 / (nm1 * (p / (1.0 + q * phi)))
+                if lo < phi < hi else None), lo, hi
     if pid == "schwarzschild3":
         # _sw_hp(phi - phi_lo), its operations in its order
         tanh, v0, phi_lo = np.tanh, _SW_V0, spec._phi_lo
-        return (lambda phi: 1.0 / (nm1 * float(tanh(0.5 * (v0 + (phi - phi_lo)))))), lo, hi
+        return (lambda phi: 1.0 / (nm1 * float(tanh(0.5 * (v0 + (phi - phi_lo)))))
+                if lo < phi < hi else None), lo, hi
     table = spec._r_of_phi_table
-    x, pieces, top = table.x.tolist(), table.rows[1:].T.tolist(), table._last_seg
+    (x, pieces), top = table.float_lists, table._last_seg
     a, b, mk = spec.params["a"], spec.params["b"], -spec.params["k"]
     i = 0
 
     def speed(phi):
         nonlocal i
+        if not lo < phi < hi:
+            return None
         if not ((i == 0 or x[i] < phi) and (i == top or phi <= x[i + 1])):
             i = bisect.bisect_left(x, phi) - 1
             i = 0 if i < 0 else top if i > top else i

@@ -4,11 +4,14 @@ stable_dt      the step bound the time stepper takes from a state
 commuting_residual
                the worst violation of the third-derivative commutation
                identity on a base's stencils
+induced_metric the graph's metric and its inverse, on the base metric
+               sigma_diag
 """
 
 import numpy as np
 
 from imcflow import flow as flow_mod
+from imcflow.geometry import _light_fields
 
 
 class UnsupportedBaseError(ValueError):
@@ -89,3 +92,31 @@ def commuting_residual(base, f):
                     worst = max(worst, float(np.max(np.abs(res))))
         return worst
     raise UnsupportedBaseError(f"unknown base kind {base.kind!r}")
+
+
+def sigma_diag(base):
+    """The base metric sigma as a (dc, *grid) diagonal: flat, but for the
+    axisphere's azimuthal entry sin^2 theta."""
+    s = np.ones((base.dc,) + base.shape)
+    if base.kind == "axisphere":
+        s[1] = base.sin ** 2
+    return s
+
+
+def induced_metric(state):
+    """Induced metric and inverse as (dc, dc, *grid) component arrays."""
+    base = state.base
+    lf = _light_fields(state)
+    dc = base.dc
+    h = lf["h"]
+    grad = lf["grad"]
+    sinv = lf["sinv"]
+    sdiag = sigma_diag(base)
+    theta2 = lf["theta"] ** 2
+    up = sinv * grad
+    g = h ** 2 * np.einsum("i...,j...->ij...", grad, grad)
+    ginv = -(theta2 / h ** 2) * np.einsum("i...,j...->ij...", up, up)
+    for i in range(dc):
+        g[i, i] += h ** 2 * sdiag[i]
+        ginv[i, i] += sinv[i] / h ** 2
+    return g, ginv

@@ -2,7 +2,7 @@
 
 differences and assemble must give the np.roll stencils' gradient and
 Hessian bit for bit, geometry.speed_kernel the generic einsum formula's F and
-Theta^2, flow._evaluate the verdict, event and fields of a reference built
+Theta^2, flow._evaluate the verdict, fault and fields of a reference built
 from warp_at_phi and that formula, with a StageBuffers set and without,
 flow._cfl_dt the step size of a plain np.max reference, and a run must
 not change by one bit when the references take their places.  The
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imcflow import flow as flow_mod, warp as warp_mod
-from imcflow.flow import FlowConfig, FlowEvent, run
+from imcflow.flow import FlowConfig, run
 from imcflow.geometry import (GraphState, _light_fields, snapshot, speed_kernel,
                               stage_buffers)
 from imcflow.manifold import covariant_derivatives, make_base
@@ -217,35 +217,36 @@ def wave(base, l):
     return np.cos(l * base.theta)
 
 
-def reference_evaluate(dispatch, phi, t, theta_min, out=None):
+def reference_evaluate(dispatch, phi, theta_min, out=None):
     """flow._evaluate from the full warp evaluation and the einsum formula.
 
-    The event rules, in their order: non-finite phi, the warp's domain,
+    The fault rules, in their order: non-finite phi, the warp's domain,
     non-finite F, F <= 0, Theta < theta_min, each at its first or
-    smallest node.  Every array is new; out is not used.
+    smallest node, as (kind, node, value).  Every array is new; out is
+    not used.
     """
     base, w = dispatch.base, dispatch.wspec
     finite = np.isfinite(phi)
     if not finite.all():
         node = int((~finite).argmax())
-        return None, FlowEvent("numeric", t, node, float(phi.flat[node]))
+        return None, ("numeric", node, float(phi.flat[node]))
     try:
         hp = warp_at_phi(w, phi)[2]
     except WarpDomainError as exc:
-        return None, FlowEvent("domain", t, exc.node, float(phi.flat[exc.node]))
+        return None, ("domain", exc.node, float(phi.flat[exc.node]))
     ref = _einsum_fields(base, phi, hp)
     F = ref["F"]
     finite = np.isfinite(F)
     if not finite.all():
         node = int((~finite).argmax())
-        return None, FlowEvent("numeric", t, node, float(F.flat[node]))
+        return None, ("numeric", node, float(F.flat[node]))
     fmin = float(F.min())
     if fmin <= 0.0:
-        return None, FlowEvent("loss_of_mean_convexity", t, int(F.argmin()), fmin)
+        return None, ("loss_of_mean_convexity", int(F.argmin()), fmin)
     theta = ref["theta"]
     tmin = float(theta.min())
     if tmin < theta_min:
-        return None, FlowEvent("angle_degeneracy", t, int(theta.argmin()), tmin)
+        return None, ("angle_degeneracy", int(theta.argmin()), tmin)
     return (F, 1.0 / F, ref["theta2"], _diffs(base, ref["grad"], ref["hess"])), None
 
 
@@ -272,14 +273,14 @@ def nan_buffers(base):
 
 
 def probe_agrees(base, w, phi, theta_min):
-    """_evaluate must give the reference's event, or its fields bit for bit,
+    """_evaluate must give the reference's fault, or its fields bit for bit,
     with new arrays and, on a field base, with a StageBuffers set, whose F
     and 1/F arrays it then returns."""
     dispatch = flow_mod._Dispatch(base, w)
-    ref_fields, ref_ev = reference_evaluate(dispatch, phi, 0.0, theta_min)
+    ref_fields, ref_ev = reference_evaluate(dispatch, phi, theta_min)
     outs = [None, nan_buffers(base)] if base.dc else [None]
     for out in outs:
-        fields, ev = flow_mod._evaluate(dispatch, phi, 0.0, theta_min, out)
+        fields, ev = flow_mod._evaluate(dispatch, phi, theta_min, out)
         assert repr(ev) == repr(ref_ev)
         if ev is None:
             # F, 1/F, Theta^2, then each difference
@@ -317,9 +318,8 @@ class TestFastAccept:
             phi.flat[node] = data.draw(st.sampled_from(
                 [math.nan, math.inf, -math.inf]))
         with np.errstate(all="ignore"):
-            _, ev = reference_evaluate(flow_mod._Dispatch(base, w), phi,
-                                       0.0, 0.0)
-            graph = ev is None or ev.kind == "loss_of_mean_convexity"
+            _, ev = reference_evaluate(flow_mod._Dispatch(base, w), phi, 0.0)
+            graph = ev is None or ev[0] == "loss_of_mean_convexity"
             theta_min = data.draw(st.sampled_from([0.0, 1e-3, 0.5]))
             if graph and data.draw(st.booleans()):
                 # put theta_min on, or one ulp either side of, min Theta
@@ -338,7 +338,7 @@ class TestFastAccept:
         tmin = float(_light_fields(GraphState(base, w, phi))["theta"].min())
         assert probe_agrees(base, w, phi, tmin) == (True, None)
         accepted, ev = probe_agrees(base, w, phi, np.nextafter(tmin, 1.0))
-        assert not accepted and ev.kind == "angle_degeneracy"
+        assert not accepted and ev[0] == "angle_degeneracy"
 
     @pytest.mark.parametrize("pid", sorted(WARPS))
     @pytest.mark.parametrize("kind", KINDS)
@@ -354,7 +354,7 @@ class TestFastAccept:
         w = WARPS["euclidean"]
         phi = 0.6 * wave(base, 4)
         accepted, ev = probe_agrees(base, w, phi, 0.0)
-        assert not accepted and ev.kind == "loss_of_mean_convexity"
+        assert not accepted and ev[0] == "loss_of_mean_convexity"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_phi_falls_back(self, bad):
@@ -364,7 +364,7 @@ class TestFastAccept:
         with np.errstate(all="ignore"):
             accepted, ev = probe_agrees(base, WARPS["euclidean"], phi, 1e-3)
         assert not accepted
-        assert (ev.kind, ev.node) == ("numeric", 5)
+        assert ev[:2] == ("numeric", 5)
 
     def test_infinite_F_inside_the_domain_falls_back(self):
         # phi = -1e-308 maps to r = 709.89, where h' = cosh r is finite but
@@ -375,7 +375,7 @@ class TestFastAccept:
         with np.errstate(all="ignore"):
             accepted, ev = probe_agrees(base, WARPS["hyperbolic"], phi, 1e-3)
         assert not accepted
-        assert (ev.kind, ev.node, ev.value) == ("numeric", 0, math.inf)
+        assert ev == ("numeric", 0, math.inf)
 
     @pytest.mark.parametrize("pid,value", [
         ("euclidean", 710.0), ("euclidean", -746.0), ("hyperbolic", 0.0),
@@ -388,11 +388,11 @@ class TestFastAccept:
             with np.errstate(all="ignore"):
                 accepted, ev = probe_agrees(base, w, phi, 1e-3)
             assert not accepted
-            assert (ev.kind, ev.node, ev.value) == ("domain", 9, phi.flat[9])
+            assert ev == ("domain", 9, phi.flat[9])
 
     @pytest.mark.parametrize("pid", sorted(WARPS))
     def test_point_base_matches_reference(self, pid):
-        # the scalar stepper's initial state and event payloads
+        # the scalar stepper's initial state and event faults
         base = make_base("point", d=2)
         w = WARPS[pid]
         phi = np.array([CENTRE[pid]])
@@ -421,14 +421,12 @@ def outcome(f, *args):
 
 
 def same(a, b):
-    """Equal bit for bit, through tuples, arrays, floats and events."""
+    """Equal bit for bit, through tuples, arrays and floats."""
     if isinstance(a, tuple):
         return (isinstance(b, tuple) and len(a) == len(b)
                 and all(map(same, a, b)))
     if isinstance(a, (np.ndarray, float)):
         return isinstance(b, (np.ndarray, float)) and same_bits(a, b)
-    if isinstance(a, FlowEvent):
-        return repr(a) == repr(b)
     return a == b
 
 
@@ -518,10 +516,10 @@ class TestReductionsByIndex:
         base = dispatch.base
         with np.errstate(all="ignore"):
             for fresh in (lambda: None, lambda: nan_buffers(base)):
-                mine = outcome(flow_mod._evaluate, dispatch, phi, 0.0,
+                mine = outcome(flow_mod._evaluate, dispatch, phi,
                                theta_min, fresh())
                 with by_reduction(flow_mod):
-                    theirs = outcome(flow_mod._evaluate, dispatch, phi, 0.0,
+                    theirs = outcome(flow_mod._evaluate, dispatch, phi,
                                      theta_min, fresh())
                 assert same(mine, theirs), (mine, theirs)
         return mine
@@ -557,8 +555,8 @@ class TestReductionsByIndex:
             got = self.agree(dispatch, phi, theta_min)
             if len(got) == 3:       # raised: (type, message, node)
                 kinds.add(got[0])
-            else:                   # (fields, event or None)
-                kinds.add(got[1] and got[1].kind)
+            else:                   # (fields, fault or None)
+                kinds.add(got[1] and got[1][0])
         if name == "F":
             assert kinds == {"numeric", "loss_of_mean_convexity"}
         else:
@@ -576,8 +574,7 @@ class TestReductionsByIndex:
         for plant in ([(last, math.inf)], [(1, math.inf), (last, math.inf)]):
             dispatch = planting_dispatch(base, w, "F", plant)
             fields, ev = self.agree(dispatch, phi, 1e-3)
-            assert (ev.kind, ev.node, ev.value) == ("numeric", plant[0][0],
-                                                    math.inf)
+            assert ev == ("numeric", plant[0][0], math.inf)
 
     @pytest.mark.parametrize("name", ["F", "theta2"])
     @pytest.mark.parametrize("kind,M", PLANT_BASES + [("circle", 16)])
@@ -894,9 +891,9 @@ class TestRunStats:
     ])
     def test_f_evals_are_the_evaluations_made(self, integrator, kind, pid,
                                               r0, t_end):
-        # field bases evaluate each state by _evaluate; the point base tests
-        # the scalar speed's interval, then evaluates a state inside it by
-        # the speed and one outside it by _evaluate (for the event)
+        # field bases evaluate each state by _evaluate; the point base by
+        # its float speed, valid or not, and the one state that ends the
+        # run again by _evaluate, for its event, which is no check
         calls = [0]
 
         def counted_evaluate(*args):
@@ -915,8 +912,9 @@ class TestRunStats:
         r = r0 * (1.0 + 0.01 * np.cos(base.theta)) if kind != "point" \
             else np.array([r0])
         st0 = GraphState.from_radius(base, WARPS[pid], r)
-        with mock.patch.object(flow_mod, "_evaluate", counted_evaluate), \
-                mock.patch.object(flow_mod, "_scalar_speed", counted):
+        name, counting = (("_scalar_speed", counted) if kind == "point"
+                          else ("_evaluate", counted_evaluate))
+        with mock.patch.object(flow_mod, name, counting):
             tr = run(st0, FlowConfig(t_end=t_end, integrator=integrator,
                                      dt_max=1e-2, safety=0.5))
         assert tr.completed == (pid == "euclidean")

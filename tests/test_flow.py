@@ -147,10 +147,12 @@ class TestScalarSpeed:
         assert phi_domain_violation(w, np.array([phi])) is None
         stepper = flow_mod._PointStepper(POINT, w, FlowConfig(t_end=1.0),
                                          flow_mod._RunStats())
-        assert stepper.check(phi, 0.0) == scalar_speed(w, POINT.d)[0](phi) > 0.0
-        assert stepper.event is None
-        assert stepper.check(math.nextafter(phi, 1.0), 0.0) is None
-        assert stepper.event.kind == "domain"
+        # the check is the float speed itself, no closure around it
+        assert stepper.check is scalar_speed(w, POINT.d)[0]
+        assert stepper.check(phi) == scalar_speed(w, POINT.d)[0](phi) > 0.0
+        out = math.nextafter(phi, 1.0)
+        assert stepper.check(out) is None
+        assert stepper.event(out, 0.0).kind == "domain"
 
     def test_domain_edges_raise(self):
         _, lo, hi = scalar_speed(make_warp("hyperbolic"), 2)
@@ -220,7 +222,7 @@ class TestStableDt:
         dispatch = flow_mod._Dispatch(base, w)
 
         def rate(phi):
-            fields, ev = flow_mod._evaluate(dispatch, phi, 0.0, cfg.theta_min)
+            fields, ev = flow_mod._evaluate(dispatch, phi, cfg.theta_min)
             assert ev is None
             return fields[1].ravel()
         eps, n = 1e-6, st.phi.size
@@ -577,7 +579,8 @@ class TestStageEvent:
     phi + (dt/2) k2 at t0 + dt/2, of phi + dt k3 at t0 + dt, and of the
     state the step lands on at its landing time; the trace keeps that
     state when it is a graph (F <= 0) and the step's start otherwise, and
-    f_evals counts the k checks of the failed step."""
+    f_evals counts the k checks of the failed step.  A check sees the state
+    alone; the time is _step's."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["loss_of_mean_convexity", "domain"])
@@ -596,12 +599,12 @@ class TestStageEvent:
             steps.append((t, dt, t_new, np.array(phi)))
             return step(stepper, phi, t, dt, t_new)
 
-        def evaluating(dispatch, phi, t, theta_min, out=None):
+        def evaluating(dispatch, phi, theta_min, out=None):
             calls[0] += 1
             if calls[0] == at_call:
-                seen["phi"], seen["t"] = np.array(phi), t
-                return None, flow_mod.FlowEvent(kind, t, node, -1.0)
-            return evaluate(dispatch, phi, t, theta_min, out)
+                seen["phi"] = np.array(phi)
+                return None, (kind, node, -1.0)
+            return evaluate(dispatch, phi, theta_min, out)
 
         state = GraphState.from_radius(base, w, 1.0 + 0.1 * np.cos(base.theta))
         with mock.patch.object(flow_mod, "_step", stepping), \
@@ -615,19 +618,19 @@ class TestStageEvent:
         h = 0.5 * dt
         dispatch = flow_mod._Dispatch(base, w)
 
-        def rate(phi, t):
-            return evaluate(dispatch, phi, t, cfg.theta_min)[0][1]
-        k1 = rate(phi0, t0)
-        k2 = rate(phi0 + h * k1, t0 + h)
-        k3 = rate(phi0 + h * k2, t0 + h)
-        k4 = rate(phi0 + dt * k3, t0 + dt)
+        def rate(phi):
+            return evaluate(dispatch, phi, cfg.theta_min)[0][1]
+        k1 = rate(phi0)
+        k2 = rate(phi0 + h * k1)
+        k3 = rate(phi0 + h * k2)
+        k4 = rate(phi0 + dt * k3)
         t_k, phi_k = {
             1: (t0 + h, phi0 + h * k1),
             2: (t0 + h, phi0 + h * k2),
             3: (t0 + dt, phi0 + dt * k3),
             4: (t_new, phi0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)),
         }[k]
-        assert ev.t == seen["t"] == t_k
+        assert ev.t == t_k
         assert np.array_equal(seen["phi"], phi_k)
         t_s, last, _ = tr.snapshots[-1]
         if kind == "loss_of_mean_convexity":
@@ -636,6 +639,60 @@ class TestStageEvent:
         else:
             assert t_s == tr.times[-1] == t0
             assert np.array_equal(last.phi, phi0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_point_domain_exit_at_the_kth_check_of_a_step(self, k):
+        # a rate of 1e9 planted at the check before the k-th sends the
+        # k-th check's state far past the domain's top, phi = 1 on power
+        # p = 2: a real exit, which the float speed rejects and _evaluate
+        # names, with the landing check's rate as k1 when k = 1
+        w = make_warp("power", p=2.0)
+        cfg = FlowConfig(t_end=0.05, dt_max=1e-3, record_every=0.01,
+                         snapshot_every=0.02)
+        at_step = 15
+        at_call = 4 * (at_step - 1) + 1 + k
+        step = flow_mod._step
+        calls, rates, steps, seen = [0], [None], [], {}
+
+        def stepping(stepper, phi, t, dt, t_new):
+            steps.append((t, dt, t_new, phi))
+            return step(stepper, phi, t, dt, t_new)
+
+        def planting(spec, nm1):
+            speed, lo, hi = scalar_speed(spec, nm1)
+
+            def check(phi):
+                calls[0] += 1
+                if calls[0] == at_call:
+                    seen["phi"] = phi
+                rate = speed(phi)
+                rates.append(1e9 if calls[0] == at_call - 1 else rate)
+                return rates[-1]
+            return check, lo, hi
+
+        with mock.patch.object(flow_mod, "_step", stepping), \
+                mock.patch.object(flow_mod, "_scalar_speed", planting):
+            tr = run(point_state(w, 1.0), cfg)
+        ev = tr.terminal
+        assert len(steps) == at_step and calls[0] == at_call
+        assert tr.stats["f_evals"] == at_call
+        t0, dt, t_new, phi0 = steps[-1]
+        h = 0.5 * dt
+        # rates[c] is call c's rate, k1 the one before this step's calls;
+        # the rates this step did not reach are never read
+        k1, k2, k3, k4 = (rates[at_call - k:at_call] + [0.0] * 3)[:4]
+        t_k, phi_k = [
+            (t0 + h, phi0 + h * k1),
+            (t0 + h, phi0 + h * k2),
+            (t0 + dt, phi0 + dt * k3),
+            (t_new, phi0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)),
+        ][k - 1]
+        assert rates[at_call] is None and phi_k > 1.0
+        assert (ev.kind, ev.node, ev.t, ev.value) == ("domain", 0, t_k, phi_k)
+        assert seen["phi"] == phi_k
+        t_s, last, _ = tr.snapshots[-1]
+        assert t_s == tr.times[-1] == t0
+        assert last.phi.tolist() == [phi0]
 
 
 class TestSymmetryAndMonotonicity:

@@ -11,11 +11,11 @@ from imcflow.geometry import (
     GraphState,
     OracleUnsupportedError,
     embedding_oracle_H,
-    induced_metric,
     snapshot,
 )
 from imcflow.manifold import make_base
 from imcflow.warp import PRESETS, make_warp, q, r_at_h
+from probes import induced_metric
 
 
 def slice_state(base, wspec, r0):

@@ -5,14 +5,14 @@ import importlib
 import pytest
 
 import imcflow
-from imcflow import flow
+from imcflow import flow, manifold
 
 MODULES = ["cli", "flow", "geometry", "manifold", "verify", "warp"]
 
 # moved into the tests (probes.py) or replaced by the call they restated
 REMOVED = {
     "flow": ["stable_dt"],
-    "geometry": ["shape_operator", "ambient_ricci"],
+    "geometry": ["shape_operator", "ambient_ricci", "induced_metric"],
     "manifold": ["integrate", "commuting_residual", "_third_covariant_axisphere",
                  "UnsupportedBaseError"],
     "warp": ["hp_at_phi"],
@@ -43,3 +43,5 @@ def test_removed_names_are_gone():
             assert not hasattr(imcflow, n), n
             assert not hasattr(module, n), n
     assert not hasattr(flow.FlowTrace, "snapshot_times")
+    assert not hasattr(manifold.BaseManifold, "sigma_diag")
+    assert not hasattr(manifold.AxisphereBase, "sigma_diag")

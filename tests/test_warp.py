@@ -216,12 +216,14 @@ class TestDomains:
             bad = phi_domain_violation(spec, phi)
             exc = self.raises(r_of_phi, spec, phi)
             assert (exc is not None) == (bad is not None), v
-            _, lo, hi = scalar_speed(spec, 2)
+            speed, lo, hi = scalar_speed(spec, 2)
             # the float speed's interval, the point base's check, also ends
-            # where F = 2 h' overflows (hyperbolic, before cosh r does)
+            # where F = 2 h' overflows (hyperbolic, before cosh r does); the
+            # speed tests it itself
             with np.errstate(over="ignore"):
                 point_ok = bad is None and np.isfinite(2.0 * field_hp(spec)[0](phi)).all()
             assert (lo < float(v) < hi) == point_ok, v
+            assert (speed(float(v)) is not None) == point_ok, v
             if bad is not None:
                 assert bad == exc.node == 1
             full = self.raises(warp_at_phi, spec, phi)
@@ -255,8 +257,21 @@ class TestDomains:
     def test_scalar_speed_rejects_non_finite(self, presets, pid, v):
         spec = presets[pid]
         assert phi_domain_violation(spec, np.array([v])) == 0
-        _, lo, hi = scalar_speed(spec, 2)
+        speed, lo, hi = scalar_speed(spec, 2)
         assert not lo < v < hi
+        assert speed(v) is None
+
+    @pytest.mark.parametrize("pid", ["euclidean", "hyperbolic", "schwarzschild3",
+                                     "saturating", "power"])
+    def test_scalar_speed_tests_its_open_interval(self, presets, pid):
+        # None at each end and one float outside it, a positive float one
+        # float inside it
+        speed, lo, hi = scalar_speed(presets[pid], 2)
+        for end, outward in ((lo, -math.inf), (hi, math.inf)):
+            assert speed(end) is None, end
+            assert speed(math.nextafter(end, outward)) is None, end
+            inside = speed(math.nextafter(end, -outward))
+            assert type(inside) is float and inside > 0.0, end
 
     def test_scalar_error_has_no_node(self, presets):
         exc = self.raises(r_of_phi, presets["hyperbolic"], 0.2)
@@ -384,7 +399,7 @@ class TestClosedFormSlope:
         phi = phi[(phi > lo) & (phi < hi)]
         dispatch = flow._Dispatch(make_base("point", d=nm1), spec)
         got = np.array([speed(v) for v in phi.tolist()])
-        want = np.array([flow._evaluate(dispatch, np.array([v]), 0.0, 0.0)[0][1][0]
+        want = np.array([flow._evaluate(dispatch, np.array([v]), 0.0)[0][1][0]
                          for v in phi.tolist()])
         same = got == want
         if spec.preset_id == "power":
