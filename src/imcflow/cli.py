@@ -135,10 +135,9 @@ def _parse_ids(s, known=CHECK_IDS, what="check id"):
 
 
 # check parameter -> its converter from config text; every other parameter
-# takes one float, and None marks the ones that take no single value
+# takes one float
 _OVERRIDE_CONV = {
-    "which": lambda s: _parse_ids(s, tuple(_verify.DEFAULT_C_RES), "identity"),
-    "fit_window": None}
+    "which": lambda s: _parse_ids(s, tuple(_verify.DEFAULT_C_RES), "identity")}
 
 
 def _extract_checks(cfg):
@@ -154,10 +153,6 @@ def _extract_checks(cfg):
                 raise ConfigError(f"check {parts[1]} takes no parameter {parts[2]!r} "
                                   f"(known: {', '.join(known) or 'none'})", field=key)
             conv = _OVERRIDE_CONV.get(parts[2], float)
-            if conv is None:
-                raise ConfigError(f"parameter {parts[2]!r} of check {parts[1]} takes "
-                                  "no single float; a config cannot set it",
-                                  line=cfg[key][1], field=key)
             overrides.setdefault(parts[1], {})[parts[2]] = _take(cfg, key, conv)
     return checks, overrides
 

@@ -7,7 +7,8 @@ fail (claim violated on data where its hypotheses hold) from inapplicable
 the worst case from the stored trace.  Outside the family with Euclidean
 asymptotics (c5_bounded false) a roundness failure stays a fail, with a
 note: a run that does not round off, like the hyperbolic obstruction, must
-fail the expectation its mode states, not pass it as inapplicable.
+fail the expectation its mode states, not pass it as inapplicable.  The
+roundness gate takes its bounds from the run, not from the unit of length.
 
 Residual checks of the evolution identities use centered differences of
 snapshot pairs for the time derivative, so they exercise the public trace
@@ -300,26 +301,30 @@ def fit_decay_rate(times, values, eps=1e-30):
     return float(-slope)
 
 
-def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
-                      fit_window=None):
-    """Late-time behavior of the rescaled graph.
+# expect_obstruction: the terminal oscillation of the rescaled radius must
+# stay above this floor
+OBSTRUCTION_FLOOR = 1e-2
 
-    expect_roundness: fitted decay rates of max|Dphi|, max|D^2 phi|,
-    osc(e^{-t/(n-1)} h) and the normalized shape deviation over the second
-    half must all be positive, the terminal oscillation must fall below
-    tol_osc, and C2 must be time-uniform: the growth rate gamma of max H h,
-    fitted over the snapshots in the window, may not exceed the predicted
-    rate beta = rho0 / C2^2 (C2 = max H h over the run).  beta is a decay
-    rate only while H h <= C2 holds as the surface grows; in hyperbolic
-    space H h ~ (n-1) cosh r grows like e^{t/(n-1)}, and this part rejects
-    such runs even when their oscillation decays slowly.  gamma is compared
-    after subtracting the rounding floor of the log-linear fit,
-    64 eps max(1, |ln H h|) / (window length), so a constant H h (exactly
-    round data, gamma ~ 1e-17) is not a failure when beta = 0.  beta and
-    gamma are reported in details.  expect_obstruction: the terminal
-    oscillation must stay above obstruction_floor.  A non-finite value in
-    a fitted series or in H h at any node leaves the check inapplicable
-    (passed None), with a note naming the series.
+
+def check_asymptotics(trace, mode):
+    """Late-time behavior of the rescaled graph, fitted over [T/2, T].
+
+    Every bound comes from the run, so dilating a euclidean run leaves the
+    verdict as it was.  expect_roundness passes when every fitted decay
+    rate (max|Dphi|, max|D^2 phi|, osc(e^{-t/(n-1)} h), the normalized
+    shape deviation) exceeds beta = rho0 / C2^2 (C2 = max H h over the
+    run); the terminal oscillation is at most
+    tol_osc = osc(t0) e^{-beta (T - t0)}, t0 the window's first record; and
+    C2 is time-uniform: the growth rate gamma of max H h over the window's
+    snapshots, less the log-linear fit's rounding floor
+    64 eps max(1, |ln H h|) / (window length), is at most beta.  beta is a
+    rate only while H h <= C2 holds; in hyperbolic space H h ~ (n-1) cosh r
+    grows like e^{t/(n-1)}, and gamma rejects such runs even when their
+    oscillation decays slowly.  Exactly round data (osc = tol_osc = 0,
+    constant H h) passes.  expect_obstruction: the terminal oscillation must
+    stay above OBSTRUCTION_FLOOR.  Fewer than 3 records in the window, or a
+    non-finite value in a fitted series or in H h at any node, leaves the
+    check inapplicable (passed None), with a note.
     """
     if mode not in ("expect_roundness", "expect_obstruction"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -329,9 +334,7 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     T = trace.t_final
     if T < 8.0 - 1e-9:
         raise ValueError(f"trace too short for asymptotics (t_end={T:.3g} < 8)")
-    if fit_window is None:
-        fit_window = (T / 2.0, T)
-    lo, hi = fit_window
+    lo = T / 2.0
 
     n = trace.n
     cond = check_conditions(trace.warp, _radial_hull(trace), rho=trace.base.rho)
@@ -343,14 +346,14 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
         notes.append("c5_bounded false: the warp lies outside the family "
                      "with Euclidean asymptotics; roundness is not predicted")
 
-    tmask = (trace.times >= lo - 1e-9) & (trace.times <= hi + 1e-9)
+    tmask = trace.times >= lo - 1e-9
     ts = trace.times[tmask]
     series = {
         "grad_phi": trace.columns["max_grad_phi"][tmask],
         "hess_phi": trace.columns["max_hess_phi"][tmask],
         "osc": trace.columns["osc_rescaled_h"][tmask],
     }
-    win = [lo - 1e-9 <= t <= hi + 1e-9 for t, _, _ in trace.snapshots]
+    win = [t >= lo - 1e-9 for t, _, _ in trace.snapshots]
     st = [(t, s) for (t, _, s), w in zip(trace.snapshots, win) if w]
     shape_t = np.array([t for t, _ in st])
     shape_dev = np.array([s.shape_dev_max for _, s in st])
@@ -362,10 +365,12 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     check_id = "asymptotics_" + mode.removeprefix("expect_")
     bad = [k for k, v in (*series.items(), ("shape_dev", shape_dev),
                           ("max_Hh", Hh)) if not np.isfinite(v).all()]
-    if bad:
-        notes.append(f"non-finite values in {', '.join(bad)}; nothing fitted")
+    if bad or len(ts) < 3:
+        notes.append((f"non-finite values in {', '.join(bad)}" if bad else
+                      f"{len(ts)} records in the fit window, fewer than 3")
+                     + "; nothing fitted")
         return CheckReport(check_id, hyp, None, float("nan"), 0.0,
-                           {"fit_window": [lo, hi], "non_finite": bad}, notes)
+                           {"fit_window": [lo, T], "non_finite": bad}, notes)
 
     rates = {k: fit_decay_rate(ts, v) for k, v in series.items()}
     if len(shape_t) >= 3:
@@ -385,12 +390,11 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
     C2_obs = float(np.max(Hh))
     rho0 = (n - 2) * trace.base.rho
     beta = rho0 / C2_obs ** 2 if C2_obs > 0 else float("nan")
-    details = {"rates": rates, "terminal_osc": osc_T,
+    tol_osc = float(series["osc"][0]) * math.exp(-beta * (T - ts[0]))
+    details = {"rates": rates, "terminal_osc": osc_T, "tol_osc": tol_osc,
                "beta_predicted": beta, "C2_obs": C2_obs, "rho0": rho0,
-               "gamma_Hh": gamma,
-               "fit_window": [lo, hi],
-               "worst": {"quantity": "osc_rescaled_h", "t": T,
-                         "value": osc_T}}
+               "gamma_Hh": gamma, "fit_window": [lo, T],
+               "worst": {"quantity": "osc_rescaled_h", "t": T, "value": osc_T}}
     notes.append("beta_predicted is a one-sided construction; observed "
                  "rates may exceed it")
 
@@ -398,24 +402,23 @@ def check_asymptotics(trace, mode, tol_osc=1e-3, obstruction_floor=1e-2,
         notes.append("point base: no spatial variation; rates are exact")
 
     if mode == "expect_obstruction":
-        margin = (osc_T - obstruction_floor) / obstruction_floor
-        details["worst"]["bound"] = obstruction_floor
+        margin = (osc_T - OBSTRUCTION_FLOOR) / OBSTRUCTION_FLOOR
+        details["worst"]["bound"] = OBSTRUCTION_FLOOR
         return CheckReport(check_id, hyp, bool(margin >= 0.0), float(margin),
                            0.0, details, notes)
 
-    rate_vals = [v for v in rates.values() if not math.isnan(v)]
-    osc_margin = (tol_osc - osc_T) / tol_osc
+    rate_margins = [v - beta for v in rates.values() if not math.isnan(v)]
+    osc_margin = ((tol_osc - osc_T) / tol_osc if tol_osc > 0.0
+                  else -math.inf if osc_T > 0.0 else 0.0)
     # NaN gamma (too few snapshots) or NaN beta leaves uniformity unchecked
     excess = gamma - gamma_floor - beta
-    uniform = not excess > 0.0
-    margins = [osc_margin] + rate_vals
+    margins = [osc_margin, *rate_margins]
     if not math.isnan(excess):
         margins.append(-excess)
-    margin = min(margins)
     details["worst"]["bound"] = tol_osc
-    passed = (osc_T < tol_osc and all(v > 0.0 for v in rate_vals)
-              and uniform)
-    return CheckReport(check_id, hyp, bool(passed), float(margin), 0.0,
+    passed = (osc_T <= tol_osc and all(m > 0.0 for m in rate_margins)
+              and not excess > 0.0)
+    return CheckReport(check_id, hyp, bool(passed), float(min(margins)), 0.0,
                        details, notes)
 
 

@@ -140,11 +140,15 @@ class TestConfigErrorsExitThree:
         assert "'M'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key", ["check.H_floor.bogus = 1",
-                                     "check.A_bounded.tol = 5"])
+    @pytest.mark.parametrize("key", [
+        "check.H_floor.bogus = 1", "check.A_bounded.tol = 5",
+        "check.asymptotics_roundness.fit_window = 4, 8",
+        "check.asymptotics_obstruction.tol_osc = 5",
+        "check.asymptotics_roundness.obstruction_floor = 0.1"])
     def test_parameter_the_check_does_not_take(self, tmp_path, capsys, key):
         # the first once raised TypeError after the outputs were written
-        # (exit 1), the second was dropped (exit 0)
+        # (exit 1); the second, fourth and fifth were accepted and ignored
+        # (exit 0).  The asymptotics checks take their bounds from the run
         cid, param = key.split(" ")[0].split(".")[1:]
         cfg = write_cfg(tmp_path, POINT_RUN.replace("A_bounded", "A_bounded, H_floor")
                         + key + "\n")
@@ -161,8 +165,6 @@ class TestConfigErrorsExitThree:
     @pytest.mark.parametrize("key, message", [
         ("check.evolution_residuals.c_res = 2",
          "check evolution_residuals takes no parameter 'c_res'"),
-        ("check.asymptotics_roundness.fit_window = 4, 8",
-         "parameter 'fit_window' of check asymptotics_roundness takes no"),
         ("check.H_floor.h0 = abc", "line 8, field 'check.H_floor.h0'"),
         ("check.evolution_residuals.which = omega_eq, bogus",
          "unknown identity 'bogus'"),
@@ -187,12 +189,10 @@ class TestConfigErrorsExitThree:
 
     def test_override_of_a_check_not_requested(self, tmp_path, capsys):
         # an override is tested whether or not its check is requested
-        cfg = write_cfg(tmp_path, POINT_RUN
-                        + "check.asymptotics_roundness.fit_window = 4, 8\n")
+        cfg = write_cfg(tmp_path, POINT_RUN + "check.H_floor.h0 = abc\n")
         out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
-        assert "'fit_window' of check asymptotics_roundness takes no single float" \
-            in capsys.readouterr().err
+        assert "line 8, field 'check.H_floor.h0'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_output_dir_anywhere(self, tmp_path):
@@ -467,6 +467,34 @@ class TestRunCommand:
         assert main(["run", "--config", second, "--out", str(fresh)]) == 0
         assert read_bytes_map(used) == read_bytes_map(fresh)
         assert [t for t, _, _ in load_trace(used).snapshots] == [0.0, 0.15, 0.3]
+
+    @pytest.mark.parametrize("warp, r0, checks, code", [
+        ("euclidean", 1.0, "asymptotics_roundness", 0),
+        ("hyperbolic", 2.0, "asymptotics_roundness, asymptotics_obstruction", 1)])
+    def test_roundness_verdict_from_the_run(self, tmp_path, warp, r0, checks, code):
+        # r = r0 + 0.3 cos(theta) to t = 8: the euclidean run rounds off
+        # within the tolerance its own rate gives; in hyperbolic space
+        # max H h grows faster than beta, and the oscillation stays up
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"""\
+            warp.preset = {warp}
+            base.kind = axisphere
+            base.resolution = 24
+            initial.r0 = {r0}
+            initial.modes = 1:0.3
+            flow.t_end = 8.0
+            flow.dt_max = 0.01
+            checks = {checks}
+            """)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        report = {c["check_id"]: c for c in
+                  json.loads((out / "report.json").read_text())["checks"]}
+        roundness = report["asymptotics_roundness"]
+        assert roundness["pass"] is (warp == "euclidean")
+        d = roundness["details"]
+        assert (d["gamma_Hh"] > d["beta_predicted"]) is (warp == "hyperbolic")
+        if warp == "hyperbolic":
+            assert report["asymptotics_obstruction"]["pass"] is True
 
 
 class TestCheckCommand:

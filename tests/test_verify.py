@@ -63,14 +63,18 @@ def circle_round():
                           record_every=0.05, snapshot_every=0.5))
 
 
-@pytest.fixture(scope="module")
-def circle_slight():
+def slight_circle_trace(record_every=0.1, snapshot_every=0.5):
     base = make_base("circle", 16)
     w = make_warp("euclidean")
     r = 1.0 + 0.01 * np.cos(base.theta)
     return run(GraphState(base, w, radial_potential(w, r), 0.0),
-               FlowConfig(t_end=8.0, safety=0.5, record_every=0.1,
-                          snapshot_every=0.5))
+               FlowConfig(t_end=8.0, safety=0.5, record_every=record_every,
+                          snapshot_every=snapshot_every))
+
+
+@pytest.fixture(scope="module")
+def circle_slight():
+    return slight_circle_trace()
 
 
 @pytest.fixture(scope="module")
@@ -267,29 +271,56 @@ class TestAsymptotics:
         assert rep.passed is True
 
     def test_non_finite_series_is_inapplicable(self, circle_slight):
-        assert check_asymptotics(circle_slight, "expect_roundness",
-                                 tol_osc=1.0).passed is True
+        assert check_asymptotics(circle_slight, "expect_roundness").passed is True
         cols = dict(circle_slight.columns)
         for k in ("max_grad_phi", "max_hess_phi"):
             cols[k] = np.full_like(cols[k], np.nan)
         tr = dataclasses.replace(circle_slight, columns=cols)
         for mode in ("expect_roundness", "expect_obstruction"):
-            rep = check_asymptotics(tr, mode, tol_osc=1.0)
+            rep = check_asymptotics(tr, mode)
             assert rep.passed is None and math.isnan(rep.margin)
             assert rep.details["non_finite"] == ["grad_phi", "hess_phi"]
             assert "non-finite values in grad_phi, hess_phi; nothing fitted" in rep.notes
 
-    def test_fewer_than_three_snapshots_in_the_window(self, circle_slight):
-        # the last snapshot alone: the decay rates of the record columns are
-        # fitted, the shape deviation and the growth of max H h are not
-        rep = check_asymptotics(circle_slight, "expect_roundness", tol_osc=1.0,
-                                fit_window=(7.6, 8.0))
+    def test_fewer_than_three_snapshots_in_the_window(self):
+        # snapshots at t = 4 and 8 in the window [4, 8]: the decay rates of
+        # the record columns are fitted, the shape deviation and the growth
+        # of max H h are not
+        rep = check_asymptotics(slight_circle_trace(snapshot_every=4.0),
+                                "expect_roundness")
         rates = rep.details["rates"]
         assert math.isnan(rates["shape_dev"]) and math.isnan(rep.details["gamma_Hh"])
         assert all(rates[k] > 0.0 for k in ("grad_phi", "hess_phi", "osc"))
         assert any(n.startswith("fewer than 3 snapshots in the fit window")
                    for n in rep.notes)
         assert rep.passed is True
+
+    def test_fewer_than_three_records_in_the_window_is_inapplicable(self):
+        # records at t = 0, 5 and 8: two in the window [4, 8], where every
+        # rate would be NaN and tol_osc the oscillation at t = 8 itself
+        tr = slight_circle_trace(record_every=5.0)
+        for mode in ("expect_roundness", "expect_obstruction"):
+            rep = check_asymptotics(tr, mode)
+            assert rep.passed is None and math.isnan(rep.margin)
+            assert ("2 records in the fit window, fewer than 3; nothing "
+                    "fitted") in rep.notes
+
+    def test_verdict_does_not_depend_on_the_unit_of_length(self):
+        # euclidean IMCF commutes with dilations r -> R r: rates, beta,
+        # gamma and osc / tol_osc are the same at every R
+        base = make_base("axisphere", 24)
+        w = make_warp("euclidean")
+        reps = [check_asymptotics(
+            run(GraphState(base, w, radial_potential(
+                w, R * (1.0 + 0.3 * np.cos(base.theta))), 0.0),
+                FlowConfig(t_end=8.0, safety=0.5, dt_max=1e-2)),
+            "expect_roundness") for R in (0.01, 1.0, 1000.0)]
+        assert [rep.passed for rep in reps] == [True] * 3
+        for rep in reps[1:]:
+            assert math.isclose(rep.margin, reps[0].margin, rel_tol=1e-6)
+            d, d0 = rep.details, reps[0].details
+            assert math.isclose(d["terminal_osc"] / d["tol_osc"],
+                                d0["terminal_osc"] / d0["tol_osc"], rel_tol=1e-6)
 
     def test_short_trace_raises(self, euclid_point):
         with pytest.raises(ValueError, match="too short"):
@@ -559,8 +590,7 @@ SHORT_CHECKS = {
     "A_bounded": check_A_bounded,
 }
 LONG_CHECKS = {
-    "asymptotics": lambda tr: check_asymptotics(tr, "expect_roundness",
-                                                tol_osc=1.0),
+    "asymptotics": lambda tr: check_asymptotics(tr, "expect_roundness"),
 }
 
 
