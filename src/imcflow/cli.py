@@ -19,8 +19,10 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import platform
 import sys
+import traceback
 from dataclasses import MISSING, fields
 from itertools import product
 from pathlib import Path
@@ -273,6 +275,19 @@ def _read_csv(path):
     return names, np.array(values, dtype=float).reshape(-1, len(names))
 
 
+def _read_column(path, name):
+    """The column name of a file _write_csv wrote, as a float array parsed
+    by one np.array call; the other columns are split but not parsed.
+    ValueError when a row has not the header's number of fields."""
+    head, _, body = path.read_text(encoding="utf-8").strip().partition("\n")
+    names = head.split(",")
+    rows = [line.split(",") for line in body.split("\n")] if body else []
+    if any(len(row) != len(names) for row in rows):
+        raise ValueError(f"{path}: a row has not the header's {len(names)} fields")
+    j = names.index(name)
+    return np.array([row[j] for row in rows], dtype=float)
+
+
 def write_outputs(trace, outdir, config_echo):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +333,7 @@ def load_trace(outdir):
 
     Diagnostics come bit-exactly from trace.csv; snapshot geometry is
     recomputed from the stored phi fields through the same snapshot code
-    the run used.
+    the run used, so a snapshot file's phi column is the only one parsed.
     """
     outdir = Path(outdir)
     meta_path = outdir / "meta.json"
@@ -340,8 +355,7 @@ def load_trace(outdir):
                          key=lambda p: float(p.stem[2:]))
         for p in entries:
             t = float(p.stem[2:])
-            names, vals = _read_csv(p)
-            phi = vals[:, names.index("phi")].reshape(base.shape)
+            phi = _read_column(p, "phi").reshape(base.shape)
             state = GraphState(base, wspec, phi, t)
             snaps.append((t, state, snapshot(state)))
 
@@ -422,6 +436,14 @@ def _sweep_label(assignment):
 
 
 def cmd_sweep(config_path, outdir, jobs):
+    """Run the cartesian product of the sweep.* axes, one subdirectory per
+    point; the largest exit code of the points.
+
+    With jobs > 1 the points are split into min(jobs, points) fixed
+    shares (_run_shares): this process runs the first and a forked child
+    each of the others, so a share's points run in the same process on
+    every sweep.
+    """
     cfg = parse_config(config_path)
     outdir = _out_dir(cfg, outdir, "output")
     sweep_keys = sorted(k for k in cfg if k.startswith("sweep."))
@@ -447,17 +469,49 @@ def cmd_sweep(config_path, outdir, jobs):
         tasks.append((sub, subdir))
 
     if jobs > 1 and len(tasks) > 1:
-        # runs are numpy-bound, so threads serialize on the GIL; forked
-        # workers inherit the modules this process has loaded
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks)),
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            codes = list(pool.map(_run_one, tasks))
-    else:
-        codes = [_run_one(t) for t in tasks]
-    return max(codes) if codes else 0
+        return _run_shares(tasks, min(jobs, len(tasks)))
+    return max(_run_one(t) for t in tasks)
+
+
+def _run_shares(tasks, n):
+    """The largest exit code of tasks run in n shares: this process runs
+    tasks[0::n], and forked child k runs tasks[k::n] and exits with the
+    largest code of its share, or 70 with its traceback on stderr when it
+    raises.
+
+    Runs are numpy-bound, so threads would serialize on the GIL; a forked
+    child inherits the modules this process has loaded.  Every child is
+    reaped, also when this process's share raises; a child's status
+    outside 0-3 raises RuntimeError.
+    """
+    pids = []
+    try:
+        for k in range(1, n):
+            # a child inherits the unwritten buffers and would write them too
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:
+                code = 70
+                try:
+                    code = max(_run_one(t) for t in tasks[k::n])
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    # the child never returns into the caller's code
+                    try:
+                        sys.stdout.flush()
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        codes = [_run_one(t) for t in tasks[0::n]]
+    finally:
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code in zip(pids, statuses):
+        if not 0 <= code <= 3:
+            raise RuntimeError(f"sweep child {pid} exited with status {code}")
+    return max(codes + statuses)
 
 
 def _run_one(task):

@@ -26,8 +26,9 @@ the poles on the axisphere, which share one theta grid, _ThetaGrid; on
 the torus it is the block of f's four periodic neighbours, so both axes'
 differences are one ufunc call each.  With out=None every array is new;
 out, a tuple from stencil_buffers(), holds the gathered values and the
-differences, and the stencil writes them in place with the same
-operations in the same order, so the bits agree.
+differences (on the theta grid also the padded copy's two shifted
+views), and the stencil writes them in place with the same operations
+in the same order, so the bits agree.
 assemble(diffs) lays the differences out as the covariant (grad, hess)
 arrays; covariant_derivatives is the two composed, and the speed kernels
 of geometry read the differences directly.  The base metric sigma is
@@ -135,27 +136,32 @@ class _ThetaGrid(BaseManifold):
 
     def differences(self, f, out=None):
         """(f_theta, f_thetatheta) from one ghost-padded copy of f; out is
-        (padded copy, first, second) or None.
+        (padded copy, first, second, the copy's views up and down) or None.
 
         The neighbours are summed first, so reflecting f reflects the second
         difference bitwise (float + is commutative, the mixed order is not).
         2 f lives in the first difference's array until that is formed.  pad
         lies in range for an f of the base's shape, so the gather skips the
-        bounds check ("clip"), which costs as much again as the copy.
+        bounds check ("clip"), which costs as much again as the copy.  The
+        views of a buffer set are sliced once, in stencil_buffers.
         """
-        fp, g, d2 = out or (None, None, None)
-        fp = f.take(self._pad, None, fp, "clip")
-        up, down = fp[2:], fp[:-2]
-        d2 = np.add(up, down, out=d2)
-        d2 -= np.multiply(_TWO, f, out=g)
+        if out is None:
+            fp = f.take(self._pad, None, None, "clip")
+            up, down, g, d2 = fp[2:], fp[:-2], None, None
+        else:
+            fp, g, d2, up, down = out
+            f.take(self._pad, None, fp, "clip")
+        d2 = np.add(up, down, d2)
+        d2 -= np.multiply(_TWO, f, g)
         d2 /= self._dx2
-        g = np.subtract(up, down, out=g)
+        g = np.subtract(up, down, g)
         g /= self._two_dx
         return g, d2
 
     def stencil_buffers(self):
         M = self.resolution
-        return np.empty(M + 2), np.empty(M), np.empty(M)
+        fp = np.empty(M + 2)
+        return fp, np.empty(M), np.empty(M), fp[2:], fp[:-2]
 
 
 class CircleBase(_ThetaGrid):
@@ -269,14 +275,14 @@ class Torus2Base(BaseManifold):
         nb, g, f2, g0nb, f01 = out or (None,) * 5
         nb = f.take(self._nb, None, nb, "clip")
         two_dx = self._two_dx
-        g = np.subtract(nb[:2], nb[2:], out=g)
+        g = np.subtract(nb[:2], nb[2:], g)
         g /= two_dx
-        two_f = np.multiply(_TWO, f, out=f01)
-        f2 = np.add(nb[:2], nb[2:], out=f2)
+        two_f = np.multiply(_TWO, f, f01)
+        f2 = np.add(nb[:2], nb[2:], f2)
         f2 -= two_f
         f2 /= self._dx2
         g0nb = g[0].take(self._j_nb, None, g0nb, "clip")
-        f01 = np.subtract(g0nb[0], g0nb[1], out=f01)
+        f01 = np.subtract(g0nb[0], g0nb[1], f01)
         f01 /= two_dx
         return g[0], g[1], f2[0], f2[1], f01
 

@@ -584,6 +584,38 @@ class TestCheckCommand:
                                             strict=True):
             assert t0 == t1 and s0.phi.tobytes() == s1.phi.tobytes()
 
+    @pytest.mark.parametrize("base", ["circle", "axisphere", "torus2"])
+    def test_loaded_phi_is_the_run_phi(self, tmp_path, base):
+        # no checks: the coarse circle fails evolution_residuals, which is
+        # beside the point here
+        text = FIELD_RUN.replace("axisphere", base).replace("resolution = 50",
+                                                            "resolution = 12")
+        cfg = write_cfg(tmp_path, text.replace(
+            "checks = growth_and_support, evolution_residuals\n", ""))
+        wspec, b, phi0, fc, _, _ = build_setup(parse_config(cfg))
+        trace = run(GraphState(b, wspec, phi0, 0.0), fc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        loaded = load_trace(tmp_path / "out")
+        assert len(loaded.snapshots) == len(trace.snapshots) == 4
+        for (t0, s0, _), (t1, s1, _) in zip(trace.snapshots, loaded.snapshots):
+            assert t0 == t1
+            assert s1.phi.shape == b.shape
+            assert s0.phi.tobytes() == s1.phi.tobytes()
+
+    @pytest.mark.parametrize("edit", ["phi", "field"])
+    def test_bad_snapshot_row_raises(self, tmp_path, edit):
+        out = tmp_path / "out"
+        main(["run", "--config", write_cfg(tmp_path, FIELD_RUN), "--out", str(out)])
+        snap = sorted(out.glob("snapshots/t=*.csv"))[1]
+        rows = [r.split(",") for r in snap.read_text(encoding="utf-8").splitlines()]
+        if edit == "phi":
+            rows[3][rows[0].index("phi")] = "one"
+        else:
+            del rows[3][rows[0].index("omega")]
+        snap.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_trace(out)
+
     def test_missing_trace_exits_three(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "checks = A_bounded\n", name="check.cfg")
         assert main(["check", "--config", cfg,
@@ -700,6 +732,67 @@ class TestSweepCommand:
         assert set(files_a) == set(files_b)
         for name in files_a:
             assert files_a[name] == files_b[name], name
+
+    @pytest.mark.parametrize("points, jobs", [("1.0, 2.0, 3.0", 2), ("1.0, 2.0", 4)])
+    def test_shares_match_serial(self, tmp_path, points, jobs):
+        # three points in two shares of two and one; two points at
+        # --jobs 4 make two shares of one
+        cfg = write_cfg(tmp_path, self.SWEEP.replace("1.0, 2.0", points))
+        a, b = tmp_path / "serial", tmp_path / "shares"
+        assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(b),
+                     "--jobs", str(jobs)]) == 0
+        assert len(list(b.iterdir())) == len(points.split(","))
+        assert read_bytes_map(a) == read_bytes_map(b)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_configuration_error_in_a_child_share(self, tmp_path, capfd, jobs):
+        # at --jobs 2 the second point is the child's share
+        cfg = write_cfg(tmp_path, self.SWEEP.replace("1.0, 2.0", "1.0, -1, 2.0"))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 3
+        assert "radius -1.0 outside (0.0, inf)" in capfd.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["initial.r0=1.0",
+                                                         "initial.r0=2.0"]
+        for p in out.iterdir():
+            assert (p / "meta.json").is_file()
+
+    def test_exception_in_a_child_share(self, tmp_path, capfd, monkeypatch):
+        # the child prints its traceback and exits 70; the caller runs its
+        # own share, reaps the child and raises
+        import imcflow.cli as cli
+        run_one = cli._run_one
+
+        def planted(task):
+            if task[1].name == "initial.r0=2.0":
+                raise ZeroDivisionError("planted")
+            return run_one(task)
+
+        monkeypatch.setattr(cli, "_run_one", planted)
+        cfg = write_cfg(tmp_path, self.SWEEP.replace("1.0, 2.0", "1.0, 2.0, 3.0"))
+        out = tmp_path / "sw"
+        with pytest.raises(RuntimeError, match="status 70"):
+            main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"])
+        assert "ZeroDivisionError: planted" in capfd.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["initial.r0=1.0",
+                                                         "initial.r0=3.0"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_output_before_the_sweep_is_written_once(self, tmp_path):
+        # piped stdout is block-buffered; a child forked with the line in
+        # its buffer would write it again when it flushes
+        cfg = write_cfg(tmp_path, self.SWEEP.replace("1.0, 2.0", "1.0, 2.0, 3.0"))
+        code = ("import sys\nfrom imcflow.cli import main\nprint('before the sweep')\n"
+                f"sys.exit(main(['sweep', '--config', {cfg!r}, '--out', "
+                f"{str(tmp_path / 'sw')!r}, '--jobs', '3']))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "before the sweep\n"
 
     def test_sweep_without_axes_exits_three(self, tmp_path):
         cfg = write_cfg(tmp_path, POINT_RUN)
