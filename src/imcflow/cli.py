@@ -267,25 +267,14 @@ def _write_csv(path, names, cols):
 
 
 def _read_csv(path):
-    """(column names, rows as a 2D float array) of a file _write_csv
-    wrote, its values parsed by one np.array call."""
-    head, _, body = path.read_text(encoding="utf-8").strip().partition("\n")
-    names = head.split(",")
-    values = body.replace("\n", ",").split(",") if body else []
-    return names, np.array(values, dtype=float).reshape(-1, len(names))
-
-
-def _read_column(path, name):
-    """The column name of a file _write_csv wrote, as a float array parsed
-    by one np.array call; the other columns are split but not parsed.
+    """(column names, rows split into strings) of a file _write_csv wrote;
     ValueError when a row has not the header's number of fields."""
     head, _, body = path.read_text(encoding="utf-8").strip().partition("\n")
     names = head.split(",")
     rows = [line.split(",") for line in body.split("\n")] if body else []
     if any(len(row) != len(names) for row in rows):
         raise ValueError(f"{path}: a row has not the header's {len(names)} fields")
-    j = names.index(name)
-    return np.array([row[j] for row in rows], dtype=float)
+    return names, rows
 
 
 def write_outputs(trace, outdir, config_echo):
@@ -334,6 +323,7 @@ def load_trace(outdir):
     Diagnostics come bit-exactly from trace.csv; snapshot geometry is
     recomputed from the stored phi fields through the same snapshot code
     the run used, so a snapshot file's phi column is the only one parsed.
+    Every row of either file must have its header's number of fields.
     """
     outdir = Path(outdir)
     meta_path = outdir / "meta.json"
@@ -344,7 +334,8 @@ def load_trace(outdir):
     cfg = {k: (v, None) for k, v in meta["config"].items()}
     wspec, base, _, fc, _, _ = build_setup(cfg)
 
-    header, data = _read_csv(trace_path)
+    header, rows = _read_csv(trace_path)
+    data = np.array(rows, dtype=float).reshape(-1, len(header))
     times = data[:, 0]
     columns = {name: data[:, j] for j, name in enumerate(header) if j > 0}
 
@@ -355,7 +346,10 @@ def load_trace(outdir):
                          key=lambda p: float(p.stem[2:]))
         for p in entries:
             t = float(p.stem[2:])
-            phi = _read_column(p, "phi").reshape(base.shape)
+            # snapshot recomputes the other columns from phi: only it is parsed
+            names, rows = _read_csv(p)
+            j = names.index("phi")
+            phi = np.array([r[j] for r in rows], dtype=float).reshape(base.shape)
             state = GraphState(base, wspec, phi, t)
             snaps.append((t, state, snapshot(state)))
 

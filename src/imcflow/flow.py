@@ -180,15 +180,13 @@ def _evaluate(dispatch, phi, theta_min, out=None):
     A state is valid when F > 0 and 1/F > 0 everywhere (F positive and
     finite) and sqrt(min Theta^2) >= theta_min, which is min Theta >=
     theta_min because sqrt is correctly rounded and monotone; each extreme
-    is read inline at its argmin or argmax, as warp._min reads it, which
-    saves a call a read: the first NaN, which fails every comparison, or
-    of a 0.0/-0.0 tie the first, which changes no test.  Otherwise the
-    fault is, in this order: non-finite phi, phi outside the image of Phi,
-    non-finite F, F <= 0 at its smallest node, Theta below theta_min at
-    its smallest node.
+    is read at its argmin or argmax (warp._min): the first NaN, which fails
+    every comparison, or of a 0.0/-0.0 tie the first, which changes no
+    test.  Otherwise the fault is, in this order: non-finite phi, phi
+    outside the image of Phi, non-finite F, F <= 0 at its smallest node,
+    Theta below theta_min at its smallest node.
     """
-    if not (phi.item(phi.argmin()) > dispatch.lo
-            and phi.item(phi.argmax()) < dispatch.hi):
+    if not (_min(phi) > dispatch.lo and _max(phi) < dispatch.hi):
         # the domain test fails on non-finite phi too; those come first
         bad = ~np.isfinite(phi)
         if bad.any():
@@ -198,8 +196,8 @@ def _evaluate(dispatch, phi, theta_min, out=None):
         return None, ("domain", node, float(phi.flat[node]))
     F, theta2, _, diffs = dispatch.speed(phi, dispatch.hp(phi), out)
     k = np.divide(_ONE, F, None if out is None else out.k)
-    if (F.item(F.argmin()) > 0.0 and k.item(k.argmin()) > 0.0
-            and math.sqrt(theta2.item(theta2.argmin())) >= theta_min):
+    if (_min(F) > 0.0 and _min(k) > 0.0
+            and math.sqrt(_min(theta2)) >= theta_min):
         return (F, k, theta2, diffs), None
     bad = ~np.isfinite(F)
     if bad.any():

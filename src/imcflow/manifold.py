@@ -26,9 +26,8 @@ the poles on the axisphere, which share one theta grid, _ThetaGrid; on
 the torus it is the block of f's four periodic neighbours, so both axes'
 differences are one ufunc call each.  With out=None every array is new;
 out, a tuple from stencil_buffers(), holds the gathered values and the
-differences (on the theta grid also the padded copy's two shifted
-views), and the stencil writes them in place with the same operations
-in the same order, so the bits agree.
+differences, and the stencil writes them in place with the same
+operations in the same order, so the bits agree.
 assemble(diffs) lays the differences out as the covariant (grad, hess)
 arrays; covariant_derivatives is the two composed, and the speed kernels
 of geometry read the differences directly.  The base metric sigma is
@@ -136,21 +135,17 @@ class _ThetaGrid(BaseManifold):
 
     def differences(self, f, out=None):
         """(f_theta, f_thetatheta) from one ghost-padded copy of f; out is
-        (padded copy, first, second, the copy's views up and down) or None.
+        (padded copy, first, second) or None.
 
         The neighbours are summed first, so reflecting f reflects the second
         difference bitwise (float + is commutative, the mixed order is not).
         2 f lives in the first difference's array until that is formed.  pad
         lies in range for an f of the base's shape, so the gather skips the
-        bounds check ("clip"), which costs as much again as the copy.  The
-        views of a buffer set are sliced once, in stencil_buffers.
+        bounds check ("clip"), which costs as much again as the copy.
         """
-        if out is None:
-            fp = f.take(self._pad, None, None, "clip")
-            up, down, g, d2 = fp[2:], fp[:-2], None, None
-        else:
-            fp, g, d2, up, down = out
-            f.take(self._pad, None, fp, "clip")
+        fp, g, d2 = out or (None, None, None)
+        fp = f.take(self._pad, None, fp, "clip")
+        up, down = fp[2:], fp[:-2]
         d2 = np.add(up, down, d2)
         d2 -= np.multiply(_TWO, f, g)
         d2 /= self._dx2
@@ -160,8 +155,7 @@ class _ThetaGrid(BaseManifold):
 
     def stencil_buffers(self):
         M = self.resolution
-        fp = np.empty(M + 2)
-        return fp, np.empty(M), np.empty(M), fp[2:], fp[:-2]
+        return np.empty(M + 2), np.empty(M), np.empty(M)
 
 
 class CircleBase(_ThetaGrid):
