@@ -1,9 +1,10 @@
 """Exponential sandwich for a genuinely non-round initial surface.
 
 Start from r = 1 + 0.3 cos(theta) on the axisphere in euclidean space.  The
-initial radius lies between 0.7 and 1.3, and the support-function bounds
-guarantee the evolving surface stays between the slices that start at those
-radii: 0.7 e^{t/2} <= h <= 1.3 e^{t/2} for all time.  The table shows the
+check takes its bracket R1 <= omega <= R2 from the support function at t = 0
+(about 0.70002 and 1.29995, just inside the radii 0.7 and 1.3), and the
+sandwich keeps the evolving surface between the slices that start at those
+values: R1 e^{t/2} <= h <= R2 e^{t/2} for all time.  The table shows the
 sandwich ratios tightening as the surface rounds off, while min H stays
 positive.
 """
@@ -25,18 +26,20 @@ trace = run(GraphState(base, w, radial_potential(w, r0), 0.0),
             FlowConfig(t_end=4.0, integrator="rk4", safety=0.5, dt_max=1e-3,
                        record_every=0.1, snapshot_every=0.5))
 
-print(f"{'t':>4} {'min h/(0.7 e^(t/2))':>20} {'max h/(1.3 e^(t/2))':>20} "
+rep = check_growth_and_support(trace)
+R1, R2 = rep.details["R1"], rep.details["R2"]
+print(f"bracket from omega at t=0: R1={R1:.5f}  R2={R2:.5f}\n")
+print(f"{'t':>4} {'min h/(R1 e^(t/2))':>20} {'max h/(R2 e^(t/2))':>20} "
       f"{'min H':>10}")
 rec = {t: i for i, t in enumerate(trace.times)}
 for t, _, snap in trace.snapshots:
     ex = np.exp(t / 2.0)
-    lo = float(np.min(snap.h)) / (0.7 * ex)
-    hi = float(np.max(snap.h)) / (1.3 * ex)
+    lo = float(np.min(snap.h)) / (R1 * ex)
+    hi = float(np.max(snap.h)) / (R2 * ex)
     minH = trace.columns["min_H"][rec[round(t, 10)]] if round(t, 10) in rec \
         else float("nan")
     print(f"{t:4.1f} {lo:20.6f} {hi:20.6f} {minH:10.4f}")
 
-rep = check_growth_and_support(trace, R1=0.7, R2=1.3)
 print(f"\ncheck_growth_and_support: pass={rep.passed} "
       f"worst relative slack={rep.margin:.3e}")
 print(f"worst bound: {rep.details['worst']}")

@@ -17,7 +17,6 @@ flow terminated with an event, 3 configuration error.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -40,9 +39,8 @@ __all__ = ["main", "parse_config", "ConfigError", "load_trace"]
 
 FMT = "%.17g"
 
-# check id -> (verify function, the arguments between the trace and the
-# overrides); the function is looked up when called, so a replaced module
-# attribute takes effect
+# check id -> (verify function, its arguments after the trace); the function
+# is looked up when called, so a replaced module attribute takes effect
 _CHECKS = {
     "growth_and_support": ("check_growth_and_support", ()),
     "H_floor": ("check_H_floor", ()),
@@ -52,10 +50,6 @@ _CHECKS = {
     "A_bounded": ("check_A_bounded", ()),
 }
 CHECK_IDS = tuple(_CHECKS)
-# check id -> the overrides it takes, its function's remaining parameters
-_CHECK_PARAMS = {
-    cid: tuple(inspect.signature(getattr(_verify, fn)).parameters)[1 + len(args):]
-    for cid, (fn, args) in _CHECKS.items()}
 
 
 class ConfigError(Exception):
@@ -125,38 +119,24 @@ def _parse_floats(s):
     return [float(x) for x in s.split(",") if x.strip()]
 
 
-def _known_ids(ids, known=CHECK_IDS, what="check id"):
+def _known_ids(ids):
     for x in ids:
-        if x not in known:
-            raise ValueError(f"unknown {what} {x!r} (known: {', '.join(known)})")
+        if x not in CHECK_IDS:
+            raise ValueError(f"unknown check id {x!r} (known: {', '.join(CHECK_IDS)})")
     return ids
 
 
-def _parse_ids(s, known=CHECK_IDS, what="check id"):
-    return _known_ids([x.strip() for x in s.split(",") if x.strip()], known, what)
-
-
-# check parameter -> its converter from config text; every other parameter
-# takes one float
-_OVERRIDE_CONV = {
-    "which": lambda s: _parse_ids(s, tuple(_verify.DEFAULT_C_RES), "identity")}
+def _parse_ids(s):
+    return _known_ids([x.strip() for x in s.split(",") if x.strip()])
 
 
 def _extract_checks(cfg):
-    checks = _take(cfg, "checks", _parse_ids, default=[])
-    overrides = {}
-    for key in list(cfg):
+    """The requested check ids.  Every check takes its bounds from the run,
+    so a check.* key is a configuration error."""
+    for key, (_, line) in cfg.items():
         if key.startswith("check."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[1] not in CHECK_IDS:
-                raise ConfigError("expected check.<id>.<param>", field=key)
-            known = _CHECK_PARAMS[parts[1]]
-            if parts[2] not in known:
-                raise ConfigError(f"check {parts[1]} takes no parameter {parts[2]!r} "
-                                  f"(known: {', '.join(known) or 'none'})", field=key)
-            conv = _OVERRIDE_CONV.get(parts[2], float)
-            overrides.setdefault(parts[1], {})[parts[2]] = _take(cfg, key, conv)
-    return checks, overrides
+            raise ConfigError("checks take no parameters", line=line, field=key)
+    return _take(cfg, "checks", _parse_ids, default=[])
 
 
 def _base_key(kind, resolution, exc):
@@ -246,12 +226,12 @@ def build_setup(cfg):
     except ValueError as exc:
         raise ConfigError(str(exc), field="flow.*")
 
-    checks, overrides = _extract_checks(cfg)
+    checks = _extract_checks(cfg)
     cfg.pop("output_dir", None)
     for key, (_, line) in cfg.items():
         if not key.startswith("sweep."):
             raise ConfigError(f"unknown key {key!r}", line=line, field=key)
-    return wspec, base, phi0, fc, checks, overrides
+    return wspec, base, phi0, fc, checks
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +312,7 @@ def load_trace(outdir):
         raise ConfigError(f"no trace in {outdir} (need meta.json and trace.csv)")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     cfg = {k: (v, None) for k, v in meta["config"].items()}
-    wspec, base, _, fc, _, _ = build_setup(cfg)
+    wspec, base, _, fc, _ = build_setup(cfg)
 
     header, rows = _read_csv(trace_path)
     data = np.array(rows, dtype=float).reshape(-1, len(header))
@@ -366,17 +346,16 @@ def load_trace(outdir):
 # ---------------------------------------------------------------------------
 # checks
 
-def run_checks(trace, check_ids, overrides):
-    """Reports of the checks, each with its converted overrides.  A check
-    that cannot evaluate this trace (too short, too few snapshots, ended
+def run_checks(trace, check_ids):
+    """Reports of the checks, in the order of check_ids.  A check that
+    cannot evaluate this trace (too short, too few snapshots, ended
     by an event) raises ValueError; it is reported inapplicable, with the
     error text as its note."""
     reports = []
     for cid in _known_ids(list(check_ids)):
         fn, args = _CHECKS[cid]
         try:
-            report = getattr(_verify, fn)(trace, *args,
-                                          **overrides.get(cid, {}))
+            report = getattr(_verify, fn)(trace, *args)
         except ValueError as exc:
             report = _verify.CheckReport(cid, {}, None, float("nan"),
                                          float("nan"), notes=[str(exc)])
@@ -418,10 +397,10 @@ def cmd_check(config_path, outdir):
     cfg = parse_config(config_path)
     outdir = _out_dir(cfg, outdir, "trace")
     # only the check keys matter here; run keys describe the stored trace
-    checks, overrides = _extract_checks(dict(cfg))
+    checks = _extract_checks(dict(cfg))
     if not checks:
         raise ConfigError("no checks requested", field="checks")
-    doc = write_report(run_checks(load_trace(outdir), checks, overrides), outdir)
+    doc = write_report(run_checks(load_trace(outdir), checks), outdir)
     return 0 if doc["all_passed"] else 1
 
 
@@ -513,7 +492,7 @@ def _run_one(task):
     sub, subdir = task
     echo = _echo(sub)
     try:
-        wspec, base, phi0, fc, checks, overrides = build_setup(sub)
+        wspec, base, phi0, fc, checks = build_setup(sub)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 3
@@ -521,7 +500,7 @@ def _run_one(task):
     write_outputs(trace, subdir, echo)
     code = 0
     if checks:
-        doc = write_report(run_checks(trace, checks, overrides), subdir)
+        doc = write_report(run_checks(trace, checks), subdir)
         code = 0 if doc["all_passed"] else 1
     if not trace.completed:
         code = 2

@@ -201,8 +201,8 @@ class GeometrySnapshot:
     """All pointwise geometric fields of a graph state at one time.
 
     snapshot computes the fields a trace row reads (H, omega, A2 and those
-    of _light_fields) and shape; u, Kh, ric_dphi, ric_rr and ric_vv are
-    derived from them, the base and the warp on first read and then kept
+    of _light_fields) and shape; u, ric_dphi, ric_rr and ric_vv are
+    derived from them and the base on first read and then kept
     (functools.cached_property), under the numpy error state (np.geterr)
     of the snapshot's making, so they warn as they would have there.
     """
@@ -239,19 +239,6 @@ class GeometrySnapshot:
             return np.zeros(self.base.shape)
         with np.errstate(**self.errstate):
             return self.base.ricci_dphi(self.grad)
-
-    @cached_property
-    def Kh(self):
-        with np.errstate(**self.errstate):
-            q = (self.n - 2) * _warp.q(self.warp, self.r, self.h)
-            if self.base.dc == 0:
-                return q
-            # direction-restricted base Ricci; zero-gradient nodes use the
-            # slice convention (radial direction degenerates, term drops)
-            dphi2, ric_dphi = self.dphi2, self.ric_dphi
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ric_dir = np.where(dphi2 > 0.0, ric_dphi / np.where(dphi2 > 0.0, dphi2, 1.0), 0.0)
-            return q + ric_dir
 
     @cached_property
     def ric_rr(self):
@@ -308,7 +295,7 @@ class GeometrySnapshot:
 
 def snapshot(state):
     """The GeometrySnapshot of a state: its light fields, H, omega, the
-    shape operator and |A|^2 now, u, Kh and the Ricci terms on first read.
+    shape operator and |A|^2 now, u and the Ricci terms on first read.
     """
     base = state.base
     lf = _light_fields(state)

@@ -93,10 +93,6 @@ class CheckReport:
         })
 
 
-def _default_tol(base):
-    return 1e-8 if base.dc == 0 else 1e-2
-
-
 def _radial_hull(trace):
     rs = [s.r for _, _, s in trace.snapshots]
     return min(float(np.min(r)) for r in rs), max(float(np.max(r)) for r in rs)
@@ -123,39 +119,29 @@ def _worst(slacks):
     return slacks[idx][0], slacks[idx][1]
 
 
-def check_growth_and_support(trace, R1=None, R2=None, tol=None):
+def check_growth_and_support(trace):
     """Exponential sandwich for h and the support function omega.
 
-    R1/R2 default to the initial min/max of omega.  The h-sandwich and the
-    omega upper bound need only the weak convexity conditions, which hold
-    on every preset; the omega lower bound is asserted only when the strict
-    conditions hold on the radial hull of the run.  A non-finite h or
-    omega at any node of any snapshot fails the check.
+    R1 and R2 are the initial min and max of omega, the tightest bracket of
+    the theorem.  The h-sandwich and the omega upper bound need only the
+    weak convexity conditions, which hold on every preset; the omega lower
+    bound is asserted only when the strict conditions hold on the radial
+    hull of the run.  A non-finite h or omega at any node of any snapshot
+    fails the check.  The tolerance is 1e-8 on the point base, where the
+    sandwich is an equality, and 1e-2 on the field bases.
     """
     if not trace.snapshots:
         raise ValueError("trace has no snapshots")
     n = trace.n
-    snap0 = trace.snapshots[0][2]
-    om0_min, om0_max = float(np.min(snap0.omega)), float(np.max(snap0.omega))
-    if R1 is None:
-        R1 = om0_min
-    if R2 is None:
-        R2 = om0_max
-    if tol is None:
-        tol = _default_tol(trace.base)
+    omega0 = trace.snapshots[0][2].omega
+    R1, R2 = float(np.min(omega0)), float(np.max(omega0))
+    tol = 1e-8 if trace.base.dc == 0 else 1e-2
 
     cond = check_conditions(trace.warp, _radial_hull(trace), rho=trace.base.rho)
-    bracket_ok = (R1 <= om0_min + 1e-12 * max(1.0, abs(om0_min))
-                  and om0_max <= R2 + 1e-12 * max(1.0, abs(om0_max)))
-    hyp = {"c1_weak": cond.c1_weak, "c1_strict": cond.c1_strict,
-           "omega_bracket": bracket_ok}
+    hyp = {"c1_weak": cond.c1_weak, "c1_strict": cond.c1_strict}
 
     notes = []
     _base_notes(trace, notes)
-    if not bracket_ok:
-        notes.append(f"supplied [R1, R2]=[{R1:.6g}, {R2:.6g}] does not bracket "
-                     f"initial omega in [{om0_min:.6g}, {om0_max:.6g}]; "
-                     "asserting the sandwich for the supplied values anyway")
     assert_omega_lower = cond.c1_strict
     if not assert_omega_lower:
         notes.append("omega lower bound not asserted: strict conditions "
@@ -198,25 +184,23 @@ def curvature_floor(t, n, R1, R2, h0):
     return math.exp(-1.0 / (n - 1)) * math.sqrt(h0 * (n - 1)) * (R1 / R2) * ramp
 
 
-def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
+def check_H_floor(trace):
     """Lower bound for min H at positive record times.
 
-    Inapplicable (passed None) when R1 or R2 is not finite, supplied or
-    taken from omega at t = 0, when h takes R1 or R2 e^{T/(n-1)} at no
-    radius of the domain, and unless the strict convexity conditions hold
-    on h^{-1}[R1, R2 e^{T/(n-1)}].  h0 defaults to inf h''/h there.
-    A non-finite min_H at a positive record time fails the check (margin
-    NaN).  Also reports the observed min/max of H h as C1/C2 estimates.
+    R1 and R2 are the initial min and max of omega, and h0 is inf h''/h on
+    h^{-1}[R1, R2 e^{T/(n-1)}]: each the tightest value the theorem allows.
+    Inapplicable (passed None) when R1 or R2 is not finite, when h takes
+    R1 or R2 e^{T/(n-1)} at no radius of the domain, and unless the strict
+    convexity conditions hold on that interval.  A non-finite min_H at a
+    positive record time fails the check (margin NaN).  Also reports the
+    observed min/max of H h as C1/C2 estimates.
     """
     if not trace.snapshots:
         raise ValueError("trace has no snapshots")
     n = trace.n
-    snap0 = trace.snapshots[0][2]
-    given = R1, R2
-    if R1 is None:
-        R1 = float(np.min(snap0.omega))
-    if R2 is None:
-        R2 = float(np.max(snap0.omega))
+    omega0 = trace.snapshots[0][2].omega
+    R1, R2 = float(np.min(omega0)), float(np.max(omega0))
+    tol = 0.0
     notes = []
     _base_notes(trace, notes)
 
@@ -225,11 +209,8 @@ def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
         return CheckReport("H_floor", {"c1_weak": None, "c1_strict": None},
                            None, float("nan"), tol, {"R1": R1, "R2": R2}, notes)
 
-    bad = [f"{k} = {v} ({'from omega at t=0' if g is None else 'supplied'})"
-           for k, v, g in zip(("R1", "R2"), (R1, R2), given)
-           if not math.isfinite(v)]
-    if bad:
-        return inapplicable(f"{', '.join(bad)} not finite")
+    if not (math.isfinite(R1) and math.isfinite(R2)):
+        return inapplicable(f"omega at t=0 gives R1 = {R1}, R2 = {R2}, not finite")
     T = trace.t_final
     R2T = R2 * math.exp(T / (n - 1))
     try:
@@ -254,8 +235,7 @@ def check_H_floor(trace, R1=None, R2=None, h0=None, tol=0.0):
         return CheckReport("H_floor", hyp, None, float("nan"), tol,
                            details, notes)
 
-    if h0 is None:
-        h0 = infimum_h0(trace.warp, (r_lo, r_hi))
+    h0 = infimum_h0(trace.warp, (r_lo, r_hi))
     details["h0"] = h0
     if h0 <= 0.0:
         notes.append("h0 = 0 makes the floor vacuous on this horizon")
@@ -556,24 +536,19 @@ _IDENTITIES = {
 }
 
 
-def evolution_residuals(trace, which=None):
+def evolution_residuals(trace):
     """Max |centered time difference - identity RHS| over snapshot triples.
 
-    Passes when every selected identity stays below DEFAULT_C_RES *
+    Passes when every identity the base supports stays below DEFAULT_C_RES *
     (dt_snap + dx^2), with dt_snap the snapshot spacing.  A non-finite
     residual ends its identity's scan: the identity fails with that value,
     its time and node, and the check's margin is -inf.  The material
-    identities need the 1d-reduced induced operators, so they are
-    unsupported on torus2 and reported inapplicable if requested there; so
-    is an identity whose field is non-finite in a snapshot triple.
+    identities need the 1d-reduced induced operators, so torus2 supports
+    tw_eq alone.  u_eq is reported inapplicable where its field is
+    undefined in a snapshot triple; tw_eq, on every base, never is.
     """
     supported = tuple(w for w, (_, _, material, _) in _IDENTITIES.items()
                       if not material or trace.base.kind != "torus2")
-    requested = tuple(which) if which is not None else supported
-    for w in requested:
-        if w not in _IDENTITIES:
-            raise ValueError(f"unknown identity {w!r}")
-
     notes = []
     _base_notes(trace, notes)
     snaps = trace.snapshots
@@ -590,16 +565,11 @@ def evolution_residuals(trace, which=None):
     dt_snap = _median([d for _, d in triples])
     dx = 0.0 if trace.base.dc == 0 else trace.base.dx_min
 
-    hyp = {"base": trace.base.kind, "identities": list(requested)}
+    hyp = {"base": trace.base.kind, "identities": list(supported)}
     details = {"dt_snap": dt_snap, "dx": dx, "per_identity": {}}
     margins = []
-    any_applicable = False
     all_pass = True
-    for w in requested:
-        if w not in supported:
-            details["per_identity"][w] = {"status": "inapplicable"}
-            notes.append(f"{w} unsupported on base {trace.base.kind}")
-            continue
+    for w in supported:
         field, rhs, material, undefined = _IDENTITIES[w]
         worst = (-np.inf, None, None)
         for i, dd in triples:
@@ -624,7 +594,6 @@ def evolution_residuals(trace, which=None):
             details["per_identity"][w] = {"status": "inapplicable"}
             notes.append(f"{w}: {undefined}")
             continue
-        any_applicable = True
         threshold = DEFAULT_C_RES[w] * (dt_snap + dx ** 2)
         finite = math.isfinite(worst[0])
         ok = finite and worst[0] <= threshold
@@ -635,9 +604,6 @@ def evolution_residuals(trace, which=None):
             "max_residual": worst[0], "t": worst[1], "node": worst[2],
             "threshold": threshold, "c_res": DEFAULT_C_RES[w],
         }
-    if not any_applicable:
-        return CheckReport("evolution_residuals", hyp, None, float("nan"),
-                           0.0, details, notes)
     margin = float(min(margins))
     return CheckReport("evolution_residuals", hyp, bool(all_pass), margin,
                        0.0, details, notes)

@@ -6,11 +6,13 @@ commuting_residual
                identity on a base's stencils
 induced_metric the graph's metric and its inverse, on the base metric
                sigma_diag
+Kh             the ambient sectional-curvature term of a snapshot
 """
 
 import numpy as np
 
 from imcflow import flow as flow_mod
+from imcflow import warp
 from imcflow.geometry import _light_fields
 
 
@@ -120,3 +122,18 @@ def induced_metric(state):
         g[i, i] += h ** 2 * sdiag[i]
         ginv[i, i] += sinv[i] / h ** 2
     return g, ginv
+
+
+def Kh(snap):
+    """(n - 2) (h h'' - h'^2) plus the base Ricci curvature in the direction
+    of D phi, under the numpy error state of the snapshot's making."""
+    with np.errstate(**snap.errstate):
+        q = (snap.n - 2) * warp.q(snap.warp, snap.r, snap.h)
+        if snap.base.dc == 0:
+            return q
+        # direction-restricted base Ricci; zero-gradient nodes use the
+        # slice convention (radial direction degenerates, term drops)
+        dphi2, ric_dphi = snap.dphi2, snap.ric_dphi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ric_dir = np.where(dphi2 > 0.0, ric_dphi / np.where(dphi2 > 0.0, dphi2, 1.0), 0.0)
+        return q + ric_dir

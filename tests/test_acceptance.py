@@ -21,8 +21,8 @@ from imcflow.cli import main as cli_main
 from imcflow.flow import FlowConfig, run
 from imcflow.geometry import GraphState, embedding_oracle_H, snapshot
 from imcflow.manifold import make_base
-from imcflow.verify import (DEFAULT_C_RES, check_asymptotics, check_H_floor,
-                            curvature_floor, evolution_residuals)
+from imcflow.verify import (DEFAULT_C_RES, OBSTRUCTION_FLOOR, check_asymptotics,
+                            check_H_floor, curvature_floor, evolution_residuals)
 from imcflow.warp import make_warp, radial_potential
 from probes import commuting_residual, induced_metric
 
@@ -209,6 +209,7 @@ def test_criterion_5_hyperbolic_obstruction(euclid_t8):
     assert contrast > 10.0
     assert gate.passed is False, gate.details
     assert gate.details["gamma_Hh"] > gate.details["beta_predicted"]
+    assert rep.margin == (osc_hyp - OBSTRUCTION_FLOOR) / OBSTRUCTION_FLOOR
 
 
 def test_criterion_6_embedding_oracle_equivalence():
@@ -301,7 +302,7 @@ def test_criterion_7_evolution_identity_residuals(residual_study):
     ptrace = run(point_state(w, 1.0),
                  FlowConfig(t_end=5e-5, dt_max=1e-5, record_every=1e-5,
                             snapshot_every=1e-5))
-    prep = evolution_residuals(ptrace, which=ids)
+    prep = evolution_residuals(ptrace)
     pres = {k: prep.details["per_identity"][k]["max_residual"] for k in ids}
 
     ok = all(v >= 2.0 for v in ratios.values()) and \

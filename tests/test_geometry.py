@@ -14,8 +14,8 @@ from imcflow.geometry import (
     snapshot,
 )
 from imcflow.manifold import make_base
-from imcflow.warp import PRESETS, make_warp, q, r_at_h
-from probes import induced_metric
+from imcflow.warp import PRESETS, make_warp, r_at_h
+from probes import Kh, induced_metric
 
 
 def slice_state(base, wspec, r0):
@@ -245,8 +245,8 @@ class TestAmbientRicci:
         base = make_base("axisphere", 64)
         s = snapshot(wavy_state(base, make_warp("euclidean"), amp=0.2))
         moving = s.dphi2 > 0.0
-        np.testing.assert_allclose(s.Kh[moving], 0.0, atol=1e-10)
-        np.testing.assert_allclose(s.Kh[~moving], -1.0, atol=1e-12)
+        np.testing.assert_allclose(Kh(s)[moving], 0.0, atol=1e-10)
+        np.testing.assert_allclose(Kh(s)[~moving], -1.0, atol=1e-12)
 
     def test_schwarzschild_curvature_term_on_slices(self):
         # (n-2) (h h'' - h'^2) with n = 3 and h'^2 = 1 - 2m/h: 3m/h - 1,
@@ -255,40 +255,36 @@ class TestAmbientRicci:
         for base in (make_base("point", d=2), make_base("axisphere", 8)):
             for target in (1.6, 2.0, 5.0, 50.0, 500.0):
                 s = snapshot(slice_state(base, w, r_at_h(w, target)))
-                np.testing.assert_array_equal(s.Kh, 1.5 / s.h - 1.0)
+                np.testing.assert_array_equal(Kh(s), 1.5 / s.h - 1.0)
 
 
-DERIVED = ("u", "Kh", "ric_dphi", "ric_rr", "ric_vv")
+DERIVED = ("u", "ric_dphi", "ric_rr", "ric_vv")
 
 
 def _eager_derived(state, s):
-    """u, Kh and the Ricci terms by the expressions snapshot once evaluated
+    """u and the Ricci terms by the expressions snapshot once evaluated
     eagerly, from the snapshot's other fields; the bitwise reference for
     the fields it now derives on first read."""
     base, n, nm1 = state.base, state.n, state.base.d
-    r, h, hp, hpp, theta, H, omega = s.r, s.h, s.hp, s.hpp, s.theta, s.H, s.omega
+    h, hp, hpp, theta, H, omega = s.h, s.hp, s.hpp, s.theta, s.H, s.omega
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(H > 0.0, 1.0 / (H * omega), np.nan)
     if base.dc == 0:
         ric_dphi = np.zeros(base.shape)
-        Kh = (n - 2) * q(state.warp, r, h)
         ric_rr = -nm1 * hpp / h
         ric_vv = ric_rr.copy()
     else:
         ric_dphi = base.ricci_dphi(s.grad)
         dphi2 = s.dphi2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ric_dir = np.where(dphi2 > 0.0, ric_dphi / np.where(dphi2 > 0.0, dphi2, 1.0), 0.0)
-        Kh = (n - 2) * q(state.warp, r, h) + ric_dir
         ric_rr = np.broadcast_to(-nm1 * hpp / h, base.shape).copy()
         theta2 = theta ** 2
         ric_vv = theta2 * ric_rr + (theta2 / h ** 2) * (
             ric_dphi - (h * hpp + (n - 2) * hp ** 2) * dphi2)
-    return dict(u=u, Kh=Kh, ric_dphi=ric_dphi, ric_rr=ric_rr, ric_vv=ric_vv)
+    return dict(u=u, ric_dphi=ric_dphi, ric_rr=ric_rr, ric_vv=ric_vv)
 
 
 class TestDerivedOnFirstRead:
-    """snapshot derives u, Kh and the Ricci terms when they are first read:
+    """snapshot derives u and the Ricci terms when they are first read:
     with the eager expressions' bits, never for a trace row, and under the
     numpy error state of the snapshot's making."""
 
@@ -316,14 +312,17 @@ class TestDerivedOnFirstRead:
             assert getattr(s, name) is got       # kept after the first read
 
     def test_rows_never_read_the_derived_fields(self):
-        w = make_warp("schwarzschild3")
-        state = GraphState.from_radius(make_base("point", d=2), w, np.array([1.5]))
-        with mock.patch("imcflow.warp.q", side_effect=AssertionError("q read")):
+        # the base's Ricci term enters ric_dphi and ric_vv, and only them
+        base = make_base("axisphere", 16)
+        state = GraphState.from_radius(base, make_warp("schwarzschild3"),
+                                       2.0 * (1.0 + 0.1 * np.cos(base.theta)))
+        with mock.patch.object(type(base), "ricci_dphi",
+                               side_effect=AssertionError("Ricci read")):
             tr = run(state, FlowConfig(t_end=1.0, record_every=0.1,
                                        snapshot_every=0.25))
             assert tr.completed and len(tr.times) == 11 and len(tr.snapshots) == 5
-            with pytest.raises(AssertionError, match="q read"):
-                tr.snapshots[-1][2].Kh
+            with pytest.raises(AssertionError, match="Ricci read"):
+                tr.snapshots[-1][2].ric_vv
 
     def test_read_under_the_error_state_of_the_snapshot(self):
         # h = sinh r overflows h^2 near r = 400, and ric_vv takes 0 * inf
@@ -389,7 +388,7 @@ class TestConventions:
         s2 = snapshot(GraphState.from_radius(base, make_warp("saturating", phi0=1.7), r))
         np.testing.assert_allclose(s1.H, s2.H, atol=1e-11)
         np.testing.assert_allclose(s1.theta, s2.theta, atol=1e-12)
-        np.testing.assert_allclose(s1.Kh, s2.Kh, atol=1e-11)
+        np.testing.assert_allclose(Kh(s1), Kh(s2), atol=1e-11)
         np.testing.assert_allclose(s1.A2, s2.A2, atol=1e-11)
 
     def test_snapshot_time_passthrough(self):
